@@ -11,10 +11,9 @@
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin fig1_write_amp [--tx=6000]`
 
-use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
-use ipa_workloads::{build, Driver, DriverConfig, WorkloadKind};
+use ipa_workloads::{build, Driver, DriverConfig, StackSpec, WorkloadKind};
 
 fn main() {
     let tx: u64 = ipa_bench::arg("tx", 6_000);
@@ -44,15 +43,9 @@ fn main() {
     for kind in WorkloadKind::all() {
         // Traditional run with measurement: the Figure 1 histogram.
         let mut bench = build(kind, 1, page_size);
-        let mut engine = Driver::make_engine(
-            bench.as_mut(),
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            page_size,
-            None,
-        )
-        .expect("engine");
+        let mut engine = StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
+            .build(bench.as_mut(), page_size, &DriverConfig::default())
+            .expect("engine");
         engine.pool_mut().enable_net_write_measurement();
         let cfg = DriverConfig::default()
             .with_transactions(tx)
@@ -65,15 +58,9 @@ fn main() {
 
         // IPA-native run: only the deltas cross the bus.
         let mut bench2 = build(kind, 1, page_size);
-        let mut engine2 = Driver::make_engine(
-            bench2.as_mut(),
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            page_size,
-            None,
-        )
-        .expect("engine");
+        let mut engine2 = StackSpec::paper(WriteStrategy::IpaNative, FlashMode::PSlc)
+            .build(bench2.as_mut(), page_size, &DriverConfig::default())
+            .expect("engine");
         engine2.pool_mut().enable_net_write_measurement();
         let ipa = Driver::run(bench2.as_mut(), &mut engine2, &cfg).expect("run");
         let h2 = engine2.pool().stats().net_bytes;

@@ -10,9 +10,7 @@
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin headline_claims [--secs=10]`
 
-use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
-use ipa_ftl::WriteStrategy;
 use ipa_workloads::{Driver, DriverConfig, WorkloadKind};
 
 fn main() {
@@ -43,24 +41,10 @@ fn main() {
         eprintln!("running {}...", kind.name());
         // Baseline: the same MLC silicon used the normal way (full
         // capacity, traditional out-of-place writes) — the paper's 0x0.
-        let trad = Driver::run_configured(
-            kind,
-            1,
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::MlcFull,
-            &cfg,
-        )
-        .expect("traditional");
-        let ipa = Driver::run_configured(
-            kind,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            &cfg,
-        )
-        .expect("ipa");
+        let trad =
+            Driver::run_spec(kind, 1, &ipa_bench::traditional_mlc(), &cfg).expect("traditional");
+        let ipa =
+            Driver::run_spec(kind, 1, &ipa_bench::ipa_2x4(FlashMode::PSlc), &cfg).expect("ipa");
 
         // Normalize per committed transaction (the runs commit different
         // counts in the fixed window).

@@ -16,7 +16,7 @@ use ipa_core::NmScheme;
 use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
 use ipa_ftl::WriteStrategy;
 use ipa_ipl::{replay_ipa, replay_ipl, IplConfig};
-use ipa_workloads::{build, Driver, DriverConfig, WorkloadKind};
+use ipa_workloads::{build, Driver, DriverConfig, StackSpec, WorkloadKind};
 
 fn main() {
     let tx: u64 = ipa_bench::arg("tx", 6_000);
@@ -46,15 +46,9 @@ fn main() {
         eprintln!("recording {} trace...", kind.name());
         // Record the page-level trace from a traditional-strategy run.
         let mut bench = build(kind, 1, page_size);
-        let mut engine = Driver::make_engine(
-            bench.as_mut(),
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            page_size,
-            None,
-        )
-        .expect("engine");
+        let mut engine = StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
+            .build(bench.as_mut(), page_size, &DriverConfig::default())
+            .expect("engine");
         engine.pool_mut().enable_tracing();
         let cfg = DriverConfig::default()
             .with_transactions(tx)

@@ -12,7 +12,7 @@ use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
 use ipa_storage::standard_layout;
-use ipa_workloads::{Driver, DriverConfig, WorkloadKind};
+use ipa_workloads::{Driver, DriverConfig, StackSpec, WorkloadKind};
 
 fn main() {
     let secs: f64 = ipa_bench::arg("secs", 6.0);
@@ -56,8 +56,8 @@ fn main() {
             } else {
                 WriteStrategy::IpaNative
             };
-            let r = Driver::run_configured(kind, 1, strategy, scheme, FlashMode::PSlc, &cfg)
-                .expect("run");
+            let spec = StackSpec::chip(strategy, scheme, FlashMode::PSlc);
+            let r = Driver::run_spec(kind, 1, &spec, &cfg).expect("run");
             let area = if scheme.is_disabled() {
                 0
             } else {

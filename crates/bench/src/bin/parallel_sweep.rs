@@ -1,1102 +1,627 @@
 //! Channel/die scaling sweep plus the maintenance sweep: the same mixed
 //! OLTP workloads on wider and wider controller topologies, then — on the
-//! widest topology — NCQ queue caps and background-vs-inline GC.
-//!
-//! For each topology the driver runs K interleaved client streams; the
-//! table reports simulated-time throughput, speedup over the 1 × 1
-//! baseline, tail latencies (p99 / p99.9 — where queueing lives) and the
-//! scheduler's own counters (mean queue wait, deepest die queue).
-//!
-//! The maintenance section runs the GC-heavy traditional write path on
-//! the 4ch×2d topology and reports the p99 / p99.9 deltas of adding a
-//! per-die queue cap and moving reclaim onto the idle-die background
-//! scheduler — the foreground-stall experiment of the `ipa-maint` crate.
+//! widest topology — NCQ queue caps and background-vs-inline GC. Flags
+//! append further sections; each section's doc comment says what it
+//! measures and the bar it must clear.
 //!
 //! Usage:
 //!   cargo run --release -p ipa-bench --bin parallel_sweep \
 //!       [--tx=1200] [--streams=8] [--seed=N] [--scale=1] \
 //!       [--maint-tx=N] [--cap=1] [--planes=N] [--readahead[=W]] \
-//!       [--wal-stripe[=C]] [--qos] [--heat[=theta]] [--fleet] \
-//!       [--threads=N] [--csv <path>] [--trace=<out.json>] \
-//!       [--metrics=<out.json>]
+//!       [--wal-stripe[=C]] [--wal-group=1] [--qos] [--heat[=theta]] \
+//!       [--fleet] [--fleet-tenants=8] [--fleet-rounds=10] [--threads=N] \
+//!       [--csv <path>] [--trace=<out.json>] [--metrics=<out.json>]
 //!
-//! `--planes=N` (N > 1) appends a plane-scaling section: the write-heavy
-//! traditional path on fixed channels × dies, planes swept over
-//! {1, 2, …, N} (powers of two), reporting program throughput — the
-//! multi-plane command subsystem's 2×-per-die bandwidth claim.
+//! * `--planes=N` (N > 1): [`plane_sweep`], planes over {1, 2, …, N}.
+//! * `--readahead[=W]` (default window 8): [`scan_sweep`].
+//! * `--wal-stripe[=C]` (default 4 channels): [`wal_sweep`].
+//! * `--qos`: [`qos_sweep`]. `--heat[=theta]` (default θ = 0.99):
+//!   [`heat_sweep`]. `--fleet`: [`fleet_soak`].
+//! * `--threads=N`: [`threads_sweep`], threads over {1, 2, …, N}.
+//! * `--trace=<path>` / `--metrics=<path>`: [`trace_capture`].
+//! * `--csv` writes every row (all sections) as machine-readable CSV for
+//!   the perf trajectory; [`ipa_bench::sweep_csv`] is its schema.
 //!
-//! `--readahead[=W]` (default window 8) appends the sequential-scan
-//! sweep: a cold full-table scan on the widest topology with and without
-//! the buffer pool's stripe-aware read-ahead — the all-channels-scan win
-//! of the queued I/O API. Exits non-zero below 1.5× speedup.
-//!
-//! `--wal-stripe[=C]` (default 4 channels) appends the WAL sweep: a
-//! WAL-bound TPC-B config (group commit 1) with the historic single-chip
-//! log vs the log striped over its own C-channel controller, group-commit
-//! flushes submitted as one vectored write.
-//!
-//! `--qos` appends the latency-QoS sweep: the GC-heavy traditional path
-//! with background reclaim on the widest topology, FIFO vs QoS
-//! controller scheduling (read promotion over queued programs,
-//! erase-suspend under reclaim erases), reporting the p99.9 *read*
-//! latency delta plus the promotion/suspension counters. Exits non-zero
-//! if QoS makes the read tail worse.
-//!
-//! `--heat[=theta]` (default θ = 0.99) appends the heat-placement sweep:
-//! TPC-B on the widest topology with uniform vs Zipf(θ) account draws,
-//! each run on the fixed round-robin stripe and again behind the
-//! `ipa-heat` device (SLC hot tier + wear-shifting migration). Rows
-//! report wear spread, tier hits, stripe-slot migrations and destages;
-//! the section exits non-zero if the tier never absorbs the Zipfian hot
-//! set or the heat device ends with a wider erase spread than the fixed
-//! stripe under the same skew.
-//!
-//! `--fleet` appends the multi-tenant crash/recovery soak smoke
-//! (`--fleet-tenants`, default 8; `--fleet-rounds`, default 10): N
-//! tenants over one shared 4ch×2d device under an NCQ cap with QoS on,
-//! seeded kill/recover chaos mid-run, per-tenant invariants after every
-//! recovery, and checkpoint-driven WAL log-space reclamation. Exits
-//! non-zero if any recovery is missed, no log space is recycled, or the
-//! cross-tenant p99.9 spread blows up.
-//!
-//! `--threads=N` appends the threads-scaling sweep: the deterministic
-//! multi-stream churn harness (`Driver::run_threaded`) on the widest
-//! topology, thread counts swept over {1, 2, …, N} (powers of two).
-//! The workload is defined by its *streams*, so every row must produce
-//! the same final logical digest; what scales is host wall-clock
-//! simulated-ops/sec (`wall_ops_per_sec` CSV column) as real OS threads
-//! drive the per-die-locked device core. With N ≥ 4 the section exits
-//! non-zero below a 1.5× wall speedup over the single-threaded run.
-//!
-//! `--trace=<path>` / `--metrics=<path>` run one traced QoS
-//! background-GC configuration and write the command-lifecycle trace as
-//! Chrome trace-event JSON (open it in Perfetto / `chrome://tracing`;
-//! one track per die, erase-suspend/resume and promotion instants
-//! marked) and the unified metrics tree as JSON. Both artifacts are
-//! self-validated — parse, per-die coverage, round-trip — and exit
-//! non-zero on failure.
-//!
-//! `--csv` writes every row (all sections) as machine-readable CSV for
-//! the perf trajectory.
-//!
-//! Exits non-zero if the 4-channel × 2-die topology fails to deliver ≥ 2×
-//! the 1 × 1 throughput on the mixed sweep — the reproduction's scaling
-//! acceptance bar.
+//! Every section prints its title, the telling columns of its CSV rows
+//! as a table, and one `-> …: PASS|FAIL` line per acceptance bar. Exits
+//! non-zero if any bar fails — first of all the reproduction's scaling
+//! bar: 4-channel × 2-die must deliver ≥ 2× the 1 × 1 throughput on the
+//! mixed sweep.
 
-use ipa_core::NmScheme;
+use ipa_bench::sweep_csv::Row;
 use ipa_flash::FlashMode;
 use ipa_fleet::SoakConfig;
 use ipa_ftl::{StripePolicy, WriteStrategy};
-use ipa_trace::json::JsonValue;
-use ipa_trace::{chrome_trace_json, json, MetricsSnapshot, TracePhase};
+use ipa_trace::{chrome_trace_dies, chrome_trace_json, MetricsSnapshot, TracePhase};
 use ipa_workloads::{
-    Driver, DriverConfig, HeatPolicy, MaintMode, RunResult, ThreadedConfig, ThreadedRunResult,
-    Topology, WorkloadKind,
+    build, Driver, DriverConfig, HeatPolicy, MaintMode, RunResult, StackSpec, ThreadedConfig,
+    ThreadedRunResult, Topology, WorkloadKind,
 };
 
-/// One CSV row; shared by both sections.
-fn csv_row(
-    out: &mut String,
-    section: &str,
-    topo: &Topology,
-    maint: &MaintMode,
-    kind: WorkloadKind,
-    r: &RunResult,
-    speedup: f64,
-) {
-    let c = r.controller.clone().unwrap_or_default();
-    let (bg_steps, busy_skips) = r
-        .maint
-        .map(|m| (m.steps, m.deferred_busy))
-        .unwrap_or((0, 0));
-    let (hot_hits, migrations, destages) = r
-        .heat
-        .as_ref()
-        .map(|h| (h.hot_hits, h.range_migrations, h.destaged_pages))
-        .unwrap_or((0, 0, 0));
-    out.push_str(&format!(
-        "{section},{topo},{planes},{gc},{cap},{workload},{tps:.1},{speedup:.3},{p50},{p99},\
-         {p999},{max},{wait:.1},{depth},{stalls},{stall_ns},{gc_erases},{bg_erases},{bg_steps},\
-         {busy_skips},{wear_spread},{appends:.4},{programs_per_sec:.1},{mp_pairs},\
-         {vectored_reads},{vectored_writes},{readahead_hits},{wal_stripe_writes},\
-         {p999_read_ns},{reads_promoted},{erase_suspends},0,0,0,0,{die_util:.4},{chan_util:.4},\
-         1,0.0,{hot_hits},{migrations},{destages}\n",
-        die_util = c.die_util_max(),
-        chan_util = c.chan_util_max(),
-        planes = topo.planes,
-        programs_per_sec = r.programs_per_sec(),
-        mp_pairs = r.device.multi_plane_pairs,
-        vectored_reads = r.device.vectored_reads,
-        vectored_writes = r.device.vectored_writes,
-        readahead_hits = r.device.readahead_hits,
-        wal_stripe_writes = r.wal_device.map(|w| w.wal_stripe_writes).unwrap_or(0),
-        gc = match (maint.background_gc, maint.qos) {
-            (true, true) => "background+qos",
-            (true, false) => "background",
-            (false, true) => "inline+qos",
-            (false, false) => "inline",
-        },
-        cap = maint.queue_cap.map(|c| c.to_string()).unwrap_or_default(),
-        workload = kind.name(),
-        tps = r.tps,
-        p50 = r.latency.p50_ns,
-        p99 = r.latency.p99_ns,
-        p999 = r.latency.p999_ns,
-        max = r.latency.max_ns,
-        wait = c.mean_wait_ns(),
-        depth = c.max_queue_depth,
-        stalls = c.backpressure_stalls,
-        stall_ns = c.backpressure_wait_ns,
-        gc_erases = r.device.gc_erases,
-        bg_erases = r.device.background_gc_erases,
-        wear_spread = c.wear_spread(),
-        appends = r.device.in_place_fraction(),
-        p999_read_ns = r.read_latency.p999_ns,
-        reads_promoted = c.reads_promoted,
-        erase_suspends = c.erase_suspends,
-    ));
+/// What one section of the sweep produced. `main` prints the title, the
+/// `show` columns (space-separated names) of `rows` as an aligned table
+/// and one PASS/FAIL line per bar; the rows go to the CSV whole.
+struct Section {
+    title: &'static str,
+    show: &'static str,
+    rows: Vec<Row>,
+    /// Acceptance bars: whether each held, and what it measured.
+    bars: Vec<(bool, String)>,
 }
 
-fn main() {
-    let tx: u64 = ipa_bench::arg("tx", 1_200);
-    let streams: u32 = ipa_bench::arg("streams", 8);
-    let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
-    let scale: u32 = ipa_bench::arg("scale", 1);
-    // The maintenance sweep needs enough churn to trip GC (onset is
-    // around 8k transactions at the default sizing); default to a much
-    // longer window than the topology sweep unless overridden.
-    let maint_tx: u64 = ipa_bench::arg("maint-tx", tx * 16);
-    let cap: usize = ipa_bench::arg("cap", 1);
-    let planes: u32 = ipa_bench::arg("planes", 1);
-    let readahead: usize = if ipa_bench::flag("readahead") {
-        ipa_bench::arg("readahead", 8)
-    } else {
-        0
-    };
-    let wal_stripe: u32 = if ipa_bench::flag("wal-stripe") {
-        ipa_bench::arg("wal-stripe", 4)
-    } else {
-        0
-    };
-    let qos = ipa_bench::flag("qos");
-    let threads_max: u32 = if ipa_bench::flag("threads") {
-        ipa_bench::arg("threads", 4)
-    } else {
-        0
-    };
-    let csv_path = ipa_bench::str_arg("csv");
-    let mut csv = String::from(
-        "section,topology,planes,gc_mode,queue_cap,workload,tps,speedup,p50_ns,p99_ns,p999_ns,\
-         max_ns,mean_wait_ns,depth_max,ncq_stalls,ncq_stall_ns,gc_erases,bg_gc_erases,bg_steps,\
-         busy_skips,wear_spread,in_place_fraction,programs_per_sec,multi_plane_pairs,\
-         vectored_reads,vectored_writes,readahead_hits,wal_stripe_writes,p999_read_ns,\
-         reads_promoted,erase_suspends,tenants,kills,recoveries,wal_stripes_reclaimed,\
-         die_util_max,chan_util_max,threads,wall_ops_per_sec,hot_hits,migrations,destages\n",
-    );
+impl Section {
+    fn print(&self) {
+        println!("{}", self.title);
+        let show: Vec<&str> = self.show.split_whitespace().collect();
+        let cells = |row: &Row| show.iter().map(|col| row.get(col).to_string()).collect();
+        let mut table: Vec<Vec<String>> = vec![show.iter().map(|c| c.to_string()).collect()];
+        table.extend(self.rows.iter().map(cells));
+        for line in &table {
+            let padded = line.iter().enumerate().map(|(i, cell)| {
+                let widest = table.iter().map(|l| l[i].chars().count()).max();
+                format!("{cell:>width$}", width = widest.unwrap_or(0) + 2)
+            });
+            println!("{}", padded.collect::<String>());
+        }
+        for (pass, what) in &self.bars {
+            println!("  -> {what}: {}", if *pass { "PASS" } else { "FAIL" });
+        }
+        ipa_bench::rule(118);
+    }
+}
 
+/// The parsed command line.
+#[derive(Debug)]
+struct SweepArgs {
+    tx: u64,
+    streams: u32,
+    seed: u64,
+    scale: u32,
+    maint_tx: u64,
+    cap: usize,
+    planes: u32,
+    readahead: usize,
+    wal_stripe: u32,
+    wal_group: u32,
+    qos: bool,
+    heat: Option<f64>,
+    fleet: Option<(usize, usize)>,
+    threads: u32,
+    trace: Option<String>,
+    metrics: Option<String>,
+}
+
+impl SweepArgs {
+    fn from_env() -> SweepArgs {
+        use ipa_bench::{arg, flag, str_arg};
+        let valued = |name: &str, default: u32| if flag(name) { arg(name, default) } else { 0 };
+        let tx = arg("tx", 1_200);
+        SweepArgs {
+            tx,
+            streams: arg("streams", 8),
+            seed: arg("seed", 0x7C_B5EED),
+            scale: arg("scale", 1),
+            // The maintenance sweep needs enough churn to trip GC (onset
+            // is around 8k transactions at the default sizing); default
+            // to a much longer window than the topology sweep.
+            maint_tx: arg("maint-tx", tx * 16),
+            cap: arg("cap", 1),
+            planes: arg("planes", 1),
+            readahead: valued("readahead", 8) as usize,
+            wal_stripe: valued("wal-stripe", 4),
+            wal_group: arg("wal-group", 1),
+            qos: flag("qos"),
+            heat: flag("heat").then(|| arg("heat", 0.99)),
+            fleet: flag("fleet").then(|| (arg("fleet-tenants", 8), arg("fleet-rounds", 10))),
+            threads: valued("threads", 4),
+            trace: str_arg("trace"),
+            metrics: str_arg("metrics"),
+        }
+    }
+
+    /// The multi-stream driver config every engine section starts from.
+    fn cfg(&self, transactions: u64) -> DriverConfig {
+        DriverConfig::default()
+            .with_transactions(transactions)
+            .with_seed(self.seed)
+            .with_streams(self.streams)
+    }
+}
+
+const WORKLOADS: [WorkloadKind; 2] = [WorkloadKind::TpcB, WorkloadKind::Tatp];
+
+/// The widest topology; every section past the topology sweep runs on it.
+fn wide() -> Topology {
+    Topology::new(4, 2, StripePolicy::RoundRobin)
+}
+
+/// A pSLC stripe under `strategy`: the paper's IPA-native 2×4 mechanism,
+/// or the GC-heavy traditional write path.
+fn stack(strategy: WriteStrategy, topo: Topology, maint: MaintMode) -> StackSpec {
+    StackSpec::paper(strategy, FlashMode::PSlc).striped(topo, maint)
+}
+
+/// Run every workload × stack × host-config cell, workload-major. A
+/// row's `speedup` is `metric` relative to its workload's first cell.
+fn run_matrix(
+    a: &SweepArgs,
+    section: &str,
+    kinds: &[WorkloadKind],
+    specs: &[StackSpec],
+    cfgs: &[DriverConfig],
+    metric: fn(&RunResult) -> f64,
+) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for &kind in kinds {
+        let mut base = None;
+        for (spec, cfg) in specs.iter().flat_map(|s| cfgs.iter().map(move |c| (s, c))) {
+            let r = Driver::run_spec(kind, a.scale, spec, cfg).expect("sweep run");
+            let speedup = metric(&r) / *base.get_or_insert(metric(&r));
+            rows.push(Row::run(section, spec, kind, &r).num("speedup", speedup));
+        }
+    }
+    rows
+}
+
+/// A bar of the form "`what` must reach `floor`×".
+fn at_least(value: f64, floor: f64, what: &str) -> (bool, String) {
+    let cmp = if value >= floor { ">=" } else { "<" };
+    let text = format!("{what} {value:.2}x {cmp} {floor:.1}x");
+    (value >= floor, text)
+}
+
+/// The same mixed OLTP workloads, K interleaved client streams, on wider
+/// and wider topologies: simulated-time throughput, speedup over the
+/// 1 × 1 baseline, tail latencies (p99 / p99.9 — where queueing lives)
+/// and the scheduler's own counters. Bar: 4ch × 2d round-robin ≥ 2× the
+/// baseline across the mixed sweep (geometric mean).
+fn topology_sweep(a: &SweepArgs) -> Section {
     let topologies = [
         Topology::single(),
         Topology::new(2, 1, StripePolicy::RoundRobin),
         Topology::new(4, 1, StripePolicy::RoundRobin),
         Topology::new(2, 2, StripePolicy::RoundRobin),
-        Topology::new(4, 2, StripePolicy::RoundRobin),
+        wide(),
         Topology::new(4, 2, StripePolicy::Hash),
     ];
-    let workloads = [WorkloadKind::TpcB, WorkloadKind::Tatp];
-
-    let cfg = DriverConfig::default()
-        .with_transactions(tx)
-        .with_seed(seed)
-        .with_streams(streams);
-
-    println!(
-        "parallel sweep — IPA-native 2×4 pSLC, {} mixed workloads, {streams} client streams, {tx} tx",
-        workloads.len()
-    );
-    ipa_bench::rule(118);
-    println!(
-        "{:<14}{:>10}{:>10}{:>9}{:>11}{:>11}{:>11}{:>12}{:>11}{:>9}",
-        "topology",
-        "workload",
-        "tps",
-        "speedup",
-        "p50 µs",
-        "p99 µs",
-        "p99.9 µs",
-        "wait µs/cmd",
-        "depth max",
-        "appends"
-    );
-    ipa_bench::rule(118);
-
-    let mut exit = 0;
-    let mut baseline: Vec<f64> = Vec::new();
-    for (ti, topo) in topologies.iter().enumerate() {
-        let mut speedups = Vec::new();
-        for (wi, kind) in workloads.iter().enumerate() {
-            let r: RunResult = Driver::run_sharded(
-                *kind,
-                scale,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                *topo,
-                &cfg,
-            )
-            .expect("sweep run");
-            if ti == 0 {
-                baseline.push(r.tps);
-            }
-            let speedup = r.tps / baseline[wi];
-            speedups.push(speedup);
-            let (wait, depth) = r
-                .controller
-                .as_ref()
-                .map(|c| (c.mean_wait_ns() / 1e3, c.max_queue_depth))
-                .unwrap_or((0.0, 0));
-            println!(
-                "{:<14}{:>10}{:>10.0}{:>8.2}x{:>11.1}{:>11.1}{:>11.1}{:>12.1}{:>11}{:>8.0}%",
-                topo.to_string(),
-                kind.name(),
-                r.tps,
-                speedup,
-                r.latency.p50_ns as f64 / 1e3,
-                r.latency.p99_ns as f64 / 1e3,
-                r.latency.p999_ns as f64 / 1e3,
-                wait,
-                depth,
-                r.device.in_place_fraction() * 100.0
-            );
-            csv_row(
-                &mut csv,
-                "topology",
-                topo,
-                &MaintMode::inline(),
-                *kind,
-                &r,
-                speedup,
-            );
-        }
-        // The acceptance bar: 4ch × 2d round-robin ≥ 2× the 1×1 baseline
-        // across the mixed sweep (geometric mean).
-        if topo.channels == 4
-            && topo.dies_per_channel == 2
-            && topo.policy == StripePolicy::RoundRobin
-        {
-            let g = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-            if g >= 2.0 {
-                println!("  -> 4ch×2d mixed-sweep speedup {g:.2}x >= 2.0x: PASS");
-            } else {
-                println!("  -> 4ch×2d mixed-sweep speedup {g:.2}x < 2.0x: FAIL");
-                exit = 1;
-            }
-        }
+    let specs = topologies.map(|t| stack(WriteStrategy::IpaNative, t, MaintMode::inline()));
+    let rows = run_matrix(a, "topology", &WORKLOADS, &specs, &[a.cfg(a.tx)], |r| r.tps);
+    let wide = wide().to_string();
+    let on_wide = rows.iter().filter(|r| r.get("topology") == wide);
+    let gmean = (on_wide.map(|r| r.value("speedup").ln()).sum::<f64>() / 2.0).exp();
+    Section {
+        title: "parallel sweep — IPA-native 2×4 pSLC, mixed workloads on widening topologies",
+        show: "topology workload tps speedup p50_ns p99_ns p999_ns mean_wait_ns depth_max \
+               in_place_fraction",
+        rows,
+        bars: vec![at_least(gmean, 2.0, "4ch×2d mixed-sweep speedup")],
     }
-    ipa_bench::rule(118);
+}
 
-    // ── Maintenance sweep ────────────────────────────────────────────
-    // GC-heavy traditional writes on the widest topology: queue cap ×
-    // background-vs-inline GC, p99/p99.9 deltas vs the uncapped inline
-    // baseline.
-    let maint_cfg = DriverConfig::default()
-        .with_transactions(maint_tx)
-        .with_seed(seed)
-        .with_streams(streams);
-    let wide = Topology::new(4, 2, StripePolicy::RoundRobin);
-    let inline_cap = format!("inline/q{cap}");
-    let bg_cap = format!("bg/q{cap}");
+/// GC-heavy traditional writes on the widest topology: queue cap ×
+/// background-vs-inline GC against the uncapped inline baseline (first
+/// row of each workload) — the foreground-stall experiment of the
+/// `ipa-maint` crate.
+fn maintenance_sweep(a: &SweepArgs) -> Section {
     let modes = [
-        ("inline/q∞", MaintMode::inline()),
-        (inline_cap.as_str(), MaintMode::capped(cap)),
-        ("bg/q∞", MaintMode::background(None)),
-        (bg_cap.as_str(), MaintMode::background(Some(cap))),
+        MaintMode::inline(),
+        MaintMode::capped(a.cap),
+        MaintMode::background(None),
+        MaintMode::background(Some(a.cap)),
     ];
-    println!(
-        "maintenance sweep — traditional writes on {wide}, {streams} streams, {maint_tx} tx (deltas vs inline/q∞)"
+    let specs = modes.map(|maint| stack(WriteStrategy::Traditional, wide(), maint));
+    let cfg = a.cfg(a.maint_tx);
+    Section {
+        title: "maintenance sweep — traditional writes on 4ch×2d: queue cap × inline/background GC",
+        show: "gc_mode queue_cap workload tps speedup p99_ns p999_ns gc_erases bg_gc_erases \
+               ncq_stall_ns wear_spread",
+        rows: run_matrix(a, "maintenance", &WORKLOADS, &specs, &[cfg], |r| r.tps),
+        bars: Vec::new(),
+    }
+}
+
+/// The write-heavy traditional path at fixed channels × dies, planes
+/// swept over powers of two: program throughput (`speedup` is programs/s
+/// over the single-plane row) must climb as the per-die allocator pairs
+/// writes into multi-plane commands — the multi-plane command
+/// subsystem's 2×-per-die bandwidth claim.
+fn plane_sweep(a: &SweepArgs) -> Section {
+    let planes = (0..).map(|k| 1u32 << k).take_while(|p| *p <= a.planes);
+    let spec = |p| {
+        let topo = Topology::new(2, 2, StripePolicy::RoundRobin).with_planes(p);
+        stack(WriteStrategy::Traditional, topo, MaintMode::inline())
+    };
+    let (specs, cfg): (Vec<StackSpec>, _) = (planes.map(spec).collect(), a.cfg(a.tx));
+    let pps = RunResult::programs_per_sec;
+    Section {
+        title: "plane sweep — traditional writes on 2ch×2d, planes per die swept",
+        show: "topology workload tps programs_per_sec speedup p999_ns multi_plane_pairs",
+        rows: run_matrix(a, "planes", &WORKLOADS, &specs, &[cfg], pps),
+        bars: Vec::new(),
+    }
+}
+
+/// Cold full-table scans on the widest topology, with and without the
+/// buffer pool's stripe-aware read-ahead (`tps` is scanned pages/s with
+/// it on). Round-robin striping puts LBA k+1 on the next channel, so the
+/// posted prefetch vectors keep every channel busy — the all-channels
+/// scan win of the queued I/O API. Bar: ≥ 1.5×.
+fn scan_sweep(a: &SweepArgs) -> Section {
+    let spec = stack(WriteStrategy::Traditional, wide(), MaintMode::inline());
+    let (mut rows, mut bars) = (Vec::new(), Vec::new());
+    for kind in WORKLOADS {
+        let scan = |window: usize| {
+            let cfg = DriverConfig::default()
+                .with_seed(a.seed)
+                .with_readahead(window);
+            let mut bench = build(kind, a.scale, 8 * 1024);
+            let mut engine = spec.build(bench.as_mut(), 8 * 1024, &cfg).expect("engine");
+            Driver::sequential_scan(bench.as_mut(), &mut engine, 2, &cfg).expect("scan run")
+        };
+        let (off, on) = (scan(0), scan(a.readahead));
+        let speedup = off.elapsed_ns as f64 / on.elapsed_ns as f64;
+        let row = Row::new("scan", &wide(), kind.name())
+            .num("tps", on.pages_per_sec())
+            .num("speedup", speedup)
+            .set("vectored_reads", on.vectored_reads)
+            .set("readahead_hits", on.readahead_hits);
+        rows.push(row);
+        bars.push(at_least(speedup, 1.5, "sequential-scan speedup"));
+    }
+    Section {
+        title: "sequential-scan sweep — cold full-table scan on 4ch×2d, read-ahead off vs on",
+        show: "workload tps speedup readahead_hits vectored_reads",
+        rows,
+        bars,
+    }
+}
+
+/// A WAL-bound config (`--wal-group`, default 1: every commit waits on
+/// the log) on the widest data topology: the historic single-chip log
+/// device (first row of each workload) vs the log striped over its own
+/// C-channel controller, group-commit flushes going out as one vectored
+/// write across its channels. Bar: striping must lift throughput.
+fn wal_sweep(a: &SweepArgs) -> Section {
+    let spec = stack(WriteStrategy::IpaNative, wide(), MaintMode::inline());
+    let cfg = a.cfg(a.tx).with_group_commit(a.wal_group);
+    let striped = cfg.clone().with_wal_stripe(a.wal_stripe, 1);
+    let rows = run_matrix(a, "wal", &WORKLOADS, &[spec], &[cfg, striped], |r| r.tps);
+    let lifts = rows.chunks(2).map(|pair| {
+        let (lift, name) = (pair[1].value("speedup"), pair[1].get("workload"));
+        let what = format!("striped WAL lifts WAL-bound {name} throughput {lift:.2}x");
+        (lift > 1.0, what)
+    });
+    Section {
+        title: "WAL sweep — IPA-native on 4ch×2d, single-chip log vs striped log",
+        show: "workload tps speedup p99_ns wal_stripe_writes",
+        bars: lifts.collect(),
+        rows,
+    }
+}
+
+/// The foreground-read-tail experiment: GC-heavy traditional writes with
+/// background reclaim on the widest topology, FIFO die queues vs the QoS
+/// scheduler (short posted reads promoted over queued programs, reclaim
+/// erases suspended for host reads). The row pair reports the p99.9
+/// *device read* latency — the tail the reorder windows exist to cut.
+/// The wall test (`tests/tail_latency_slo.rs`) enforces the ≥ 25% cut at
+/// full scale; the smoke-sized bar only insists QoS never makes it worse.
+fn qos_sweep(a: &SweepArgs) -> Section {
+    let fifo = MaintMode::background(None);
+    let specs = [fifo, fifo.with_qos()].map(|m| stack(WriteStrategy::Traditional, wide(), m));
+    let cfg = a.cfg(a.maint_tx);
+    let rows = run_matrix(a, "qos", &WORKLOADS, &specs, &[cfg], |r| r.tps);
+    let tails = rows.chunks(2).map(|pair| {
+        let ratio = pair[1].value("p999_read_ns") / pair[0].value("p999_read_ns").max(1.0);
+        let name = pair[1].get("workload");
+        let what = format!("QoS p99.9 read tail {ratio:.2}x of FIFO on {name}");
+        (ratio <= 1.0, what)
+    });
+    Section {
+        title: "latency-QoS sweep — traditional writes on 4ch×2d, background GC, FIFO vs QoS",
+        show: "gc_mode workload tps p999_read_ns p99_ns reads_promoted erase_suspends \
+               bg_gc_erases",
+        bars: tails.collect(),
+        rows,
+    }
+}
+
+/// The wear-shifting experiment: TPC-B account draws uniform vs Zipf(θ),
+/// each distribution run on the fixed round-robin stripe and again behind
+/// the `ipa-heat` device (SLC hot tier absorbing the hot ranges, destage
+/// and stripe-slot migration on the idle-die maintenance scheduler). The
+/// interesting cell is zipf/tiered. Bar: the tier must soak up the hot
+/// head and place it back, and the per-die erase spread must end no
+/// wider than twice the fixed stripe's under the same skew.
+fn heat_sweep(a: &SweepArgs) -> Section {
+    let theta = a.heat.expect("section runs only with --heat");
+    let heat_policy = HeatPolicy::default()
+        .with_hot_threshold(2)
+        .with_range_pages(4)
+        .with_tier_fraction(0.01)
+        .with_destage_high_water(0.5)
+        .with_migrate_wear_delta(2);
+    let maint = MaintMode::background(None);
+    let spec = stack(WriteStrategy::IpaNative, wide(), maint);
+    let (mut cfgs, mut labels) = (Vec::new(), Vec::new());
+    for (dist, zipf_theta) in [("uniform", None), ("zipf", Some(theta))] {
+        for (placement, tiered) in [("fixed", false), ("tiered", true)] {
+            let mut cfg = a.cfg(a.maint_tx);
+            cfg.zipf_theta = zipf_theta;
+            cfg.heat = tiered.then(|| heat_policy.clone());
+            cfgs.push(cfg);
+            labels.push(format!("heat-{dist}-{placement}"));
+        }
+    }
+    let rows = run_matrix(a, "heat", &[WorkloadKind::TpcB], &[spec], &cfgs, |_| 1.0);
+    let relabel = |(row, label): (Row, String)| row.set("section", label);
+    let rows: Vec<Row> = rows.into_iter().zip(labels).map(relabel).collect();
+    let (fixed, tiered) = (&rows[2], &rows[3]);
+    let (hits, moved) = (tiered.value("hot_hits"), tiered.value("migrations"));
+    let destaged = tiered.value("destages");
+    let (spread, fixed_spread) = (tiered.value("wear_spread"), fixed.value("wear_spread"));
+    let what = format!(
+        "heat placement: {hits} hot hits, {moved} migrations + {destaged} destages, \
+         zipf spread {spread} (tiered) vs {fixed_spread} (fixed)"
     );
-    ipa_bench::rule(118);
-    println!(
-        "{:<12}{:>10}{:>10}{:>11}{:>12}{:>13}{:>14}{:>12}{:>12}{:>8}",
-        "gc/cap",
-        "workload",
-        "tps",
-        "p99 µs",
-        "Δp99 %",
-        "p99.9 µs",
-        "Δp99.9 %",
-        "gc (bg)",
-        "stall ms",
-        "spread"
+    let pass = hits > 0.0 && destaged + moved > 0.0 && spread <= fixed_spread.max(1.0) * 2.0;
+    Section {
+        title: "heat sweep — TPC-B on 4ch×2d, uniform vs Zipf draws, fixed stripe vs hot tier",
+        show: "section tps p99_ns wear_spread hot_hits migrations destages",
+        rows,
+        bars: vec![(pass, what)],
+    }
+}
+
+/// The multi-tenant crash/recovery soak at smoke scale: N tenants
+/// (alternating TPC-B-/TATP-style streams) sharing one 4ch×2d device
+/// under an NCQ cap with QoS scheduling, seeded kill/recover chaos
+/// mid-run, checkpoint-driven WAL log-space reclamation. `run_soak`
+/// itself panics if any tenant's post-recovery state diverges from its
+/// model, so this section completing at all is the correctness half.
+/// Bar (the bookkeeping half): every kill recovered, log space recycled,
+/// and the cross-tenant p99.9 spread bounded.
+fn fleet_soak(a: &SweepArgs) -> Section {
+    let mut soak = SoakConfig::default();
+    (soak.tenants, soak.rounds) = a.fleet.expect("section runs only with --fleet");
+    soak.fleet.queue_cap = Some(4);
+    soak.fleet.qos = true;
+    soak.fleet.seed = a.seed;
+    soak.seed = a.seed;
+    let (channels, dies) = (soak.fleet.channels, soak.fleet.dies_per_channel);
+    let report = ipa_fleet::run_soak(&soak).expect("fleet soak");
+    let p999_max = report.per_tenant.iter().map(|p| p.p999_ns).max();
+    let spread = report.p999_spread();
+    let (kills, recoveries) = (report.kills, report.recoveries);
+    let reclaimed = report.wal_stripes_reclaimed;
+    let c = report.controller.clone().unwrap_or_default();
+    let topo = Topology::new(channels, dies, StripePolicy::RoundRobin);
+    let row = Row::new("fleet", &topo, "mixed")
+        .set("gc_mode", "inline+qos")
+        .set("queue_cap", 4)
+        .num("tps", report.tps())
+        .set("p999_ns", p999_max.unwrap_or(0))
+        .num("mean_wait_ns", c.mean_wait_ns())
+        .set("depth_max", c.max_queue_depth)
+        .set("ncq_stalls", c.backpressure_stalls)
+        .set("ncq_stall_ns", c.backpressure_wait_ns)
+        .set("reads_promoted", c.reads_promoted)
+        .set("erase_suspends", c.erase_suspends)
+        .set("tenants", report.tenants)
+        .set("kills", kills)
+        .set("recoveries", recoveries)
+        .set("wal_stripes_reclaimed", reclaimed)
+        .num("die_util_max", c.die_util_max())
+        .num("chan_util_max", c.chan_util_max());
+    let pass =
+        recoveries == kills && kills > 0 && reclaimed > 0 && spread.is_finite() && spread < 10.0;
+    let what = format!(
+        "fleet soak: {recoveries}/{kills} recoveries verified, {} records replayed, \
+         {reclaimed} WAL pages reclaimed, spread {spread:.2}x",
+        report.records_replayed
     );
-    ipa_bench::rule(118);
-    for kind in workloads {
-        let mut base: Option<RunResult> = None;
-        for (label, maint) in &modes {
-            let r = Driver::run_maintained(
-                kind,
-                scale,
-                WriteStrategy::Traditional,
-                NmScheme::disabled(),
-                FlashMode::PSlc,
-                wide,
-                *maint,
-                &maint_cfg,
-            )
-            .expect("maintenance run");
-            let b = base.get_or_insert_with(|| r.clone());
-            let d99 = ipa_bench::pct(r.latency.p99_ns as f64, b.latency.p99_ns as f64);
-            let d999 = ipa_bench::pct(r.latency.p999_ns as f64, b.latency.p999_ns as f64);
-            let c = r.controller.clone().unwrap_or_default();
-            println!(
-                "{:<12}{:>10}{:>10.0}{:>11.1}{:>12}{:>13.1}{:>14}{:>12}{:>12.2}{:>8}",
-                label,
-                kind.name(),
-                r.tps,
-                r.latency.p99_ns as f64 / 1e3,
-                ipa_bench::fmt_pct(d99),
-                r.latency.p999_ns as f64 / 1e3,
-                ipa_bench::fmt_pct(d999),
-                format!("{} ({})", r.device.gc_erases, r.device.background_gc_erases),
-                c.backpressure_wait_ns as f64 / 1e6,
-                c.wear_spread(),
-            );
-            csv_row(
-                &mut csv,
-                "maintenance",
-                &wide,
-                maint,
-                kind,
-                &r,
-                r.tps / b.tps,
-            );
-        }
+    Section {
+        title: "fleet soak — tenants on one shared 4ch×2d device, NCQ cap 4 + QoS, kill/recover",
+        show: "tenants tps kills recoveries wal_stripes_reclaimed p999_ns",
+        rows: vec![row],
+        bars: vec![(pass, what)],
     }
-    ipa_bench::rule(118);
+}
 
-    // ── Plane-scaling sweep ──────────────────────────────────────────
-    // The write-heavy traditional path at fixed channels × dies, planes
-    // swept over powers of two: program throughput must climb as the
-    // per-die allocator pairs writes into multi-plane commands.
-    if planes > 1 {
-        let plane_topo_base = Topology::new(2, 2, StripePolicy::RoundRobin);
-        let plane_cfg = DriverConfig::default()
-            .with_transactions(tx)
-            .with_seed(seed)
-            .with_streams(streams);
-        println!(
-            "plane sweep — traditional writes on {plane_topo_base} with 1..{planes} planes/die, \
-             {streams} streams, {tx} tx"
-        );
-        ipa_bench::rule(118);
-        println!(
-            "{:<14}{:>10}{:>10}{:>14}{:>12}{:>11}{:>12}{:>12}",
-            "topology",
-            "workload",
-            "tps",
-            "programs/s",
-            "prog spdup",
-            "p99.9 µs",
-            "mp pairs",
-            "pair %"
-        );
-        ipa_bench::rule(118);
-        for kind in workloads {
-            let mut base_pps: Option<f64> = None;
-            let mut p = 1u32;
-            while p <= planes {
-                let topo = plane_topo_base.with_planes(p);
-                let r = Driver::run_sharded(
-                    kind,
-                    scale,
-                    WriteStrategy::Traditional,
-                    NmScheme::disabled(),
-                    FlashMode::PSlc,
-                    topo,
-                    &plane_cfg,
-                )
-                .expect("plane sweep run");
-                let pps = r.programs_per_sec();
-                let base = *base_pps.get_or_insert(pps);
-                let pair_pct = if r.device.out_of_place_writes > 0 {
-                    200.0 * r.device.multi_plane_pairs as f64 / r.device.out_of_place_writes as f64
-                } else {
-                    0.0
-                };
-                println!(
-                    "{:<14}{:>10}{:>10.0}{:>14.0}{:>11.2}x{:>11.1}{:>12}{:>11.0}%",
-                    topo.to_string(),
-                    kind.name(),
-                    r.tps,
-                    pps,
-                    pps / base,
-                    r.latency.p999_ns as f64 / 1e3,
-                    r.device.multi_plane_pairs,
-                    pair_pct,
-                );
-                csv_row(
-                    &mut csv,
-                    "planes",
-                    &topo,
-                    &MaintMode::inline(),
-                    kind,
-                    &r,
-                    pps / base,
-                );
-                p *= 2;
-            }
-        }
-        ipa_bench::rule(118);
+/// Real host parallelism over the per-die-locked device core: the
+/// deterministic multi-stream churn harness (`Driver::run_threaded`) on
+/// the widest topology, thread counts swept over powers of two. The
+/// workload is defined by its *streams*, so the final logical digest and
+/// host-op counters are fixed and every row is also a parity bar against
+/// the single-threaded reference; what scales is host wall-clock
+/// simulated-ops/sec (`speedup`; `tps` is simulated ops/s).
+fn threads_sweep(a: &SweepArgs) -> Section {
+    let counts = (0..).map(|k| 1u32 << k).take_while(|t| *t <= a.threads);
+    let run = |threads| {
+        Driver::run_threaded(&ThreadedConfig {
+            threads,
+            seed: a.seed,
+            topology: wide(),
+            ..Default::default()
+        })
+    };
+    let runs: Vec<_> = counts.map(run).collect();
+    let base_rate = runs[0].wall_ops_per_sec().max(1e-9);
+    let speedup = |r: &ThreadedRunResult| r.wall_ops_per_sec() / base_rate;
+    let row = |r: &ThreadedRunResult| {
+        Row::new("threads", &wide(), "threaded")
+            .num("tps", r.ops as f64 / (r.sim_ns.max(1) as f64 / 1e9))
+            .num("speedup", speedup(r))
+            .set("gc_erases", r.device.gc_erases)
+            .set("bg_gc_erases", r.device.background_gc_erases)
+            .set("multi_plane_pairs", r.device.multi_plane_pairs)
+            .set("vectored_reads", r.device.vectored_reads)
+            .set("vectored_writes", r.device.vectored_writes)
+            .set("threads", r.threads)
+            .num("wall_ops_per_sec", r.wall_ops_per_sec())
+    };
+    let parity = |r: &ThreadedRunResult| {
+        let (t, digest) = (r.threads, r.logical_digest);
+        let what = format!("threads={t} logical digest {digest:016x} equals single-threaded");
+        (digest == runs[0].logical_digest, what)
+    };
+    let mut bars: Vec<_> = runs.iter().map(parity).collect();
+    // The scaling bar only applies when the sweep actually reaches a
+    // parallel grade: ≥ 4 threads must beat the serial wall clock by 1.5×
+    // on this 8-die geometry. Wall speedup needs real cores to run on —
+    // on a smaller host the section still holds the digest parity bars
+    // above, but the perf bar is skipped rather than reported as a
+    // scaling failure.
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    if a.threads >= 4 && cores >= 4 {
+        let top = speedup(runs.last().expect("at least the 1-thread run"));
+        bars.push(at_least(top, 1.5, "top thread count's wall speedup"));
     }
-
-    // ── Sequential-scan read-ahead sweep ─────────────────────────────
-    // Cold full-table scans on the widest topology: the same table, with
-    // and without the buffer pool's stripe-aware read-ahead. Round-robin
-    // striping puts LBA k+1 on the next channel, so the posted prefetch
-    // vectors keep every channel busy — the queued API's read-side win.
-    if readahead > 0 {
-        let scan_topo = Topology::new(4, 2, StripePolicy::RoundRobin);
-        let base_cfg = DriverConfig::default().with_seed(seed);
-        let ra_cfg = base_cfg.clone().with_readahead(readahead);
-        println!(
-            "sequential-scan sweep — cold full-table scan on {scan_topo}, read-ahead window {readahead}"
-        );
-        ipa_bench::rule(118);
-        println!(
-            "{:<14}{:>10}{:>9}{:>15}{:>15}{:>10}{:>10}{:>12}",
-            "topology",
-            "workload",
-            "pages",
-            "pages/s (off)",
-            "pages/s (on)",
-            "speedup",
-            "ra hits",
-            "vec reads"
-        );
-        ipa_bench::rule(118);
-        for kind in workloads {
-            let off = Driver::run_scan(kind, scale, scan_topo, 2, &base_cfg).expect("scan run");
-            let on = Driver::run_scan(kind, scale, scan_topo, 2, &ra_cfg).expect("scan run");
-            let speedup = off.elapsed_ns as f64 / on.elapsed_ns as f64;
-            println!(
-                "{:<14}{:>10}{:>9}{:>15.0}{:>15.0}{:>9.2}x{:>10}{:>12}",
-                scan_topo.to_string(),
-                kind.name(),
-                on.pages,
-                off.pages_per_sec(),
-                on.pages_per_sec(),
-                speedup,
-                on.readahead_hits,
-                on.vectored_reads,
-            );
-            csv.push_str(&format!(
-                "scan,{scan_topo},{planes},inline,,{workload},{pps:.1},{speedup:.3},0,0,0,0,0.0,\
-                 0,0,0,0,0,0,0,0,0.0000,0.0,0,{vr},0,{rah},0,0,0,0,0,0,0,0,0.0000,0.0000,\
-                 1,0.0,0,0,0\n",
-                planes = scan_topo.planes,
-                workload = kind.name(),
-                pps = on.pages_per_sec(),
-                vr = on.vectored_reads,
-                rah = on.readahead_hits,
-            ));
-            if speedup < 1.5 {
-                println!("  -> sequential-scan speedup {speedup:.2}x < 1.5x: FAIL");
-                exit = 1;
-            } else {
-                println!("  -> sequential-scan speedup {speedup:.2}x >= 1.5x: PASS");
-            }
-        }
-        ipa_bench::rule(118);
+    Section {
+        title: "threads sweep — 8 die-affine churn streams over shared 4ch×2d, OS threads swept",
+        show: "threads tps wall_ops_per_sec speedup",
+        rows: runs.iter().map(row).collect(),
+        bars,
     }
+}
 
-    // ── WAL striping sweep ───────────────────────────────────────────
-    // A WAL-bound config (group commit 1: every commit waits on the log)
-    // on the widest data topology: the historic single-chip log device vs
-    // the log striped over its own controller, group-commit flushes going
-    // out as one vectored write across its channels.
-    if wal_stripe > 0 {
-        let wal_group: u32 = ipa_bench::arg("wal-group", 1);
-        let wide = Topology::new(4, 2, StripePolicy::RoundRobin);
-        let wal_cfg = DriverConfig::default()
-            .with_transactions(tx)
-            .with_seed(seed)
-            .with_streams(streams)
-            .with_group_commit(wal_group);
-        println!(
-            "WAL sweep — IPA-native on {wide}, group commit {wal_group} (WAL-bound), single-chip log vs {wal_stripe}-channel striped log"
-        );
-        ipa_bench::rule(118);
-        println!(
-            "{:<14}{:>10}{:>10}{:>10}{:>14}{:>16}{:>14}",
-            "log device", "workload", "tps", "speedup", "p99 µs", "stripe flushes", "vec writes"
-        );
-        ipa_bench::rule(118);
-        for kind in workloads {
-            let single = Driver::run_sharded(
-                kind,
-                scale,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                wide,
-                &wal_cfg,
-            )
-            .expect("wal run");
-            let striped_cfg = wal_cfg.clone().with_wal_stripe(wal_stripe, 1);
-            let striped = Driver::run_sharded(
-                kind,
-                scale,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                wide,
-                &striped_cfg,
-            )
-            .expect("wal run");
-            for (label, r, speedup) in [
-                ("single-chip", &single, 1.0),
-                ("striped", &striped, striped.tps / single.tps),
-            ] {
-                let w = r.wal_device.unwrap_or_default();
-                println!(
-                    "{:<14}{:>10}{:>10.0}{:>9.2}x{:>14.1}{:>16}{:>14}",
-                    label,
-                    kind.name(),
-                    r.tps,
-                    speedup,
-                    r.latency.p99_ns as f64 / 1e3,
-                    w.wal_stripe_writes,
-                    w.vectored_writes,
-                );
-                csv.push_str(&format!(
-                    "wal,{wide},{planes},inline,,{workload},{tps:.1},{speedup:.3},{p50},{p99},\
-                     {p999},{max},0.0,0,0,0,0,0,0,0,0,0.0000,0.0,0,0,{vw},0,{wsw},0,0,0,0,0,0,0,\
-                     0.0000,0.0000,1,0.0,0,0,0\n",
-                    planes = wide.planes,
-                    workload = kind.name(),
-                    tps = r.tps,
-                    p50 = r.latency.p50_ns,
-                    p99 = r.latency.p99_ns,
-                    p999 = r.latency.p999_ns,
-                    max = r.latency.max_ns,
-                    vw = w.vectored_writes,
-                    wsw = w.wal_stripe_writes,
-                ));
-            }
-            let s = striped.tps / single.tps;
-            if s > 1.0 {
-                println!(
-                    "  -> striped WAL lifts WAL-bound {} throughput {s:.2}x: PASS",
-                    kind.name()
-                );
-            } else {
-                println!("  -> striped WAL no win on {} ({s:.2}x): FAIL", kind.name());
-                exit = 1;
-            }
-        }
-        ipa_bench::rule(118);
-    }
-
-    // ── Latency-QoS sweep ────────────────────────────────────────────
-    // The foreground-read-tail experiment: GC-heavy traditional writes
-    // with background reclaim on the widest topology, FIFO die queues vs
-    // the QoS scheduler (short posted reads promoted over queued
-    // programs, reclaim erases suspended for host reads). The row pair
-    // reports the p99.9 *device read* latency — the tail the reorder
-    // windows exist to cut — plus the scheduler's own counters.
-    if qos {
-        let wide = Topology::new(4, 2, StripePolicy::RoundRobin);
-        let qos_cfg = DriverConfig::default()
-            .with_transactions(maint_tx)
-            .with_seed(seed)
-            .with_streams(streams);
-        let modes = [
-            ("fifo", MaintMode::background(None)),
-            ("qos", MaintMode::background(None).with_qos()),
-        ];
-        println!(
-            "latency-QoS sweep — traditional writes on {wide}, background GC, {streams} streams, {maint_tx} tx"
-        );
-        ipa_bench::rule(118);
-        println!(
-            "{:<10}{:>10}{:>10}{:>14}{:>15}{:>12}{:>12}{:>12}{:>12}",
-            "scheduler",
-            "workload",
-            "tps",
-            "p99.9 rd µs",
-            "Δp99.9 rd %",
-            "p99 µs",
-            "promoted",
-            "suspends",
-            "bg erases"
-        );
-        ipa_bench::rule(118);
-        for kind in workloads {
-            let mut base: Option<RunResult> = None;
-            let mut last: Option<RunResult> = None;
-            for (label, maint) in &modes {
-                let r = Driver::run_maintained(
-                    kind,
-                    scale,
-                    WriteStrategy::Traditional,
-                    NmScheme::disabled(),
-                    FlashMode::PSlc,
-                    wide,
-                    *maint,
-                    &qos_cfg,
-                )
-                .expect("qos run");
-                let b = base.get_or_insert_with(|| r.clone());
-                let d999 = ipa_bench::pct(
-                    r.read_latency.p999_ns as f64,
-                    b.read_latency.p999_ns.max(1) as f64,
-                );
-                let c = r.controller.clone().unwrap_or_default();
-                println!(
-                    "{:<10}{:>10}{:>10.0}{:>14.1}{:>15}{:>12.1}{:>12}{:>12}{:>12}",
-                    label,
-                    kind.name(),
-                    r.tps,
-                    r.read_latency.p999_ns as f64 / 1e3,
-                    ipa_bench::fmt_pct(d999),
-                    r.latency.p99_ns as f64 / 1e3,
-                    c.reads_promoted,
-                    c.erase_suspends,
-                    r.device.background_gc_erases,
-                );
-                csv_row(&mut csv, "qos", &wide, maint, kind, &r, r.tps / b.tps);
-                last = Some(r);
-            }
-            let (b, q) = (base.expect("fifo baseline"), last.expect("qos run"));
-            // The wall test (tests/tail_latency_slo.rs) enforces the
-            // ≥ 25% p99.9 read-tail cut at full scale; the smoke-sized
-            // sweep only insists QoS never makes the tail worse.
-            let ratio = q.read_latency.p999_ns as f64 / b.read_latency.p999_ns.max(1) as f64;
-            if ratio <= 1.0 {
-                println!(
-                    "  -> QoS p99.9 read tail {:.2}x of FIFO on {}: PASS",
-                    ratio,
-                    kind.name()
-                );
-            } else {
-                println!(
-                    "  -> QoS p99.9 read tail {:.2}x of FIFO on {}: FAIL",
-                    ratio,
-                    kind.name()
-                );
-                exit = 1;
-            }
-        }
-        ipa_bench::rule(118);
-    }
-
-    // ── Heat-placement sweep ─────────────────────────────────────────
-    // The wear-shifting experiment: TPC-B account draws uniform vs
-    // Zipf(θ), each distribution run on the fixed round-robin stripe and
-    // again behind the `ipa-heat` device (SLC hot tier absorbing the hot
-    // ranges, destage + stripe-slot migration on the idle-die
-    // maintenance scheduler). The interesting cell is zipf/tiered: the
-    // tier must soak up the hot head and the per-die erase spread must
-    // end no wider than the fixed stripe's under the same skew.
-    if ipa_bench::flag("heat") {
-        let theta: f64 = ipa_bench::arg("heat", 0.99);
-        let wide = Topology::new(4, 2, StripePolicy::RoundRobin);
-        let heat_policy = HeatPolicy::default()
-            .with_hot_threshold(2)
-            .with_range_pages(4)
-            .with_tier_fraction(0.01)
-            .with_destage_high_water(0.5)
-            .with_migrate_wear_delta(2);
-        let heat_cfg = DriverConfig::default()
-            .with_transactions(maint_tx)
-            .with_seed(seed)
-            .with_streams(streams);
-        println!(
-            "heat sweep — TPC-B on {wide}, uniform vs Zipf(θ={theta}) account draws, \
-             fixed stripe vs SLC hot tier + wear shifting, {maint_tx} tx"
-        );
-        ipa_bench::rule(118);
-        println!(
-            "{:<16}{:>10}{:>10}{:>11}{:>9}{:>11}{:>12}{:>10}{:>10}",
-            "distribution",
-            "placement",
-            "tps",
-            "p99 µs",
-            "spread",
-            "hot hits",
-            "migrations",
-            "destages",
-            "spills"
-        );
-        ipa_bench::rule(118);
-        let mut spread_fixed_zipf = 0u64;
-        let mut zipf_tiered: Option<RunResult> = None;
-        for (dist, zipf_theta) in [("uniform", None), ("zipf", Some(theta))] {
-            for (placement, tiered) in [("fixed", false), ("tiered", true)] {
-                let mut cfg = heat_cfg.clone();
-                cfg.zipf_theta = zipf_theta;
-                if tiered {
-                    cfg = cfg.with_heat(heat_policy.clone());
-                }
-                let r = Driver::run_maintained(
-                    WorkloadKind::TpcB,
-                    scale,
-                    WriteStrategy::IpaNative,
-                    NmScheme::new(2, 4),
-                    FlashMode::PSlc,
-                    wide,
-                    MaintMode::background(None),
-                    &cfg,
-                )
-                .expect("heat run");
-                let c = r.controller.clone().unwrap_or_default();
-                let h = r.heat.unwrap_or_default();
-                println!(
-                    "{:<16}{:>10}{:>10.0}{:>11.1}{:>9}{:>11}{:>12}{:>10}{:>10}",
-                    dist,
-                    placement,
-                    r.tps,
-                    r.latency.p99_ns as f64 / 1e3,
-                    c.wear_spread(),
-                    h.hot_hits,
-                    h.range_migrations,
-                    h.destaged_pages,
-                    h.hot_spills,
-                );
-                if dist == "zipf" && !tiered {
-                    spread_fixed_zipf = c.wear_spread();
-                }
-                if dist == "zipf" && tiered {
-                    zipf_tiered = Some(r.clone());
-                }
-                csv_row(
-                    &mut csv,
-                    &format!("heat-{dist}-{placement}"),
-                    &wide,
-                    &MaintMode::background(None),
-                    WorkloadKind::TpcB,
-                    &r,
-                    1.0,
-                );
-            }
-        }
-        let zt = zipf_tiered.expect("zipf/tiered run");
-        let zc = zt.controller.clone().unwrap_or_default();
-        let zh = zt.heat.unwrap_or_default();
-        let absorbed = zh.hot_hits > 0;
-        let placed = zh.destaged_pages + zh.range_migrations > 0;
-        let spread_ok = zc.wear_spread() <= spread_fixed_zipf.max(1) * 2;
-        if absorbed && placed && spread_ok {
-            println!(
-                "  -> heat placement: {} hot hits, {} migrations + {} destages, \
-                 zipf spread {} (tiered) vs {} (fixed): PASS",
-                zh.hot_hits,
-                zh.range_migrations,
-                zh.destaged_pages,
-                zc.wear_spread(),
-                spread_fixed_zipf,
-            );
-        } else {
-            println!(
-                "  -> heat placement: hot hits {}, migrations {}, destages {}, \
-                 zipf spread {} (tiered) vs {} (fixed): FAIL",
-                zh.hot_hits,
-                zh.range_migrations,
-                zh.destaged_pages,
-                zc.wear_spread(),
-                spread_fixed_zipf,
-            );
-            exit = 1;
-        }
-        ipa_bench::rule(118);
-    }
-
-    // ── Fleet soak smoke ─────────────────────────────────────────────
-    // The multi-tenant crash/recovery soak at smoke scale: N tenants
-    // (alternating TPC-B-/TATP-style streams) sharing one 4ch×2d device
-    // under an NCQ cap with QoS scheduling, seeded kill/recover chaos
-    // mid-run. run_soak itself panics if any tenant's post-recovery state
-    // diverges from its model, so this section completing at all is the
-    // correctness half; the bar below checks the bookkeeping half.
-    if ipa_bench::flag("fleet") {
-        let tenants: usize = ipa_bench::arg("fleet-tenants", 8);
-        let rounds: usize = ipa_bench::arg("fleet-rounds", 10);
-        let mut soak = SoakConfig::default();
-        soak.fleet.queue_cap = Some(4);
-        soak.fleet.qos = true;
-        soak.fleet.seed = seed;
-        soak.tenants = tenants;
-        soak.rounds = rounds;
-        soak.seed = seed;
-        let fleet_topo = Topology::new(
-            soak.fleet.channels,
-            soak.fleet.dies_per_channel,
-            StripePolicy::RoundRobin,
-        );
-        println!(
-            "fleet soak — {tenants} tenants on shared {fleet_topo}, NCQ cap 4 + QoS, {rounds} rounds ({} kill/recover cycles)",
-            rounds * soak.kills_per_round
-        );
-        ipa_bench::rule(118);
-        println!(
-            "{:<10}{:>8}{:>10}{:>8}{:>12}{:>12}{:>12}{:>14}{:>14}",
-            "tenants",
-            "steps",
-            "tps",
-            "kills",
-            "recoveries",
-            "replayed",
-            "reclaimed",
-            "p99.9 max µs",
-            "p99.9 spread"
-        );
-        ipa_bench::rule(118);
-        let report = ipa_fleet::run_soak(&soak).expect("fleet soak");
-        let p999_max = report
-            .per_tenant
-            .iter()
-            .map(|p| p.p999_ns)
-            .max()
-            .unwrap_or(0);
-        let spread = report.p999_spread();
-        println!(
-            "{:<10}{:>8}{:>10.0}{:>8}{:>12}{:>12}{:>12}{:>14.1}{:>13.2}x",
-            report.tenants,
-            report.steps,
-            report.tps(),
-            report.kills,
-            report.recoveries,
-            report.records_replayed,
-            report.wal_stripes_reclaimed,
-            p999_max as f64 / 1e3,
-            spread,
-        );
-        let c = report.controller.clone().unwrap_or_default();
-        csv.push_str(&format!(
-            "fleet,{fleet_topo},1,inline+qos,4,mixed,{tps:.1},1.000,0,0,{p999_max},0,\
-             {wait:.1},{depth},{stalls},{stall_ns},0,0,0,0,0,0.0000,0.0,0,0,0,0,0,0,\
-             {promoted},{suspends},{tenants},{kills},{recoveries},{reclaimed},\
-             {die_util:.4},{chan_util:.4},1,0.0,0,0,0\n",
-            die_util = c.die_util_max(),
-            chan_util = c.chan_util_max(),
-            tps = report.tps(),
-            wait = c.mean_wait_ns(),
-            depth = c.max_queue_depth,
-            stalls = c.backpressure_stalls,
-            stall_ns = c.backpressure_wait_ns,
-            promoted = c.reads_promoted,
-            suspends = c.erase_suspends,
-            tenants = report.tenants,
-            kills = report.kills,
-            recoveries = report.recoveries,
-            reclaimed = report.wal_stripes_reclaimed,
-        ));
-        let recovered_all = report.recoveries == report.kills && report.kills > 0;
-        if recovered_all && report.wal_stripes_reclaimed > 0 && spread.is_finite() && spread < 10.0
-        {
-            println!(
-                "  -> fleet soak: {}/{} recoveries verified, {} WAL pages reclaimed, spread {spread:.2}x: PASS",
-                report.recoveries, report.kills, report.wal_stripes_reclaimed
-            );
-        } else {
-            println!(
-                "  -> fleet soak: recoveries {}/{}, reclaimed {}, spread {spread:.2}x: FAIL",
-                report.recoveries, report.kills, report.wal_stripes_reclaimed
-            );
-            exit = 1;
-        }
-        ipa_bench::rule(118);
-    }
-
-    // ── Threads-scaling sweep ────────────────────────────────────────
-    // Real host parallelism over the per-die-locked device core: the
-    // deterministic multi-stream churn harness on the widest topology,
-    // thread counts swept over powers of two. The stream set (and so the
-    // final logical digest and host-op counters) is fixed; only the
-    // mapping of streams onto OS threads changes, so every row is also a
-    // parity check against the single-threaded reference.
-    if threads_max >= 1 {
-        let wide = Topology::new(4, 2, StripePolicy::RoundRobin);
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get()) as u32;
-        println!(
-            "threads sweep — {} streams × {} ops over shared {wide}, {cores} host cores available",
-            ThreadedConfig::default().streams,
-            ThreadedConfig::default().ops_per_stream,
-        );
-        ipa_bench::rule(118);
-        println!(
-            "{:<10}{:>9}{:>10}{:>12}{:>16}{:>10}{:>13}{:>20}",
-            "threads", "streams", "ops", "wall ms", "wall ops/s", "speedup", "sim ops/s", "digest"
-        );
-        ipa_bench::rule(118);
-        let mut base: Option<ThreadedRunResult> = None;
-        let mut top_speedup = 1.0f64;
-        let mut t = 1u32;
-        while t <= threads_max {
-            let tcfg = ThreadedConfig {
-                threads: t,
-                seed,
-                topology: wide,
-                ..Default::default()
-            };
-            let r = Driver::run_threaded(&tcfg);
-            let b = base.get_or_insert_with(|| r.clone());
-            let speedup = r.wall_ops_per_sec() / b.wall_ops_per_sec().max(1e-9);
-            top_speedup = speedup;
-            let sim_tps = r.ops as f64 / (r.sim_ns.max(1) as f64 / 1e9);
-            let digest_ok = r.logical_digest == b.logical_digest;
-            println!(
-                "{:<10}{:>9}{:>10}{:>12.1}{:>16.0}{:>9.2}x{:>13.0}{:>20}",
-                r.threads,
-                r.streams,
-                r.ops,
-                r.wall_ns as f64 / 1e6,
-                r.wall_ops_per_sec(),
-                speedup,
-                sim_tps,
-                format!("{:016x}", r.logical_digest),
-            );
-            csv.push_str(&format!(
-                "threads,{wide},{planes},inline,,threaded,{sim_tps:.1},{speedup:.3},0,0,0,0,0.0,\
-                 0,0,0,{gc},{bg},0,0,0,0.0000,0.0,{mp},{vr},{vw},0,0,0,0,0,0,0,0,0,\
-                 0.0000,0.0000,{t},{wops:.1},0,0,0\n",
-                planes = wide.planes,
-                gc = r.device.gc_erases,
-                bg = r.device.background_gc_erases,
-                mp = r.device.multi_plane_pairs,
-                vr = r.device.vectored_reads,
-                vw = r.device.vectored_writes,
-                wops = r.wall_ops_per_sec(),
-            ));
-            if !digest_ok {
-                println!("  -> threads={t} logical digest diverged from single-threaded: FAIL");
-                exit = 1;
-            }
-            t *= 2;
-        }
-        // The scaling bar only applies when the sweep actually reaches a
-        // parallel grade: ≥ 4 threads must beat the serial wall clock by
-        // 1.5× on this 8-die geometry. Wall speedup needs real cores to
-        // run on — on a smaller host the section still holds the digest
-        // parity wall above, but the perf bar is explicitly skipped
-        // rather than reported as a scaling failure.
-        if threads_max >= 4 {
-            if cores < 4 {
-                println!(
-                    "  -> only {cores} host core(s): wall-speedup bar skipped (parity-only run)"
-                );
-            } else if top_speedup > 1.5 {
-                println!("  -> {threads_max}-thread wall speedup {top_speedup:.2}x > 1.5x: PASS");
-            } else {
-                println!("  -> {threads_max}-thread wall speedup {top_speedup:.2}x <= 1.5x: FAIL");
-                exit = 1;
-            }
-        }
-        ipa_bench::rule(118);
-    }
-
-    // ── Trace + metrics capture ──────────────────────────────────────
-    // One traced run of the QoS configuration (traditional writes,
-    // background GC, QoS scheduling on the widest topology): the command
-    // lifecycle goes to a Chrome trace-event JSON (`--trace=<path>`,
-    // opens in Perfetto, one track per die) and the unified metrics tree
-    // to JSON (`--metrics=<path>`). Both artifacts are self-validated:
-    // the trace must parse and cover every die, suspend/resume instants
-    // must pair, and the metrics document must round-trip identically.
-    let trace_path = ipa_bench::str_arg("trace");
-    let metrics_path = ipa_bench::str_arg("metrics");
-    if trace_path.is_some() || metrics_path.is_some() {
-        let wide = Topology::new(4, 2, StripePolicy::RoundRobin);
-        let traced_cfg = DriverConfig::default()
-            .with_transactions(maint_tx)
-            .with_seed(seed)
-            .with_streams(streams)
-            .with_trace(1 << 20);
-        let r = Driver::run_maintained(
-            WorkloadKind::TpcB,
-            scale,
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            wide,
-            MaintMode::background(None).with_qos(),
-            &traced_cfg,
-        )
-        .expect("traced run");
-        let count = |phase: TracePhase| r.trace.iter().filter(|e| e.phase == phase).count();
-        let (completed, suspended, resumed, promoted) = (
-            count(TracePhase::Completed),
-            count(TracePhase::Suspended),
-            count(TracePhase::Resumed),
-            count(TracePhase::Promoted),
-        );
-        println!(
-            "trace capture — traditional writes on {wide}, background GC + QoS, {maint_tx} tx: \
-             {} events ({} dropped), {completed} completions, {promoted} promotions, \
-             {suspended} suspends / {resumed} resumes",
+/// One traced run of the QoS configuration (traditional writes,
+/// background GC, QoS scheduling on the widest topology): the command
+/// lifecycle goes to a Chrome trace-event JSON (`--trace=<path>`; open
+/// it in Perfetto / `chrome://tracing`, one track per die,
+/// erase-suspend/resume and promotion instants marked) and the unified
+/// metrics tree to JSON (`--metrics=<path>`). Bars: the trace must parse
+/// and cover every die, suspend/resume instants must pair, and the
+/// metrics document must round-trip identically.
+fn trace_capture(a: &SweepArgs) -> Section {
+    let maint = MaintMode::background(None).with_qos();
+    let spec = stack(WriteStrategy::Traditional, wide(), maint);
+    let cfg = a.cfg(a.maint_tx).with_trace(1 << 20);
+    let r = Driver::run_spec(WorkloadKind::TpcB, a.scale, &spec, &cfg).expect("traced run");
+    let count = |phase: TracePhase| r.trace.iter().filter(|e| e.phase == phase).count();
+    let (suspended, resumed) = (count(TracePhase::Suspended), count(TracePhase::Resumed));
+    let promoted = count(TracePhase::Promoted);
+    let mut bars = Vec::new();
+    if let Some(path) = &a.trace {
+        let doc = chrome_trace_json(&r.trace, "parallel_sweep QoS trace");
+        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        let dies_seen = chrome_trace_dies(&doc).expect("trace JSON must parse");
+        let dies = wide().dies() as u64;
+        let covered = (0..dies).filter(|d| dies_seen.contains(d)).count() as u64;
+        let what = format!(
+            "trace: {} events ({} dropped by the ring) to {path}, {covered}/{dies} dies covered, \
+             {promoted} promotions, {suspended} suspends / {resumed} resumes",
             r.trace.len(),
-            r.trace_dropped,
+            r.trace_dropped
         );
-
-        if let Some(path) = &trace_path {
-            let doc = chrome_trace_json(&r.trace, "parallel_sweep QoS trace");
-            std::fs::write(path, &doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            // Self-validation: the document parses, and every die's
-            // track carries at least one real (non-metadata) event.
-            let parsed = json::parse(&doc).expect("trace JSON must parse");
-            let events = parsed
-                .get("traceEvents")
-                .and_then(JsonValue::as_array)
-                .expect("trace JSON has traceEvents");
-            let mut dies_seen = std::collections::BTreeSet::new();
-            for ev in events {
-                let ph = ev.get("ph").and_then(JsonValue::as_str).unwrap_or("");
-                if ph != "M" {
-                    if let Some(tid) = ev.get("tid").and_then(JsonValue::as_u64) {
-                        dies_seen.insert(tid);
-                    }
-                }
-            }
-            let covered = (0..wide.dies() as u64)
-                .filter(|d| dies_seen.contains(d))
-                .count();
-            let ok = covered == wide.dies() as usize && suspended == resumed && promoted > 0;
-            if ok {
-                println!(
-                    "  -> trace: {} events to {path}, {covered}/{} dies covered, \
-                     suspend/resume paired: PASS",
-                    events.len(),
-                    wide.dies()
-                );
-            } else {
-                println!(
-                    "  -> trace: {covered}/{} dies covered, {promoted} promotions, \
-                     {suspended} suspends vs {resumed} resumes: FAIL",
-                    wide.dies()
-                );
-                exit = 1;
-            }
-        }
-
-        if let Some(path) = &metrics_path {
-            let doc = r.metrics.to_json_string();
-            std::fs::write(path, &doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            let back = MetricsSnapshot::from_json_str(&doc).expect("metrics JSON must parse");
-            if back == r.metrics && back.get("controller.commands").is_some() {
-                println!(
-                    "  -> metrics round-trip: {} sections to {path}: PASS",
-                    back.sections.len()
-                );
-            } else {
-                println!("  -> metrics round-trip mismatch on {path}: FAIL");
-                exit = 1;
-            }
-        }
-        ipa_bench::rule(118);
+        let pass = covered == dies && suspended == resumed && promoted > 0;
+        bars.push((pass, what));
     }
+    if let Some(path) = &a.metrics {
+        let doc = r.metrics.to_json_string();
+        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        let back = MetricsSnapshot::from_json_str(&doc).expect("metrics JSON must parse");
+        let sections = back.sections.len();
+        let what = format!("metrics round-trip: {sections} sections to {path}");
+        let pass = back == r.metrics && back.get("controller.commands").is_some();
+        bars.push((pass, what));
+    }
+    Section {
+        title: "trace capture — traditional writes on 4ch×2d, background GC + QoS",
+        show: "",
+        rows: Vec::new(),
+        bars,
+    }
+}
 
-    if let Some(path) = csv_path {
+type SectionFn = fn(&SweepArgs) -> Section;
+
+/// Every section with the condition that switches it on, in output order.
+fn sections(a: &SweepArgs) -> Vec<SectionFn> {
+    let table: [(bool, SectionFn); 10] = [
+        (true, topology_sweep),
+        (true, maintenance_sweep),
+        (a.planes > 1, plane_sweep),
+        (a.readahead > 0, scan_sweep),
+        (a.wal_stripe > 0, wal_sweep),
+        (a.qos, qos_sweep),
+        (a.heat.is_some(), heat_sweep),
+        (a.fleet.is_some(), fleet_soak),
+        (a.threads >= 1, threads_sweep),
+        (a.trace.is_some() || a.metrics.is_some(), trace_capture),
+    ];
+    let enabled = table.into_iter().filter_map(|(on, run)| on.then_some(run));
+    enabled.collect()
+}
+
+fn main() {
+    let args = SweepArgs::from_env();
+    println!("{args:?}");
+    ipa_bench::rule(118);
+    let mut csv = Row::header() + "\n";
+    let mut pass = true;
+    for run in sections(&args) {
+        let section = run(&args);
+        section.print();
+        pass &= section.bars.iter().all(|(held, _)| *held);
+        for row in &section.rows {
+            csv.push_str(&row.line());
+            csv.push('\n');
+        }
+    }
+    if let Some(path) = ipa_bench::str_arg("csv") {
         std::fs::write(&path, csv).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("csv written to {path}");
     }
-    std::process::exit(exit);
+    std::process::exit(if pass { 0 } else { 1 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_section_emits_rows_shaped_like_the_header() {
+        // Every section switched on, at the smallest sizes that still
+        // produce rows.
+        let args = SweepArgs {
+            tx: 40,
+            streams: 2,
+            seed: 7,
+            scale: 1,
+            maint_tx: 60,
+            cap: 1,
+            planes: 2,
+            readahead: 4,
+            wal_stripe: 2,
+            wal_group: 1,
+            qos: true,
+            heat: Some(0.99),
+            fleet: Some((2, 1)),
+            threads: 2,
+            trace: None,
+            metrics: None,
+        };
+        let columns = Row::header().split(',').count();
+        assert_eq!(columns, 42);
+        let mut by_section = std::collections::BTreeMap::new();
+        for run in sections(&args) {
+            let section = run(&args);
+            section.print();
+            for row in section.rows {
+                let line = row.line();
+                assert_eq!(line.split(',').count(), columns, "ragged row: {line}");
+                by_section.insert(row.get("section").to_string(), row);
+            }
+        }
+        let names: Vec<&str> = by_section.keys().map(String::as_str).collect();
+        let expected = "fleet heat-uniform-fixed heat-uniform-tiered heat-zipf-fixed \
+                        heat-zipf-tiered maintenance planes qos scan threads topology wal";
+        assert_eq!(names, expected.split(' ').collect::<Vec<_>>());
+        // The cells CI reads resolve by name, wherever they sit.
+        assert_eq!(by_section["threads"].get("threads"), "2");
+        assert_eq!(by_section["topology"].get("threads"), "1");
+        let hot_hits = by_section["heat-zipf-tiered"].get("hot_hits");
+        assert!(hot_hits.parse::<u64>().is_ok(), "hot_hits = {hot_hits:?}");
+    }
 }

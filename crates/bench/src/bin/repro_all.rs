@@ -10,7 +10,7 @@
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
-use ipa_workloads::{Driver, DriverConfig, WorkloadKind};
+use ipa_workloads::{Driver, DriverConfig, StackSpec, WorkloadKind};
 
 struct Verdict {
     name: &'static str,
@@ -28,33 +28,10 @@ fn main() {
     let cfg = DriverConfig::default()
         .with_seed(seed)
         .for_simulated_secs(secs);
-    let base = Driver::run_configured(
-        WorkloadKind::TpcB,
-        1,
-        WriteStrategy::Traditional,
-        NmScheme::disabled(),
-        FlashMode::MlcFull,
-        &cfg,
-    )
-    .expect("baseline");
-    let pslc = Driver::run_configured(
-        WorkloadKind::TpcB,
-        1,
-        WriteStrategy::IpaNative,
-        NmScheme::new(2, 4),
-        FlashMode::PSlc,
-        &cfg,
-    )
-    .expect("pSLC");
-    let odd = Driver::run_configured(
-        WorkloadKind::TpcB,
-        1,
-        WriteStrategy::IpaNative,
-        NmScheme::new(2, 4),
-        FlashMode::OddMlc,
-        &cfg,
-    )
-    .expect("odd-MLC");
+    let tpcb = |spec| Driver::run_spec(WorkloadKind::TpcB, 1, &spec, &cfg);
+    let base = tpcb(ipa_bench::traditional_mlc()).expect("baseline");
+    let pslc = tpcb(ipa_bench::ipa_2x4(FlashMode::PSlc)).expect("pSLC");
+    let odd = tpcb(ipa_bench::ipa_2x4(FlashMode::OddMlc)).expect("odd-MLC");
 
     let tput_pslc = pslc.tps / base.tps;
     let tput_odd = odd.tps / base.tps;
@@ -93,15 +70,9 @@ fn main() {
     let mut under100 = Vec::new();
     for kind in [WorkloadKind::TpcB, WorkloadKind::TpcC, WorkloadKind::Tatp] {
         let mut bench = ipa_workloads::build(kind, 1, 8192);
-        let mut engine = Driver::make_engine(
-            bench.as_mut(),
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            8192,
-            None,
-        )
-        .expect("engine");
+        let mut engine = StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
+            .build(bench.as_mut(), 8192, &DriverConfig::default())
+            .expect("engine");
         engine.pool_mut().enable_net_write_measurement();
         let run_cfg = DriverConfig::default()
             .with_transactions(2_500)
@@ -122,15 +93,9 @@ fn main() {
     // --- E5: IPA vs IPL ----------------------------------------------------
     eprintln!("[3/4] IPA vs IPL trace replay (TATP)...");
     let mut bench = ipa_workloads::build(WorkloadKind::Tatp, 1, 8192);
-    let mut engine = Driver::make_engine(
-        bench.as_mut(),
-        WriteStrategy::Traditional,
-        NmScheme::disabled(),
-        FlashMode::PSlc,
-        8192,
-        None,
-    )
-    .expect("engine");
+    let mut engine = StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
+        .build(bench.as_mut(), 8192, &DriverConfig::default())
+        .expect("engine");
     engine.pool_mut().enable_tracing();
     let run_cfg = DriverConfig::default()
         .with_transactions(3_000)

@@ -10,9 +10,7 @@
 //! [--scale=1] [--seed=N]`
 
 use ipa_bench::{fmt_pct, grouped, pct, row, rule};
-use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
-use ipa_ftl::WriteStrategy;
 use ipa_workloads::{Driver, DriverConfig, RunResult, WorkloadKind};
 
 fn main() {
@@ -25,37 +23,14 @@ fn main() {
         .for_simulated_secs(secs);
 
     eprintln!("running [0x0] traditional baseline (MLC, full capacity)...");
-    let base = Driver::run_configured(
-        WorkloadKind::TpcB,
-        scale,
-        WriteStrategy::Traditional,
-        NmScheme::disabled(),
-        FlashMode::MlcFull,
-        &cfg,
-    )
-    .expect("baseline run");
+    let tpcb = |spec| Driver::run_spec(WorkloadKind::TpcB, scale, &spec, &cfg);
+    let base = tpcb(ipa_bench::traditional_mlc()).expect("baseline run");
 
     eprintln!("running [2x4] IPA, pSLC mode...");
-    let pslc = Driver::run_configured(
-        WorkloadKind::TpcB,
-        scale,
-        WriteStrategy::IpaNative,
-        NmScheme::new(2, 4),
-        FlashMode::PSlc,
-        &cfg,
-    )
-    .expect("pSLC run");
+    let pslc = tpcb(ipa_bench::ipa_2x4(FlashMode::PSlc)).expect("pSLC run");
 
     eprintln!("running [2x4] IPA, odd-MLC mode...");
-    let odd = Driver::run_configured(
-        WorkloadKind::TpcB,
-        scale,
-        WriteStrategy::IpaNative,
-        NmScheme::new(2, 4),
-        FlashMode::OddMlc,
-        &cfg,
-    )
-    .expect("odd-MLC run");
+    let odd = tpcb(ipa_bench::ipa_2x4(FlashMode::OddMlc)).expect("odd-MLC run");
 
     print_table(secs, &base, &pslc, &odd);
 }

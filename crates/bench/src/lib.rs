@@ -17,16 +17,59 @@
 //!
 //! All binaries accept `--secs=<f64>` / `--tx=<n>` / `--scale=<n>` /
 //! `--seed=<n>` where meaningful, print fixed-width tables to stdout, and
-//! are deterministic for a given seed.
+//! are deterministic for a given seed. A `--flag=value` whose value does
+//! not parse is a usage error (exit status 2), never a silent default.
+
+pub mod sweep_csv;
 
 use std::fmt::Display;
 
-/// Parse `--name=value` from argv, falling back to `default`.
-pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
+use ipa_flash::FlashMode;
+use ipa_ftl::WriteStrategy;
+use ipa_workloads::StackSpec;
+
+/// Table 1's `[0×0]` column: the traditional out-of-place write path on
+/// one chip of full-capacity MLC — the same silicon used the normal way.
+pub fn traditional_mlc() -> StackSpec {
+    StackSpec::paper(WriteStrategy::Traditional, FlashMode::MlcFull)
+}
+
+/// Table 1's `[2×4]` columns: IPA-native appends on one chip in `mode`
+/// (pSLC or odd-MLC).
+pub fn ipa_2x4(mode: FlashMode) -> StackSpec {
+    StackSpec::paper(WriteStrategy::IpaNative, mode)
+}
+
+/// Parse `--name=value` out of `args`; `default` when the flag is absent.
+/// A value that does not parse is an error, never the default: a typo'd
+/// `--tx=abc` must not run the full default workload.
+pub fn parse_arg<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    default: T,
+) -> Result<T, String> {
     let prefix = format!("--{name}=");
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&prefix).and_then(|v| v.parse().ok()))
-        .unwrap_or(default)
+    match args.iter().find_map(|a| a.strip_prefix(&prefix)) {
+        None => Ok(default),
+        Some(value) => value.parse().map_err(|_| {
+            let expected = std::any::type_name::<T>();
+            format!("invalid value {value:?} for --{name} (expected {expected})")
+        }),
+    }
+}
+
+/// [`parse_arg`] over the process's argv. An unparsable value prints the
+/// error and a usage pointer, and exits with status 2.
+pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let args: Vec<String> = std::env::args().collect();
+    parse_arg(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!(
+            "usage: {} [--<flag>=<value>]... (the binary's module docs list its flags)",
+            args[0]
+        );
+        std::process::exit(2)
+    })
 }
 
 /// Parse an optional string flag from argv, accepting both `--name=value`
@@ -124,7 +167,18 @@ mod tests {
     }
 
     #[test]
-    fn arg_default_when_absent() {
-        assert_eq!(arg("definitely-not-passed", 7u64), 7);
+    fn parse_arg_defaults_when_absent_and_rejects_garbage() {
+        let args: Vec<String> = ["bin", "--tx=300", "--secs=1.5", "--seed=abc", "--cap="]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(parse_arg(&args, "tx", 7u64), Ok(300));
+        assert_eq!(parse_arg(&args, "secs", 9.0f64), Ok(1.5));
+        assert_eq!(parse_arg(&args, "streams", 8u32), Ok(8), "absent: default");
+        let err = parse_arg(&args, "seed", 1u64).unwrap_err();
+        assert!(err.contains("--seed") && err.contains("\"abc\""), "{err}");
+        assert!(parse_arg(&args, "cap", 1usize).is_err(), "empty value");
+        assert!(parse_arg(&args, "tx", 0u8).is_err(), "300 overflows a u8");
+        // A bare `--seed` (no `=`) is a different flag spelling, not a value.
+        assert_eq!(parse_arg(&["--seed".to_string()], "seed", 5u64), Ok(5));
     }
 }

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use ipa_controller::ControllerStats;
+use ipa_controller::FlashController;
 use ipa_core::PageLayout;
 use ipa_flash::FlashStats;
 use ipa_ftl::{
@@ -99,7 +99,7 @@ impl TenantDevice {
 
 impl BlockDevice for TenantDevice {
     fn page_size(&self) -> usize {
-        self.shared.page_size_shared()
+        self.shared.page_size()
     }
 
     fn capacity_pages(&self) -> u64 {
@@ -152,8 +152,8 @@ impl BlockDevice for TenantDevice {
         self.shared.raw_blocks()
     }
 
-    fn controller_stats(&self) -> Option<ControllerStats> {
-        BlockDevice::controller_stats(&*self.shared)
+    fn controller(&self) -> Option<&Arc<FlashController>> {
+        Some(self.shared.controller())
     }
 
     fn set_submission_clock_ns(&mut self, ns: u64) {
@@ -175,10 +175,6 @@ impl IoQueue for TenantDevice {
         self.shared.submit_io(req)
     }
 
-    fn poll(&mut self, token: IoToken) -> Option<IoCompletion> {
-        self.shared.poll_io(token)
-    }
-
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
         self.shared.poll_io_checked(token)
     }
@@ -189,18 +185,6 @@ impl IoQueue for TenantDevice {
 
     fn forget(&mut self, token: IoToken) {
         self.shared.forget_io(token);
-    }
-
-    fn note_readahead_hit(&mut self) {
-        self.shared.note_readahead_hit_shared();
-    }
-
-    fn note_wal_stripe_write(&mut self) {
-        self.shared.note_wal_stripe_write_shared();
-    }
-
-    fn note_wal_stripe_reclaimed(&mut self) {
-        self.shared.note_wal_stripe_reclaimed_shared();
     }
 }
 
@@ -267,7 +251,7 @@ mod tests {
 
         // In-window queued ops work translated.
         let t = a.submit(IoRequest::ReadV(vec![0])).unwrap();
-        let c = a.poll(t).expect("completion buffered");
+        let c = a.poll_checked(t).expect("completion buffered");
         assert_eq!(c.data, vec![ones]);
     }
 }

@@ -242,7 +242,7 @@ impl Fleet {
 
     /// Scheduler counters of the shared controller.
     pub fn controller_stats(&self) -> Option<ControllerStats> {
-        BlockDevice::controller_stats(&*self.shared)
+        Some(self.shared.controller().stats())
     }
 
     /// Sealed WAL pages recycled by checkpoints, summed over the fleet's
@@ -437,7 +437,7 @@ mod tests {
             insert_row(fleet.tenant_mut(0), 0x3C);
             fleet.tenant_mut(0).engine_mut().flush_all().unwrap();
             let mapped = (0..24).find(|&l| fleet.shared.is_mapped(l)).unwrap();
-            let mut buf = vec![0u8; fleet.shared.page_size_shared()];
+            let mut buf = vec![0u8; fleet.shared.page_size()];
             for _ in 0..8 {
                 fleet.shared.read_shared(mapped, &mut buf).unwrap();
             }

@@ -1247,7 +1247,7 @@ impl<C: Nand> NativeFlashDevice for Ftl<C> {
 /// The queued face of a single flash target. There is no scheduler
 /// between the FTL and the chip here, so every request completes the
 /// moment it is submitted — `submitted_ns`/`done_ns` bracket the chip
-/// time the request consumed, and `poll` has nothing left to wait for.
+/// time the request consumed, and polling has nothing left to wait for.
 /// (The die-striped [`crate::ShardedFtl`] is where submission and
 /// completion genuinely separate.)
 impl<C: Nand> IoQueue for Ftl<C> {
@@ -1293,10 +1293,6 @@ impl<C: Nand> IoQueue for Ftl<C> {
             .complete_with_rejections(data, rejected, submitted, done))
     }
 
-    fn poll(&mut self, token: IoToken) -> Option<IoCompletion> {
-        self.queue.take(token)
-    }
-
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
         self.queue.take_checked(token)
     }
@@ -1308,18 +1304,6 @@ impl<C: Nand> IoQueue for Ftl<C> {
 
     fn forget(&mut self, token: IoToken) {
         self.queue.forget(token);
-    }
-
-    fn note_readahead_hit(&mut self) {
-        self.queue.readahead_hits += 1;
-    }
-
-    fn note_wal_stripe_write(&mut self) {
-        self.queue.wal_stripe_writes += 1;
-    }
-
-    fn note_wal_stripe_reclaimed(&mut self) {
-        self.queue.wal_stripes_reclaimed += 1;
     }
 }
 
@@ -1894,12 +1878,12 @@ mod tests {
         let mut ftl = Ftl::new(chip(FlashMode::Slc), FtlConfig::traditional());
         let pages: Vec<(Lba, Vec<u8>)> = (0..4).map(|i| (i, vec![i as u8; 2048])).collect();
         let w = ftl.submit(IoRequest::WriteV(pages)).unwrap();
-        let wc = ftl.poll(w).expect("write completion");
+        let wc = ftl.poll_checked(w).expect("write completion");
         assert!(wc.done_ns >= wc.submitted_ns);
         assert!(wc.data.is_empty());
 
         let r = ftl.submit(IoRequest::ReadV(vec![2, 0, 3])).unwrap();
-        let rc = ftl.poll(r).expect("read completion");
+        let rc = ftl.poll_checked(r).expect("read completion");
         assert_eq!(rc.data.len(), 3);
         assert_eq!(rc.data[0], vec![2u8; 2048]);
         assert_eq!(rc.data[1], vec![0u8; 2048]);
@@ -1909,7 +1893,10 @@ mod tests {
             ftl.elapsed_ns(),
             "immediate completion: done is the chip clock"
         );
-        assert!(ftl.poll(r).is_none(), "completions are taken once");
+        assert!(
+            matches!(ftl.poll_checked(r), Err(FtlError::TokenRetired { .. })),
+            "completions are taken once"
+        );
 
         let t = ftl.submit(IoRequest::Trim(1)).unwrap();
         ftl.forget(t);
@@ -1931,17 +1918,12 @@ mod tests {
         let w = ftl
             .submit(IoRequest::WriteV(vec![(0, vec![7u8; 2048])]))
             .unwrap();
-        ftl.poll(w).unwrap();
+        ftl.poll_checked(w).unwrap();
         let r = ftl.submit(IoRequest::ReadV(vec![0])).unwrap();
-        ftl.poll(r).unwrap();
+        ftl.poll_checked(r).unwrap();
         let d = ftl.device_stats();
         assert_eq!(d.vectored_writes, 0, "a one-page vector is not vectored");
         assert_eq!(d.vectored_reads, 0);
-        ftl.note_readahead_hit();
-        ftl.note_wal_stripe_write();
-        let d = ftl.device_stats();
-        assert_eq!(d.readahead_hits, 1);
-        assert_eq!(d.wal_stripe_writes, 1);
     }
 
     #[test]

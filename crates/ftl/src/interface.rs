@@ -13,18 +13,19 @@
 //!
 //! [`IoQueue`] is the queued (NVMe-style submission/completion) face of
 //! the same devices: the host posts an [`IoRequest`] — possibly vectored
-//! across many LBAs — receives an [`IoToken`], and later either `poll`s
-//! the token (waiting for the completion) or `sync`s the whole queue.
-//! The synchronous `read`/`write` calls are thin wrappers over this
-//! path, so the two interfaces always agree on device state.
+//! across many LBAs — receives an [`IoToken`], and later either polls
+//! the token (`poll_checked`, waiting for the completion) or `sync`s the
+//! whole queue. The synchronous `read`/`write` calls drive the same
+//! per-die machinery, so the two interfaces always agree on device state.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use ipa_controller::ControllerStats;
+use ipa_controller::{ControllerStats, FlashController};
 use ipa_core::PageLayout;
 use ipa_flash::FlashStats;
 
-use crate::error::{Lba, Result};
+use crate::error::{FtlError, Lba, Result};
 use crate::stats::DeviceStats;
 
 /// How the DBMS drives the device — the three configurations the demo
@@ -51,7 +52,7 @@ impl WriteStrategy {
 }
 
 /// Opaque handle for a submitted [`IoRequest`], redeemed at
-/// [`IoQueue::poll`].
+/// [`IoQueue::poll_checked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IoToken(pub u64);
 
@@ -61,7 +62,7 @@ pub struct IoToken(pub u64);
 pub enum IoRequest {
     /// Read whole pages; the completion returns one buffer per LBA, in
     /// request order. Posted: the submission clock does not wait for the
-    /// data — [`IoQueue::poll`] is the wait.
+    /// data — [`IoQueue::poll_checked`] is the wait.
     ReadV(Vec<Lba>),
     /// [`IoRequest::ReadV`] on the latency-priority lane: on a
     /// QoS-scheduled device the members may be dispatched *ahead of*
@@ -129,28 +130,14 @@ pub struct SubmissionState {
     pub vectored_reads: u64,
     /// `WriteV` submissions spanning more than one page.
     pub vectored_writes: u64,
-    /// Host-attributed: buffer-pool fetches served from a read-ahead
-    /// completion ([`IoQueue::note_readahead_hit`]).
-    pub readahead_hits: u64,
-    /// Host-attributed: WAL group-commit flushes submitted as one
-    /// multi-page vector ([`IoQueue::note_wal_stripe_write`]).
-    pub wal_stripe_writes: u64,
     /// `WriteDeltaV` submissions spanning more than one member — the
     /// evict path's batched delta appends.
     pub vectored_deltas: u64,
-    /// Host-attributed: sealed WAL pages trimmed by a checkpoint
-    /// ([`IoQueue::note_wal_stripe_reclaimed`]).
-    pub wal_stripes_reclaimed: u64,
 }
 
 impl SubmissionState {
-    /// Record a finished request and hand out its token.
-    pub fn complete(&mut self, data: Vec<Vec<u8>>, submitted_ns: u64, done_ns: u64) -> IoToken {
-        self.complete_with_rejections(data, Vec::new(), submitted_ns, done_ns)
-    }
-
-    /// [`SubmissionState::complete`] carrying per-member in-place
-    /// rejections (`WriteDeltaV`).
+    /// Record a finished request and hand out its token. `rejected`
+    /// carries the per-member in-place rejections of a `WriteDeltaV`.
     pub fn complete_with_rejections(
         &mut self,
         data: Vec<Vec<u8>>,
@@ -173,22 +160,15 @@ impl SubmissionState {
         token
     }
 
-    /// Take a completion out of the buffer.
-    pub fn take(&mut self, token: IoToken) -> Option<IoCompletion> {
-        self.done.remove(&token.0)
-    }
-
-    /// [`SubmissionState::take`] with the `None` cases distinguished:
-    /// tokens are allocated from a private monotone counter, so a miss
-    /// below the watermark can only be a retired (polled/forgotten)
-    /// token, and a miss at or above it a token this queue never issued.
-    pub fn take_checked(&mut self, token: IoToken) -> crate::error::Result<IoCompletion> {
+    /// Take a completion out of the buffer. Tokens are allocated from a
+    /// private monotone counter, so a miss below the watermark can only
+    /// be a retired (polled/forgotten) token, and a miss at or above it a
+    /// token this queue never issued.
+    pub fn take_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
         match self.done.remove(&token.0) {
             Some(c) => Ok(c),
-            None if token.0 >= self.next => {
-                Err(crate::error::FtlError::TokenUnknown { token: token.0 })
-            }
-            None => Err(crate::error::FtlError::TokenRetired { token: token.0 }),
+            None if token.0 >= self.next => Err(FtlError::TokenUnknown { token: token.0 }),
+            None => Err(FtlError::TokenRetired { token: token.0 }),
         }
     }
 
@@ -216,16 +196,16 @@ impl SubmissionState {
     pub fn fold_into(&self, mut stats: DeviceStats) -> DeviceStats {
         stats.vectored_reads += self.vectored_reads;
         stats.vectored_writes += self.vectored_writes;
-        stats.readahead_hits += self.readahead_hits;
-        stats.wal_stripe_writes += self.wal_stripe_writes;
         stats.vectored_deltas += self.vectored_deltas;
-        stats.wal_stripes_reclaimed += self.wal_stripes_reclaimed;
         stats
     }
 }
 
-/// The queued submission/completion face of a device (NVMe-style queue
-/// pair, collapsed to one pair since the simulator is single-threaded).
+/// The queued submission/completion face of a device: one NVMe-style
+/// queue pair per device. Devices that are shared across host threads
+/// ([`crate::ShardedFtl`], and the tenant views over it) serialize the
+/// completion buffer behind a small lock of their own, so concurrent
+/// submitters interleave freely and tokens stay unique per device.
 ///
 /// ## Contract
 ///
@@ -234,13 +214,15 @@ impl SubmissionState {
 ///   advance to the request's completion (it may advance for
 ///   queue-admission effects such as NCQ back-pressure, exactly like the
 ///   sync write path).
-/// * `poll` *waits* for the token's completion: the submission clock
-///   advances to at least `done_ns` and the completion (with any read
-///   data) is returned. Polling an unknown or already-polled token
-///   returns `None` and costs nothing; when the host needs to tell a
-///   double-poll bug apart from "still in flight", `poll_checked`
-///   returns a typed [`crate::error::FtlError::TokenRetired`] /
-///   [`crate::error::FtlError::TokenUnknown`] instead.
+/// * `poll_checked` *waits* for the token's completion: the submission
+///   clock advances to at least `done_ns` and the completion (with any
+///   read data) is returned. A token can be redeemed once: polling a
+///   token that was already polled or forgotten is a typed
+///   [`FtlError::TokenRetired`], polling one this queue never issued a
+///   typed [`FtlError::TokenUnknown`]; neither costs device time. There
+///   is no "not ready yet" answer — every accepted request has a
+///   completion — so a lost completion is always a host bug and is
+///   reported, never papered over.
 /// * `sync` is the barrier: every prior submission's completion time is
 ///   folded into the device's merged clock, which is returned. It does
 ///   not consume buffered completions — tokens stay pollable.
@@ -272,22 +254,15 @@ impl SubmissionState {
 /// sequence of queued operations, [`BlockDevice::elapsed_ns`] is the
 /// device-busy horizon — the time at which all submitted work is done —
 /// while [`BlockDevice::submission_clock_ns`] is the issuing client's
-/// logical now, which only `poll` and back-pressure move forward. On
+/// logical now, which only polling and back-pressure move forward. On
 /// devices with no scheduler the two coincide by construction.
 pub trait IoQueue {
     /// Post a request; returns its completion token.
     fn submit(&mut self, req: IoRequest) -> Result<IoToken>;
 
-    /// Wait for (and take) a completion. `None` if the token is unknown
-    /// or was already polled/forgotten.
-    fn poll(&mut self, token: IoToken) -> Option<IoCompletion>;
-
-    /// [`IoQueue::poll`] with the `None` cases made typed errors: a
-    /// retired token (already polled or forgotten) surfaces as
-    /// [`crate::error::FtlError::TokenRetired`], a token the queue never
-    /// issued as [`crate::error::FtlError::TokenUnknown`]. Hosts that
-    /// treat a double-poll as a bug (everything in this repo) should
-    /// prefer this over pattern-matching `None`.
+    /// Wait for (and take) a completion. A retired token (already polled
+    /// or forgotten) is [`FtlError::TokenRetired`], a token the queue
+    /// never issued [`FtlError::TokenUnknown`].
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion>;
 
     /// Barrier over all prior submissions; returns the merged device
@@ -296,19 +271,6 @@ pub trait IoQueue {
 
     /// Abandon a token without waiting on its completion.
     fn forget(&mut self, token: IoToken);
-
-    /// Host attribution hook: a buffer-pool fetch was served from a
-    /// read-ahead completion. Counted in `DeviceStats::readahead_hits`.
-    fn note_readahead_hit(&mut self);
-
-    /// Host attribution hook: a WAL group-commit flush went out as one
-    /// multi-page vector. Counted in `DeviceStats::wal_stripe_writes`.
-    fn note_wal_stripe_write(&mut self);
-
-    /// Host attribution hook: a checkpoint trimmed one sealed WAL page,
-    /// recycling its log space. Counted in
-    /// `DeviceStats::wal_stripes_reclaimed`.
-    fn note_wal_stripe_reclaimed(&mut self);
 }
 
 /// A block device with a queued face — the bound host components (the
@@ -364,10 +326,16 @@ pub trait BlockDevice {
     /// raw block, not per exported LBA).
     fn raw_blocks(&self) -> u32;
 
-    /// Scheduler counters, when the device sits behind a multi-channel
-    /// controller. Single-chip devices report `None`.
-    fn controller_stats(&self) -> Option<ControllerStats> {
+    /// The multi-channel controller the device sits behind, whichever
+    /// layer holds it. Single-chip devices report `None`; a wrapping
+    /// layer forwards to the device it wraps.
+    fn controller(&self) -> Option<&Arc<FlashController>> {
         None
+    }
+
+    /// Scheduler counters of [`BlockDevice::controller`], if any.
+    fn controller_stats(&self) -> Option<ControllerStats> {
+        self.controller().map(|c| c.stats())
     }
 
     /// Multi-client hook: position the submission-side clock at a client
@@ -418,34 +386,29 @@ mod tests {
     #[test]
     fn submission_state_tokens_and_counters() {
         let mut s = SubmissionState::default();
-        let a = s.complete(vec![vec![1]], 10, 20);
-        let b = s.complete(Vec::new(), 20, 25);
+        let a = s.complete_with_rejections(vec![vec![1]], Vec::new(), 10, 20);
+        let b = s.complete_with_rejections(Vec::new(), vec![2], 20, 25);
         assert_ne!(a, b, "tokens are unique");
-        let ca = s.take(a).expect("buffered completion");
+        let ca = s.take_checked(a).expect("buffered completion");
         assert_eq!((ca.submitted_ns, ca.done_ns), (10, 20));
         assert_eq!(ca.data, vec![vec![1]]);
-        assert!(s.take(a).is_none(), "taken once");
         assert!(
             matches!(
                 s.take_checked(a),
-                Err(crate::error::FtlError::TokenRetired { token }) if token == a.0
+                Err(FtlError::TokenRetired { token }) if token == a.0
             ),
             "double-take is a typed retired error"
         );
         assert!(
             matches!(
                 s.take_checked(IoToken(999)),
-                Err(crate::error::FtlError::TokenUnknown { token: 999 })
+                Err(FtlError::TokenUnknown { token: 999 })
             ),
             "never-issued token is unknown, not retired"
         );
-        s.forget(b);
-        assert!(s.take(b).is_none(), "forgotten");
+        assert_eq!(s.forget(b).expect("buffered").rejected, vec![2]);
         assert!(
-            matches!(
-                s.take_checked(b),
-                Err(crate::error::FtlError::TokenRetired { .. })
-            ),
+            matches!(s.take_checked(b), Err(FtlError::TokenRetired { .. })),
             "forget retires the token too"
         );
 
@@ -453,15 +416,11 @@ mod tests {
         s.count_request(&IoRequest::ReadV(vec![1]));
         s.count_request(&IoRequest::WriteV(vec![(1, vec![]), (2, vec![])]));
         s.count_request(&IoRequest::Trim(3));
-        s.readahead_hits = 7;
-        s.wal_stripe_writes = 2;
         let folded = s.fold_into(DeviceStats {
             vectored_reads: 1,
             ..Default::default()
         });
         assert_eq!(folded.vectored_reads, 2, "overlay adds to the snapshot");
         assert_eq!(folded.vectored_writes, 1);
-        assert_eq!(folded.readahead_hits, 7);
-        assert_eq!(folded.wal_stripe_writes, 2);
     }
 }

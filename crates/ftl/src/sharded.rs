@@ -28,14 +28,14 @@
 //! shard sits behind its own mutex (die-local traffic from different
 //! threads contends only when it lands on the same die), and the queued
 //! bookkeeping has a small lock of its own. Every operation is available
-//! through `&self` (`submit_io`/`poll_io`/`sync`/...); the `&mut`
+//! through `&self` (`submit_io`/`poll_io_checked`/`sync`/...); the `&mut`
 //! [`IoQueue`]/[`BlockDevice`] trait impls forward to them, so a
 //! single-owner caller pays one uncontended lock per shard touch and the
 //! threaded driver shares a plain `Arc<ShardedFtl>`.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ipa_controller::{ControllerConfig, ControllerStats, DieHandle, FlashController};
+use ipa_controller::{ControllerConfig, DieHandle, FlashController};
 use ipa_core::PageLayout;
 use ipa_flash::FlashStats;
 
@@ -191,11 +191,6 @@ impl ShardedFtl {
         &self.ctrl
     }
 
-    /// Scheduler counters (queue waits, bus occupancy, depths).
-    pub fn controller_stats(&self) -> ControllerStats {
-        self.ctrl.stats()
-    }
-
     /// Barrier: flush every shard's plane-pairing window (a parked write
     /// has been acknowledged but not yet programmed), then wait for every
     /// posted command on every die; returns the merged simulated time.
@@ -222,12 +217,6 @@ impl ShardedFtl {
     /// traffic from other threads queues behind it.
     pub fn shard(&self, die: u32) -> MutexGuard<'_, Ftl<DieHandle>> {
         lock(&self.shards[die as usize])
-    }
-
-    /// Alias of [`ShardedFtl::shard`] kept for the historical `&mut`
-    /// accessor's call sites.
-    pub fn shard_mut(&self, die: u32) -> MutexGuard<'_, Ftl<DieHandle>> {
-        self.shard(die)
     }
 
     /// Host LBA → (die, sub-LBA) translation.
@@ -397,8 +386,8 @@ impl BlockDevice for ShardedFtl {
         self.shards.len() as u32 * lock(&self.shards[0]).raw_blocks()
     }
 
-    fn controller_stats(&self) -> Option<ControllerStats> {
-        Some(self.ctrl.stats())
+    fn controller(&self) -> Option<&Arc<FlashController>> {
+        Some(&self.ctrl)
     }
 
     fn set_submission_clock_ns(&mut self, ns: u64) {
@@ -416,8 +405,7 @@ impl BlockDevice for ShardedFtl {
 
 impl NativeFlashDevice for ShardedFtl {
     fn write_delta(&mut self, lba: Lba, offset: usize, delta_bytes: &[u8]) -> Result<()> {
-        let (die, sub) = self.locate(lba)?;
-        lock(&self.shards[die as usize]).write_delta(sub, offset, delta_bytes)
+        self.write_delta_shared(lba, offset, delta_bytes)
     }
 }
 
@@ -427,7 +415,7 @@ impl ShardedFtl {
     /// jump posted bulk work on its die; without QoS the lane degenerates
     /// to exactly the plain vectored-read path.
     pub fn read_shared(&self, lba: Lba, buf: &mut [u8]) -> Result<()> {
-        let page_size = self.page_size_shared();
+        let page_size = self.page_size();
         if buf.len() != page_size {
             return Err(FtlError::SizeMismatch {
                 expected: page_size,
@@ -435,7 +423,7 @@ impl ShardedFtl {
             });
         }
         let token = self.submit_io(IoRequest::HighPriorityReadV(vec![lba]))?;
-        let completion = self.poll_io(token).expect("fresh token completes");
+        let completion = self.poll_io_checked(token)?;
         buf.copy_from_slice(&completion.data[0]);
         Ok(())
     }
@@ -450,11 +438,6 @@ impl ShardedFtl {
     pub fn trim_shared(&self, lba: Lba) -> Result<()> {
         let (die, sub) = self.locate(lba)?;
         lock(&self.shards[die as usize]).trim(sub)
-    }
-
-    /// Page size without the `&mut` trait receiver.
-    pub fn page_size_shared(&self) -> usize {
-        lock(&self.shards[0]).page_size()
     }
 
     /// One member of a vectored read, routed to its die. Called inside a
@@ -571,27 +554,16 @@ impl ShardedFtl {
         Ok(queue.complete_with_rejections(data, rejected, submitted, done))
     }
 
-    /// Poll through `&self` (see [`IoQueue::poll`]).
-    pub fn poll_io(&self, token: IoToken) -> Option<IoCompletion> {
-        let completion = lock(&self.queue).take(token)?;
-        self.finish_poll(&completion);
-        Some(completion)
-    }
-
-    /// Poll with typed misuse detection (see [`IoQueue::poll_checked`]).
+    /// Poll through `&self` (see [`IoQueue::poll_checked`]).
     pub fn poll_io_checked(&self, token: IoToken) -> Result<IoCompletion> {
         let completion = lock(&self.queue).take_checked(token)?;
-        self.finish_poll(&completion);
-        Ok(completion)
-    }
-
-    fn finish_poll(&self, completion: &IoCompletion) {
         // Waiting for a completion is what moves the submitting client's
         // clock — a completion already in the past costs nothing. The
         // monotone advance makes the wait safe under concurrent pollers.
         self.ctrl.advance_host_ns(completion.done_ns);
         self.ctrl
             .note_posted_reads_polled(completion.data.len() as u64);
+        Ok(completion)
     }
 
     /// Native delta append through `&self` (see
@@ -599,21 +571,6 @@ impl ShardedFtl {
     pub fn write_delta_shared(&self, lba: Lba, offset: usize, delta_bytes: &[u8]) -> Result<()> {
         let (die, sub) = self.locate(lba)?;
         lock(&self.shards[die as usize]).write_delta(sub, offset, delta_bytes)
-    }
-
-    /// [`IoQueue::note_readahead_hit`] through `&self`.
-    pub fn note_readahead_hit_shared(&self) {
-        lock(&self.queue).readahead_hits += 1;
-    }
-
-    /// [`IoQueue::note_wal_stripe_write`] through `&self`.
-    pub fn note_wal_stripe_write_shared(&self) {
-        lock(&self.queue).wal_stripe_writes += 1;
-    }
-
-    /// [`IoQueue::note_wal_stripe_reclaimed`] through `&self`.
-    pub fn note_wal_stripe_reclaimed_shared(&self) {
-        lock(&self.queue).wal_stripes_reclaimed += 1;
     }
 
     /// Forget through `&self` (see [`IoQueue::forget`]).
@@ -633,10 +590,6 @@ impl IoQueue for ShardedFtl {
         self.submit_io(req)
     }
 
-    fn poll(&mut self, token: IoToken) -> Option<IoCompletion> {
-        self.poll_io(token)
-    }
-
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
         self.poll_io_checked(token)
     }
@@ -647,18 +600,6 @@ impl IoQueue for ShardedFtl {
 
     fn forget(&mut self, token: IoToken) {
         self.forget_io(token)
-    }
-
-    fn note_readahead_hit(&mut self) {
-        lock(&self.queue).readahead_hits += 1;
-    }
-
-    fn note_wal_stripe_write(&mut self) {
-        lock(&self.queue).wal_stripe_writes += 1;
-    }
-
-    fn note_wal_stripe_reclaimed(&mut self) {
-        lock(&self.queue).wal_stripes_reclaimed += 1;
     }
 }
 

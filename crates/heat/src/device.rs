@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ipa_controller::ControllerStats;
+use ipa_controller::FlashController;
 use ipa_core::PageLayout;
 use ipa_flash::FlashStats;
 use ipa_ftl::{
@@ -143,11 +143,6 @@ impl HeatDevice {
         self.inner.maint_stats()
     }
 
-    /// The wrapped maintained stripe (inspection only).
-    pub fn inner(&self) -> &MaintainedFtl {
-        &self.inner
-    }
-
     /// The hottest tracked ranges, hottest first (metrics export).
     pub fn hottest_ranges(&self, n: usize) -> Vec<(usize, u32)> {
         lock_core(&self.core).tracker.hottest(n)
@@ -256,8 +251,8 @@ impl BlockDevice for HeatDevice {
         self.inner.raw_blocks()
     }
 
-    fn controller_stats(&self) -> Option<ControllerStats> {
-        BlockDevice::controller_stats(&self.inner)
+    fn controller(&self) -> Option<&Arc<FlashController>> {
+        self.inner.controller()
     }
 
     fn set_submission_clock_ns(&mut self, ns: u64) {
@@ -386,16 +381,6 @@ impl IoQueue for HeatDevice {
         }
     }
 
-    fn poll(&mut self, token: IoToken) -> Option<IoCompletion> {
-        if token.0 & TIER_TOKEN_BIT != 0 {
-            let mut c = self.sub.take(IoToken(token.0 & !TIER_TOKEN_BIT))?;
-            c.token = token;
-            Some(c)
-        } else {
-            self.inner.poll(token)
-        }
-    }
-
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
         if token.0 & TIER_TOKEN_BIT != 0 {
             let mut c = self.sub.take_checked(IoToken(token.0 & !TIER_TOKEN_BIT))?;
@@ -417,17 +402,5 @@ impl IoQueue for HeatDevice {
         } else {
             self.inner.forget(token);
         }
-    }
-
-    fn note_readahead_hit(&mut self) {
-        self.inner.note_readahead_hit();
-    }
-
-    fn note_wal_stripe_write(&mut self) {
-        self.inner.note_wal_stripe_write();
-    }
-
-    fn note_wal_stripe_reclaimed(&mut self) {
-        self.inner.note_wal_stripe_reclaimed();
     }
 }

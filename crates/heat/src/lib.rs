@@ -23,13 +23,16 @@
 //! [`HeatDevice`] assembles the stack around a
 //! [`ipa_maint::MaintainedFtl`] and speaks the same
 //! [`ipa_ftl::NativeFlashDevice`] contract, so the storage engine mounts
-//! it like any other device. Thresholds, decay, tier sizing and
+//! it like any other device. As the top device crate this is also where
+//! the whole tower is built: [`build_stack`] is the single function that
+//! nests stripe, scheduler and heat layer. Thresholds, decay, tier sizing and
 //! migration pacing live behind the [`PlacementPolicy`] trait
 //! ([`DefaultPolicy`] is the reference implementation).
 
 pub mod device;
 pub mod policy;
 pub mod shifter;
+pub mod stack;
 pub mod stats;
 pub mod tier;
 pub mod tracker;
@@ -37,6 +40,7 @@ pub mod tracker;
 pub use device::HeatDevice;
 pub use policy::{DefaultPolicy, PlacementPolicy};
 pub use shifter::HeatShifter;
+pub use stack::build_stack;
 pub use stats::HeatStats;
 pub use tier::HotTier;
 pub use tracker::LbaHeatTracker;

@@ -1,6 +1,8 @@
 //! The maintained device: a [`ShardedFtl`] with the scheduler attached.
 
-use ipa_controller::ControllerStats;
+use std::sync::Arc;
+
+use ipa_controller::FlashController;
 use ipa_core::PageLayout;
 use ipa_flash::FlashStats;
 use ipa_ftl::{
@@ -22,9 +24,10 @@ use crate::stats::MaintStats;
 pub struct MaintainedFtl {
     inner: ShardedFtl,
     sched: MaintenanceScheduler,
-    /// A maintenance failure that surfaced on an infallible queue call
-    /// (`poll`/`sync` return no `Result`); re-raised by the next
-    /// fallible operation instead of being swallowed or panicking.
+    /// A maintenance failure that surfaced on a queue call that cannot
+    /// carry it (`sync` returns no `Result`; a poll must hand back its
+    /// completion); re-raised by the next fallible operation instead of
+    /// being swallowed or panicking.
     deferred_maint_err: Option<ipa_ftl::FtlError>,
 }
 
@@ -40,11 +43,6 @@ impl MaintainedFtl {
     /// The scheduler's own counters.
     pub fn maint_stats(&self) -> MaintStats {
         self.sched.stats()
-    }
-
-    /// The wrapped die-striped FTL (inspection only).
-    pub fn inner(&self) -> &ShardedFtl {
-        &self.inner
     }
 
     /// Install the heat-placement hook the scheduler dispatches
@@ -143,8 +141,8 @@ impl BlockDevice for MaintainedFtl {
         self.inner.raw_blocks()
     }
 
-    fn controller_stats(&self) -> Option<ControllerStats> {
-        BlockDevice::controller_stats(&self.inner)
+    fn controller(&self) -> Option<&Arc<FlashController>> {
+        Some(self.inner.controller())
     }
 
     fn set_submission_clock_ns(&mut self, ns: u64) {
@@ -178,12 +176,6 @@ impl IoQueue for MaintainedFtl {
         Ok(token)
     }
 
-    fn poll(&mut self, token: IoToken) -> Option<IoCompletion> {
-        let completion = self.inner.poll(token);
-        self.poll_maint_deferred();
-        completion
-    }
-
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
         let completion = self.inner.poll_checked(token);
         self.poll_maint_deferred();
@@ -198,18 +190,6 @@ impl IoQueue for MaintainedFtl {
 
     fn forget(&mut self, token: IoToken) {
         self.inner.forget(token);
-    }
-
-    fn note_readahead_hit(&mut self) {
-        self.inner.note_readahead_hit();
-    }
-
-    fn note_wal_stripe_write(&mut self) {
-        self.inner.note_wal_stripe_write();
-    }
-
-    fn note_wal_stripe_reclaimed(&mut self) {
-        self.inner.note_wal_stripe_reclaimed();
     }
 }
 

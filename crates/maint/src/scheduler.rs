@@ -189,7 +189,7 @@ impl MaintenanceScheduler {
     /// Up to `steps_per_poll` reclaim steps on one shard.
     fn run_steps(&mut self, ftl: &mut ShardedFtl, die: u32, threshold: u32) -> Result<()> {
         for _ in 0..self.cfg.steps_per_poll {
-            match ftl.shard_mut(die).background_gc_step(threshold)? {
+            match ftl.shard(die).background_gc_step(threshold)? {
                 GcProgress::Idle => break,
                 GcProgress::Migrated => {
                     self.stats.steps += 1;
@@ -292,7 +292,7 @@ mod tests {
         assert!(st.erases > 0);
         // The wear view flowed through: the observed peak matches the
         // controller's final report or exceeded it mid-run.
-        let final_spread = s.controller_stats().wear_spread();
+        let final_spread = s.controller().stats().wear_spread();
         assert!(st.max_wear_spread >= final_spread.saturating_sub(1));
     }
 }

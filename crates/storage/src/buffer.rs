@@ -332,16 +332,11 @@ impl BufferPool {
             Self::note_dirty_writeback(frame, &mut self.stats, &mut self.trace);
         }
         // Pass 2: one vectored submission; the completion wait ends at
-        // the max of the per-die delta programs.
-        let token = self
-            .device
-            .submit(IoRequest::WriteDeltaV(members))
-            .map_err(StorageError::from)?;
-        let rejected = self
-            .device
-            .poll(token)
-            .map(|c| c.rejected)
-            .unwrap_or_default();
+        // the max of the per-die delta programs. A lost completion is an
+        // error, never "every member accepted": committing the records of
+        // a member the device rejected would drop its update.
+        let token = self.device.submit(IoRequest::WriteDeltaV(members))?;
+        let rejected = self.device.poll_checked(token)?.rejected;
         for (i, (idx, records)) in batch.into_iter().enumerate() {
             let frame = self.frames[idx].as_mut().expect("frame present");
             if rejected.contains(&i) {
@@ -401,13 +396,12 @@ impl BufferPool {
                 referenced: true,
             }
         } else {
-            let mut data = match self.claim_prefetch(pid) {
+            let mut data = match self.claim_prefetch(pid)? {
                 Some(img) => {
                     // Served from a posted read-ahead completion; the
                     // poll inside `claim_prefetch` charged the wait (if
                     // the data was still in flight).
                     self.stats.readahead_hits += 1;
-                    self.device.note_readahead_hit();
                     img
                 }
                 None => {
@@ -447,20 +441,23 @@ impl BufferPool {
     /// Take a page image out of the read-ahead pipeline, polling its
     /// vector's completion if it is still pending. Sibling members of the
     /// polled vector move to the ready set for their own consumption.
-    fn claim_prefetch(&mut self, pid: PageId) -> Option<Vec<u8>> {
+    fn claim_prefetch(&mut self, pid: PageId) -> Result<Option<Vec<u8>>> {
         if let Some(img) = self.ready_prefetch.remove(&pid) {
-            return Some(img);
+            return Ok(Some(img));
         }
-        let at = self
+        let Some(at) = self
             .pending_prefetch
             .iter()
-            .position(|g| g.members.contains(&pid))?;
+            .position(|g| g.members.contains(&pid))
+        else {
+            return Ok(None);
+        };
         let group = self.pending_prefetch.remove(at);
-        let completion = self.device.poll(group.token)?;
+        let completion = self.device.poll_checked(group.token)?;
         for (member, img) in group.members.iter().zip(completion.data) {
             self.ready_prefetch.insert(*member, img);
         }
-        self.ready_prefetch.remove(&pid)
+        Ok(self.ready_prefetch.remove(&pid))
     }
 
     /// Forget any in-flight or ready prefetch of `pid` (and, for a
@@ -1043,7 +1040,6 @@ mod tests {
                 "most fetches ride read-ahead: {s:?}"
             );
             let d = p.device().device_stats();
-            assert_eq!(d.readahead_hits, s.readahead_hits, "device counter agrees");
             assert!(d.vectored_reads > 0, "prefetches were vectored");
         }
 
@@ -1064,7 +1060,7 @@ mod tests {
                 p.with_page(pid, |_| ()).unwrap();
             }
             assert_eq!(p.stats().readahead_issued, 0);
-            assert_eq!(p.device().device_stats().readahead_hits, 0);
+            assert_eq!(p.stats().readahead_hits, 0);
         }
 
         #[test]

@@ -598,7 +598,12 @@ impl StorageEngine {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> EngineStats {
-        let device = self.pool.device().device_stats();
+        // `readahead_hits` is host attribution: the pool knows which
+        // fetches a read-ahead completion served, the device does not.
+        let device = DeviceStats {
+            readahead_hits: self.pool.stats().readahead_hits,
+            ..self.pool.device().device_stats()
+        };
         let flash = self.pool.device().flash_stats();
         let data_ns = self.pool.device().elapsed_ns();
         let wal_ns = self.wal.as_ref().map(|w| w.elapsed_ns()).unwrap_or(0);

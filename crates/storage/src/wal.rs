@@ -320,7 +320,7 @@ impl Wal {
             "log device page size disagrees with the WAL"
         );
         let capacity = pages.min(device.capacity_pages());
-        let immediate = device.controller_stats().is_none();
+        let immediate = device.controller().is_none();
         Wal {
             device,
             page_size,
@@ -415,22 +415,21 @@ impl Wal {
             .submit(IoRequest::WriteV(pages))
             .map_err(StorageError::from)?;
         self.sealed.clear();
-        let completion = self.device.poll(token);
+        // The completion wait is the durability point: without the
+        // completion the flush cannot be acknowledged.
+        let c = self.device.poll_checked(token)?;
         if self.immediate {
             // The chip executed the batch on its own serial clock; map
             // that work onto the clients' timeline: it starts when both
             // the client and the (one) chip are ready, and the client
             // resumes when it is durable. This is what serialises
             // concurrent clients' group commits on a single-chip log.
-            if let Some(c) = completion {
-                let dt = c.done_ns - c.submitted_ns;
-                let start = self.host_ns.max(self.busy_until_ns);
-                self.busy_until_ns = start + dt;
-                self.host_ns = self.busy_until_ns;
-            }
+            let dt = c.done_ns - c.submitted_ns;
+            let start = self.host_ns.max(self.busy_until_ns);
+            self.busy_until_ns = start + dt;
+            self.host_ns = self.busy_until_ns;
         }
         if vectored {
-            self.device.note_wal_stripe_write();
             self.stripe_flushes += 1;
         }
         if self.seal_on_flush && self.cursor > 0 {
@@ -476,8 +475,8 @@ impl Wal {
     /// Checkpoint the log: every record appended so far protects data the
     /// caller knows durable, so write a [`WalKind::Checkpoint`] marker
     /// and recycle the sealed pages holding only dead history. Returns
-    /// the number of log pages reclaimed (also counted in the device's
-    /// `wal_stripes_reclaimed` and [`Wal::stripes_reclaimed`]).
+    /// the number of log pages reclaimed (also counted in
+    /// [`Wal::stripes_reclaimed`]).
     ///
     /// Crash safety: the marker batch is flushed *before* any trim, so a
     /// power cut mid-reclaim leaves stale pages behind at worst — and
@@ -510,7 +509,6 @@ impl Wal {
                 Err(ipa_ftl::FtlError::UnmappedLba(_)) => {}
                 Err(e) => return Err(e.into()),
             }
-            self.device.note_wal_stripe_reclaimed();
             reclaimed += 1;
         }
         self.live.retain(|&(_, seq)| seq > dead_seq);
@@ -620,10 +618,16 @@ impl Wal {
         Ok(records)
     }
 
-    /// Host-level stats of the log device (including `wal_stripe_writes`,
-    /// counted when a group-commit batch went out as one vector).
+    /// Host-level stats of the log device. The device cannot know what a
+    /// write was for, so the two log-attribution counters are filled here
+    /// from the WAL's own: `wal_stripe_writes` (group-commit batches that
+    /// went out as one vector) and `wal_stripes_reclaimed`.
     pub fn device_stats(&self) -> DeviceStats {
-        self.device.device_stats()
+        DeviceStats {
+            wal_stripe_writes: self.stripe_flushes,
+            wal_stripes_reclaimed: self.stripes_reclaimed,
+            ..self.device.device_stats()
+        }
     }
 
     /// Total simulated device time of the log: the horizon at which all
@@ -683,7 +687,7 @@ impl Wal {
                 .device
                 .submit(IoRequest::WriteV(pages))
                 .map_err(StorageError::from)?;
-            self.device.poll(token);
+            self.device.poll_checked(token)?;
         }
         self.sealed.clear();
         self.buf.fill(0xFF);

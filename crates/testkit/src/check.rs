@@ -3,7 +3,7 @@
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
-use ipa_workloads::{Driver, DriverConfig, RunResult, WorkloadKind};
+use ipa_workloads::{Driver, DriverConfig, RunResult, StackSpec, WorkloadKind};
 
 use crate::fixtures::{all_strategies, heap_engine};
 use crate::ops::ModelHarness;
@@ -48,7 +48,8 @@ pub fn quick_run(
     let cfg = DriverConfig::default()
         .with_transactions(txs)
         .with_seed(seed);
-    Driver::run_configured(kind, 1, strategy, scheme, FlashMode::PSlc, &cfg).expect("benchmark run")
+    let spec = StackSpec::chip(strategy, scheme, FlashMode::PSlc);
+    Driver::run_spec(kind, 1, &spec, &cfg).expect("benchmark run")
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@ use ipa_core::{NmScheme, PageLayout};
 use ipa_flash::{DeviceConfig, DisturbRates, FlashChip, FlashMode, Geometry};
 use ipa_fleet::SoakConfig;
 use ipa_ftl::{Ftl, FtlConfig, ShardedFtl, StripePolicy, WriteStrategy};
-use ipa_heat::{DefaultPolicy, HeatDevice};
-use ipa_maint::{MaintConfig, MaintainedFtl};
+use ipa_heat::{build_stack, DefaultPolicy, PlacementPolicy};
+use ipa_maint::MaintConfig;
 use ipa_storage::{BufferPool, EngineConfig, StorageEngine, TableSpec};
 
 /// The paper's three write paths with their canonical N×M configurations:
@@ -73,9 +73,6 @@ pub fn small_pool(frames: usize, seed: u64) -> BufferPool {
 }
 
 /// Build a [`StorageEngine`] on [`quiet_device`] under the given strategy.
-///
-/// `Traditional` means a plain `EngineConfig` (no IPA plumbing at all),
-/// matching how the baseline is configured throughout the paper repro.
 pub fn engine(
     strategy: WriteStrategy,
     scheme: NmScheme,
@@ -83,12 +80,17 @@ pub fn engine(
     frames: usize,
     tables: &[TableSpec],
 ) -> StorageEngine {
-    let config = match strategy {
+    let config = engine_config(strategy, scheme, frames);
+    StorageEngine::build(quiet_device(seed), config, tables).expect("testkit engine")
+}
+
+/// `Traditional` means a plain `EngineConfig` (no IPA plumbing at all).
+fn engine_config(strategy: WriteStrategy, scheme: NmScheme, frames: usize) -> EngineConfig {
+    match strategy {
         WriteStrategy::Traditional => EngineConfig::default(),
         _ => EngineConfig::default().with_strategy(strategy, scheme),
     }
-    .with_buffer_frames(frames);
-    StorageEngine::build(quiet_device(seed), config, tables).expect("testkit engine")
+    .with_buffer_frames(frames)
 }
 
 /// [`engine`] with a single 48-byte-row heap table named `"m"` and a tiny
@@ -105,24 +107,44 @@ pub fn heap_engine(strategy: WriteStrategy, scheme: NmScheme, seed: u64) -> Stor
 
 /// Shared core of the striped heap-engine fixtures: the [`heap_engine`]
 /// table shape and pool size over `dies` dies (≤ 4 channels, then
-/// stacking dies per channel) with `planes` planes per die. The per-die
-/// geometry divides [`quiet_device`]'s blocks across the dies, keeping
-/// total raw capacity comparable at every die count. `maint =
-/// Some(queue_cap)` wraps the stripe in an `ipa-maint` background
-/// scheduler (with that optional NCQ cap); `None` keeps the historic
-/// inline-GC device.
-fn striped_heap_engine(
+/// stacking dies per channel) of `chip`, built through the one tower
+/// assembly ([`build_stack`]). `maint = Some(queue_cap)` wraps the stripe
+/// in an `ipa-maint` background scheduler (with that optional NCQ cap);
+/// `None` keeps the historic inline-GC device. `heat` mounts the
+/// `ipa-heat` layer under [`aggressive_heat_policy`] on top.
+fn striped_engine(
     strategy: WriteStrategy,
     scheme: NmScheme,
-    seed: u64,
+    chip: DeviceConfig,
     dies: u32,
-    planes: u32,
     policy: StripePolicy,
     maint: Option<Option<usize>>,
+    heat: bool,
 ) -> StorageEngine {
     assert!(dies >= 1 && dies.is_power_of_two(), "die counts are 2^k");
     let channels = dies.min(4);
-    let dies_per_channel = dies / channels;
+    let page_size = chip.geometry.page_size;
+    let mut controller = ControllerConfig::new(channels, dies / channels, chip);
+    if let Some(Some(cap)) = maint {
+        controller = controller.with_queue_cap(cap);
+    }
+    StorageEngine::build_with_device(
+        page_size,
+        engine_config(strategy, scheme, 8),
+        &[TableSpec::heap("m", crate::ops::ROW, 200)],
+        move |regions, ftl_config| {
+            let maint = maint.map(|_| MaintConfig::default());
+            let placement =
+                heat.then(|| Box::new(aggressive_heat_policy()) as Box<dyn PlacementPolicy>);
+            build_stack(controller, ftl_config, policy, regions, maint, placement)
+        },
+    )
+    .expect("testkit striped engine")
+}
+
+/// [`quiet_device`]'s blocks divided across `dies` dies of `planes`
+/// planes, keeping total raw capacity comparable at every die count.
+fn divided_chip(seed: u64, dies: u32, planes: u32) -> DeviceConfig {
     let base = quiet_device(seed).geometry;
     let per_die = Geometry::new(
         (base.blocks / dies).max(12).next_multiple_of(planes),
@@ -131,37 +153,17 @@ fn striped_heap_engine(
         base.oob_size,
     )
     .with_planes(planes);
-    let chip = quiet_device(seed).with_geometry(per_die);
-    let mut controller = ControllerConfig::new(channels, dies_per_channel, chip);
-    if let Some(Some(cap)) = maint {
-        controller = controller.with_queue_cap(cap);
-    }
+    quiet_device(seed).with_geometry(per_die)
+}
 
-    let config = match strategy {
-        WriteStrategy::Traditional => EngineConfig::default(),
-        _ => EngineConfig::default().with_strategy(strategy, scheme),
-    }
-    .with_buffer_frames(8);
-    StorageEngine::build_with_device(
-        per_die.page_size,
-        config,
-        &[TableSpec::heap("m", crate::ops::ROW, 200)],
-        move |regions, ftl_config| match maint {
-            None => Box::new(ShardedFtl::with_regions(
-                controller, ftl_config, policy, regions,
-            )),
-            Some(_) => {
-                let striped = ShardedFtl::with_regions(
-                    controller,
-                    ftl_config.with_background_gc(),
-                    policy,
-                    regions,
-                );
-                Box::new(MaintainedFtl::new(striped, MaintConfig::default()))
-            }
-        },
-    )
-    .expect("testkit striped engine")
+/// Deliberately compact dies (small blocks, 2 KiB pages): garbage
+/// collection — and with it real per-die erase deltas, the signal
+/// wear-shifting migration triggers on — fires within the few hundred
+/// ops a parity or crash suite runs, not after tens of thousands.
+fn compact_chip(seed: u64, dies: u32, planes: u32) -> DeviceConfig {
+    let per_die = Geometry::new((64 / dies).max(12).next_multiple_of(planes), 8, 2048, 64)
+        .with_planes(planes);
+    quiet_slc(per_die.blocks, per_die.pages_per_block, seed).with_geometry(per_die)
 }
 
 /// [`heap_engine`]'s die-striped twin: the same table shape and pool size
@@ -174,7 +176,8 @@ pub fn sharded_heap_engine(
     dies: u32,
     policy: StripePolicy,
 ) -> StorageEngine {
-    striped_heap_engine(strategy, scheme, seed, dies, 1, policy, None)
+    let chip = divided_chip(seed, dies, 1);
+    striped_engine(strategy, scheme, chip, dies, policy, None, false)
 }
 
 /// [`sharded_heap_engine`] with a plane axis: `planes` planes per die, so
@@ -188,7 +191,8 @@ pub fn sharded_plane_engine(
     planes: u32,
     policy: StripePolicy,
 ) -> StorageEngine {
-    striped_heap_engine(strategy, scheme, seed, dies, planes, policy, None)
+    let chip = divided_chip(seed, dies, planes);
+    striped_engine(strategy, scheme, chip, dies, policy, None, false)
 }
 
 /// Deliberately aggressive placement thresholds so hot-tier absorption,
@@ -205,7 +209,7 @@ pub fn aggressive_heat_policy() -> DefaultPolicy {
 
 /// [`sharded_plane_engine`]'s heat-placement twin: the identical table
 /// shape and striped geometry, but the device is mounted behind an
-/// `ipa-heat` [`HeatDevice`] (SLC hot tier + wear-shifting maintenance
+/// `ipa-heat` `HeatDevice` (SLC hot tier + wear-shifting maintenance
 /// jobs) under [`aggressive_heat_policy`] — so parity suites can prove
 /// migration moves *placement* and never *state*.
 pub fn heat_heap_engine(
@@ -216,7 +220,8 @@ pub fn heat_heap_engine(
     planes: u32,
     policy: StripePolicy,
 ) -> StorageEngine {
-    compact_striped_engine(strategy, scheme, seed, dies, planes, policy, true)
+    let chip = compact_chip(seed, dies, planes);
+    striped_engine(strategy, scheme, chip, dies, policy, Some(None), true)
 }
 
 /// [`heat_heap_engine`]'s no-migration reference: byte-identical table
@@ -231,83 +236,13 @@ pub fn compact_heap_engine(
     planes: u32,
     policy: StripePolicy,
 ) -> StorageEngine {
-    compact_striped_engine(strategy, scheme, seed, dies, planes, policy, false)
-}
-
-fn compact_striped_engine(
-    strategy: WriteStrategy,
-    scheme: NmScheme,
-    seed: u64,
-    dies: u32,
-    planes: u32,
-    policy: StripePolicy,
-    heat: bool,
-) -> StorageEngine {
-    assert!(dies >= 1 && dies.is_power_of_two(), "die counts are 2^k");
-    let channels = dies.min(4);
-    let dies_per_channel = dies / channels;
-    // Deliberately compact dies (small blocks, 2 KiB pages): garbage
-    // collection — and with it real per-die erase deltas, the signal
-    // wear-shifting migration triggers on — fires within the few hundred
-    // ops a parity or crash suite runs, not after tens of thousands.
-    let per_die = Geometry::new((64 / dies).max(12).next_multiple_of(planes), 8, 2048, 64)
-        .with_planes(planes);
-    let chip = quiet_slc(per_die.blocks, per_die.pages_per_block, seed).with_geometry(per_die);
-    let controller = ControllerConfig::new(channels, dies_per_channel, chip);
-
-    let config = match strategy {
-        WriteStrategy::Traditional => EngineConfig::default(),
-        _ => EngineConfig::default().with_strategy(strategy, scheme),
-    }
-    .with_buffer_frames(8);
-    StorageEngine::build_with_device(
-        per_die.page_size,
-        config,
-        &[TableSpec::heap("m", crate::ops::ROW, 200)],
-        move |regions, ftl_config| {
-            let striped = ShardedFtl::with_regions(
-                controller,
-                ftl_config.with_background_gc(),
-                policy,
-                regions,
-            );
-            let maintained = MaintainedFtl::new(striped, MaintConfig::default());
-            if heat {
-                Box::new(HeatDevice::new(
-                    maintained,
-                    Box::new(aggressive_heat_policy()),
-                ))
-            } else {
-                Box::new(maintained)
-            }
-        },
-    )
-    .expect("testkit compact striped engine")
-}
-
-/// A single scheduled die with `planes` planes — the minimal multi-plane
-/// engine: every throughput difference against [`heap_engine`]-shaped
-/// runs comes from plane pairing alone, not die or channel parallelism.
-pub fn multi_plane_engine(
-    strategy: WriteStrategy,
-    scheme: NmScheme,
-    seed: u64,
-    planes: u32,
-) -> StorageEngine {
-    striped_heap_engine(
-        strategy,
-        scheme,
-        seed,
-        1,
-        planes,
-        StripePolicy::RoundRobin,
-        None,
-    )
+    let chip = compact_chip(seed, dies, planes);
+    striped_engine(strategy, scheme, chip, dies, policy, Some(None), false)
 }
 
 /// [`sharded_heap_engine`]'s background-maintenance twin: the identical
 /// controller topology and table shape, but low-water GC deferred to an
-/// `ipa-maint` scheduler ([`MaintainedFtl`]) and an optional NCQ queue
+/// `ipa-maint` scheduler (`MaintainedFtl`) and an optional NCQ queue
 /// cap on the controller — so GC-parity suites can compare inline and
 /// background reclaim run-for-run.
 pub fn maintained_heap_engine(
@@ -318,29 +253,8 @@ pub fn maintained_heap_engine(
     policy: StripePolicy,
     queue_cap: Option<usize>,
 ) -> StorageEngine {
-    striped_heap_engine(strategy, scheme, seed, dies, 1, policy, Some(queue_cap))
-}
-
-/// [`maintained_heap_engine`] with a plane axis, for suites that check
-/// background reclaim over plane-local victims end-to-end.
-pub fn maintained_plane_engine(
-    strategy: WriteStrategy,
-    scheme: NmScheme,
-    seed: u64,
-    dies: u32,
-    planes: u32,
-    policy: StripePolicy,
-    queue_cap: Option<usize>,
-) -> StorageEngine {
-    striped_heap_engine(
-        strategy,
-        scheme,
-        seed,
-        dies,
-        planes,
-        policy,
-        Some(queue_cap),
-    )
+    let chip = divided_chip(seed, dies, 1);
+    striped_engine(strategy, scheme, chip, dies, policy, Some(queue_cap), false)
 }
 
 /// The canonical 2 KiB IPA page layout the device-level suites format
@@ -356,22 +270,9 @@ pub fn device_layout() -> PageLayout {
 /// seed, so two calls build identical twins to drive through different
 /// interfaces.
 pub fn striped_device(strategy: WriteStrategy, seed: u64, dies: u32, planes: u32) -> ShardedFtl {
-    assert!(dies >= 1 && dies.is_power_of_two(), "die counts are 2^k");
-    let cfg = match strategy {
-        WriteStrategy::Traditional => FtlConfig::traditional(),
-        WriteStrategy::IpaConventional => FtlConfig::ipa_conventional(device_layout()),
-        WriteStrategy::IpaNative => FtlConfig::ipa_native(device_layout()),
-    };
-    let channels = dies.min(4);
-    let chip = DeviceConfig::new(
-        Geometry::new(24u32.next_multiple_of(planes), 8, 2048, 64).with_planes(planes),
-        FlashMode::PSlc,
-    )
-    .with_disturb(DisturbRates::none())
-    .with_seed(seed);
     ShardedFtl::new(
-        ControllerConfig::new(channels, dies / channels, chip),
-        cfg,
+        striped_controller(seed, dies, planes),
+        striped_ftl_config(strategy),
         StripePolicy::RoundRobin,
     )
 }
@@ -386,12 +287,15 @@ pub fn striped_qos_device(
     dies: u32,
     planes: u32,
 ) -> ShardedFtl {
+    ShardedFtl::new(
+        striped_controller(seed, dies, planes).with_qos(),
+        striped_ftl_config(strategy),
+        StripePolicy::RoundRobin,
+    )
+}
+
+fn striped_controller(seed: u64, dies: u32, planes: u32) -> ControllerConfig {
     assert!(dies >= 1 && dies.is_power_of_two(), "die counts are 2^k");
-    let cfg = match strategy {
-        WriteStrategy::Traditional => FtlConfig::traditional(),
-        WriteStrategy::IpaConventional => FtlConfig::ipa_conventional(device_layout()),
-        WriteStrategy::IpaNative => FtlConfig::ipa_native(device_layout()),
-    };
     let channels = dies.min(4);
     let chip = DeviceConfig::new(
         Geometry::new(24u32.next_multiple_of(planes), 8, 2048, 64).with_planes(planes),
@@ -399,11 +303,15 @@ pub fn striped_qos_device(
     )
     .with_disturb(DisturbRates::none())
     .with_seed(seed);
-    ShardedFtl::new(
-        ControllerConfig::new(channels, dies / channels, chip).with_qos(),
-        cfg,
-        StripePolicy::RoundRobin,
-    )
+    ControllerConfig::new(channels, dies / channels, chip)
+}
+
+fn striped_ftl_config(strategy: WriteStrategy) -> FtlConfig {
+    match strategy {
+        WriteStrategy::Traditional => FtlConfig::traditional(),
+        WriteStrategy::IpaConventional => FtlConfig::ipa_conventional(device_layout()),
+        WriteStrategy::IpaNative => FtlConfig::ipa_native(device_layout()),
+    }
 }
 
 /// The canonical crash/recovery soak shape: `tenants` tenants sharing a
@@ -438,7 +346,10 @@ mod tests {
 
     #[test]
     fn multi_plane_fixture_pairs_on_a_write_burst() {
-        let mut e = multi_plane_engine(WriteStrategy::Traditional, NmScheme::disabled(), 11, 2);
+        let rr = StripePolicy::RoundRobin;
+        let trad = (WriteStrategy::Traditional, NmScheme::disabled());
+        // One scheduled die: every pair comes from plane pairing alone.
+        let mut e = sharded_plane_engine(trad.0, trad.1, 11, 1, 2, rr);
         let t = e.table("m").unwrap();
         // Enough rows to dirty many 8 KB heap pages, so evictions and the
         // final flush emit consecutive out-of-place writes.
@@ -455,14 +366,7 @@ mod tests {
             "a flush burst through the 2-plane fixture must pair"
         );
         // And the single-plane fixture, by construction, never does.
-        let single = sharded_plane_engine(
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            11,
-            2,
-            1,
-            StripePolicy::RoundRobin,
-        );
+        let single = sharded_plane_engine(trad.0, trad.1, 11, 2, 1, rr);
         assert_eq!(single.stats().device.multi_plane_pairs, 0);
     }
 

@@ -8,7 +8,8 @@
 //! * **seeded operation streams** ([`ops`]) — the model-check harness: a
 //!   reproducible random stream of inserts / field updates / row updates /
 //!   deletes / aborts applied to an engine and an in-memory model in
-//!   lockstep;
+//!   lockstep, and the device-level [`ops::QueuedOp`] stream with its
+//!   queued-interface driver, shared by the queued and QoS parity walls;
 //! * **cross-strategy assertions** ([`check`]) — "run the same seed under
 //!   Traditional, IpaConventional and IpaNative and the logical state must
 //!   be identical" is the workspace's strongest equivalence claim, used by
@@ -25,8 +26,10 @@ pub use check::{assert_strategies_agree, quick_run};
 pub use fixtures::{
     aggressive_heat_policy, all_strategies, compact_heap_engine, device_layout, engine,
     fleet_soak_config, heap_engine, heat_heap_engine, ipa_strategies, maintained_heap_engine,
-    maintained_plane_engine, multi_plane_engine, quiet_device, quiet_slc, sharded_heap_engine,
-    sharded_plane_engine, small_chip, small_pool, striped_device, striped_qos_device,
-    traditional_ftl,
+    quiet_device, quiet_slc, sharded_heap_engine, sharded_plane_engine, small_chip, small_pool,
+    striped_device, striped_qos_device, traditional_ftl,
 };
-pub use ops::{synthetic_trace, ModelHarness};
+pub use ops::{
+    assert_same_final_state, run_ops, run_queued, synthetic_trace, ModelHarness, QueuedOp,
+    QUEUED_SPAN,
+};

@@ -9,11 +9,15 @@
 //! path the engine is configured with, which is what makes cross-strategy
 //! equivalence checks meaningful.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
+use ipa_core::DeltaRecord;
+use ipa_ftl::{BlockDevice, IoQueue, IoRequest, ShardedFtl, WriteStrategy};
 use ipa_storage::{Rid, StorageEngine, StorageError, TableId, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::fixtures::device_layout;
 
 /// Row length used by the model harness (matches `fixtures::heap_engine`).
 pub const ROW: usize = 48;
@@ -148,6 +152,207 @@ impl ModelHarness {
         rows.sort();
         rows
     }
+}
+
+/// Hot LBA span of the queued walls — small enough that churn reaches GC
+/// on the tiny [`crate::striped_device`] chips.
+pub const QUEUED_SPAN: u64 = 40;
+
+/// One host operation of the device-level parity walls (`queued_parity`,
+/// `qos_parity`): the same seeded stream is driven through two devices —
+/// or two interfaces of twin devices — that must end in the same state.
+#[derive(Debug, Clone)]
+pub enum QueuedOp {
+    /// `n` consecutive full-page writes starting at `start`.
+    WriteRun {
+        start: u64,
+        n: usize,
+        fill: u8,
+    },
+    /// `n` consecutive reads starting at `start` (mapped members only).
+    ReadRun {
+        start: u64,
+        n: usize,
+    },
+    /// A priority point read (the buffer-pool miss path) on a mapped LBA.
+    PriorityRead(u64),
+    /// One delta-record append (native strategy only).
+    Delta {
+        lba: u64,
+        fill: u8,
+    },
+    Trim(u64),
+    Flush,
+}
+
+impl QueuedOp {
+    /// Weighted draw (writes > reads = priority reads = deltas > trims =
+    /// flushes); priority reads are common enough that a QoS device keeps
+    /// finding queued programs to jump.
+    pub fn random(rng: &mut StdRng) -> QueuedOp {
+        match rng.gen_range(0..12u32) {
+            0..=3 => QueuedOp::WriteRun {
+                start: rng.gen_range(0..QUEUED_SPAN),
+                n: rng.gen_range(1..6),
+                fill: rng.gen(),
+            },
+            4..=5 => QueuedOp::ReadRun {
+                start: rng.gen_range(0..QUEUED_SPAN),
+                n: rng.gen_range(1..6),
+            },
+            6..=7 => QueuedOp::PriorityRead(rng.gen_range(0..QUEUED_SPAN)),
+            8..=9 => QueuedOp::Delta {
+                lba: rng.gen_range(0..QUEUED_SPAN),
+                fill: rng.gen(),
+            },
+            10 => QueuedOp::Trim(rng.gen_range(0..QUEUED_SPAN)),
+            _ => QueuedOp::Flush,
+        }
+    }
+
+    /// The `len`-op stream of `seed`.
+    pub fn stream(seed: u64, len: usize) -> Vec<QueuedOp> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len).map(|_| QueuedOp::random(&mut rng)).collect()
+    }
+}
+
+/// Tiny logical model the op-stream driver keeps: which LBAs are mapped,
+/// how many delta slots each physical page has consumed, and each LBA's
+/// write counter.
+#[derive(Default)]
+struct QueuedModel {
+    mapped: HashSet<u64>,
+    slots: HashMap<u64, u16>,
+    versions: HashMap<u64, u64>,
+}
+
+impl QueuedModel {
+    /// Register a full-page write; returns the LBA's new version stamp.
+    fn apply_write(&mut self, lba: u64) -> u64 {
+        self.mapped.insert(lba);
+        self.slots.insert(lba, 0);
+        let v = self.versions.entry(lba).or_insert(0);
+        *v += 1;
+        *v
+    }
+
+    /// Is a slot free for a delta append on `lba`?
+    fn delta_slot(&self, lba: u64) -> Option<u16> {
+        let slot = *self.slots.get(&lba)?;
+        (self.mapped.contains(&lba) && slot < device_layout().scheme.n).then_some(slot)
+    }
+}
+
+/// A strategy-appropriate full-page image: IPA paths keep the delta area
+/// erased, exactly as the buffer pool's eviction path would. `version`
+/// is the LBA's write counter; it stamps a rotating one-hot nonce so no
+/// two successive images of an LBA are ever overwrite-compatible — the
+/// pool never sends body-changing compatible images, and accidentally
+/// compatible random fills would corrupt body ECC in ways the real
+/// eviction path cannot.
+fn queued_page(strategy: WriteStrategy, fill: u8, version: u64) -> Vec<u8> {
+    let mut img = vec![fill; 2048];
+    img[0] = 1 << (version % 8);
+    if strategy.needs_layout() {
+        device_layout().wipe_delta_area(&mut img);
+    }
+    img
+}
+
+/// Turn `ops` into host requests — one per op that has anything to do
+/// under `strategy` and the model so far — hand each to `issue`, and
+/// return every page `issue` read back, in order; ends with a `sync`.
+/// The walls differ only in `issue`: how a request reaches the device.
+pub fn run_ops(
+    dev: &mut ShardedFtl,
+    strategy: WriteStrategy,
+    ops: &[QueuedOp],
+    mut issue: impl FnMut(&mut ShardedFtl, IoRequest) -> Vec<Vec<u8>>,
+) -> Vec<Vec<u8>> {
+    let mut model = QueuedModel::default();
+    let mut reads = Vec::new();
+    let span = dev.capacity_pages().min(QUEUED_SPAN);
+    for op in ops {
+        let req = match op {
+            QueuedOp::WriteRun { start, n, fill } => IoRequest::WriteV(
+                (0..*n as u64)
+                    .map(|i| {
+                        let lba = (start + i) % span;
+                        let version = model.apply_write(lba);
+                        let fill = fill.wrapping_add(i as u8);
+                        (lba, queued_page(strategy, fill, version))
+                    })
+                    .collect(),
+            ),
+            QueuedOp::ReadRun { start, n } => {
+                let lbas: Vec<u64> = (0..*n as u64)
+                    .map(|i| (start + i) % span)
+                    .filter(|l| model.mapped.contains(l))
+                    .collect();
+                if lbas.is_empty() {
+                    continue;
+                }
+                IoRequest::ReadV(lbas)
+            }
+            // What the sync `read` path submits: a priority read on a
+            // QoS device, a plain front-of-queue read on a FIFO one.
+            QueuedOp::PriorityRead(lba) if model.mapped.contains(&(lba % span)) => {
+                IoRequest::HighPriorityReadV(vec![lba % span])
+            }
+            QueuedOp::PriorityRead(_) => continue,
+            QueuedOp::Delta { lba, fill } => {
+                let lba = lba % span;
+                let slot = match model.delta_slot(lba) {
+                    Some(slot) if strategy == WriteStrategy::IpaNative => slot,
+                    _ => continue,
+                };
+                model.slots.insert(lba, slot + 1);
+                let l = device_layout();
+                let change = vec![(40, fill & 0x0F)];
+                let rec = DeltaRecord::new(change, vec![1; l.meta_len()], l.scheme);
+                IoRequest::WriteDelta {
+                    lba,
+                    offset: l.record_offset(slot),
+                    delta: rec.encode(&l),
+                }
+            }
+            QueuedOp::Trim(lba) => {
+                model.mapped.remove(&(lba % span));
+                IoRequest::Trim(lba % span)
+            }
+            QueuedOp::Flush => IoRequest::Flush,
+        };
+        reads.extend(issue(dev, req));
+    }
+    IoQueue::sync(dev);
+    reads
+}
+
+/// [`run_ops`] through the queued interface: every request submitted,
+/// then polled before the next.
+pub fn run_queued(dev: &mut ShardedFtl, strategy: WriteStrategy, ops: &[QueuedOp]) -> Vec<Vec<u8>> {
+    run_ops(dev, strategy, ops, |dev, req| {
+        let token = dev.submit(req).unwrap();
+        dev.poll_checked(token).unwrap().data
+    })
+}
+
+/// Read back every LBA of the hot span on both devices: mapped ones must
+/// agree byte for byte, unmapped ones must fail on both.
+pub fn assert_same_final_state(a: &mut ShardedFtl, b: &mut ShardedFtl, label: &str) {
+    let span = a.capacity_pages().min(QUEUED_SPAN);
+    let mut page_a = vec![0u8; 2048];
+    let mut page_b = vec![0u8; 2048];
+    for lba in 0..span {
+        match (a.read(lba, &mut page_a), b.read(lba, &mut page_b)) {
+            (Ok(()), Ok(())) => assert_eq!(page_a, page_b, "{label}: lba {lba} diverged"),
+            (Err(_), Err(_)) => {}
+            (ra, rb) => panic!("{label}: lba {lba} mapped-ness diverged: {ra:?} vs {rb:?}"),
+        }
+    }
+    a.check_invariants();
+    b.check_invariants();
 }
 
 /// A synthetic OLTP-ish page trace: `pages` hot pages fetched (with two

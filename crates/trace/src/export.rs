@@ -111,6 +111,21 @@ pub fn chrome_trace_json(events: &[TraceEvent], label: &str) -> String {
     .render()
 }
 
+/// The dies whose track in a [`chrome_trace_json`] document carries at
+/// least one real (non-metadata) event — the coverage check both the
+/// observability wall and the sweep's `--trace` self-validation run.
+pub fn chrome_trace_dies(doc: &str) -> Result<std::collections::BTreeSet<u64>, String> {
+    let parsed = crate::json::parse(doc)?;
+    let events = parsed.get("traceEvents").and_then(JsonValue::as_array);
+    let events = events.ok_or("trace JSON has no traceEvents array")?;
+    let real = events
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(JsonValue::as_str) != Some("M"));
+    Ok(real
+        .filter_map(|ev| ev.get("tid").and_then(JsonValue::as_u64))
+        .collect())
+}
+
 /// Render events as CSV, one row per event, oldest first.
 pub fn trace_csv(events: &[TraceEvent]) -> String {
     let mut out = String::from("at_ns,cmd,die,channel,kind,origin,phase\n");

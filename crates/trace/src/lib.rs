@@ -27,7 +27,7 @@ pub mod json;
 pub mod metrics;
 
 pub use event::{CommandKind, CommandOrigin, RingRecorder, TraceEvent, TracePhase, TraceSink};
-pub use export::{chrome_trace_json, trace_csv};
+pub use export::{chrome_trace_dies, chrome_trace_json, trace_csv};
 pub use histogram::LatencyHistogram;
 pub use metrics::{Metric, MetricKind, MetricSection, MetricValue, MetricsSnapshot};
 

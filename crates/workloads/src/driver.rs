@@ -15,7 +15,7 @@ use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, FlashStats, Geometry};
 use ipa_ftl::{
     BlockDevice, DeviceStats, FtlConfig, IoRequest, ShardedFtl, StripePolicy, WriteStrategy,
 };
-use ipa_heat::{DefaultPolicy, HeatDevice, HeatStats};
+use ipa_heat::{DefaultPolicy, HeatDevice, HeatStats, PlacementPolicy};
 use ipa_maint::{MaintConfig, MaintStats, MaintainedFtl};
 use ipa_storage::{EngineConfig, NetBytesHistogram, PoolStats, Result, StorageEngine, TableKind};
 use ipa_trace::{LatencyHistogram, MetricsSnapshot, RingRecorder, TraceEvent};
@@ -117,6 +117,24 @@ impl Topology {
     pub fn dies(&self) -> u32 {
         self.channels * self.dies_per_channel
     }
+
+    /// This topology's controller over dies of `chip`, with an optional
+    /// NCQ cap and, when `qos`, latency-QoS scheduling.
+    fn controller(
+        &self,
+        chip: DeviceConfig,
+        queue_cap: Option<usize>,
+        qos: bool,
+    ) -> ControllerConfig {
+        let mut controller = ControllerConfig::new(self.channels, self.dies_per_channel, chip);
+        if let Some(cap) = queue_cap {
+            controller = controller.with_queue_cap(cap);
+        }
+        if qos {
+            controller = controller.with_qos();
+        }
+        controller
+    }
 }
 
 impl std::fmt::Display for Topology {
@@ -162,12 +180,7 @@ pub struct MaintMode {
 impl MaintMode {
     /// The historic behaviour: inline GC, unbounded queues.
     pub fn inline() -> Self {
-        MaintMode {
-            background_gc: false,
-            queue_cap: None,
-            maint: MaintConfig::default(),
-            qos: false,
-        }
+        MaintMode::default()
     }
 
     /// Background GC with an optional NCQ cap.
@@ -175,18 +188,15 @@ impl MaintMode {
         MaintMode {
             background_gc: true,
             queue_cap,
-            maint: MaintConfig::default(),
-            qos: false,
+            ..MaintMode::default()
         }
     }
 
     /// Inline GC, but with an NCQ cap (isolates the cap's effect).
     pub fn capped(queue_cap: usize) -> Self {
         MaintMode {
-            background_gc: false,
             queue_cap: Some(queue_cap),
-            maint: MaintConfig::default(),
-            qos: false,
+            ..MaintMode::default()
         }
     }
 
@@ -393,7 +403,6 @@ pub struct RunResult {
     pub benchmark: String,
     pub strategy: WriteStrategy,
     pub scheme: NmScheme,
-    pub mode: FlashMode,
     pub transactions: u64,
     /// Simulated wall time of the measured window, nanoseconds.
     pub elapsed_ns: u64,
@@ -428,7 +437,7 @@ pub struct RunResult {
     /// controller.
     pub controller: Option<ControllerStats>,
     /// Background-maintenance counters, when the device runs GC on the
-    /// idle-die scheduler ([`Driver::run_maintained`]).
+    /// idle-die scheduler ([`MaintMode::background`]).
     pub maint: Option<MaintStats>,
     /// Heat-placement counters, when the run mounted the device behind a
     /// [`HeatDevice`] ([`DriverConfig::with_heat`]).
@@ -703,7 +712,6 @@ impl Driver {
             benchmark: bench.name().to_string(),
             strategy: engine.config().strategy,
             scheme: engine.config().scheme,
-            mode: FlashMode::Slc, // callers overwrite via run_configured
             transactions: committed,
             elapsed_ns,
             tps,
@@ -727,14 +735,7 @@ impl Driver {
             },
             per_stream,
             controller: engine.pool().device().controller_stats(),
-            maint: engine
-                .device_as::<MaintainedFtl>()
-                .map(MaintainedFtl::maint_stats)
-                .or_else(|| {
-                    engine
-                        .device_as::<HeatDevice>()
-                        .map(HeatDevice::maint_stats)
-                }),
+            maint: Self::maint_stats_of(engine),
             heat: engine.device_as::<HeatDevice>().map(HeatDevice::heat_stats),
             read_latency_hist,
             trace,
@@ -743,112 +744,56 @@ impl Driver {
         })
     }
 
-    /// The controller behind the engine's device, whichever wrapper it
-    /// sits under (`HeatDevice`, `MaintainedFtl` or a bare `ShardedFtl`).
-    /// `None` for single-chip devices.
+    /// The maintenance scheduler's counters, when the engine's device
+    /// runs one (bare under a `MaintainedFtl`, or inside a `HeatDevice`).
+    pub(crate) fn maint_stats_of(engine: &StorageEngine) -> Option<MaintStats> {
+        let maintained = engine.device_as::<MaintainedFtl>();
+        let heat = || {
+            engine
+                .device_as::<HeatDevice>()
+                .map(HeatDevice::maint_stats)
+        };
+        maintained.map(MaintainedFtl::maint_stats).or_else(heat)
+    }
+
+    /// The controller behind the engine's device, whichever layers wrap
+    /// it. `None` for single-chip devices.
     pub fn controller_of(engine: &StorageEngine) -> Option<std::sync::Arc<FlashController>> {
-        if let Some(h) = engine.device_as::<HeatDevice>() {
-            return Some(std::sync::Arc::clone(h.inner().inner().controller()));
-        }
-        if let Some(m) = engine.device_as::<MaintainedFtl>() {
-            return Some(std::sync::Arc::clone(m.inner().controller()));
-        }
-        engine
-            .device_as::<ShardedFtl>()
-            .map(|s| std::sync::Arc::clone(s.controller()))
+        engine.pool().device().controller().cloned()
     }
 
-    /// One-call experiment: build the benchmark, size a device for it,
-    /// build the engine, run.
-    ///
-    /// The device is sized from the benchmark's table budget with ~40 %
-    /// headroom (over-provisioning + GC room), mirroring a mostly-full SSD
-    /// as in the paper's two-hour runs.
-    pub fn run_configured(
+    /// One-call experiment: build the benchmark, build `spec`'s engine
+    /// sized for it, run. Combine a striped spec with `cfg.streams > 1`
+    /// so queueing effects reach the latency tail.
+    pub fn run_spec(
         kind: WorkloadKind,
         scale: u32,
+        spec: &StackSpec,
+        cfg: &DriverConfig,
+    ) -> Result<RunResult> {
+        let mut bench = build(kind, scale, PAGE_SIZE);
+        let mut engine = spec.build(bench.as_mut(), PAGE_SIZE, cfg)?;
+        Self::run(bench.as_mut(), &mut engine, cfg)
+    }
+
+    /// [`StackSpec::chip`] + [`StackSpec::build`] with only the buffer
+    /// size taken from a driver config.
+    pub fn make_engine(
+        bench: &mut dyn Benchmark,
         strategy: WriteStrategy,
         scheme: NmScheme,
         mode: FlashMode,
-        cfg: &DriverConfig,
-    ) -> Result<RunResult> {
-        let page_size = 8 * 1024;
-        let mut bench = build(kind, scale, page_size);
-        let mut engine = Self::make_engine(
-            bench.as_mut(),
-            strategy,
-            scheme,
-            mode,
-            page_size,
-            cfg.buffer_frames,
-        )?;
-        let mut result = Self::run(bench.as_mut(), &mut engine, cfg)?;
-        result.mode = mode;
-        Ok(result)
+        page_size: usize,
+        buffer_frames: Option<usize>,
+    ) -> Result<StorageEngine> {
+        let cfg = DriverConfig {
+            buffer_frames,
+            ..Default::default()
+        };
+        StackSpec::chip(strategy, scheme, mode).build(bench, page_size, &cfg)
     }
 
-    /// [`Driver::run_configured`] over a die-striped device: same
-    /// benchmark sizing, but the blocks are spread across a
-    /// `channels × dies_per_channel` controller topology. Combine with
-    /// `cfg.streams > 1` so queueing effects reach the latency tail.
-    pub fn run_sharded(
-        kind: WorkloadKind,
-        scale: u32,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
-        topology: Topology,
-        cfg: &DriverConfig,
-    ) -> Result<RunResult> {
-        Self::run_maintained(
-            kind,
-            scale,
-            strategy,
-            scheme,
-            mode,
-            topology,
-            MaintMode::inline(),
-            cfg,
-        )
-    }
-
-    /// [`Driver::run_sharded`] with an explicit [`MaintMode`]: an NCQ
-    /// queue cap on the controller and, when `maint.background_gc`, the
-    /// idle-die maintenance scheduler in place of inline low-water GC.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_maintained(
-        kind: WorkloadKind,
-        scale: u32,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
-        topology: Topology,
-        maint: MaintMode,
-        cfg: &DriverConfig,
-    ) -> Result<RunResult> {
-        let page_size = 8 * 1024;
-        let mut bench = build(kind, scale, page_size);
-        let mut engine = Self::make_maintained_engine(
-            bench.as_mut(),
-            strategy,
-            scheme,
-            mode,
-            page_size,
-            topology,
-            maint,
-            cfg,
-        )?;
-        let mut result = Self::run(bench.as_mut(), &mut engine, cfg)?;
-        result.mode = mode;
-        Ok(result)
-    }
-
-    /// [`Driver::make_sharded_engine`] under a [`MaintMode`]: same device
-    /// sizing and striping, with the queue cap applied to the controller
-    /// and — for background GC — the shards configured to defer low-water
-    /// reclaim to a [`MaintainedFtl`] wrapper around the stripe. The
-    /// driver config supplies the host-side tuning: buffer frames,
-    /// read-ahead window, WAL striping and group-commit depth.
+    /// [`StackSpec::striped`] + [`StackSpec::build`].
     #[allow(clippy::too_many_arguments)]
     pub fn make_maintained_engine(
         bench: &mut dyn Benchmark,
@@ -860,147 +805,36 @@ impl Driver {
         maint: MaintMode,
         cfg: &DriverConfig,
     ) -> Result<StorageEngine> {
-        let tables = bench.tables();
-        let pages_needed: u64 = tables.iter().map(|t| t.pages).sum();
-        let ppb = 128u32;
-        let usable_ppb = mode.usable_pages_per_block(ppb) as u64;
-        let dies = topology.dies() as u64;
-        let blocks_per_die = (((pages_needed * 14 / 10).div_ceil(usable_ppb * dies)) as u32 + 8)
-            .next_multiple_of(topology.planes);
-        let chip = DeviceConfig::new(
-            Geometry::new(blocks_per_die, ppb, page_size, 128).with_planes(topology.planes),
-            mode,
-        );
-        let mut controller =
-            ControllerConfig::new(topology.channels, topology.dies_per_channel, chip);
-        if let Some(cap) = maint.queue_cap {
-            controller = controller.with_queue_cap(cap);
-        }
-        if maint.qos {
-            controller = controller.with_qos();
-        }
-
-        let frames = cfg.buffer_frames.unwrap_or(32);
-        let mut config = if strategy.needs_layout() {
-            EngineConfig::default().with_strategy(strategy, scheme)
-        } else {
-            EngineConfig::default()
-        }
-        .with_buffer_frames(frames)
-        .with_group_commit(cfg.group_commit.unwrap_or(32));
-        if cfg.readahead > 0 {
-            config = config.with_readahead(cfg.readahead);
-        }
-        if let Some((wal_ch, wal_dies)) = cfg.wal_stripe {
-            config = config.with_striped_wal(wal_ch, wal_dies);
-        }
-        let policy = topology.policy;
-        let heat = cfg.heat.clone();
-        StorageEngine::build_with_device(page_size, config, &tables, move |regions, ftl_config| {
-            if let Some(placement) = heat {
-                // Heat placement needs the scheduler, so it always runs
-                // with deferred (background) GC.
-                let ftl_config = ftl_config.with_background_gc();
-                let striped = ShardedFtl::with_regions(controller, ftl_config, policy, regions);
-                Box::new(HeatDevice::new(
-                    MaintainedFtl::new(striped, maint.maint),
-                    Box::new(placement),
-                ))
-            } else if maint.background_gc {
-                let ftl_config = ftl_config.with_background_gc();
-                let striped = ShardedFtl::with_regions(controller, ftl_config, policy, regions);
-                Box::new(MaintainedFtl::new(striped, maint.maint))
-            } else {
-                Box::new(ShardedFtl::with_regions(
-                    controller, ftl_config, policy, regions,
-                ))
-            }
-        })
+        let spec = StackSpec::chip(strategy, scheme, mode).striped(topology, maint);
+        spec.build(bench, page_size, cfg)
     }
 
-    /// Build an engine whose device is a [`ShardedFtl`] over the given
-    /// topology. Total raw capacity matches the single-chip sizing of
-    /// [`Driver::make_engine`] (the same ~40 % headroom divided across the
-    /// dies), plus a per-die GC reserve — so a topology sweep varies
-    /// *parallelism*, not usable space. Exactly
-    /// [`Driver::make_maintained_engine`] under [`MaintMode::inline`],
-    /// so the maintenance sweeps compare like-for-like devices.
-    pub fn make_sharded_engine(
+    /// The read-ahead experiment on a freshly built engine: load the
+    /// benchmark, then cold-scan its largest populated heap table end to
+    /// end, `passes` times, with the cache dropped between passes so
+    /// every page is fetched from flash. With read-ahead enabled
+    /// (`cfg.readahead` at [`StackSpec::build`] time) the pool posts
+    /// neighbour fetches as vectored reads, so a round-robin-striped
+    /// table streams off all channels at once; without it every page
+    /// pays its sense + transfer serially.
+    pub fn sequential_scan(
         bench: &mut dyn Benchmark,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
-        page_size: usize,
-        topology: Topology,
-        cfg: &DriverConfig,
-    ) -> Result<StorageEngine> {
-        Self::make_maintained_engine(
-            bench,
-            strategy,
-            scheme,
-            mode,
-            page_size,
-            topology,
-            MaintMode::inline(),
-            cfg,
-        )
-    }
-
-    /// One-call read-ahead experiment: build a striped engine for
-    /// `kind`, load it, then run [`Driver::sequential_scan`] over its
-    /// largest heap table. `cfg.readahead` decides whether the pool
-    /// prefetches — run it at 0 and again at a window to measure the
-    /// all-channels-scan win.
-    pub fn run_scan(
-        kind: WorkloadKind,
-        scale: u32,
-        topology: Topology,
+        engine: &mut StorageEngine,
         passes: u32,
         cfg: &DriverConfig,
     ) -> Result<ScanResult> {
-        let page_size = 8 * 1024;
-        let mut bench = build(kind, scale, page_size);
-        let mut engine = Self::make_sharded_engine(
-            bench.as_mut(),
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            page_size,
-            topology,
-            cfg,
-        )?;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        bench.load(&mut engine, &mut rng)?;
+        bench.load(engine, &mut rng)?;
         engine.flush_all()?;
-        // Scan the biggest *populated* heap table (budgeted-but-empty
-        // append targets like TPC-B's history don't make a scan).
-        let table = bench
+        // Budgeted-but-empty append targets like TPC-B's history don't
+        // make a scan.
+        let t = bench
             .tables()
             .into_iter()
             .filter(|t| t.kind == TableKind::Heap)
-            .max_by_key(|t| {
-                engine
-                    .table(&t.name)
-                    .map(|id| engine.table_info(id).allocated_pages)
-                    .unwrap_or(0)
-            })
-            .expect("benchmark has a heap table")
-            .name;
-        Self::sequential_scan(&mut engine, &table, passes)
-    }
-
-    /// Cold sequential scan of `table`, end to end, `passes` times, with
-    /// the cache dropped between passes so every page is fetched from
-    /// flash — the read-ahead experiment's measured window. With
-    /// read-ahead enabled the pool posts neighbour fetches as vectored
-    /// reads, so a round-robin-striped table streams off all channels at
-    /// once; without it every page pays its sense + transfer serially.
-    pub fn sequential_scan(
-        engine: &mut StorageEngine,
-        table: &str,
-        passes: u32,
-    ) -> Result<ScanResult> {
-        let t = engine.table(table)?;
+            .filter_map(|t| engine.table(&t.name).ok())
+            .max_by_key(|&id| engine.table_info(id).allocated_pages)
+            .expect("benchmark has a heap table");
         let before = engine.stats();
         // Measure the data device's own horizon: a scan writes nothing,
         // so the engine-level max(data, wal) clock would hide it behind
@@ -1019,42 +853,119 @@ impl Driver {
             vectored_reads: device.vectored_reads,
         })
     }
+}
 
-    /// Build an engine with a device sized for the benchmark.
-    pub fn make_engine(
+/// DBMS page size of every one-call experiment (the paper's 8 KiB).
+const PAGE_SIZE: usize = 8 * 1024;
+
+/// Which device/engine stack a run mounts: the write path, the flash
+/// mode, and — for a striped device — the controller topology and its
+/// maintenance policy. Host-side tuning (buffer frames, read-ahead, WAL
+/// striping, group commit, heat placement) stays in [`DriverConfig`].
+#[derive(Debug, Clone, Copy)]
+pub struct StackSpec {
+    pub strategy: WriteStrategy,
+    pub scheme: NmScheme,
+    pub mode: FlashMode,
+    /// `None` mounts one chip behind a plain FTL — no controller, the
+    /// paper's own configuration; `maint` is then unused.
+    pub topology: Option<Topology>,
+    pub maint: MaintMode,
+}
+
+impl StackSpec {
+    /// A single chip, no controller.
+    pub fn chip(strategy: WriteStrategy, scheme: NmScheme, mode: FlashMode) -> Self {
+        StackSpec {
+            strategy,
+            scheme,
+            mode,
+            topology: None,
+            maint: MaintMode::inline(),
+        }
+    }
+
+    /// The paper's pairing on a single chip: the `[2×4]` scheme for the
+    /// IPA strategies, `[0×0]` (no delta area) for the traditional path.
+    pub fn paper(strategy: WriteStrategy, mode: FlashMode) -> Self {
+        let scheme = if strategy.needs_layout() {
+            NmScheme::new(2, 4)
+        } else {
+            NmScheme::disabled()
+        };
+        Self::chip(strategy, scheme, mode)
+    }
+
+    /// The same stack die-striped over `topology` under `maint`.
+    pub fn striped(mut self, topology: Topology, maint: MaintMode) -> Self {
+        self.topology = Some(topology);
+        self.maint = maint;
+        self
+    }
+
+    /// Build an engine whose device is sized for `bench`: its table
+    /// budget plus ~40 % headroom (over-provisioning + GC room),
+    /// mirroring a mostly-full SSD as in the paper's two-hour runs. A
+    /// striped device divides the same raw capacity across its dies (plus
+    /// a per-die GC reserve), so a topology sweep varies *parallelism*,
+    /// not usable space, and every [`MaintMode`] of one topology compares
+    /// like-for-like devices.
+    pub fn build(
+        &self,
         bench: &mut dyn Benchmark,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
         page_size: usize,
-        buffer_frames: Option<usize>,
+        cfg: &DriverConfig,
     ) -> Result<StorageEngine> {
         let tables = bench.tables();
         let pages_needed: u64 = tables.iter().map(|t| t.pages).sum();
         let ppb = 128u32;
-        let usable_ppb = mode.usable_pages_per_block(ppb) as u64;
-        let blocks = (pages_needed * 14 / 10 / usable_ppb + 8) as u32;
-        let device = DeviceConfig::new(Geometry::new(blocks, ppb, page_size, 128), mode);
+        let usable_ppb = self.mode.usable_pages_per_block(ppb) as u64;
+        let raw_pages = pages_needed * 14 / 10;
 
         // Buffer-constrained by default, like the paper's runs: the hot
         // update set does not fit, so dirty pages are evicted with only a
         // handful of accumulated byte changes each — the condition that
-        // makes the N×M scheme effective.
-        let frames = buffer_frames.unwrap_or(32);
-        // Group commit of 32 models the loaded multi-client system the
-        // paper benchmarks (Shore-MT runs many worker threads; per-commit
-        // log flushes amortize across the group).
-        let config = if strategy.needs_layout() {
-            EngineConfig::default()
-                .with_strategy(strategy, scheme)
-                .with_buffer_frames(frames)
-                .with_group_commit(32)
+        // makes the N×M scheme effective. Group commit of 32 models the
+        // loaded multi-client system the paper benchmarks (Shore-MT runs
+        // many worker threads; per-commit log flushes amortize across the
+        // group).
+        let mut config = if self.strategy.needs_layout() {
+            EngineConfig::default().with_strategy(self.strategy, self.scheme)
         } else {
             EngineConfig::default()
-                .with_buffer_frames(frames)
-                .with_group_commit(32)
+        }
+        .with_buffer_frames(cfg.buffer_frames.unwrap_or(32))
+        .with_group_commit(cfg.group_commit.unwrap_or(32));
+        if cfg.readahead > 0 {
+            config = config.with_readahead(cfg.readahead);
+        }
+        if let Some((wal_ch, wal_dies)) = cfg.wal_stripe {
+            config = config.with_striped_wal(wal_ch, wal_dies);
+        }
+
+        let Some(topology) = self.topology else {
+            let blocks = (raw_pages / usable_ppb + 8) as u32;
+            let chip = DeviceConfig::new(Geometry::new(blocks, ppb, page_size, 128), self.mode);
+            return StorageEngine::build(chip, config, &tables);
         };
-        StorageEngine::build(device, config, &tables)
+        let blocks_per_die = (raw_pages.div_ceil(usable_ppb * topology.dies() as u64) as u32 + 8)
+            .next_multiple_of(topology.planes);
+        let chip = DeviceConfig::new(
+            Geometry::new(blocks_per_die, ppb, page_size, 128).with_planes(topology.planes),
+            self.mode,
+        );
+        let controller = topology.controller(chip, self.maint.queue_cap, self.maint.qos);
+        // Heat placement needs the scheduler, so it always runs with
+        // deferred (background) GC under the mode's scheduler policy.
+        let placement = cfg
+            .heat
+            .clone()
+            .map(|p| Box::new(p) as Box<dyn PlacementPolicy>);
+        let maint = (self.maint.background_gc || placement.is_some()).then_some(self.maint.maint);
+        let policy = topology.policy;
+        StorageEngine::build_with_device(page_size, config, &tables, move |regions, ftl_config| {
+            ipa_heat::build_stack(controller, ftl_config, policy, regions, maint, placement)
+        })
     }
 }
 
@@ -1188,13 +1099,7 @@ impl Driver {
         )
         .with_disturb(DisturbRates::none())
         .with_seed(cfg.seed);
-        let mut controller = ControllerConfig::new(topo.channels, topo.dies_per_channel, chip);
-        if let Some(cap) = cfg.queue_cap {
-            controller = controller.with_queue_cap(cap);
-        }
-        if cfg.qos {
-            controller = controller.with_qos();
-        }
+        let controller = topo.controller(chip, cfg.queue_cap, cfg.qos);
         let dev = std::sync::Arc::new(ShardedFtl::new(
             controller,
             FtlConfig::traditional(),
@@ -1296,6 +1201,11 @@ impl Driver {
 mod tests {
     use super::*;
 
+    fn chip_run(kind: WorkloadKind, strategy: WriteStrategy, cfg: &DriverConfig) -> RunResult {
+        let spec = StackSpec::paper(strategy, FlashMode::PSlc);
+        Driver::run_spec(kind, 1, &spec, cfg).unwrap()
+    }
+
     #[test]
     fn quick_tpcb_run_all_strategies() {
         let cfg = DriverConfig {
@@ -1303,24 +1213,8 @@ mod tests {
             warmup: 50,
             ..Default::default()
         };
-        let trad = Driver::run_configured(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            &cfg,
-        )
-        .unwrap();
-        let native = Driver::run_configured(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            &cfg,
-        )
-        .unwrap();
+        let trad = chip_run(WorkloadKind::TpcB, WriteStrategy::Traditional, &cfg);
+        let native = chip_run(WorkloadKind::TpcB, WriteStrategy::IpaNative, &cfg);
         assert_eq!(trad.transactions, 300);
         assert!(trad.tps > 0.0);
         assert!(native.device.in_place_appends > 0);
@@ -1338,24 +1232,8 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        let a = Driver::run_configured(
-            WorkloadKind::Tatp,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            &cfg,
-        )
-        .unwrap();
-        let b = Driver::run_configured(
-            WorkloadKind::Tatp,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            &cfg,
-        )
-        .unwrap();
+        let a = chip_run(WorkloadKind::Tatp, WriteStrategy::IpaNative, &cfg);
+        let b = chip_run(WorkloadKind::Tatp, WriteStrategy::IpaNative, &cfg);
         assert_eq!(a.device, b.device, "same seed ⇒ identical counters");
         assert_eq!(a.elapsed_ns, b.elapsed_ns);
     }
@@ -1440,6 +1318,21 @@ mod latency_tests {
 mod multi_client_tests {
     use super::*;
 
+    /// `kind` on an IPA-native 2×4 pSLC stripe over `topology`.
+    fn ipa_run(
+        kind: WorkloadKind,
+        topology: Topology,
+        maint: MaintMode,
+        cfg: &DriverConfig,
+    ) -> RunResult {
+        let spec = StackSpec::paper(WriteStrategy::IpaNative, FlashMode::PSlc);
+        Driver::run_spec(kind, 1, &spec.striped(topology, maint), cfg).unwrap()
+    }
+
+    fn two_by_two() -> Topology {
+        Topology::new(2, 2, StripePolicy::RoundRobin)
+    }
+
     #[test]
     fn multi_stream_run_reports_per_stream_percentiles() {
         let cfg = DriverConfig {
@@ -1448,16 +1341,7 @@ mod multi_client_tests {
             ..Default::default()
         }
         .with_streams(4);
-        let r = Driver::run_sharded(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            Topology::new(2, 2, StripePolicy::RoundRobin),
-            &cfg,
-        )
-        .unwrap();
+        let r = ipa_run(WorkloadKind::TpcB, two_by_two(), MaintMode::inline(), &cfg);
         assert_eq!(r.transactions, 240);
         assert_eq!(r.per_stream.len(), 4);
         let total: u64 = r.per_stream.iter().map(|s| s.transactions).sum();
@@ -1483,13 +1367,11 @@ mod multi_client_tests {
             warmup: 20,
             ..Default::default()
         };
-        let r = Driver::run_sharded(
+        let r = Driver::run_spec(
             WorkloadKind::TpcB,
             1,
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            Topology::single(),
+            &StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
+                .striped(Topology::single(), MaintMode::inline()),
             &cfg,
         )
         .unwrap();
@@ -1505,34 +1387,19 @@ mod multi_client_tests {
             ..Default::default()
         }
         .with_streams(4);
-        let r = Driver::run_maintained(
+        let r = ipa_run(
             WorkloadKind::TpcB,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            Topology::new(2, 2, StripePolicy::RoundRobin),
+            two_by_two(),
             MaintMode::background(Some(8)),
             &cfg,
-        )
-        .unwrap();
+        );
         assert_eq!(r.transactions, 200);
         let m = r.maint.expect("maintained device reports its stats");
         assert!(m.polls > 0, "every host command polls the scheduler");
         let c = r.controller.expect("controller-backed");
         assert!(c.wear_spread() <= c.max_die_erases);
         // Inline mode must NOT report maintenance stats.
-        let inline = Driver::run_maintained(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            Topology::new(2, 2, StripePolicy::RoundRobin),
-            MaintMode::capped(8),
-            &cfg,
-        )
-        .unwrap();
+        let inline = ipa_run(WorkloadKind::TpcB, two_by_two(), MaintMode::capped(8), &cfg);
         assert!(inline.maint.is_none());
     }
 
@@ -1544,19 +1411,7 @@ mod multi_client_tests {
             ..Default::default()
         }
         .with_streams(4);
-        let run = |mode: MaintMode| {
-            Driver::run_maintained(
-                WorkloadKind::TpcB,
-                1,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                Topology::new(2, 2, StripePolicy::RoundRobin),
-                mode,
-                &cfg,
-            )
-            .unwrap()
-        };
+        let run = |mode: MaintMode| ipa_run(WorkloadKind::TpcB, two_by_two(), mode, &cfg);
         let fifo = run(MaintMode::background(Some(8)));
         let qos = run(MaintMode::background(Some(8)).with_qos());
         // Both runs sample the measured window's reads. The counts need
@@ -1587,17 +1442,12 @@ mod multi_client_tests {
         }
         .with_streams(3);
         let run = || {
-            Driver::run_maintained(
+            ipa_run(
                 WorkloadKind::Tatp,
-                1,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                Topology::new(2, 2, StripePolicy::RoundRobin),
+                two_by_two(),
                 MaintMode::background(Some(8)),
                 &cfg,
             )
-            .unwrap()
         };
         let a = run();
         let b = run();
@@ -1616,16 +1466,12 @@ mod multi_client_tests {
         }
         .with_streams(3);
         let run = || {
-            Driver::run_sharded(
+            ipa_run(
                 WorkloadKind::Tatp,
-                1,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
                 Topology::new(2, 2, StripePolicy::Hash),
+                MaintMode::inline(),
                 &cfg,
             )
-            .unwrap()
         };
         let a = run();
         let b = run();
@@ -1642,18 +1488,8 @@ mod multi_client_tests {
             ..Default::default()
         }
         .with_streams(4);
-        let run = |topology: Topology| {
-            Driver::run_sharded(
-                WorkloadKind::TpcB,
-                1,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                topology,
-                &cfg,
-            )
-            .unwrap()
-        };
+        let run =
+            |topology: Topology| ipa_run(WorkloadKind::TpcB, topology, MaintMode::inline(), &cfg);
         let single = run(Topology::single());
         let wide = run(Topology::new(4, 2, StripePolicy::RoundRobin));
         assert!(

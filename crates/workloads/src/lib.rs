@@ -18,8 +18,9 @@ pub mod util;
 
 pub use driver::{
     fairness_spread, Driver, DriverConfig, LatencyPercentiles, MaintMode, RunResult, ScanResult,
-    StreamLatency, ThreadedConfig, ThreadedRunResult, Topology,
+    StackSpec, StreamLatency, ThreadedConfig, ThreadedRunResult, Topology,
 };
+pub use ipa_controller::ControllerStats;
 pub use ipa_heat::{DefaultPolicy as HeatPolicy, HeatDevice, HeatStats, PlacementPolicy};
 pub use ipa_maint::{MaintConfig, MaintStats, MaintainedFtl};
 pub use ipa_trace::{

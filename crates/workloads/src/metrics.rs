@@ -10,7 +10,6 @@
 //! snapshots that window (`delta_since`) and serialize identically.
 
 use ipa_heat::HeatDevice;
-use ipa_maint::MaintainedFtl;
 use ipa_storage::StorageEngine;
 use ipa_trace::{MetricSection, MetricsSnapshot};
 
@@ -132,15 +131,7 @@ pub fn engine_metrics(engine: &StorageEngine) -> MetricsSnapshot {
         snap.push(sec);
     }
 
-    let maint = engine
-        .device_as::<MaintainedFtl>()
-        .map(MaintainedFtl::maint_stats)
-        .or_else(|| {
-            engine
-                .device_as::<HeatDevice>()
-                .map(HeatDevice::maint_stats)
-        });
-    if let Some(m) = maint {
+    if let Some(m) = Driver::maint_stats_of(engine) {
         snap.push(
             MetricSection::new("maint")
                 .counter("polls", m.polls)
@@ -209,9 +200,8 @@ fn device_section(name: &str, d: &ipa_ftl::DeviceStats) -> MetricSection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{DriverConfig, MaintMode, Topology};
+    use crate::driver::{DriverConfig, MaintMode, StackSpec, Topology};
     use crate::spec::{build, WorkloadKind};
-    use ipa_core::NmScheme;
     use ipa_flash::FlashMode;
     use ipa_ftl::WriteStrategy;
     use rand::rngs::StdRng;
@@ -221,17 +211,13 @@ mod tests {
     fn snapshot_covers_every_layer_of_a_maintained_engine() {
         let cfg = DriverConfig::quick().with_wal_stripe(2, 1);
         let mut bench = build(WorkloadKind::TpcB, 1, 8 * 1024);
-        let mut engine = Driver::make_maintained_engine(
-            bench.as_mut(),
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            8 * 1024,
-            Topology::new(2, 2, ipa_ftl::StripePolicy::RoundRobin),
-            MaintMode::background(Some(8)),
-            &cfg,
-        )
-        .unwrap();
+        let mut engine = StackSpec::paper(WriteStrategy::IpaNative, FlashMode::PSlc)
+            .striped(
+                Topology::new(2, 2, ipa_ftl::StripePolicy::RoundRobin),
+                MaintMode::background(Some(8)),
+            )
+            .build(bench.as_mut(), 8 * 1024, &cfg)
+            .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         bench.load(&mut engine, &mut rng).unwrap();
         for _ in 0..200 {
@@ -284,16 +270,10 @@ mod tests {
         let snap = {
             let cfg = DriverConfig::quick().with_wal_stripe(2, 1);
             let mut bench = build(WorkloadKind::TpcB, 1, 8 * 1024);
-            let mut engine = Driver::make_sharded_engine(
-                bench.as_mut(),
-                WriteStrategy::Traditional,
-                NmScheme::disabled(),
-                FlashMode::PSlc,
-                8 * 1024,
-                Topology::single(),
-                &cfg,
-            )
-            .unwrap();
+            let mut engine = StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
+                .striped(Topology::single(), MaintMode::inline())
+                .build(bench.as_mut(), 8 * 1024, &cfg)
+                .unwrap();
             let mut rng = StdRng::seed_from_u64(3);
             bench.load(&mut engine, &mut rng).unwrap();
             for _ in 0..100 {

@@ -54,8 +54,8 @@ fn main() {
     let mut results: Vec<(&str, RunResult)> = Vec::new();
     for (label, strategy, scheme) in scenarios {
         eprintln!("running scenario {label} ...");
-        let r = Driver::run_configured(kind, scale, strategy, scheme, FlashMode::PSlc, &cfg)
-            .expect("scenario run");
+        let spec = StackSpec::chip(strategy, scheme, FlashMode::PSlc);
+        let r = Driver::run_spec(kind, scale, &spec, &cfg).expect("scenario run");
         results.push((label, r));
     }
 

@@ -28,14 +28,10 @@
 //! // Run 200 TPC-B transactions under IPA (native write_delta) on
 //! // simulated pSLC flash, and compare against the traditional path.
 //! let cfg = DriverConfig::quick().with_transactions(200);
-//! let ipa = Driver::run_configured(
-//!     WorkloadKind::TpcB, 1, WriteStrategy::IpaNative,
-//!     NmScheme::new(2, 4), FlashMode::PSlc, &cfg,
-//! ).unwrap();
-//! let trad = Driver::run_configured(
-//!     WorkloadKind::TpcB, 1, WriteStrategy::Traditional,
-//!     NmScheme::disabled(), FlashMode::PSlc, &cfg,
-//! ).unwrap();
+//! let ipa = StackSpec::paper(WriteStrategy::IpaNative, FlashMode::PSlc);
+//! let trad = StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc);
+//! let ipa = Driver::run_spec(WorkloadKind::TpcB, 1, &ipa, &cfg).unwrap();
+//! let trad = Driver::run_spec(WorkloadKind::TpcB, 1, &trad, &cfg).unwrap();
 //! assert!(ipa.device.page_invalidations <= trad.device.page_invalidations);
 //! ```
 pub use ipa_controller as controller;
@@ -62,5 +58,5 @@ pub mod prelude {
     pub use ipa_storage::{
         standard_layout, BufferPool, EngineConfig, Rid, StorageEngine, TableSpec,
     };
-    pub use ipa_workloads::{Benchmark, Driver, DriverConfig, RunResult, WorkloadKind};
+    pub use ipa_workloads::{Benchmark, Driver, DriverConfig, RunResult, StackSpec, WorkloadKind};
 }

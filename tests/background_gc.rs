@@ -21,7 +21,9 @@ use ipa_flash::FlashMode;
 use ipa_ftl::{StripePolicy, WriteStrategy};
 use ipa_storage::Rid;
 use ipa_testkit::{heap_engine, maintained_heap_engine, ModelHarness};
-use ipa_workloads::{Driver, DriverConfig, MaintMode, RunResult, Topology, WorkloadKind};
+use ipa_workloads::{
+    Driver, DriverConfig, MaintMode, RunResult, StackSpec, Topology, WorkloadKind,
+};
 use proptest::prelude::*;
 
 const DIE_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -30,14 +32,11 @@ fn run_mode(kind: WorkloadKind, maint: MaintMode) -> RunResult {
     let cfg = DriverConfig::default()
         .with_transactions(20_000)
         .with_streams(8);
-    Driver::run_maintained(
+    Driver::run_spec(
         kind,
         1,
-        WriteStrategy::Traditional,
-        NmScheme::disabled(),
-        FlashMode::PSlc,
-        Topology::new(4, 2, StripePolicy::RoundRobin),
-        maint,
+        &StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
+            .striped(Topology::new(4, 2, StripePolicy::RoundRobin), maint),
         &cfg,
     )
     .expect("maintained run")

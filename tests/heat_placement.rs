@@ -105,7 +105,7 @@ fn zipfian_wear_stays_bounded_under_heat_placement() {
     );
     let (spread_heat, elapsed_heat) = drive(
         &mut heat,
-        |d: &HeatDevice| d.inner().inner().controller().stats().wear_spread(),
+        |d: &HeatDevice| d.controller().expect("striped").stats().wear_spread(),
         |rng| zipf.sample(rng),
     );
 

@@ -7,10 +7,17 @@
 //! program throughput on a write-heavy sweep.
 
 use ipa_controller::ControllerConfig;
-use ipa_core::NmScheme;
 use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
 use ipa_ftl::{BlockDevice, FtlConfig, ShardedFtl, StripePolicy, WriteStrategy};
-use ipa_workloads::{Driver, DriverConfig, RunResult, Topology, WorkloadKind};
+use ipa_workloads::{
+    build, Driver, DriverConfig, MaintMode, RunResult, StackSpec, Topology, WorkloadKind,
+};
+
+/// A pSLC stripe over `topo` with inline GC: IPA-native 2×4, or the
+/// traditional write path.
+fn stripe(strategy: WriteStrategy, topo: Topology) -> StackSpec {
+    StackSpec::paper(strategy, FlashMode::PSlc).striped(topo, MaintMode::inline())
+}
 
 fn run(kind: WorkloadKind, topo: Topology) -> RunResult {
     let cfg = DriverConfig {
@@ -19,16 +26,7 @@ fn run(kind: WorkloadKind, topo: Topology) -> RunResult {
         ..Default::default()
     }
     .with_streams(8);
-    Driver::run_sharded(
-        kind,
-        1,
-        WriteStrategy::IpaNative,
-        NmScheme::new(2, 4),
-        FlashMode::PSlc,
-        topo,
-        &cfg,
-    )
-    .expect("sweep run")
+    Driver::run_spec(kind, 1, &stripe(WriteStrategy::IpaNative, topo), &cfg).expect("sweep run")
 }
 
 #[test]
@@ -107,13 +105,13 @@ fn plane_speedup_composes_with_die_parallelism() {
     }
     .with_streams(4);
     let run = |planes: u32| {
-        Driver::run_sharded(
+        Driver::run_spec(
             WorkloadKind::TpcB,
             1,
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            Topology::new(2, 2, StripePolicy::RoundRobin).with_planes(planes),
+            &stripe(
+                WriteStrategy::Traditional,
+                Topology::new(2, 2, StripePolicy::RoundRobin).with_planes(planes),
+            ),
             &cfg,
         )
         .expect("plane run")
@@ -141,11 +139,17 @@ fn readahead_scan_uses_all_channels() {
     // than the same scan without it (measured ~5–7×: neighbour LBAs sit
     // on neighbour channels, and the posted prefetch vectors keep all of
     // them sensing/transferring at once).
-    let topo = Topology::new(4, 2, StripePolicy::RoundRobin);
-    let base = DriverConfig::default();
-    let ra = base.clone().with_readahead(8);
-    let off = Driver::run_scan(WorkloadKind::TpcB, 1, topo, 2, &base).expect("scan");
-    let on = Driver::run_scan(WorkloadKind::TpcB, 1, topo, 2, &ra).expect("scan");
+    let spec = stripe(
+        WriteStrategy::Traditional,
+        Topology::new(4, 2, StripePolicy::RoundRobin),
+    );
+    let scan = |cfg: DriverConfig| {
+        let mut bench = build(WorkloadKind::TpcB, 1, 8 * 1024);
+        let mut engine = spec.build(bench.as_mut(), 8 * 1024, &cfg).expect("engine");
+        Driver::sequential_scan(bench.as_mut(), &mut engine, 2, &cfg).expect("scan")
+    };
+    let off = scan(DriverConfig::default());
+    let on = scan(DriverConfig::default().with_readahead(8));
     assert_eq!(off.readahead_hits, 0, "read-ahead off means zero hits");
     assert_eq!(off.pages, on.pages, "same table, same fetches");
     assert!(
@@ -183,13 +187,13 @@ fn striped_wal_lifts_wal_bound_throughput() {
         if let Some((c, d)) = wal_stripe {
             cfg = cfg.with_wal_stripe(c, d);
         }
-        Driver::run_sharded(
+        Driver::run_spec(
             WorkloadKind::TpcB,
             1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            Topology::new(4, 2, StripePolicy::RoundRobin),
+            &stripe(
+                WriteStrategy::IpaNative,
+                Topology::new(4, 2, StripePolicy::RoundRobin),
+            ),
             &cfg,
         )
         .expect("wal run")

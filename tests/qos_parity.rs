@@ -1,8 +1,10 @@
 //! `qos_parity` — the latency-QoS scheduler reorders *time*, never
 //! *state*.
 //!
-//! The same seeded operation stream, driven through the queued interface
-//! on a FIFO controller and on its QoS twin (per-die reorder windows,
+//! The same seeded operation stream (`ipa_testkit::QueuedOp`), driven
+//! through the queued interface (`ipa_testkit::run_queued` — identical on
+//! both sides, only the controller's internal scheduling differs) on a
+//! FIFO controller and on its QoS twin (per-die reorder windows,
 //! read promotion over queued programs, erase-suspend), must produce
 //! byte-identical reads, an identical final logical state, and identical
 //! host-level counters — for dies {1, 2, 4} × planes {1, 2} × all three
@@ -13,208 +15,16 @@
 //! and non-promoted completions alike, and every suspended erase
 //! resumes within `DeviceConfig::erase_resume_limit` suspensions.
 
-use ipa_core::DeltaRecord;
 use ipa_flash::DeviceConfig;
-use ipa_ftl::{BlockDevice, IoQueue, IoRequest, ShardedFtl, WriteStrategy};
-use ipa_testkit::{all_strategies, device_layout, striped_device, striped_qos_device};
+use ipa_ftl::{BlockDevice, IoQueue, IoRequest, WriteStrategy};
+use ipa_testkit::{
+    all_strategies, assert_same_final_state, run_queued, striped_device, striped_qos_device,
+    QueuedOp, QUEUED_SPAN,
+};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 const DIE_COUNTS: [u32; 3] = [1, 2, 4];
 const PLANE_COUNTS: [u32; 2] = [1, 2];
-/// Hot LBA span — small enough that churn reaches GC on the tiny chips.
-const SPAN: u64 = 40;
-
-#[derive(Debug, Clone)]
-enum Op {
-    /// `n` consecutive full-page writes starting at `start`.
-    WriteRun {
-        start: u64,
-        n: usize,
-        fill: u8,
-    },
-    /// `n` consecutive reads starting at `start` (mapped members only).
-    ReadRun {
-        start: u64,
-        n: usize,
-    },
-    /// A priority point read (the buffer-pool miss path) on a mapped LBA.
-    PriorityRead(u64),
-    /// One delta-record append (native strategy only).
-    Delta {
-        lba: u64,
-        fill: u8,
-    },
-    Trim(u64),
-    Flush,
-}
-
-/// Weighted op generator; priority reads are common enough that the QoS
-/// side keeps finding queued programs to jump.
-#[derive(Debug, Clone, Copy)]
-struct OpStrategy;
-
-impl Strategy for OpStrategy {
-    type Value = Op;
-    fn generate(&self, rng: &mut StdRng) -> Op {
-        match rng.gen_range(0..12u32) {
-            0..=3 => Op::WriteRun {
-                start: rng.gen_range(0..SPAN),
-                n: rng.gen_range(1..6),
-                fill: rng.gen(),
-            },
-            4..=5 => Op::ReadRun {
-                start: rng.gen_range(0..SPAN),
-                n: rng.gen_range(1..6),
-            },
-            6..=7 => Op::PriorityRead(rng.gen_range(0..SPAN)),
-            8..=9 => Op::Delta {
-                lba: rng.gen_range(0..SPAN),
-                fill: rng.gen(),
-            },
-            10 => Op::Trim(rng.gen_range(0..SPAN)),
-            _ => Op::Flush,
-        }
-    }
-}
-
-/// A strategy-appropriate full-page image (see `queued_parity` for the
-/// version-nonce rationale: successive images of an LBA must never be
-/// overwrite-compatible).
-fn page(strategy: WriteStrategy, fill: u8, version: u64) -> Vec<u8> {
-    let mut img = vec![fill; 2048];
-    img[0] = 1 << (version % 8);
-    if strategy.needs_layout() {
-        device_layout().wipe_delta_area(&mut img);
-    }
-    img
-}
-
-/// Tiny logical model: which LBAs are mapped and how many delta slots
-/// each physical page has consumed.
-#[derive(Default)]
-struct Model {
-    mapped: std::collections::HashSet<u64>,
-    slots: std::collections::HashMap<u64, u16>,
-    versions: std::collections::HashMap<u64, u64>,
-}
-
-impl Model {
-    fn apply_write(&mut self, lba: u64) -> u64 {
-        self.mapped.insert(lba);
-        self.slots.insert(lba, 0);
-        let v = self.versions.entry(lba).or_insert(0);
-        *v += 1;
-        *v
-    }
-
-    fn delta_slot(&self, lba: u64) -> Option<u16> {
-        let slot = *self.slots.get(&lba)?;
-        (self.mapped.contains(&lba) && slot < device_layout().scheme.n).then_some(slot)
-    }
-}
-
-fn delta_bytes(fill: u8) -> Vec<u8> {
-    let l = device_layout();
-    let rec = DeltaRecord::new(vec![(40, fill & 0x0F)], vec![1; l.meta_len()], l.scheme);
-    rec.encode(&l)
-}
-
-/// Drive `ops` through the queued interface; identical on the FIFO and
-/// QoS devices — only the controller's internal scheduling differs.
-fn run_queued(dev: &mut ShardedFtl, strategy: WriteStrategy, ops: &[Op]) -> Vec<Vec<u8>> {
-    let mut model = Model::default();
-    let mut reads = Vec::new();
-    let span = dev.capacity_pages().min(SPAN);
-    let mut buf = vec![0u8; 2048];
-    for op in ops {
-        match op {
-            Op::WriteRun { start, n, fill } => {
-                let pages: Vec<(u64, Vec<u8>)> = (0..*n as u64)
-                    .map(|i| {
-                        let lba = (start + i) % span;
-                        let version = model.apply_write(lba);
-                        (lba, page(strategy, fill.wrapping_add(i as u8), version))
-                    })
-                    .collect();
-                let token = dev.submit(IoRequest::WriteV(pages)).unwrap();
-                dev.poll(token).unwrap();
-            }
-            Op::ReadRun { start, n } => {
-                let lbas: Vec<u64> = (0..*n as u64)
-                    .map(|i| (start + i) % span)
-                    .filter(|l| model.mapped.contains(l))
-                    .collect();
-                if lbas.is_empty() {
-                    continue;
-                }
-                let token = dev.submit(IoRequest::ReadV(lbas)).unwrap();
-                let c = dev.poll(token).unwrap();
-                reads.extend(c.data);
-            }
-            Op::PriorityRead(lba) => {
-                let lba = lba % span;
-                if !model.mapped.contains(&lba) {
-                    continue;
-                }
-                // The sync `read` path — a priority read on the QoS
-                // side, a plain front-of-queue read on the FIFO side.
-                dev.read(lba, &mut buf).unwrap();
-                reads.push(buf.clone());
-            }
-            Op::Delta { lba, fill } => {
-                if strategy != WriteStrategy::IpaNative {
-                    continue;
-                }
-                let lba = lba % span;
-                let Some(slot) = model.delta_slot(lba) else {
-                    continue;
-                };
-                let token = dev
-                    .submit(IoRequest::WriteDelta {
-                        lba,
-                        offset: device_layout().record_offset(slot),
-                        delta: delta_bytes(*fill),
-                    })
-                    .unwrap();
-                dev.poll(token).unwrap();
-                model.slots.insert(lba, slot + 1);
-            }
-            Op::Trim(lba) => {
-                let lba = lba % span;
-                let token = dev.submit(IoRequest::Trim(lba)).unwrap();
-                dev.poll(token).unwrap();
-                model.mapped.remove(&lba);
-            }
-            Op::Flush => {
-                let token = dev.submit(IoRequest::Flush).unwrap();
-                dev.poll(token).unwrap();
-            }
-        }
-    }
-    IoQueue::sync(dev);
-    reads
-}
-
-/// Read back every mapped LBA (and prove unmapped ones fail) on both
-/// devices.
-fn assert_same_final_state(qos: &mut ShardedFtl, fifo: &mut ShardedFtl, label: &str) {
-    let span = qos.capacity_pages().min(SPAN);
-    let mut a = vec![0u8; 2048];
-    let mut b = vec![0u8; 2048];
-    for lba in 0..span {
-        let ra = qos.read(lba, &mut a);
-        let rb = fifo.read(lba, &mut b);
-        match (ra, rb) {
-            (Ok(()), Ok(())) => assert_eq!(a, b, "{label}: lba {lba} diverged"),
-            (Err(_), Err(_)) => {}
-            (qa, qf) => panic!("{label}: lba {lba} mapped-ness diverged: {qa:?} vs {qf:?}"),
-        }
-    }
-    qos.check_invariants();
-    fifo.check_invariants();
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
@@ -228,8 +38,9 @@ proptest! {
     #[test]
     fn qos_equals_fifo_full_matrix(
         seed in any::<u64>(),
-        ops in proptest::collection::vec(OpStrategy, 40..90),
+        len in 40usize..90,
     ) {
+        let ops = QueuedOp::stream(seed, len);
         let resume_limit = DeviceConfig::tiny().erase_resume_limit as u64;
         for (strategy, _scheme) in all_strategies() {
             for dies in DIE_COUNTS {
@@ -247,12 +58,12 @@ proptest! {
                         "{label}: host counters diverged"
                     );
                     // The FIFO twin must never promote or suspend...
-                    let cf = fifo.controller_stats();
+                    let cf = fifo.controller().stats();
                     assert_eq!(cf.reads_promoted, 0, "{label}: FIFO promoted");
                     assert_eq!(cf.erase_suspends, 0, "{label}: FIFO suspended");
                     // ...and the QoS side's suspensions stay within the
                     // per-erase resume budget.
-                    let cq = qos.controller_stats();
+                    let cq = qos.controller().stats();
                     assert!(
                         cq.erase_suspends <= cq.erases * resume_limit,
                         "{label}: {} suspends over {} erases breaks the \
@@ -285,7 +96,7 @@ fn priority_read_sees_queued_writes() {
             "lba {lba}: priority read missed a queued program's data"
         );
     }
-    let c = dev.controller_stats();
+    let c = dev.controller().stats();
     assert!(
         c.reads_promoted > 0,
         "reads against queued programs never promoted"
@@ -293,7 +104,7 @@ fn priority_read_sees_queued_writes() {
 
     // The posted writes are still pollable, and sync stays a barrier.
     let merged = IoQueue::sync(&mut dev);
-    let done = dev.poll(token).unwrap();
+    let done = dev.poll_checked(token).unwrap();
     assert!(done.done_ns <= merged, "sync returned before {done:?}");
 }
 
@@ -323,7 +134,7 @@ fn sync_is_total_barrier_under_promotion() {
         );
     }
     for token in tokens {
-        let c = dev.poll(token).expect("completions survive sync");
+        let c = dev.poll_checked(token).expect("completions survive sync");
         assert!(c.done_ns <= merged, "sync returned before {c:?}");
         assert!(c.submitted_ns <= c.done_ns);
     }
@@ -336,7 +147,7 @@ fn sync_is_total_barrier_under_promotion() {
 fn erase_suspends_are_bounded() {
     let resume_limit = DeviceConfig::tiny().erase_resume_limit as u64;
     let mut dev = striped_qos_device(WriteStrategy::Traditional, 0x6C_EA5E, 2, 1);
-    let span = dev.capacity_pages().min(SPAN);
+    let span = dev.capacity_pages().min(QUEUED_SPAN);
     let mut buf = vec![0u8; 2048];
     // Hot-loop overwrites with reads on the heels of every batch: the
     // churn forces reclaim erases, the reads give the scheduler a reason
@@ -349,10 +160,10 @@ fn erase_suspends_are_bounded() {
         for lba in (0..span).step_by(7) {
             dev.read(lba, &mut buf).unwrap();
         }
-        dev.poll(token).unwrap();
+        dev.poll_checked(token).unwrap();
     }
     IoQueue::sync(&mut dev);
-    let c = dev.controller_stats();
+    let c = dev.controller().stats();
     assert!(c.erases > 0, "churn never reached GC — test is vacuous");
     assert!(
         c.erase_suspends <= c.erases * resume_limit,
@@ -377,10 +188,10 @@ fn forget_retires_posted_reads_from_horizon() {
     let keep = dev.submit(IoRequest::ReadV((0..8).collect())).unwrap();
     let drop = dev.submit(IoRequest::ReadV((8..16).collect())).unwrap();
     IoQueue::forget(&mut dev, drop);
-    let c = dev.poll(keep).unwrap();
+    let c = dev.poll_checked(keep).unwrap();
     assert_eq!(c.data.len(), 8);
 
-    let stats = dev.controller_stats();
+    let stats = dev.controller().stats();
     assert_eq!(
         stats.posted_reads_outstanding, 0,
         "forgotten reads left the completion horizon pinned"
@@ -393,10 +204,9 @@ fn forget_retires_posted_reads_from_horizon() {
     assert!(buf.iter().all(|&b| b == 8));
 }
 
-/// A poll on a token that was already polled or forgotten used to come
-/// back as a bare `None`, indistinguishable from "still in flight".
-/// `poll_checked` makes the double-poll a typed error — and tells a
-/// retired token apart from one the queue never issued.
+/// A poll on a token that was already polled or forgotten is a typed
+/// error — and tells a retired token apart from one the queue never
+/// issued.
 #[test]
 fn double_poll_is_a_typed_error_not_silence() {
     use ipa_ftl::{FtlError, IoToken};
@@ -409,7 +219,6 @@ fn double_poll_is_a_typed_error_not_silence() {
     let polled = dev.submit(IoRequest::ReadV((0..4).collect())).unwrap();
     let forgotten = dev.submit(IoRequest::ReadV((4..8).collect())).unwrap();
 
-    // First poll succeeds through both faces of the API.
     assert_eq!(dev.poll_checked(polled).unwrap().data.len(), 4);
     IoQueue::forget(&mut dev, forgotten);
 
@@ -422,9 +231,6 @@ fn double_poll_is_a_typed_error_not_silence() {
         dev.poll_checked(forgotten),
         Err(FtlError::TokenRetired { .. })
     ));
-    // The legacy poll face still reports the quiet `None` it documents.
-    assert!(dev.poll(polled).is_none());
-
     // A token the queue never issued is a different bug — and says so.
     assert!(matches!(
         dev.poll_checked(IoToken(u64::MAX)),

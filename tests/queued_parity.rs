@@ -1,7 +1,8 @@
 //! `queued_parity` — the queued submission/completion API must be a pure
 //! re-expression of the synchronous one.
 //!
-//! The same seeded operation stream, driven through `IoQueue` (vectored
+//! The same seeded operation stream (`ipa_testkit::QueuedOp`), driven
+//! through `IoQueue` by `ipa_testkit::run_queued` (vectored
 //! `ReadV`/`WriteV`/`WriteDelta`/`Trim`/`Flush` submissions, completions
 //! polled out of order with respect to device time) and through the
 //! classic one-page-at-a-time `BlockDevice` loop on an identical twin
@@ -10,236 +11,45 @@
 //! planes {1, 2} × all three write strategies. *Time* is exactly what
 //! the queued path is allowed to change; *state* never.
 
-use ipa_core::DeltaRecord;
 use ipa_ftl::{
     BlockDevice, DeviceStats, IoQueue, IoRequest, NativeFlashDevice, ShardedFtl, WriteStrategy,
 };
-use ipa_testkit::{all_strategies, device_layout, striped_device};
+use ipa_testkit::{
+    all_strategies, assert_same_final_state, run_ops, run_queued, striped_device, QueuedOp,
+};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 const DIE_COUNTS: [u32; 3] = [1, 2, 4];
 const PLANE_COUNTS: [u32; 2] = [1, 2];
-/// Hot LBA span — small enough that churn reaches GC on the tiny chips.
-const SPAN: u64 = 40;
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// `n` consecutive full-page writes starting at `start`.
-    WriteRun {
-        start: u64,
-        n: usize,
-        fill: u8,
-    },
-    /// `n` consecutive reads starting at `start` (mapped members only).
-    ReadRun {
-        start: u64,
-        n: usize,
-    },
-    /// One delta-record append (native strategy only).
-    Delta {
-        lba: u64,
-        fill: u8,
-    },
-    Trim(u64),
-    Flush,
-}
-
-/// Weighted op generator (writes > reads > deltas > trims > flushes).
-#[derive(Debug, Clone, Copy)]
-struct OpStrategy;
-
-impl Strategy for OpStrategy {
-    type Value = Op;
-    fn generate(&self, rng: &mut StdRng) -> Op {
-        match rng.gen_range(0..11u32) {
-            0..=3 => Op::WriteRun {
-                start: rng.gen_range(0..SPAN),
-                n: rng.gen_range(1..6),
-                fill: rng.gen(),
-            },
-            4..=6 => Op::ReadRun {
-                start: rng.gen_range(0..SPAN),
-                n: rng.gen_range(1..6),
-            },
-            7..=8 => Op::Delta {
-                lba: rng.gen_range(0..SPAN),
-                fill: rng.gen(),
-            },
-            9 => Op::Trim(rng.gen_range(0..SPAN)),
-            _ => Op::Flush,
-        }
-    }
-}
-
-/// A strategy-appropriate full-page image: IPA paths keep the delta area
-/// erased, exactly as the buffer pool's eviction path would. `version`
-/// is the LBA's write counter; it stamps a rotating one-hot nonce so no
-/// two successive images of an LBA are ever overwrite-compatible — the
-/// pool never sends body-changing compatible images, and accidentally
-/// compatible random fills would corrupt body ECC in ways the real
-/// eviction path cannot.
-fn page(strategy: WriteStrategy, fill: u8, version: u64) -> Vec<u8> {
-    let mut img = vec![fill; 2048];
-    img[0] = 1 << (version % 8);
-    if strategy.needs_layout() {
-        device_layout().wipe_delta_area(&mut img);
-    }
-    img
-}
-
-/// Tiny logical model shared by both drivers: which LBAs are mapped and
-/// how many delta slots each physical page has consumed.
-#[derive(Default)]
-struct Model {
-    mapped: std::collections::HashSet<u64>,
-    slots: std::collections::HashMap<u64, u16>,
-    versions: std::collections::HashMap<u64, u64>,
-}
-
-impl Model {
-    /// Register a full-page write; returns the LBA's new version stamp.
-    fn apply_write(&mut self, lba: u64) -> u64 {
-        self.mapped.insert(lba);
-        self.slots.insert(lba, 0);
-        let v = self.versions.entry(lba).or_insert(0);
-        *v += 1;
-        *v
-    }
-
-    /// Is a slot free for a delta append on `lba`?
-    fn delta_slot(&self, lba: u64) -> Option<u16> {
-        let slot = *self.slots.get(&lba)?;
-        (self.mapped.contains(&lba) && slot < device_layout().scheme.n).then_some(slot)
-    }
-}
-
-fn delta_bytes(fill: u8) -> Vec<u8> {
-    let l = device_layout();
-    let rec = DeltaRecord::new(vec![(40, fill & 0x0F)], vec![1; l.meta_len()], l.scheme);
-    rec.encode(&l)
-}
-
-/// Drive `ops` through the queued interface.
-fn run_queued(dev: &mut ShardedFtl, strategy: WriteStrategy, ops: &[Op]) -> Vec<Vec<u8>> {
-    let mut model = Model::default();
+/// Execute one host request through the classic synchronous calls, one
+/// page at a time.
+fn issue_sync(dev: &mut ShardedFtl, req: IoRequest) -> Vec<Vec<u8>> {
     let mut reads = Vec::new();
-    let span = dev.capacity_pages().min(SPAN);
-    for op in ops {
-        match op {
-            Op::WriteRun { start, n, fill } => {
-                let pages: Vec<(u64, Vec<u8>)> = (0..*n as u64)
-                    .map(|i| {
-                        let lba = (start + i) % span;
-                        let version = model.apply_write(lba);
-                        (lba, page(strategy, fill.wrapping_add(i as u8), version))
-                    })
-                    .collect();
-                let token = dev.submit(IoRequest::WriteV(pages)).unwrap();
-                dev.poll(token).unwrap();
-            }
-            Op::ReadRun { start, n } => {
-                let lbas: Vec<u64> = (0..*n as u64)
-                    .map(|i| (start + i) % span)
-                    .filter(|l| model.mapped.contains(l))
-                    .collect();
-                if lbas.is_empty() {
-                    continue;
-                }
-                let token = dev.submit(IoRequest::ReadV(lbas)).unwrap();
-                let c = dev.poll(token).unwrap();
-                reads.extend(c.data);
-            }
-            Op::Delta { lba, fill } => {
-                if strategy != WriteStrategy::IpaNative {
-                    continue;
-                }
-                let lba = lba % span;
-                let Some(slot) = model.delta_slot(lba) else {
-                    continue;
-                };
-                let token = dev
-                    .submit(IoRequest::WriteDelta {
-                        lba,
-                        offset: device_layout().record_offset(slot),
-                        delta: delta_bytes(*fill),
-                    })
-                    .unwrap();
-                dev.poll(token).unwrap();
-                model.slots.insert(lba, slot + 1);
-            }
-            Op::Trim(lba) => {
-                let lba = lba % span;
-                let token = dev.submit(IoRequest::Trim(lba)).unwrap();
-                dev.poll(token).unwrap();
-                model.mapped.remove(&lba);
-            }
-            Op::Flush => {
-                let token = dev.submit(IoRequest::Flush).unwrap();
-                dev.poll(token).unwrap();
+    match req {
+        IoRequest::WriteV(pages) => {
+            for (lba, img) in pages {
+                dev.write(lba, &img).unwrap();
             }
         }
-    }
-    IoQueue::sync(dev);
-    reads
-}
-
-/// Drive the same `ops` through the classic synchronous loop.
-fn run_sync(dev: &mut ShardedFtl, strategy: WriteStrategy, ops: &[Op]) -> Vec<Vec<u8>> {
-    let mut model = Model::default();
-    let mut reads = Vec::new();
-    let span = dev.capacity_pages().min(SPAN);
-    let mut buf = vec![0u8; 2048];
-    for op in ops {
-        match op {
-            Op::WriteRun { start, n, fill } => {
-                for i in 0..*n as u64 {
-                    let lba = (start + i) % span;
-                    let version = model.apply_write(lba);
-                    dev.write(lba, &page(strategy, fill.wrapping_add(i as u8), version))
-                        .unwrap();
-                }
-            }
-            Op::ReadRun { start, n } => {
-                for i in 0..*n as u64 {
-                    let lba = (start + i) % span;
-                    if !model.mapped.contains(&lba) {
-                        continue;
-                    }
-                    dev.read(lba, &mut buf).unwrap();
-                    reads.push(buf.clone());
-                }
-            }
-            Op::Delta { lba, fill } => {
-                if strategy != WriteStrategy::IpaNative {
-                    continue;
-                }
-                let lba = lba % span;
-                let Some(slot) = model.delta_slot(lba) else {
-                    continue;
-                };
-                dev.write_delta(
-                    lba,
-                    device_layout().record_offset(slot),
-                    &delta_bytes(*fill),
-                )
-                .unwrap();
-                model.slots.insert(lba, slot + 1);
-            }
-            Op::Trim(lba) => {
-                let lba = lba % span;
-                dev.trim(lba).unwrap();
-                model.mapped.remove(&lba);
-            }
-            Op::Flush => {
-                for die in 0..dev.dies() {
-                    dev.shard_mut(die).drain_staged().unwrap();
-                }
+        IoRequest::ReadV(lbas) | IoRequest::HighPriorityReadV(lbas) => {
+            for lba in lbas {
+                let mut buf = vec![0u8; 2048];
+                dev.read(lba, &mut buf).unwrap();
+                reads.push(buf);
             }
         }
+        IoRequest::WriteDelta { lba, offset, delta } => {
+            dev.write_delta(lba, offset, &delta).unwrap()
+        }
+        IoRequest::Trim(lba) => dev.trim(lba).unwrap(),
+        IoRequest::Flush => {
+            for die in 0..dev.dies() {
+                dev.shard(die).drain_staged().unwrap();
+            }
+        }
+        IoRequest::WriteDeltaV(_) => unreachable!("the op stream never batches deltas"),
     }
-    dev.sync();
     reads
 }
 
@@ -251,25 +61,6 @@ fn comparable(mut s: DeviceStats) -> DeviceStats {
     s
 }
 
-/// Read back every mapped LBA (and prove unmapped ones fail) on both
-/// devices, returning the queued device's images.
-fn assert_same_final_state(queued: &mut ShardedFtl, sync: &mut ShardedFtl, label: &str) {
-    let span = queued.capacity_pages().min(SPAN);
-    let mut a = vec![0u8; 2048];
-    let mut b = vec![0u8; 2048];
-    for lba in 0..span {
-        let ra = queued.read(lba, &mut a);
-        let rb = sync.read(lba, &mut b);
-        match (ra, rb) {
-            (Ok(()), Ok(())) => assert_eq!(a, b, "{label}: lba {lba} diverged"),
-            (Err(_), Err(_)) => {}
-            (qa, qs) => panic!("{label}: lba {lba} mapped-ness diverged: {qa:?} vs {qs:?}"),
-        }
-    }
-    queued.check_invariants();
-    sync.check_invariants();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
@@ -278,8 +69,9 @@ proptest! {
     #[test]
     fn queued_equals_sync_full_matrix(
         seed in any::<u64>(),
-        ops in proptest::collection::vec(OpStrategy, 40..90),
+        len in 40usize..90,
     ) {
+        let ops = QueuedOp::stream(seed, len);
         for (strategy, _scheme) in all_strategies() {
             for dies in DIE_COUNTS {
                 for planes in PLANE_COUNTS {
@@ -287,7 +79,7 @@ proptest! {
                     let mut queued = striped_device(strategy, seed, dies, planes);
                     let mut sync = striped_device(strategy, seed, dies, planes);
                     let qreads = run_queued(&mut queued, strategy, &ops);
-                    let sreads = run_sync(&mut sync, strategy, &ops);
+                    let sreads = run_ops(&mut sync, strategy, &ops, issue_sync);
                     assert_eq!(qreads, sreads, "{label}: read streams diverged");
                     assert_same_final_state(&mut queued, &mut sync, &label);
                     // Host-level counters agree too (minus the final
@@ -329,7 +121,7 @@ fn sync_observes_all_prior_submissions() {
     // ...and the barrier time covers every completion (tokens stay
     // pollable across the sync).
     for token in tokens {
-        let c = dev.poll(token).expect("completions survive sync");
+        let c = dev.poll_checked(token).expect("completions survive sync");
         assert!(c.done_ns <= merged, "sync returned before {c:?}");
         assert!(c.submitted_ns <= c.done_ns);
     }
@@ -358,7 +150,7 @@ fn vectored_read_overlaps_across_dies() {
     // The remaining 15 pages as one vector: must overlap.
     let t1 = dev.submission_clock_ns();
     let token = dev.submit(IoRequest::ReadV((1..n).collect())).unwrap();
-    let c = dev.poll(token).unwrap();
+    let c = dev.poll_checked(token).unwrap();
     let vectored = dev.submission_clock_ns() - t1;
     for (i, img) in c.data.iter().enumerate() {
         assert!(img.iter().all(|&b| b == (i + 1) as u8));
@@ -368,6 +160,6 @@ fn vectored_read_overlaps_across_dies() {
         vectored * 2 < solo * 15,
         "15 reads over 8 dies must overlap >2x: {vectored} vs 15x{solo} ns"
     );
-    let c_stats = dev.controller_stats();
+    let c_stats = dev.controller().stats();
     assert!(c_stats.posted_reads >= 15, "members ran as posted reads");
 }

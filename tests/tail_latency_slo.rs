@@ -16,23 +16,21 @@
 //! `queued_parity` (queued ≡ sync) hold alongside; this wall is the
 //! *time* side of the claim.
 
-use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::{StripePolicy, WriteStrategy};
-use ipa_workloads::{Driver, DriverConfig, MaintMode, RunResult, Topology, WorkloadKind};
+use ipa_workloads::{
+    Driver, DriverConfig, MaintMode, RunResult, StackSpec, Topology, WorkloadKind,
+};
 
 fn run_mode(kind: WorkloadKind, maint: MaintMode) -> RunResult {
     let cfg = DriverConfig::default()
         .with_transactions(20_000)
         .with_streams(8);
-    Driver::run_maintained(
+    Driver::run_spec(
         kind,
         1,
-        WriteStrategy::Traditional,
-        NmScheme::disabled(),
-        FlashMode::PSlc,
-        Topology::new(4, 2, StripePolicy::RoundRobin),
-        maint,
+        &StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
+            .striped(Topology::new(4, 2, StripePolicy::RoundRobin), maint),
         &cfg,
     )
     .expect("maintained run")

@@ -13,13 +13,11 @@
 use std::sync::{Arc, Mutex};
 
 use ipa_controller::{RingRecorder, SharedSink, TracePhase};
-use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::{StripePolicy, WriteStrategy};
-use ipa_trace::json::JsonValue;
-use ipa_trace::{chrome_trace_json, json, LatencyHistogram};
+use ipa_trace::{chrome_trace_dies, chrome_trace_json, LatencyHistogram};
 use ipa_workloads::{
-    build, Driver, DriverConfig, LatencyPercentiles, MaintMode, Topology, WorkloadKind,
+    build, Driver, DriverConfig, LatencyPercentiles, MaintMode, StackSpec, Topology, WorkloadKind,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,17 +27,10 @@ fn trace_reconciles_with_controller_stats() {
     let cfg = DriverConfig::default();
     let topo = Topology::new(4, 2, StripePolicy::RoundRobin);
     let mut bench = build(WorkloadKind::TpcB, 1, 8 * 1024);
-    let mut engine = Driver::make_maintained_engine(
-        bench.as_mut(),
-        WriteStrategy::Traditional,
-        NmScheme::disabled(),
-        FlashMode::PSlc,
-        8 * 1024,
-        topo,
-        MaintMode::background(None).with_qos(),
-        &cfg,
-    )
-    .expect("engine builds");
+    let mut engine = StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
+        .striped(topo, MaintMode::background(None).with_qos())
+        .build(bench.as_mut(), 8 * 1024, &cfg)
+        .expect("engine builds");
     let mut rng = StdRng::seed_from_u64(0x7C_B5EED);
     bench.load(&mut engine, &mut rng).expect("load");
     for _ in 0..500 {
@@ -102,17 +93,10 @@ fn trace_reconciles_with_controller_stats() {
 
     // The Chrome export parses and covers every die's track.
     let doc = chrome_trace_json(&events, "observability wall");
-    let parsed = json::parse(&doc).expect("chrome trace JSON parses");
-    let json_events = parsed
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
-        .expect("traceEvents array");
+    let dies_seen = chrome_trace_dies(&doc).expect("chrome trace JSON parses");
     for die in 0..topo.dies() as u64 {
         assert!(
-            json_events.iter().any(|e| {
-                e.get("ph").and_then(JsonValue::as_str) != Some("M")
-                    && e.get("tid").and_then(JsonValue::as_u64) == Some(die)
-            }),
+            dies_seen.contains(&die),
             "die {die} has no events on its track"
         );
     }
