@@ -42,19 +42,29 @@
 //! * one `Mutex<ChannelState>` per channel bus,
 //! * an `AtomicU64` host clock (advanced with `fetch_max`, so concurrent
 //!   submitters only ever push it forward),
-//! * one `Mutex<Central>` for the cross-die odds and ends: window
-//!   depths, latency records, the trace sink and aggregate stats.
+//! * one `Mutex<Central>` for the cross-die odds and ends: latency
+//!   records, the trace sink and aggregate stats.
 //!
 //! The lock order is **die → channel → central**; no path acquires a die
-//! or channel lock while holding `central`, and each scheduled command
-//! touches exactly one die, so operations on different dies proceed in
-//! parallel and deadlock is impossible by construction. A single-threaded
-//! caller sees bit-identical behaviour to the historical `RefCell`
-//! controller — the parity walls in `tests/` hold across the refactor.
-//! Under concurrent submitters the *logical* outcome on each die is still
-//! its submission order (the die mutex serializes chip mutation), while
-//! host-clock interleaving makes the timing view approximate — which is
-//! exactly the trade the threaded driver documents.
+//! or channel lock while holding `central`, each scheduled command
+//! touches exactly one die and takes `central` exactly once (the tail
+//! bookkeeping), so operations on different dies proceed in parallel and
+//! deadlock is impossible by construction. A single-threaded caller sees
+//! bit-identical behaviour to the historical `RefCell` controller — the
+//! parity walls in `tests/` hold across the refactor.
+//!
+//! How a command is scheduled — blocking or posted, QoS-eligible or not,
+//! host or firmware — is carried by the command, not by the controller:
+//! every [`DieHandle`] holds a [`CmdContext`] that its owner sets
+//! ([`DieHandle::set_context`]) and each command it issues reads. A handle
+//! lives inside its shard's FTL behind the shard mutex, so a context is
+//! per-die state under a lock the caller already holds: one thread's
+//! posted vector or reclaim step on die 0 cannot change how another
+//! thread's read on die 1 is timed, counted or traced. Under concurrent
+//! submitters the *logical* outcome on each die is still its submission
+//! order (the die mutex serializes chip mutation); what stays approximate
+//! is the one thing still shared — the host clock every submitter stamps
+//! its commands from.
 //!
 //! ## Latency QoS (opt-in: [`ControllerConfig::with_qos`])
 //!
@@ -68,10 +78,10 @@
 //! *time* is reordered: chip state is mutated eagerly in submission order,
 //! so read-your-writes holds by construction and
 //! [`FlashController::sync`] remains a total barrier. Promotion applies to
-//! host reads issued outside posted-read windows and to reads inside a
-//! *priority* window ([`FlashController::begin_priority_reads`]) — bulk
-//! vectored reads (read-ahead) stay FIFO so background streaming cannot
-//! starve posted writes.
+//! host reads in the [`Lane::Blocking`] and [`Lane::PostedPriority`]
+//! lanes — bulk vectored reads ([`Lane::Posted`], read-ahead) stay FIFO
+//! so background streaming cannot starve posted writes — and never to
+//! firmware-internal reads.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,7 +94,7 @@ use ipa_flash::{
 use ipa_trace::{CommandKind, CommandOrigin, LatencyHistogram, SharedSink, TraceEvent, TracePhase};
 
 use crate::config::ControllerConfig;
-use crate::stats::{ControllerStats, DieStats};
+use crate::stats::ControllerStats;
 
 /// Poison-transparent lock: a panic mid-operation on another thread must
 /// not wedge the simulator's observability paths (stats, sync) — the
@@ -92,6 +102,60 @@ use crate::stats::{ControllerStats, DieStats};
 /// guard drops on the success paths.
 fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// How the host waits for a read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Lane {
+    /// The host needs the data now: the read advances the host clock to
+    /// its completion.
+    #[default]
+    Blocking,
+    /// Member of a vectored read: issues from the vector's submission
+    /// instant without advancing the host clock; the submitter collects
+    /// [`DieHandle::last_read_done_ns`] and waits when it polls. FIFO
+    /// under QoS.
+    Posted,
+    /// Posted, and eligible for QoS promotion.
+    PostedPriority,
+}
+
+/// The scheduling context of the commands a [`DieHandle`] issues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CmdContext {
+    pub lane: Lane,
+    /// Firmware-internal work (background maintenance): posted commands
+    /// bypass the NCQ cap — the scheduler gates internal dispatch on die
+    /// idleness, and charging firmware copy-backs to the host clock would
+    /// corrupt the timing model — and reads are neither QoS-promoted nor
+    /// sampled as host-read latencies.
+    pub internal: bool,
+}
+
+impl CmdContext {
+    /// Firmware-internal work in the blocking lane.
+    pub const INTERNAL: CmdContext = CmdContext {
+        lane: Lane::Blocking,
+        internal: true,
+    };
+
+    /// A host read in `lane`.
+    pub fn host(lane: Lane) -> Self {
+        CmdContext {
+            lane,
+            internal: false,
+        }
+    }
+
+    /// The origin a traced command issued in this context is attributed to.
+    fn origin(self) -> CommandOrigin {
+        match (self.internal, self.lane) {
+            (true, _) => CommandOrigin::Internal,
+            (false, Lane::PostedPriority) => CommandOrigin::HostPriority,
+            (false, Lane::Posted) => CommandOrigin::ReadAhead,
+            (false, Lane::Blocking) => CommandOrigin::Host,
+        }
+    }
 }
 
 /// What kind of array work a posted command occupies the die with —
@@ -143,7 +207,8 @@ struct DieState {
     /// serialize among themselves even while the die clock is pushed out
     /// by the shifted posted tail.
     read_busy_ns: u64,
-    stats: DieStats,
+    /// Time the die's array was busy (sense/program/erase phases).
+    busy_ns: u64,
 }
 
 /// One channel bus: its free-time clock plus accumulated transfer time
@@ -154,28 +219,12 @@ struct ChannelState {
     busy_ns: u64,
 }
 
-/// The cross-die state: window nesting depths, host-read latency
-/// records, the trace hook and the aggregate counters. Everything here
+/// The cross-die state: host-read latency records, the trace hook and
+/// the aggregate counters. Everything here
 /// is touched once per command (a few integer ops), so one mutex is
 /// cheap; the per-die heavy lifting (chip mutation, queue walks) never
 /// holds it.
 struct Central {
-    /// Nesting depth of firmware-internal work (background maintenance).
-    /// While positive, posted commands bypass the NCQ cap: the scheduler
-    /// gates internal dispatch on die idleness, and charging firmware
-    /// copy-backs to the host clock would corrupt the timing model.
-    internal_depth: u32,
-    /// Nesting depth of posted-read windows. While positive, host reads
-    /// do *not* advance the host clock — every member of a vectored read
-    /// issues from the same submission instant — and their completion
-    /// times accumulate into `posted_read_horizon` instead, which the
-    /// window's closer surfaces as the vector's completion time.
-    posted_read_depth: u32,
-    /// Latest completion inside the current posted-read window.
-    posted_read_horizon: u64,
-    /// Nesting depth of *priority* posted-read windows: reads inside are
-    /// eligible for QoS promotion (plain posted windows stay FIFO).
-    priority_read_depth: u32,
     /// Posted-read members surfaced to the queue whose completions the
     /// host has neither polled nor forgotten yet.
     outstanding_posted_reads: u64,
@@ -192,10 +241,6 @@ struct Central {
     bounded_read_lat: bool,
     /// Lifecycle-event sink; `None` (default) skips every emission.
     tracer: Option<SharedSink>,
-    /// Origin override for every traced command (e.g. a dedicated WAL
-    /// controller tags its traffic [`CommandOrigin::Wal`]); `None` derives
-    /// the origin from the internal/priority/posted window depths.
-    trace_origin: Option<CommandOrigin>,
     /// Per-controller command sequence number pairing trace phases.
     cmd_seq: u64,
     stats: ControllerStats,
@@ -206,21 +251,6 @@ impl Central {
     fn emit(&self, ev: TraceEvent) {
         if let Some(t) = &self.tracer {
             lock(t).record(ev);
-        }
-    }
-
-    /// The origin a command issued right now would be attributed to.
-    fn current_origin(&self) -> CommandOrigin {
-        if let Some(o) = self.trace_origin {
-            o
-        } else if self.internal_depth > 0 {
-            CommandOrigin::Internal
-        } else if self.priority_read_depth > 0 {
-            CommandOrigin::HostPriority
-        } else if self.posted_read_depth > 0 {
-            CommandOrigin::ReadAhead
-        } else {
-            CommandOrigin::Host
         }
     }
 }
@@ -238,9 +268,15 @@ pub struct FlashController {
     /// The host-side clock: submission timestamps come from here.
     /// Monotone advancement is `fetch_max`; only the explicit
     /// multi-client hook [`FlashController::set_host_ns`] rewinds it.
-    host: AtomicU64,
+    host: HostClock,
     central: Mutex<Central>,
 }
+
+/// The host clock, on a cache line of its own: every submitter loads it
+/// several times per command, and on a line shared with `central` (which
+/// every command's tail writes) each of those loads is a cross-core miss.
+#[repr(align(64))]
+struct HostClock(AtomicU64);
 
 // The controller is shared across host threads by design; this fails to
 // compile the moment a non-Sync field sneaks in.
@@ -258,7 +294,7 @@ impl FlashController {
                     clock: SimClock::new(),
                     queue: VecDeque::new(),
                     read_busy_ns: 0,
-                    stats: DieStats::default(),
+                    busy_ns: 0,
                 })
             })
             .collect();
@@ -274,18 +310,13 @@ impl FlashController {
             cfg,
             dies,
             channels,
-            host: AtomicU64::new(0),
+            host: HostClock(AtomicU64::new(0)),
             central: Mutex::new(Central {
-                internal_depth: 0,
-                posted_read_depth: 0,
-                posted_read_horizon: 0,
-                priority_read_depth: 0,
                 outstanding_posted_reads: 0,
                 read_lat: Vec::new(),
                 read_hist: LatencyHistogram::new(),
                 bounded_read_lat: false,
                 tracer: None,
-                trace_origin: None,
                 cmd_seq: 0,
                 stats: ControllerStats::default(),
             }),
@@ -306,6 +337,8 @@ impl FlashController {
                 die,
                 geometry,
                 mode,
+                ctx: CmdContext::default(),
+                last_read_done_ns: 0,
             })
             .collect()
     }
@@ -345,7 +378,7 @@ impl FlashController {
             s.min_die_erases = s.min_die_erases.min(e);
             s.max_die_erases = s.max_die_erases.max(e);
             s.die_erases.push(e);
-            max_die_busy = max_die_busy.max(d.stats.busy_ns);
+            max_die_busy = max_die_busy.max(d.busy_ns);
             horizon = horizon.max(d.clock.now_ns());
         }
         if self.dies.is_empty() {
@@ -381,15 +414,6 @@ impl FlashController {
             .sum()
     }
 
-    /// Every die's total erase count, indexed by die — the whole-device
-    /// wear vector a placement policy ranks when deciding which die to
-    /// migrate hot data *off*. One lock per die, taken sequentially.
-    pub fn die_erase_counts(&self) -> Vec<u64> {
-        (0..self.dies.len() as u32)
-            .map(|die| self.die_erase_count(die))
-            .collect()
-    }
-
     /// One die's erase count split by plane (telemetry for plane-local GC
     /// victim analysis).
     pub fn die_plane_erases(&self, die: u32) -> Vec<u64> {
@@ -414,68 +438,6 @@ impl FlashController {
         lock(&self.dies[die as usize])
             .clock
             .busy_ns_after(self.host_ns())
-    }
-
-    /// Enter firmware-internal mode: posted commands bypass the NCQ cap
-    /// until the matching [`FlashController::end_internal`]. Nests.
-    pub fn begin_internal(&self) {
-        lock(&self.central).internal_depth += 1;
-    }
-
-    /// Leave firmware-internal mode (see [`FlashController::begin_internal`]).
-    pub fn end_internal(&self) {
-        let mut c = lock(&self.central);
-        debug_assert!(c.internal_depth > 0, "unbalanced end_internal");
-        c.internal_depth = c.internal_depth.saturating_sub(1);
-    }
-
-    /// Open a posted-read window: until the matching
-    /// [`FlashController::end_posted_reads`], host reads are *posted* —
-    /// they issue from the current submission instant without advancing
-    /// the host clock, so the members of a vectored read overlap across
-    /// dies and channels exactly like posted programs do. Nests.
-    pub fn begin_posted_reads(&self) {
-        let mut c = lock(&self.central);
-        if c.posted_read_depth == 0 {
-            c.posted_read_horizon = self.host_ns();
-        }
-        c.posted_read_depth += 1;
-    }
-
-    /// Close a posted-read window, surfacing the completion horizon: the
-    /// device time at which the last read issued inside the window has
-    /// its data ready. The host clock is untouched — the caller decides
-    /// when (or whether) to wait, via the queue's `poll`.
-    pub fn end_posted_reads(&self) -> u64 {
-        let mut c = lock(&self.central);
-        debug_assert!(c.posted_read_depth > 0, "unbalanced end_posted_reads");
-        c.posted_read_depth = c.posted_read_depth.saturating_sub(1);
-        c.posted_read_horizon
-    }
-
-    /// Open a *priority* posted-read window: reads inside are posted like
-    /// [`FlashController::begin_posted_reads`] *and* eligible for QoS
-    /// promotion (jumping queued posted work, suspending in-flight
-    /// erases) when the controller runs with
-    /// [`crate::ControllerConfig::with_qos`]. Nests.
-    pub fn begin_priority_reads(&self) {
-        let mut c = lock(&self.central);
-        if c.posted_read_depth == 0 {
-            c.posted_read_horizon = self.host_ns();
-        }
-        c.posted_read_depth += 1;
-        c.priority_read_depth += 1;
-    }
-
-    /// Close a priority window; returns the completion horizon exactly
-    /// like [`FlashController::end_posted_reads`].
-    pub fn end_priority_reads(&self) -> u64 {
-        let mut c = lock(&self.central);
-        debug_assert!(c.priority_read_depth > 0, "unbalanced end_priority_reads");
-        c.priority_read_depth = c.priority_read_depth.saturating_sub(1);
-        debug_assert!(c.posted_read_depth > 0, "unbalanced end_posted_reads");
-        c.posted_read_depth = c.posted_read_depth.saturating_sub(1);
-        c.posted_read_horizon
     }
 
     /// A posted-read completion was consumed by the host's `poll`: its
@@ -549,13 +511,6 @@ impl FlashController {
         lock(&self.central).tracer.is_some()
     }
 
-    /// Force every traced command's origin (e.g. [`CommandOrigin::Wal`]
-    /// on a dedicated log controller). `None` restores derivation from
-    /// the internal/priority/posted window depths.
-    pub fn set_trace_origin(&self, origin: Option<CommandOrigin>) {
-        lock(&self.central).trace_origin = origin;
-    }
-
     /// Emit a standalone instant event on a die's track at current host
     /// time — the maintenance scheduler marks reclaim dispatch this way.
     pub fn trace_instant(&self, die: u32, kind: CommandKind, phase: TracePhase) {
@@ -583,7 +538,7 @@ impl FlashController {
         if elapsed == 0 {
             return 0.0;
         }
-        let busy = lock(&self.dies[die as usize]).stats.busy_ns;
+        let busy = lock(&self.dies[die as usize]).busy_ns;
         (busy as f64 / elapsed as f64).min(1.0)
     }
 
@@ -596,11 +551,6 @@ impl FlashController {
         }
         let busy = lock(&self.channels[ch as usize]).busy_ns;
         (busy as f64 / elapsed as f64).min(1.0)
-    }
-
-    /// Per-die utilisation counters.
-    pub fn die_stats(&self, die: u32) -> DieStats {
-        lock(&self.dies[die as usize]).stats
     }
 
     /// Posted commands still in flight on a die at current host time.
@@ -640,7 +590,7 @@ impl FlashController {
 
     /// Submission-side clock: the logical "now" commands are issued at.
     pub fn host_ns(&self) -> u64 {
-        self.host.load(Ordering::SeqCst)
+        self.host.0.load(Ordering::SeqCst)
     }
 
     /// Reposition the submission-side clock — the multi-client hook. Each
@@ -653,14 +603,14 @@ impl FlashController {
     /// host-clock write that may rewind; concurrent threads should use
     /// [`FlashController::advance_host_ns`] instead.
     pub fn set_host_ns(&self, ns: u64) {
-        self.host.store(ns, Ordering::SeqCst);
+        self.host.0.store(ns, Ordering::SeqCst);
     }
 
     /// Monotone host-clock advance (`fetch_max`): safe under concurrent
     /// submitters, where a raw reposition could travel backwards past
     /// another thread's progress.
     pub fn advance_host_ns(&self, ns: u64) {
-        self.host.fetch_max(ns, Ordering::SeqCst);
+        self.host.0.fetch_max(ns, Ordering::SeqCst);
     }
 
     /// Barrier: wait for every posted command, max-merging all die clocks
@@ -668,7 +618,7 @@ impl FlashController {
     pub fn sync(&self) -> u64 {
         for die in &self.dies {
             let mut d = lock(die);
-            self.host.fetch_max(d.clock.now_ns(), Ordering::SeqCst);
+            self.host.0.fetch_max(d.clock.now_ns(), Ordering::SeqCst);
             d.queue.clear();
         }
         lock(&self.central).stats.sync_points += 1;
@@ -685,22 +635,10 @@ impl FlashController {
     /// QoS policy: find a promotion slot for a host read submitted at
     /// `submit` on die `d`, or `None` to fall back to FIFO dispatch.
     /// Promotion applies when QoS is configured, the read is host-issued
-    /// (not firmware-internal), it is either a plain blocking read or
-    /// inside a priority window, and posted work is actually queued.
-    /// Window depths arrive as a snapshot taken at submission — the die
-    /// lock is held, central is not.
-    fn qos_read_slot(
-        &self,
-        d: &mut DieState,
-        submit: u64,
-        internal_depth: u32,
-        posted_read_depth: u32,
-        priority_read_depth: u32,
-    ) -> Option<QosSlot> {
-        if !self.cfg.qos
-            || internal_depth > 0
-            || (posted_read_depth > 0 && priority_read_depth == 0)
-        {
+    /// (not firmware-internal), it is either a plain blocking read or in
+    /// the priority lane, and posted work is actually queued.
+    fn qos_read_slot(&self, d: &mut DieState, submit: u64, ctx: CmdContext) -> Option<QosSlot> {
+        if !self.cfg.qos || ctx.internal || ctx.lane == Lane::Posted {
             return None;
         }
         Self::retire_queue(d, submit);
@@ -796,58 +734,34 @@ impl FlashController {
         (suspended, events)
     }
 
-    /// Read: sense on the die, then transfer over the channel. A host
-    /// read (`sync_host`) blocks the host clock until the data arrives; a
-    /// firmware copy-back read only occupies the die and channel.
-    fn op_read(&self, die: u32, ppa: Ppa, sync_host: bool) -> Result<PageImage> {
-        let g = self.cfg.chip.geometry;
-        let bus = self.cfg.chip.latency.transfer_ns(g.page_size + g.oob_size);
-        let kind = if sync_host {
-            CommandKind::Read
-        } else {
-            CommandKind::CopybackRead
-        };
-        self.op_read_timed(die, bus, sync_host, kind, |chip| chip.read_page(ppa))
-    }
-
-    /// Multi-plane read: the planes sense concurrently under one command
-    /// (a single die-busy sense window), then every page's image crosses
-    /// the channel — one command in the scheduler's books.
-    fn op_multi_read(&self, die: u32, ppas: &[Ppa], sync_host: bool) -> Result<Vec<PageImage>> {
+    /// Read scheduling: run `f` on the chip — it reads `pages` pages under
+    /// one command (the planes of a multi-plane read sense concurrently,
+    /// a single die-busy window) and advances the chip clock by sense +
+    /// transfer — then recover the sense portion and charge queueing,
+    /// die-busy and channel-bus time around it. A host read blocks the
+    /// host clock until the data arrives (unless posted); a firmware
+    /// copy-back read only occupies the die and channel. Returns `f`'s
+    /// value and the instant the data is ready.
+    ///
+    /// Lock walk: die → channel (released) → central, in order.
+    fn op_read_timed<T>(
+        &self,
+        die: u32,
+        pages: usize,
+        ctx: CmdContext,
+        kind: CommandKind,
+        f: impl FnOnce(&mut FlashChip) -> Result<T>,
+    ) -> Result<(T, u64)> {
+        let d = die as usize;
+        let ch = self.cfg.channel_of(die) as usize;
         let g = self.cfg.chip.geometry;
         let bus = self
             .cfg
             .chip
             .latency
-            .transfer_ns(ppas.len() * (g.page_size + g.oob_size));
-        self.op_read_timed(die, bus, sync_host, CommandKind::MultiPlaneRead, |chip| {
-            chip.multi_plane_read(ppas)
-        })
-    }
-
-    /// Shared read scheduling: run `f` on the chip (it advances the chip
-    /// clock by sense + transfer), then recover the sense portion and
-    /// charge queueing, die-busy and channel-bus time around it.
-    ///
-    /// Lock walk: snapshot window depths (central, released), then die →
-    /// channel (released) → central, in order. Everything the original
-    /// single-lock controller read from shared state more than once per
-    /// call is read exactly once here — single-threaded the two are
-    /// bit-identical, because nothing else can write between the reads.
-    fn op_read_timed<T>(
-        &self,
-        die: u32,
-        bus: u64,
-        sync_host: bool,
-        kind: CommandKind,
-        f: impl FnOnce(&mut FlashChip) -> Result<T>,
-    ) -> Result<T> {
-        let d = die as usize;
-        let ch = self.cfg.channel_of(die) as usize;
-        let (internal_depth, posted_read_depth, priority_read_depth) = {
-            let c = lock(&self.central);
-            (c.internal_depth, c.posted_read_depth, c.priority_read_depth)
-        };
+            .transfer_ns(pages * (g.page_size + g.oob_size));
+        let sync_host = kind != CommandKind::CopybackRead;
+        let posted = ctx.lane != Lane::Blocking;
         let submit = self.host_ns();
 
         let mut die_g = lock(&self.dies[d]);
@@ -858,13 +772,7 @@ impl FlashController {
 
         let fifo_start = submit.max(die_g.clock.now_ns());
         let slot = if sync_host {
-            self.qos_read_slot(
-                &mut die_g,
-                submit,
-                internal_depth,
-                posted_read_depth,
-                priority_read_depth,
-            )
+            self.qos_read_slot(&mut die_g, submit, ctx)
         } else {
             None
         };
@@ -901,13 +809,12 @@ impl FlashController {
             }
         }
         die_g.clock.advance_to(done);
-        if sync_host && posted_read_depth == 0 {
-            self.host.fetch_max(done, Ordering::SeqCst);
+        if sync_host && !posted {
+            self.host.0.fetch_max(done, Ordering::SeqCst);
         }
         Self::retire_queue(&mut die_g, self.host_ns());
 
-        die_g.stats.commands += 1;
-        die_g.stats.busy_ns += sense;
+        die_g.busy_ns += sense;
 
         // Tail bookkeeping under central — die lock still held (die →
         // central is the sanctioned order), sink reached only from here.
@@ -919,17 +826,16 @@ impl FlashController {
             c.stats.reads_promoted += 1;
         }
         if sync_host {
-            if internal_depth == 0 {
+            if !ctx.internal {
                 let lat = done - submit;
                 c.read_hist.record(lat);
                 if !c.bounded_read_lat {
                     c.read_lat.push(lat);
                 }
             }
-            if posted_read_depth > 0 {
-                // Posted-read window: the data is in flight; record when
-                // it lands instead of stalling the submitting clock.
-                c.posted_read_horizon = c.posted_read_horizon.max(done);
+            if posted {
+                // The data is in flight: the submitter waits for `done`
+                // when it polls, not here.
                 c.stats.posted_reads += 1;
                 c.outstanding_posted_reads += 1;
             }
@@ -948,7 +854,7 @@ impl FlashController {
             c.cmd_seq += 1;
             let cmd = c.cmd_seq;
             let origin = if sync_host {
-                c.current_origin()
+                ctx.origin()
             } else {
                 // Copy-back reads are firmware work by definition.
                 CommandOrigin::Internal
@@ -981,7 +887,7 @@ impl FlashController {
                 ..base
             });
         }
-        Ok(img)
+        Ok((img, done))
     }
 
     /// NCQ back-pressure: when the die's posted queue is at the cap, block
@@ -989,11 +895,11 @@ impl FlashController {
     /// completes. Firmware-internal submissions are exempt — the
     /// maintenance scheduler gates them on die idleness instead. Returns
     /// the (stalls, waited-ns) to fold into the central stats later.
-    fn apply_backpressure(&self, d: &mut DieState, internal_depth: u32) -> (u64, u64) {
+    fn apply_backpressure(&self, d: &mut DieState, ctx: CmdContext) -> (u64, u64) {
         let Some(cap) = self.cfg.queue_cap else {
             return (0, 0);
         };
-        if internal_depth > 0 {
+        if ctx.internal {
             return (0, 0);
         }
         let (mut stalls, mut waited) = (0u64, 0u64);
@@ -1001,7 +907,7 @@ impl FlashController {
         while d.queue.len() >= cap {
             let due = d.queue.front().expect("cap >= 1").done_ns;
             let wait = due.saturating_sub(self.host_ns());
-            self.host.fetch_max(due, Ordering::SeqCst);
+            self.host.0.fetch_max(due, Ordering::SeqCst);
             stalls += 1;
             waited += wait;
             Self::retire_queue(d, self.host_ns());
@@ -1011,14 +917,20 @@ impl FlashController {
 
     /// Posted command: optional bus transfer up front, then the array runs
     /// in the background. The host resumes once the bus is released.
-    fn op_posted<F>(&self, die: u32, bus_bytes: usize, ckind: CommandKind, f: F) -> Result<()>
+    fn op_posted<F>(
+        &self,
+        die: u32,
+        bus_bytes: usize,
+        ctx: CmdContext,
+        ckind: CommandKind,
+        f: F,
+    ) -> Result<()>
     where
         F: FnOnce(&mut FlashChip) -> Result<()>,
     {
         let is_erase = ckind.is_erase();
         let d = die as usize;
         let ch = self.cfg.channel_of(die) as usize;
-        let internal_depth = lock(&self.central).internal_depth;
 
         let mut die_g = lock(&self.dies[d]);
         let t0 = die_g.chip.elapsed_ns();
@@ -1026,7 +938,7 @@ impl FlashController {
         let dt = die_g.chip.elapsed_ns() - t0;
         // Only successful commands consume time; a full queue then blocks
         // the submitting clock before the command is timestamped.
-        let (bp_stalls, bp_wait_ns) = self.apply_backpressure(&mut die_g, internal_depth);
+        let (bp_stalls, bp_wait_ns) = self.apply_backpressure(&mut die_g, ctx);
         let submit = self.host_ns();
 
         let bus = self.cfg.chip.latency.transfer_ns(bus_bytes);
@@ -1050,15 +962,14 @@ impl FlashController {
             0
         };
 
-        die_g.stats.commands += 1;
-        die_g.stats.busy_ns += array;
+        die_g.busy_ns += array;
 
-        // Sequence id + origin live behind central; the queue entry needs
-        // both, so the push happens with die and central held (in order).
+        // The sequence id lives behind central and the queue entry needs
+        // it, so the push happens with die and central held (in order).
         let mut c = lock(&self.central);
         c.cmd_seq += 1;
         let cmd = c.cmd_seq;
-        let origin = c.current_origin();
+        let origin = ctx.origin();
         die_g.queue.push_back(Posted {
             start_ns: start,
             done_ns: done,
@@ -1140,6 +1051,8 @@ pub struct DieHandle {
     die: u32,
     geometry: Geometry,
     mode: FlashMode,
+    ctx: CmdContext,
+    last_read_done_ns: u64,
 }
 
 impl DieHandle {
@@ -1152,6 +1065,40 @@ impl DieHandle {
     /// The controller this handle schedules through.
     pub fn controller(&self) -> &Arc<FlashController> {
         &self.ctrl
+    }
+
+    /// The context every command this handle issues from now on carries.
+    pub fn set_context(&mut self, ctx: CmdContext) {
+        self.ctx = ctx;
+    }
+
+    /// When the data of this handle's last successful read is ready — what
+    /// the submitter of a posted read waits for.
+    #[inline]
+    pub fn last_read_done_ns(&self) -> u64 {
+        self.last_read_done_ns
+    }
+
+    fn read<T>(
+        &mut self,
+        pages: usize,
+        kind: CommandKind,
+        f: impl FnOnce(&mut FlashChip) -> Result<T>,
+    ) -> Result<T> {
+        let (v, done) = self
+            .ctrl
+            .op_read_timed(self.die, pages, self.ctx, kind, f)?;
+        self.last_read_done_ns = done;
+        Ok(v)
+    }
+
+    fn post(
+        &self,
+        bus_bytes: usize,
+        kind: CommandKind,
+        f: impl FnOnce(&mut FlashChip) -> Result<()>,
+    ) -> Result<()> {
+        self.ctrl.op_posted(self.die, bus_bytes, self.ctx, kind, f)
     }
 }
 
@@ -1217,27 +1164,25 @@ impl Nand for DieHandle {
     }
 
     fn read_page(&mut self, ppa: Ppa) -> Result<PageImage> {
-        self.ctrl.op_read(self.die, ppa, true)
+        self.read(1, CommandKind::Read, |chip| chip.read_page(ppa))
     }
 
     fn copyback_read(&mut self, ppa: Ppa) -> Result<PageImage> {
-        self.ctrl.op_read(self.die, ppa, false)
+        self.read(1, CommandKind::CopybackRead, |chip| chip.read_page(ppa))
     }
 
     fn program_page(&mut self, ppa: Ppa, data: &[u8], oob: &[u8]) -> Result<()> {
         let bytes = data.len() + oob.len();
-        self.ctrl
-            .op_posted(self.die, bytes, CommandKind::Program, |chip| {
-                chip.program_page(ppa, data, oob)
-            })
+        self.post(bytes, CommandKind::Program, |chip| {
+            chip.program_page(ppa, data, oob)
+        })
     }
 
     fn reprogram_page(&mut self, ppa: Ppa, data: &[u8], oob: &[u8]) -> Result<()> {
         let bytes = data.len() + oob.len();
-        self.ctrl
-            .op_posted(self.die, bytes, CommandKind::Program, |chip| {
-                chip.reprogram_page(ppa, data, oob)
-            })
+        self.post(bytes, CommandKind::Program, |chip| {
+            chip.reprogram_page(ppa, data, oob)
+        })
     }
 
     fn append_region(
@@ -1251,17 +1196,13 @@ impl Nand for DieHandle {
         // IPA's bus win carries through the scheduler: only delta bytes
         // occupy the channel.
         let n = bytes.len() + oob_bytes.len();
-        self.ctrl
-            .op_posted(self.die, n, CommandKind::Append, |chip| {
-                chip.append_region(ppa, data_off, bytes, oob_off, oob_bytes)
-            })
+        self.post(n, CommandKind::Append, |chip| {
+            chip.append_region(ppa, data_off, bytes, oob_off, oob_bytes)
+        })
     }
 
     fn erase_block(&mut self, block: u32) -> Result<()> {
-        self.ctrl
-            .op_posted(self.die, 0, CommandKind::Erase, |chip| {
-                chip.erase_block(block)
-            })
+        self.post(0, CommandKind::Erase, |chip| chip.erase_block(block))
     }
 
     fn multi_plane_program(&mut self, pages: &[MultiPlaneWrite<'_>]) -> Result<()> {
@@ -1269,14 +1210,15 @@ impl Nand for DieHandle {
         // member's transfer plus a single staircase, and the scheduler
         // treats the whole thing as one program occupying the die.
         let bytes = pages.iter().map(|p| p.data.len() + p.oob.len()).sum();
-        self.ctrl
-            .op_posted(self.die, bytes, CommandKind::MultiPlaneProgram, |chip| {
-                chip.multi_plane_program(pages)
-            })
+        self.post(bytes, CommandKind::MultiPlaneProgram, |chip| {
+            chip.multi_plane_program(pages)
+        })
     }
 
     fn multi_plane_read(&mut self, ppas: &[Ppa]) -> Result<Vec<PageImage>> {
-        self.ctrl.op_multi_read(self.die, ppas, true)
+        self.read(ppas.len(), CommandKind::MultiPlaneRead, |chip| {
+            chip.multi_plane_read(ppas)
+        })
     }
 
     fn cache_program(&mut self, pages: &[MultiPlaneWrite<'_>]) -> Result<()> {
@@ -1285,19 +1227,17 @@ impl Nand for DieHandle {
         // array time `op_posted` derives (chip time minus the serial bus
         // transfer) is exactly the un-overlapped pulse remainder.
         let bytes = pages.iter().map(|p| p.data.len() + p.oob.len()).sum();
-        self.ctrl
-            .op_posted(self.die, bytes, CommandKind::CachedProgram, |chip| {
-                chip.cache_program(pages)
-            })
+        self.post(bytes, CommandKind::CachedProgram, |chip| {
+            chip.cache_program(pages)
+        })
     }
 
     fn multi_plane_erase(&mut self, blocks: &[u32]) -> Result<()> {
         // One posted erase, one die-busy window: the chip charges a
         // single pulse for the whole aligned group.
-        self.ctrl
-            .op_posted(self.die, 0, CommandKind::MultiPlaneErase, |chip| {
-                chip.multi_plane_erase(blocks)
-            })
+        self.post(0, CommandKind::MultiPlaneErase, |chip| {
+            chip.multi_plane_erase(blocks)
+        })
     }
 }
 
@@ -1516,11 +1456,10 @@ mod tests {
         let ctrl = FlashController::shared(cfg(1, 1).with_queue_cap(1));
         let mut h = FlashController::handles(&ctrl).remove(0);
         let (data, oob) = page(&h, 0x00);
-        ctrl.begin_internal();
+        h.set_context(CmdContext::INTERNAL);
         for p in 0..4 {
             h.program_page(Ppa::new(0, p), &data, &oob).unwrap();
         }
-        ctrl.end_internal();
         assert_eq!(
             ctrl.stats().backpressure_stalls,
             0,
@@ -1627,7 +1566,7 @@ mod tests {
     }
 
     #[test]
-    fn posted_read_window_surfaces_the_completion_horizon() {
+    fn posted_reads_surface_the_completion_horizon() {
         let ctrl = FlashController::shared(cfg(2, 1));
         let mut handles = FlashController::handles(&ctrl);
         let (data, oob) = page(&handles[0], 0xA5);
@@ -1637,13 +1576,15 @@ mod tests {
         ctrl.sync();
         let t0 = ctrl.host_ns();
 
-        // Two reads on two dies inside one window: neither advances the
-        // host clock; both issue from the same instant and the horizon
-        // reports when the later one lands.
-        ctrl.begin_posted_reads();
-        handles[0].read_page(Ppa::new(0, 0)).unwrap();
-        handles[1].read_page(Ppa::new(0, 0)).unwrap();
-        let horizon = ctrl.end_posted_reads();
+        // Two posted reads on two dies: neither advances the host clock;
+        // both issue from the same instant and the horizon — the max of
+        // the handles' completions — is when the later one lands.
+        let mut horizon = t0;
+        for h in handles.iter_mut() {
+            h.set_context(CmdContext::host(Lane::Posted));
+            h.read_page(Ppa::new(0, 0)).unwrap();
+            horizon = horizon.max(h.last_read_done_ns());
+        }
         assert_eq!(ctrl.host_ns(), t0, "posted reads leave the host clock");
         assert!(horizon > t0, "the data lands later");
         assert_eq!(ctrl.stats().posted_reads, 2);
@@ -1664,7 +1605,7 @@ mod tests {
         };
         assert!(
             horizon - t0 < serial,
-            "windowed reads must overlap: {} vs {serial} ns",
+            "posted reads must overlap: {} vs {serial} ns",
             horizon - t0
         );
     }
@@ -1792,10 +1733,10 @@ mod tests {
     }
 
     #[test]
-    fn priority_window_promotes_posted_reads() {
-        // Bulk posted-read windows stay FIFO under QoS; priority windows
-        // promote. Same traffic, different window kind.
-        let run = |priority: bool| -> (u64, ControllerStats) {
+    fn priority_lane_promotes_posted_reads() {
+        // Bulk posted reads stay FIFO under QoS; the priority lane
+        // promotes. Same traffic, different lane.
+        let run = |lane: Lane| -> (u64, ControllerStats) {
             let ctrl = FlashController::shared(cfg(1, 1).with_qos());
             let mut h = FlashController::handles(&ctrl).remove(0);
             let (data, oob) = page(&h, 0x3C);
@@ -1805,22 +1746,13 @@ mod tests {
                 h.program_page(Ppa::new(0, p), &data, &oob).unwrap();
             }
             let t0 = ctrl.host_ns();
-            if priority {
-                ctrl.begin_priority_reads();
-            } else {
-                ctrl.begin_posted_reads();
-            }
+            h.set_context(CmdContext::host(lane));
             h.read_page(Ppa::new(0, 0)).unwrap();
-            let horizon = if priority {
-                ctrl.end_priority_reads()
-            } else {
-                ctrl.end_posted_reads()
-            };
-            (horizon - t0, ctrl.stats())
+            (h.last_read_done_ns() - t0, ctrl.stats())
         };
-        let (bulk, bulk_stats) = run(false);
-        let (prio, prio_stats) = run(true);
-        assert_eq!(bulk_stats.reads_promoted, 0, "bulk windows stay FIFO");
+        let (bulk, bulk_stats) = run(Lane::Posted);
+        let (prio, prio_stats) = run(Lane::PostedPriority);
+        assert_eq!(bulk_stats.reads_promoted, 0, "bulk posted reads stay FIFO");
         assert_eq!(prio_stats.reads_promoted, 1);
         assert!(
             prio < bulk,
@@ -1839,10 +1771,10 @@ mod tests {
             h.program_page(Ppa::new(0, 0), &data, &oob).unwrap();
         }
         ctrl.sync();
-        ctrl.begin_posted_reads();
-        handles[0].read_page(Ppa::new(0, 0)).unwrap();
-        handles[1].read_page(Ppa::new(0, 0)).unwrap();
-        ctrl.end_posted_reads();
+        for h in handles.iter_mut() {
+            h.set_context(CmdContext::host(Lane::Posted));
+            h.read_page(Ppa::new(0, 0)).unwrap();
+        }
         assert_eq!(ctrl.stats().posted_reads_outstanding, 2);
 
         ctrl.note_posted_reads_polled(1);
@@ -1861,10 +1793,9 @@ mod tests {
         h.program_page(Ppa::new(0, 0), &data, &oob).unwrap();
         ctrl.sync();
         h.read_page(Ppa::new(0, 0)).unwrap();
-        ctrl.begin_internal();
+        h.set_context(CmdContext::INTERNAL);
         h.copyback_read(Ppa::new(0, 0)).unwrap();
         h.read_page(Ppa::new(0, 0)).unwrap();
-        ctrl.end_internal();
         assert_eq!(
             ctrl.read_latency_count(),
             1,
@@ -2002,20 +1933,16 @@ mod tests {
     }
 
     #[test]
-    fn internal_and_window_origins_are_attributed() {
+    fn internal_and_lane_origins_are_attributed() {
         let ctrl = FlashController::shared(cfg(1, 1));
         let rec = attach_recorder(&ctrl);
         let mut h = FlashController::handles(&ctrl).remove(0);
         let (data, oob) = page(&h, 0x3C);
-        ctrl.begin_internal();
+        h.set_context(CmdContext::INTERNAL);
         h.program_page(Ppa::new(0, 0), &data, &oob).unwrap();
-        ctrl.end_internal();
         ctrl.sync();
-        ctrl.begin_posted_reads();
+        h.set_context(CmdContext::host(Lane::Posted));
         h.read_page(Ppa::new(0, 0)).unwrap();
-        ctrl.end_posted_reads();
-        ctrl.set_trace_origin(Some(CommandOrigin::Wal));
-        h.program_page(Ppa::new(0, 1), &data, &oob).unwrap();
 
         let events = lock(&rec).to_vec();
         let origin_of = |k: CommandKind, nth: usize| {
@@ -2028,7 +1955,53 @@ mod tests {
         };
         assert_eq!(origin_of(CommandKind::Program, 0), CommandOrigin::Internal);
         assert_eq!(origin_of(CommandKind::Read, 0), CommandOrigin::ReadAhead);
-        assert_eq!(origin_of(CommandKind::Program, 1), CommandOrigin::Wal);
+    }
+
+    #[test]
+    fn a_posted_lane_on_one_die_leaves_another_dies_blocking_read_alone() {
+        let ctrl = FlashController::shared(cfg(2, 1));
+        let rec = attach_recorder(&ctrl);
+        let mut handles = FlashController::handles(&ctrl);
+        let (data, oob) = page(&handles[0], 0xA5);
+        for h in handles.iter_mut() {
+            h.program_page(Ppa::new(0, 0), &data, &oob).unwrap();
+        }
+        ctrl.sync();
+        // Keep die 1 busy so its read lands after die 0's.
+        handles[1]
+            .program_page(Ppa::new(0, 1), &data, &oob)
+            .unwrap();
+        let t0 = ctrl.host_ns();
+
+        // Die 0 carries a posted vector member; die 1's owner blocks.
+        handles[0].set_context(CmdContext::host(Lane::Posted));
+        handles[0].read_page(Ppa::new(0, 0)).unwrap();
+        let posted_done = handles[0].last_read_done_ns();
+        assert_eq!(ctrl.host_ns(), t0, "the posted read leaves the host clock");
+        handles[1].read_page(Ppa::new(0, 0)).unwrap();
+
+        let blocking_done = handles[1].last_read_done_ns();
+        assert_eq!(ctrl.host_ns(), blocking_done, "blocking read waits");
+        assert!(blocking_done > posted_done);
+        assert_eq!(ctrl.read_latency_count(), 2, "both are host-read samples");
+        let s = ctrl.stats();
+        assert_eq!(s.posted_reads, 1, "only die 0's read was posted");
+        assert_eq!(s.posted_reads_outstanding, 1);
+        assert_eq!(
+            handles[0].last_read_done_ns(),
+            posted_done,
+            "die 0's completion excludes die 1's read"
+        );
+        let origins: Vec<_> = lock(&rec)
+            .to_vec()
+            .iter()
+            .filter(|e| e.kind == CommandKind::Read && e.phase == TracePhase::Completed)
+            .map(|e| (e.die, e.origin))
+            .collect();
+        assert_eq!(
+            origins,
+            [(0, CommandOrigin::ReadAhead), (1, CommandOrigin::Host)]
+        );
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! * [`DieHandle`] — a per-die façade implementing [`ipa_flash::Nand`], so
 //!   the FTL drives a scheduled die with the same code it uses for a bare
 //!   chip.
-//! * [`ControllerStats`] / [`DieStats`] — queue waits, bus occupancy and
-//!   per-die utilisation.
+//! * [`ControllerStats`] — queue waits, bus occupancy and peak per-die /
+//!   per-channel utilisation.
+//! * [`CmdContext`] / [`Lane`] — how the commands a [`DieHandle`] issues
+//!   are scheduled (blocking or posted, host or firmware-internal).
 //!
 //! With a sink attached via [`FlashController::set_tracer`], every
 //! scheduled command also emits `ipa_trace` lifecycle events (submit /
@@ -32,8 +34,8 @@ pub mod controller;
 pub mod stats;
 
 pub use config::ControllerConfig;
-pub use controller::{DieHandle, FlashController};
-pub use stats::{ControllerStats, DieStats};
+pub use controller::{CmdContext, DieHandle, FlashController, Lane};
+pub use stats::ControllerStats;
 
 // Re-export the trace vocabulary callers need to drive the hooks.
 pub use ipa_trace::{

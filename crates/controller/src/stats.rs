@@ -11,9 +11,9 @@ pub struct ControllerStats {
     pub commands: u64,
     /// Synchronous read commands (host blocked until data arrived).
     pub reads: u64,
-    /// Subset of `reads` issued inside a posted-read window (vectored
-    /// host reads / read-ahead): the host did not block at issue; the
-    /// completion time was surfaced through the queue instead.
+    /// Subset of `reads` issued in a posted lane (vectored host reads /
+    /// read-ahead): the host did not block at issue; the completion time
+    /// was surfaced through the queue instead.
     #[serde(default)]
     pub posted_reads: u64,
     /// Posted program/re-program/append commands.
@@ -163,15 +163,6 @@ impl fmt::Display for ControllerStats {
             self.chan_util_max() * 100.0
         )
     }
-}
-
-/// Per-die utilisation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DieStats {
-    /// Commands executed on this die.
-    pub commands: u64,
-    /// Time the die's array was busy (sense/program/erase phases).
-    pub busy_ns: u64,
 }
 
 #[cfg(test)]

@@ -148,12 +148,6 @@ impl DeviceConfig {
         self
     }
 
-    /// Builder-style erase-suspend resume bound (0 disables suspend).
-    pub fn with_erase_resume_limit(mut self, limit: u16) -> Self {
-        self.erase_resume_limit = limit;
-        self
-    }
-
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -95,12 +95,6 @@ impl FtlConfig {
         }
     }
 
-    pub fn with_over_provisioning(mut self, op: f64) -> Self {
-        assert!((0.02..0.9).contains(&op), "over-provisioning out of range");
-        self.over_provisioning = op;
-        self
-    }
-
     pub fn with_unsafe_ipa(mut self) -> Self {
         self.allow_unsafe_ipa = true;
         self
@@ -173,18 +167,6 @@ pub enum ReclaimJob {
         /// First LBA not yet processed.
         next: usize,
     },
-}
-
-impl ReclaimJob {
-    /// Is every unit of work in this job done?
-    pub fn is_complete(&self) -> bool {
-        match self {
-            // A GC job's completion is decided by `reclaim_step`.
-            ReclaimJob::Gc(_) => false,
-            ReclaimJob::MigrateRange { pairs, next } => *next >= pairs.len(),
-            ReclaimJob::Destage { lbas, next } => *next >= lbas.len(),
-        }
-    }
 }
 
 /// What one [`Ftl::background_gc_step`] call did.
@@ -501,6 +483,13 @@ impl<C: Nand> Ftl<C> {
         &self.chip
     }
 
+    /// Underlying flash target, mutably — for per-target settings such as
+    /// a scheduled die's command context. Issuing flash commands through
+    /// this bypasses the mapping.
+    pub fn chip_mut(&mut self) -> &mut C {
+        &mut self.chip
+    }
+
     /// Region table (inspection only).
     pub fn regions(&self) -> &RegionTable {
         &self.regions
@@ -511,11 +500,6 @@ impl<C: Nand> Ftl<C> {
         self.regions
             .layout_for(lba, self.config.default_layout.as_ref())
             .copied()
-    }
-
-    /// Zero the host-level counters (experiment warm-up boundaries).
-    pub fn reset_stats(&mut self) {
-        self.stats = DeviceStats::default();
     }
 
     fn codec_for(&self, lba: Lba) -> OobCodec {

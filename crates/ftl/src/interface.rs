@@ -213,7 +213,11 @@ impl SubmissionState {
 ///   returns a token. Posted semantics: the submission clock does not
 ///   advance to the request's completion (it may advance for
 ///   queue-admission effects such as NCQ back-pressure, exactly like the
-///   sync write path).
+///   sync write path). How a member is scheduled (posted, priority lane)
+///   is a context set on the die it lands on for that member only, and
+///   `done_ns` is the max over the request's *own* members — a
+///   concurrent submitter's reads neither run in this request's lane nor
+///   extend its completion.
 /// * `poll_checked` *waits* for the token's completion: the submission
 ///   clock advances to at least `done_ns` and the completion (with any
 ///   read data) is returned. A token can be redeemed once: polling a

@@ -35,7 +35,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ipa_controller::{ControllerConfig, DieHandle, FlashController};
+use ipa_controller::{CmdContext, ControllerConfig, DieHandle, FlashController, Lane};
 use ipa_core::PageLayout;
 use ipa_flash::FlashStats;
 
@@ -440,16 +440,19 @@ impl ShardedFtl {
         lock(&self.shards[die as usize]).trim(sub)
     }
 
-    /// One member of a vectored read, routed to its die. Called inside a
-    /// posted-read window, so the read issues from the vector's
-    /// submission instant and its completion lands in the window horizon
-    /// instead of the host clock.
-    fn read_member(&self, lba: Lba) -> Result<Vec<u8>> {
+    /// One member of a vectored read, routed to its die and posted in
+    /// `lane`: the read issues from the vector's submission instant
+    /// without advancing the host clock. Returns the page and the instant
+    /// it is ready. The shard lock spans the lane change, so no other
+    /// submitter's command on this die can run in it.
+    fn read_member(&self, lba: Lba, lane: Lane) -> Result<(Vec<u8>, u64)> {
         let (die, sub) = self.locate(lba)?;
         let mut shard = lock(&self.shards[die as usize]);
         let mut buf = vec![0u8; shard.page_size()];
-        shard.read(sub, &mut buf)?;
-        Ok(buf)
+        shard.chip_mut().set_context(CmdContext::host(lane));
+        let result = shard.read(sub, &mut buf);
+        shard.chip_mut().set_context(CmdContext::default());
+        result.map(|()| (buf, shard.chip().last_read_done_ns()))
     }
 
     /// Completion horizon of the die a posted member landed on: the
@@ -471,35 +474,24 @@ impl ShardedFtl {
         let mut rejected = Vec::new();
         match &req {
             IoRequest::ReadV(lbas) | IoRequest::HighPriorityReadV(lbas) => {
-                let priority = matches!(req, IoRequest::HighPriorityReadV(_));
-                if priority {
-                    self.ctrl.begin_priority_reads();
-                } else {
-                    self.ctrl.begin_posted_reads();
-                }
-                let mut result = Ok(());
+                let lane = match req {
+                    IoRequest::HighPriorityReadV(_) => Lane::PostedPriority,
+                    _ => Lane::Posted,
+                };
                 for &lba in lbas {
-                    match self.read_member(lba) {
-                        Ok(buf) => data.push(buf),
+                    match self.read_member(lba, lane) {
+                        Ok((buf, ready)) => {
+                            data.push(buf);
+                            done = done.max(ready);
+                        }
                         Err(e) => {
-                            result = Err(e);
-                            break;
+                            // No completion will ever surface the earlier
+                            // members (their state effects stand): retire
+                            // them from the outstanding gauge.
+                            self.ctrl.note_posted_reads_polled(data.len() as u64);
+                            return Err(e);
                         }
                     }
-                }
-                // Close the window even on a failed member, then surface
-                // the error (earlier members' state effects stand).
-                let horizon = if priority {
-                    self.ctrl.end_priority_reads()
-                } else {
-                    self.ctrl.end_posted_reads()
-                };
-                done = done.max(horizon);
-                if let Err(e) = result {
-                    // No completion will ever surface these members:
-                    // retire them from the outstanding horizon.
-                    self.ctrl.note_posted_reads_polled(data.len() as u64);
-                    return Err(e);
                 }
             }
             IoRequest::WriteV(pages) => {

@@ -26,8 +26,7 @@
 //! it like any other device. As the top device crate this is also where
 //! the whole tower is built: [`build_stack`] is the single function that
 //! nests stripe, scheduler and heat layer. Thresholds, decay, tier sizing and
-//! migration pacing live behind the [`PlacementPolicy`] trait
-//! ([`DefaultPolicy`] is the reference implementation).
+//! migration pacing are the fields of [`DefaultPolicy`].
 
 pub mod device;
 pub mod policy;
@@ -38,7 +37,7 @@ pub mod tier;
 pub mod tracker;
 
 pub use device::HeatDevice;
-pub use policy::{DefaultPolicy, PlacementPolicy};
+pub use policy::DefaultPolicy;
 pub use shifter::HeatShifter;
 pub use stack::build_stack;
 pub use stats::HeatStats;

@@ -1,51 +1,29 @@
-//! Pluggable placement policy: thresholds, decay, tier sizing and
-//! migration pacing live behind a trait so experiments can swap them
-//! without touching the device or the shifter.
-
-/// The knobs a [`crate::HeatDevice`] and its wear shifter consult. All
-/// methods are pull-style so a policy may adapt over time (e.g. tighten
-/// the hot threshold as the tier fills).
-pub trait PlacementPolicy: Send {
-    /// LBAs per heat-tracking range (the tracker's bucket size).
-    fn range_pages(&self) -> u64;
-
-    /// Recorded writes between counter halvings.
-    fn decay_interval(&self) -> u64;
-
-    /// Range heat at or above which full-page writes route to the SLC
-    /// tier.
-    fn hot_threshold(&self) -> u32;
-
-    /// Hot-tier capacity as a fraction of the exported LBA space.
-    fn tier_fraction(&self) -> f64;
-
-    /// Tier occupancy fraction at which the shifter proposes destage
-    /// jobs.
-    fn destage_high_water(&self) -> f64;
-
-    /// Pages per destage job (each page is one scheduler step).
-    fn destage_batch(&self) -> usize;
-
-    /// Cross-die erase spread (max − min, counted over the whole run) at
-    /// which the shifter proposes wear-shifting migrations.
-    fn migrate_wear_delta(&self) -> u64;
-
-    /// Hot/cold LBA pairs per migration job (each pair is one step).
-    fn migrate_batch(&self) -> usize;
-}
+//! The placement policy: thresholds, decay, tier sizing and migration
+//! pacing, as one plain struct the device and the shifter read.
 
 /// The default policy: small tracking ranges, a tier sized at 1/16 of
 /// the LBA space, destage at 75 % full, and migration once the die
 /// erase spread exceeds 4.
 #[derive(Debug, Clone)]
 pub struct DefaultPolicy {
+    /// LBAs per heat-tracking range (the tracker's bucket size).
     pub range_pages: u64,
+    /// Recorded writes between counter halvings.
     pub decay_interval: u64,
+    /// Range heat at or above which full-page writes route to the SLC
+    /// tier.
     pub hot_threshold: u32,
+    /// Hot-tier capacity as a fraction of the exported LBA space.
     pub tier_fraction: f64,
+    /// Tier occupancy fraction at which the shifter proposes destage
+    /// jobs.
     pub destage_high_water: f64,
+    /// Pages per destage job (each page is one scheduler step).
     pub destage_batch: usize,
+    /// Cross-die erase spread (max − min, counted since the last
+    /// proposal) at which the shifter proposes wear-shifting migrations.
     pub migrate_wear_delta: u64,
+    /// Hot/cold LBA pairs per migration job (each pair is one step).
     pub migrate_batch: usize,
 }
 
@@ -98,40 +76,6 @@ impl DefaultPolicy {
     }
 }
 
-impl PlacementPolicy for DefaultPolicy {
-    fn range_pages(&self) -> u64 {
-        self.range_pages
-    }
-
-    fn decay_interval(&self) -> u64 {
-        self.decay_interval
-    }
-
-    fn hot_threshold(&self) -> u32 {
-        self.hot_threshold
-    }
-
-    fn tier_fraction(&self) -> f64 {
-        self.tier_fraction
-    }
-
-    fn destage_high_water(&self) -> f64 {
-        self.destage_high_water
-    }
-
-    fn destage_batch(&self) -> usize {
-        self.destage_batch
-    }
-
-    fn migrate_wear_delta(&self) -> u64 {
-        self.migrate_wear_delta
-    }
-
-    fn migrate_batch(&self) -> usize {
-        self.migrate_batch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,14 +89,14 @@ mod tests {
             .with_decay_interval(64)
             .with_migrate_wear_delta(2)
             .with_destage_high_water(0.5);
-        assert_eq!(p.hot_threshold(), 9);
-        assert!((p.tier_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(p.range_pages(), 4);
-        assert_eq!(p.decay_interval(), 64);
-        assert_eq!(p.migrate_wear_delta(), 2);
-        assert!((p.destage_high_water() - 0.5).abs() < 1e-12);
-        assert!(p.destage_batch() > 0);
-        assert!(p.migrate_batch() > 0);
+        assert_eq!(p.hot_threshold, 9);
+        assert!((p.tier_fraction - 0.25).abs() < 1e-12);
+        assert_eq!(p.range_pages, 4);
+        assert_eq!(p.decay_interval, 64);
+        assert_eq!(p.migrate_wear_delta, 2);
+        assert!((p.destage_high_water - 0.5).abs() < 1e-12);
+        assert!(p.destage_batch > 0);
+        assert!(p.migrate_batch > 0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl HeatShifter {
 
     fn propose_destage(&self, ftl: &ShardedFtl) -> Option<ReclaimJob> {
         let core = lock_core(&self.core);
-        if core.tier.occupancy() < core.policy.destage_high_water() || core.tier.resident() == 0 {
+        if core.tier.occupancy() < core.policy.destage_high_water || core.tier.resident() == 0 {
             return None;
         }
         // Destage coldest-first: the pages least likely to be rewritten
@@ -55,7 +55,7 @@ impl HeatShifter {
             .filter(|&h| ftl.locate(h).is_ok())
             .collect();
         hosts.sort_by_key(|&h| (core.tracker.heat(h), h));
-        hosts.truncate(core.policy.destage_batch().max(1));
+        hosts.truncate(core.policy.destage_batch.max(1));
         if hosts.is_empty() {
             return None;
         }
@@ -73,7 +73,7 @@ impl HeatShifter {
             _ => return None,
         };
         let core = lock_core(&self.core);
-        if ftl.dies() < 2 || max_d - min_d < core.policy.migrate_wear_delta() {
+        if ftl.dies() < 2 || max_d - min_d < core.policy.migrate_wear_delta {
             return None;
         }
         let worn = deltas.iter().position(|&d| d == max_d).unwrap() as u32;
@@ -91,7 +91,7 @@ impl HeatShifter {
 
         let mut pairs: Vec<(Lba, Lba)> = Vec::new();
         let mut used = vec![false; cold.len()];
-        for &h in hot.iter().take(core.policy.migrate_batch().max(1)) {
+        for &h in hot.iter().take(core.policy.migrate_batch.max(1)) {
             let hh = core.tracker.heat(h);
             if hh == 0 {
                 break;
@@ -103,7 +103,7 @@ impl HeatShifter {
                 used[j] = true;
                 pairs.push((h, cold[j]));
             }
-            if pairs.len() >= core.policy.migrate_batch().max(1) {
+            if pairs.len() >= core.policy.migrate_batch.max(1) {
                 break;
             }
         }

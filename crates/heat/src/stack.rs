@@ -13,7 +13,7 @@ use ipa_ftl::{FtlConfig, NativeFlashDevice, RegionTable, ShardedFtl, StripePolic
 use ipa_maint::{MaintConfig, MaintainedFtl};
 
 use crate::device::HeatDevice;
-use crate::policy::PlacementPolicy;
+use crate::policy::DefaultPolicy;
 
 /// Build the die-striped device for `controller`, wrapped in as many
 /// layers as the arguments ask for:
@@ -29,7 +29,7 @@ pub fn build_stack(
     policy: StripePolicy,
     regions: RegionTable,
     maint: Option<MaintConfig>,
-    placement: Option<Box<dyn PlacementPolicy>>,
+    placement: Option<DefaultPolicy>,
 ) -> Box<dyn NativeFlashDevice> {
     let maint = maint.or_else(|| placement.as_ref().map(|_| MaintConfig::default()));
     let ftl_config = if maint.is_some() {
@@ -43,7 +43,7 @@ pub fn build_stack(
     };
     let maintained = MaintainedFtl::new(striped, maint);
     match placement {
-        Some(placement) => Box::new(HeatDevice::new(maintained, placement)),
+        Some(placement) => Box::new(HeatDevice::new(maintained, Box::new(placement))),
         None => Box::new(maintained),
     }
 }

@@ -52,13 +52,6 @@ impl MaintainedFtl {
         self.sched.set_wear_shifter(shifter);
     }
 
-    /// Exclusive access to the wrapped stripe for maintenance-side
-    /// callers (the heat device's destage path swaps and batch-writes
-    /// through this; host traffic is serialized out by the borrow).
-    pub fn inner_mut(&mut self) -> &mut ShardedFtl {
-        &mut self.inner
-    }
-
     /// Run one scheduler poll outside any host command. Layered devices
     /// that absorb host traffic before it reaches the stripe (the heat
     /// tier) call this after an absorbed command, so background

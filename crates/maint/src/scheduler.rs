@@ -1,6 +1,6 @@
 //! The idle-die reclaim scheduler.
 
-use ipa_controller::{CommandKind, FlashController, TracePhase};
+use ipa_controller::{CmdContext, CommandKind, FlashController, TracePhase};
 use ipa_ftl::{GcProgress, ReclaimJob, Result, ShardedFtl};
 use std::sync::Arc;
 
@@ -11,7 +11,7 @@ use crate::stats::MaintStats;
 /// [`ReclaimJob`] variants ([`ReclaimJob::MigrateRange`] wear shifting,
 /// [`ReclaimJob::Destage`] hot-tier flushes) that the idle-die scheduler
 /// dispatches alongside per-die GC. The scheduler owns *when* (idle dies,
-/// step budgets, internal mode); the shifter owns *what* (which LBAs move
+/// step budgets, internal context); the shifter owns *what* (which LBAs move
 /// where) — so tier sizing, heat thresholds and pairing policy live
 /// outside `ipa-maint`.
 pub trait WearShifter: Send {
@@ -48,18 +48,19 @@ pub trait WearShifter: Send {
 /// `ipa-heat` crate's job: its `WearShifter` proposes `MigrateRange` /
 /// `Destage` work that this scheduler dispatches on idle dies.
 ///
-/// Steps run inside the controller's firmware-internal mode: copy-backs
-/// and programs occupy die and channel clocks (host commands arriving
-/// later on that die queue behind them, exactly like real firmware) but
-/// never advance the submitting host clock and never trip NCQ
-/// back-pressure.
+/// Steps run with the die handles of exactly the shards they touch set
+/// to [`CmdContext::INTERNAL`] (a GC step's own die; the dies
+/// [`WearShifter::next_dies`] names for a shift step): copy-backs and
+/// programs occupy die and channel clocks (host commands arriving later
+/// on that die queue behind them, exactly like real firmware) but never
+/// trip NCQ back-pressure, and other dies' host traffic is unaffected.
 ///
 /// On a QoS controller ([`ipa_controller::ControllerConfig::with_qos`])
 /// the reclaim erases this scheduler posts are *suspendable*: a host
 /// read landing on the die parks the erase pulse, completes, and lets
 /// the erase resume (bounded by
 /// [`ipa_flash::DeviceConfig::erase_resume_limit`]). The scheduler needs
-/// no cooperation for this — posted internal-mode erases sit in the same
+/// no cooperation for this — posted internal erases sit in the same
 /// die queue the QoS slot search walks — but it observes the suspensions
 /// in [`MaintStats::erase_suspends_seen`].
 pub struct MaintenanceScheduler {
@@ -99,12 +100,6 @@ impl MaintenanceScheduler {
         self.active_shift = None;
     }
 
-    /// Is a migration/destage job currently in flight?
-    #[inline]
-    pub fn shift_in_flight(&self) -> bool {
-        self.active_shift.is_some()
-    }
-
     /// One scheduling round over all shards (see the type docs).
     pub fn poll(&mut self, ftl: &mut ShardedFtl) -> Result<()> {
         self.stats.polls += 1;
@@ -132,10 +127,7 @@ impl MaintenanceScheduler {
             // without a tracer): the copy-backs/erases that follow carry
             // the `internal` origin and attribute to this instant.
             ctrl.trace_instant(die, CommandKind::ReclaimStep, TracePhase::Dispatched);
-            ctrl.begin_internal();
-            let outcome = self.run_steps(ftl, die, threshold);
-            ctrl.end_internal();
-            outcome?;
+            self.run_steps(ftl, die, threshold)?;
         }
 
         self.poll_shift(ftl, &ctrl)?;
@@ -173,9 +165,9 @@ impl MaintenanceScheduler {
                 ReclaimJob::Destage { .. } => &mut self.stats.destages,
                 _ => &mut self.stats.range_migrations,
             };
-            ctrl.begin_internal();
+            set_context(ftl, &dies, CmdContext::INTERNAL);
             let done = shifter.step(&mut job, ftl);
-            ctrl.end_internal();
+            set_context(ftl, &dies, CmdContext::default());
             *counter += 1;
             self.stats.steps += 1;
             if done? {
@@ -186,22 +178,38 @@ impl MaintenanceScheduler {
         Ok(())
     }
 
-    /// Up to `steps_per_poll` reclaim steps on one shard.
+    /// Up to `steps_per_poll` reclaim steps on one shard, issued as
+    /// firmware-internal commands on that shard's die only.
     fn run_steps(&mut self, ftl: &mut ShardedFtl, die: u32, threshold: u32) -> Result<()> {
+        let mut shard = ftl.shard(die);
+        shard.chip_mut().set_context(CmdContext::INTERNAL);
+        let mut outcome = Ok(());
         for _ in 0..self.cfg.steps_per_poll {
-            match ftl.shard(die).background_gc_step(threshold)? {
-                GcProgress::Idle => break,
-                GcProgress::Migrated => {
+            match shard.background_gc_step(threshold) {
+                Ok(GcProgress::Idle) => break,
+                Ok(GcProgress::Migrated) => {
                     self.stats.steps += 1;
                     self.stats.migrations += 1;
                 }
-                GcProgress::Erased => {
+                Ok(GcProgress::Erased) => {
                     self.stats.steps += 1;
                     self.stats.erases += 1;
                 }
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
             }
         }
-        Ok(())
+        shard.chip_mut().set_context(CmdContext::default());
+        outcome
+    }
+}
+
+/// Set the command context of the die handles behind `dies`' shards.
+fn set_context(ftl: &ShardedFtl, dies: &[u32], ctx: CmdContext) {
+    for &die in dies {
+        ftl.shard(die).chip_mut().set_context(ctx);
     }
 }
 

@@ -15,7 +15,7 @@ use crate::buffer::{BufferPool, PageId};
 use crate::catalog::TableInfo;
 use crate::error::{Result, StorageError};
 use crate::heap::Rid;
-use crate::page::{PageMut, SlottedPage, WriteOp, HEADER_LEN};
+use crate::page::{PageMut, SlottedPage, HEADER_LEN};
 
 /// Sentinel for "no page".
 const NIL: u64 = u64::MAX;
@@ -126,14 +126,8 @@ fn read_node(pool: &mut BufferPool, pid: PageId) -> Result<Node> {
 }
 
 /// Write a node image back, touching only the changed byte span.
-fn write_node(
-    pool: &mut BufferPool,
-    pid: PageId,
-    node: &Node,
-    lsn: u64,
-    capture: Option<&mut Vec<WriteOp>>,
-) -> Result<()> {
-    pool.with_page_mut(pid, capture, |pm| {
+fn write_node(pool: &mut BufferPool, pid: PageId, node: &Node, lsn: u64) -> Result<()> {
+    pool.with_page_mut(pid, None, |pm| {
         let body_len = pm.layout().delta_area_offset() - HEADER_LEN;
         let old = pm.bytes()[HEADER_LEN..HEADER_LEN + body_len].to_vec();
         let new = node.serialize(body_len, &old);
@@ -163,7 +157,6 @@ fn alloc_node(
     table: &mut TableInfo,
     node: &Node,
     lsn: u64,
-    mut capture: Option<&mut Vec<WriteOp>>,
 ) -> Result<PageId> {
     if table.allocated_pages == table.spec.pages {
         return Err(StorageError::TableFull(table.spec.name.clone()));
@@ -171,20 +164,15 @@ fn alloc_node(
     let pid = table.page(table.allocated_pages);
     table.allocated_pages += 1;
     pool.new_page(pid)?;
-    pool.with_page_mut(pid, capture.as_deref_mut(), |pm| {
+    pool.with_page_mut(pid, None, |pm| {
         SlottedPage::new(pm).format(pid as u32);
     })?;
-    write_node(pool, pid, node, lsn, capture)?;
+    write_node(pool, pid, node, lsn)?;
     Ok(pid)
 }
 
 /// Create an empty tree (root = empty leaf).
-pub fn create(
-    pool: &mut BufferPool,
-    table: &mut TableInfo,
-    lsn: u64,
-    capture: Option<&mut Vec<WriteOp>>,
-) -> Result<()> {
+pub fn create(pool: &mut BufferPool, table: &mut TableInfo, lsn: u64) -> Result<()> {
     assert!(table.root.is_none(), "index already created");
     let root = alloc_node(
         pool,
@@ -195,7 +183,6 @@ pub fn create(
             next: None,
         },
         lsn,
-        capture,
     )?;
     table.root = Some(root);
     Ok(())
@@ -239,7 +226,6 @@ pub fn insert(
     key: u64,
     rid: Rid,
     lsn: u64,
-    mut capture: Option<&mut Vec<WriteOp>>,
 ) -> Result<()> {
     let root = table.root.expect("index not created");
     let (path, leaf_pid) = descend(pool, root, key)?;
@@ -260,13 +246,7 @@ pub fn insert(
 
     let cap = leaf_capacity(body_len(pool, leaf_pid));
     if keys.len() <= cap {
-        write_node(
-            pool,
-            leaf_pid,
-            &Node::Leaf { keys, rids, next },
-            lsn,
-            capture,
-        )?;
+        write_node(pool, leaf_pid, &Node::Leaf { keys, rids, next }, lsn)?;
         return Ok(());
     }
 
@@ -284,7 +264,6 @@ pub fn insert(
             next,
         },
         lsn,
-        capture.as_deref_mut(),
     )?;
     write_node(
         pool,
@@ -295,13 +274,11 @@ pub fn insert(
             next: Some(right_pid),
         },
         lsn,
-        capture.as_deref_mut(),
     )?;
-    insert_separator(pool, table, path, leaf_pid, sep, right_pid, lsn, capture)
+    insert_separator(pool, table, path, leaf_pid, sep, right_pid, lsn)
 }
 
 /// Propagate a split upward.
-#[allow(clippy::too_many_arguments)]
 fn insert_separator(
     pool: &mut BufferPool,
     table: &mut TableInfo,
@@ -310,7 +287,6 @@ fn insert_separator(
     sep: u64,
     right: PageId,
     lsn: u64,
-    mut capture: Option<&mut Vec<WriteOp>>,
 ) -> Result<()> {
     let Some(parent_pid) = path.pop() else {
         // Split reached the root: grow the tree.
@@ -322,7 +298,6 @@ fn insert_separator(
                 children: vec![left, right],
             },
             lsn,
-            capture,
         )?;
         table.root = Some(new_root);
         return Ok(());
@@ -340,13 +315,7 @@ fn insert_separator(
 
     let cap = internal_capacity(body_len(pool, parent_pid));
     if keys.len() <= cap {
-        write_node(
-            pool,
-            parent_pid,
-            &Node::Internal { keys, children },
-            lsn,
-            capture,
-        )?;
+        write_node(pool, parent_pid, &Node::Internal { keys, children }, lsn)?;
         return Ok(());
     }
 
@@ -364,27 +333,14 @@ fn insert_separator(
             children: right_children,
         },
         lsn,
-        capture.as_deref_mut(),
     )?;
-    write_node(
-        pool,
-        parent_pid,
-        &Node::Internal { keys, children },
-        lsn,
-        capture.as_deref_mut(),
-    )?;
-    insert_separator(pool, table, path, parent_pid, up, right_pid, lsn, capture)
+    write_node(pool, parent_pid, &Node::Internal { keys, children }, lsn)?;
+    insert_separator(pool, table, path, parent_pid, up, right_pid, lsn)
 }
 
 /// Remove a key. Returns whether it existed. Leaves are never merged —
 /// benchmark deletes are rare and sparse leaves stay searchable.
-pub fn delete(
-    pool: &mut BufferPool,
-    table: &TableInfo,
-    key: u64,
-    lsn: u64,
-    capture: Option<&mut Vec<WriteOp>>,
-) -> Result<bool> {
+pub fn delete(pool: &mut BufferPool, table: &TableInfo, key: u64, lsn: u64) -> Result<bool> {
     let Some(root) = table.root else {
         return Ok(false);
     };
@@ -401,13 +357,7 @@ pub fn delete(
         Ok(i) => {
             keys.remove(i);
             rids.remove(i);
-            write_node(
-                pool,
-                leaf_pid,
-                &Node::Leaf { keys, rids, next },
-                lsn,
-                capture,
-            )?;
+            write_node(pool, leaf_pid, &Node::Leaf { keys, rids, next }, lsn)?;
             Ok(true)
         }
         Err(_) => Ok(false),
@@ -481,7 +431,7 @@ mod tests {
     fn empty_tree_lookup() {
         let mut p = pool();
         let mut t = index(8);
-        create(&mut p, &mut t, 1, None).unwrap();
+        create(&mut p, &mut t, 1).unwrap();
         assert_eq!(lookup(&mut p, &t, 42).unwrap(), None);
     }
 
@@ -489,9 +439,9 @@ mod tests {
     fn insert_and_find_small() {
         let mut p = pool();
         let mut t = index(8);
-        create(&mut p, &mut t, 1, None).unwrap();
+        create(&mut p, &mut t, 1).unwrap();
         for k in [5u64, 1, 9, 3, 7] {
-            insert(&mut p, &mut t, k, rid_of(k), 2, None).unwrap();
+            insert(&mut p, &mut t, k, rid_of(k), 2).unwrap();
         }
         for k in [1u64, 3, 5, 7, 9] {
             assert_eq!(lookup(&mut p, &t, k).unwrap(), Some(rid_of(k)));
@@ -503,10 +453,10 @@ mod tests {
     fn duplicate_rejected() {
         let mut p = pool();
         let mut t = index(8);
-        create(&mut p, &mut t, 1, None).unwrap();
-        insert(&mut p, &mut t, 5, rid_of(5), 2, None).unwrap();
+        create(&mut p, &mut t, 1).unwrap();
+        insert(&mut p, &mut t, 5, rid_of(5), 2).unwrap();
         assert!(matches!(
-            insert(&mut p, &mut t, 5, rid_of(5), 3, None),
+            insert(&mut p, &mut t, 5, rid_of(5), 3),
             Err(StorageError::DuplicateKey(5))
         ));
     }
@@ -515,14 +465,14 @@ mod tests {
     fn splits_preserve_all_keys() {
         let mut p = pool();
         let mut t = index(64);
-        create(&mut p, &mut t, 1, None).unwrap();
+        create(&mut p, &mut t, 1).unwrap();
         // Enough keys to force multiple leaf and internal splits
         // (leaf capacity ≈ (2048-32-12)/18 ≈ 111).
         let n = 2000u64;
         for k in 0..n {
             // Scatter inserts to stress both append and mid-leaf paths.
             let key = (k * 2_654_435_761) % 100_000;
-            let _ = insert(&mut p, &mut t, key, rid_of(key), 2, None);
+            let _ = insert(&mut p, &mut t, key, rid_of(key), 2);
         }
         let mut seen = Vec::new();
         range(&mut p, &t, 0, u64::MAX, |k, _| seen.push(k)).unwrap();
@@ -540,9 +490,9 @@ mod tests {
     fn sequential_inserts() {
         let mut p = pool();
         let mut t = index(64);
-        create(&mut p, &mut t, 1, None).unwrap();
+        create(&mut p, &mut t, 1).unwrap();
         for k in 0..1000u64 {
-            insert(&mut p, &mut t, k, rid_of(k), 2, None).unwrap();
+            insert(&mut p, &mut t, k, rid_of(k), 2).unwrap();
         }
         for k in (0..1000u64).step_by(37) {
             assert_eq!(lookup(&mut p, &t, k).unwrap(), Some(rid_of(k)));
@@ -553,12 +503,12 @@ mod tests {
     fn delete_then_miss() {
         let mut p = pool();
         let mut t = index(8);
-        create(&mut p, &mut t, 1, None).unwrap();
+        create(&mut p, &mut t, 1).unwrap();
         for k in 0..50u64 {
-            insert(&mut p, &mut t, k, rid_of(k), 2, None).unwrap();
+            insert(&mut p, &mut t, k, rid_of(k), 2).unwrap();
         }
-        assert!(delete(&mut p, &t, 25, 3, None).unwrap());
-        assert!(!delete(&mut p, &t, 25, 4, None).unwrap());
+        assert!(delete(&mut p, &t, 25, 3).unwrap());
+        assert!(!delete(&mut p, &t, 25, 4).unwrap());
         assert_eq!(lookup(&mut p, &t, 25).unwrap(), None);
         assert_eq!(lookup(&mut p, &t, 24).unwrap(), Some(rid_of(24)));
     }
@@ -567,9 +517,9 @@ mod tests {
     fn range_bounds() {
         let mut p = pool();
         let mut t = index(16);
-        create(&mut p, &mut t, 1, None).unwrap();
+        create(&mut p, &mut t, 1).unwrap();
         for k in (0..300u64).step_by(3) {
-            insert(&mut p, &mut t, k, rid_of(k), 2, None).unwrap();
+            insert(&mut p, &mut t, k, rid_of(k), 2).unwrap();
         }
         let mut seen = Vec::new();
         range(&mut p, &t, 10, 20, |k, _| seen.push(k)).unwrap();
@@ -580,9 +530,9 @@ mod tests {
     fn survives_cache_drop() {
         let mut p = pool();
         let mut t = index(64);
-        create(&mut p, &mut t, 1, None).unwrap();
+        create(&mut p, &mut t, 1).unwrap();
         for k in 0..500u64 {
-            insert(&mut p, &mut t, k, rid_of(k), 2, None).unwrap();
+            insert(&mut p, &mut t, k, rid_of(k), 2).unwrap();
         }
         p.drop_cache().unwrap();
         for k in (0..500u64).step_by(11) {

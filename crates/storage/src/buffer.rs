@@ -102,7 +102,7 @@ pub struct PoolStats {
     /// Fetches served from a read-ahead completion instead of a fresh
     /// synchronous device read.
     pub readahead_hits: u64,
-    /// Net modified bytes per dirty eviction (needs `measure_net_writes`).
+    /// Net modified bytes per dirty eviction (needs [`BufferPool::enable_net_write_measurement`]).
     pub net_bytes: NetBytesHistogram,
 }
 
@@ -228,10 +228,6 @@ impl BufferPool {
             .unwrap_or_else(|| standard_layout(self.device.page_size(), NmScheme::disabled()))
     }
 
-    pub fn is_cached(&self, pid: PageId) -> bool {
-        self.map.contains_key(&pid)
-    }
-
     /// Run `f` over a read-only view of the page.
     pub fn with_page<R>(&mut self, pid: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let idx = self.ensure_cached(pid, false)?;
@@ -264,14 +260,6 @@ impl BufferPool {
     /// caller formats it afterwards.
     pub fn new_page(&mut self, pid: PageId) -> Result<()> {
         let _ = self.ensure_cached(pid, true)?;
-        Ok(())
-    }
-
-    /// Write a dirty page back without evicting it.
-    pub fn flush_page(&mut self, pid: PageId) -> Result<()> {
-        if let Some(&idx) = self.map.get(&pid) {
-            self.write_back(idx)?;
-        }
         Ok(())
     }
 

@@ -33,8 +33,6 @@ pub struct EngineConfig {
     pub buffer_frames: usize,
     /// WAL capacity in log pages; 0 disables logging.
     pub wal_pages: u64,
-    /// Record net modified bytes per dirty eviction (Figure 1).
-    pub measure_net_writes: bool,
     /// Commits per WAL flush (group commit). 1 = flush every commit
     /// (strict durability); benchmark runs model a loaded multi-client
     /// system with a deeper group.
@@ -56,7 +54,6 @@ impl Default for EngineConfig {
             scheme: NmScheme::disabled(),
             buffer_frames: 256,
             wal_pages: 1024,
-            measure_net_writes: false,
             group_commit: 1,
             readahead_window: 0,
             wal_stripe: None,
@@ -86,16 +83,6 @@ impl EngineConfig {
 
     pub fn with_buffer_frames(mut self, frames: usize) -> Self {
         self.buffer_frames = frames;
-        self
-    }
-
-    pub fn without_wal(mut self) -> Self {
-        self.wal_pages = 0;
-        self
-    }
-
-    pub fn with_net_write_measurement(mut self) -> Self {
-        self.measure_net_writes = true;
         self
     }
 
@@ -231,9 +218,6 @@ impl StorageEngine {
         );
 
         let mut pool = BufferPool::new(device, config.strategy, config.buffer_frames);
-        if config.measure_net_writes {
-            pool.enable_net_write_measurement();
-        }
         if config.readahead_window > 0 {
             pool.enable_readahead(config.readahead_window);
         }
@@ -256,7 +240,7 @@ impl StorageEngine {
             if engine.catalog.get(id).spec.kind == TableKind::Index {
                 let lsn = engine.next_lsn();
                 let mut info = engine.catalog.get(id).clone();
-                btree::create(&mut engine.pool, &mut info, lsn, None)?;
+                btree::create(&mut engine.pool, &mut info, lsn)?;
                 *engine.catalog.get_mut(id) = info;
             }
         }
@@ -441,39 +425,25 @@ impl StorageEngine {
 
     // ----- index operations -------------------------------------------------
 
-    pub fn index_insert(&mut self, tx: TxId, index: TableId, key: u64, rid: Rid) -> Result<()> {
+    /// Index page changes are not WAL-logged (`tx` is accepted for call
+    /// symmetry with the heap operations): an index survives a crash only
+    /// as far as its pages were flushed.
+    pub fn index_insert(&mut self, _tx: TxId, index: TableId, key: u64, rid: Rid) -> Result<()> {
         let lsn = self.next_lsn();
-        let mut ops = Vec::new();
         let mut info = self.catalog.get(index).clone();
-        let r = btree::insert(&mut self.pool, &mut info, key, rid, lsn, Some(&mut ops));
+        let r = btree::insert(&mut self.pool, &mut info, key, rid, lsn);
         *self.catalog.get_mut(index) = info;
-        r?;
-        // Index updates may touch several pages; undo/redo is captured as
-        // one batch against the root region (physical ops carry the page
-        // in their offsets... they don't — log per page is required).
-        // WriteOps from different pages are interleaved; for correctness we
-        // conservatively log them as belonging to the pages we touched.
-        // btree ops return them in page order via the capture; see
-        // `log_update_multi`.
-        self.log_update_multi(tx, lsn, ops)
+        r
     }
 
     pub fn index_lookup(&mut self, index: TableId, key: u64) -> Result<Option<Rid>> {
         btree::lookup(&mut self.pool, self.catalog.get(index), key)
     }
 
-    pub fn index_delete(&mut self, tx: TxId, index: TableId, key: u64) -> Result<bool> {
+    /// Not WAL-logged — see [`StorageEngine::index_insert`].
+    pub fn index_delete(&mut self, _tx: TxId, index: TableId, key: u64) -> Result<bool> {
         let lsn = self.next_lsn();
-        let mut ops = Vec::new();
-        let existed = btree::delete(
-            &mut self.pool,
-            self.catalog.get(index),
-            key,
-            lsn,
-            Some(&mut ops),
-        )?;
-        self.log_update_multi(tx, lsn, ops)?;
-        Ok(existed)
+        btree::delete(&mut self.pool, self.catalog.get(index), key, lsn)
     }
 
     pub fn index_range(
@@ -484,22 +454,6 @@ impl StorageEngine {
         f: impl FnMut(u64, Rid),
     ) -> Result<()> {
         btree::range(&mut self.pool, self.catalog.get(index), lo, hi, f)
-    }
-
-    /// Multi-page captures (B+-tree splits) cannot be attributed to a
-    /// single page id after the fact, so they are logged — and undone — as
-    /// a whole against the index's root page entry. Abort of index
-    /// operations therefore redoes byte-exact images, which is correct
-    /// because `WriteOp.offset` is page-local and the capture preserves
-    /// ordering per page.
-    ///
-    /// NOTE: the capture API hands us ops without page ids; single-page
-    /// heap ops pass the page explicitly. For the B+-tree we accept the
-    /// limitation and keep index WAL records page-less redo-only: aborts
-    /// of index inserts are compensated logically (delete the key), which
-    /// `Driver` does. This mirrors Shore-MT's logical index undo.
-    fn log_update_multi(&mut self, _tx: TxId, _lsn: u64, _ops: Vec<WriteOp>) -> Result<()> {
-        Ok(())
     }
 
     // ----- lifecycle --------------------------------------------------------

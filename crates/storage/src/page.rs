@@ -106,24 +106,6 @@ impl<'a> PageMut<'a> {
         self.buf[offset..offset + new.len()].copy_from_slice(new);
     }
 
-    /// Write that bypasses delta tracking but still captures undo/redo —
-    /// used for structural reorganisation after the tracker has been marked
-    /// out-of-place.
-    pub fn write_untracked(&mut self, offset: usize, new: &[u8]) {
-        let old = &self.buf[offset..offset + new.len()];
-        if old == new {
-            return;
-        }
-        if let Some(cap) = self.capture.as_deref_mut() {
-            cap.push(WriteOp {
-                offset: offset as u16,
-                old: old.to_vec(),
-                new: new.to_vec(),
-            });
-        }
-        self.buf[offset..offset + new.len()].copy_from_slice(new);
-    }
-
     /// Escape hatch for the tracker (e.g. marking structural changes).
     #[inline]
     pub fn tracker_mut(&mut self) -> &mut ChangeTracker {

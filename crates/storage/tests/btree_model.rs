@@ -23,14 +23,14 @@ proptest! {
         let mut c = Catalog::new();
         let id = c.add(TableSpec::index("pt", 64));
         let mut t = c.get(id).clone();
-        create(&mut p, &mut t, 1, None).unwrap();
+        create(&mut p, &mut t, 1).unwrap();
         let mut model: BTreeMap<u64, Rid> = BTreeMap::new();
 
         for (op, key) in ops {
             match op {
                 0 => {
                     let rid = Rid::new(key * 3, (key % 7) as u16);
-                    match insert(&mut p, &mut t, key, rid, 2, None) {
+                    match insert(&mut p, &mut t, key, rid, 2) {
                         Ok(()) => {
                             prop_assert!(!model.contains_key(&key));
                             model.insert(key, rid);
@@ -42,7 +42,7 @@ proptest! {
                     }
                 }
                 1 => {
-                    let existed = delete(&mut p, &t, key, 3, None).unwrap();
+                    let existed = delete(&mut p, &t, key, 3).unwrap();
                     prop_assert_eq!(existed, model.remove(&key).is_some());
                 }
                 _ => {

@@ -10,7 +10,7 @@ use ipa_core::{NmScheme, PageLayout};
 use ipa_flash::{DeviceConfig, DisturbRates, FlashChip, FlashMode, Geometry};
 use ipa_fleet::SoakConfig;
 use ipa_ftl::{Ftl, FtlConfig, ShardedFtl, StripePolicy, WriteStrategy};
-use ipa_heat::{build_stack, DefaultPolicy, PlacementPolicy};
+use ipa_heat::{build_stack, DefaultPolicy};
 use ipa_maint::MaintConfig;
 use ipa_storage::{BufferPool, EngineConfig, StorageEngine, TableSpec};
 
@@ -134,8 +134,7 @@ fn striped_engine(
         &[TableSpec::heap("m", crate::ops::ROW, 200)],
         move |regions, ftl_config| {
             let maint = maint.map(|_| MaintConfig::default());
-            let placement =
-                heat.then(|| Box::new(aggressive_heat_policy()) as Box<dyn PlacementPolicy>);
+            let placement = heat.then(aggressive_heat_policy);
             build_stack(controller, ftl_config, policy, regions, maint, placement)
         },
     )

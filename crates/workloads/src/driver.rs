@@ -15,7 +15,7 @@ use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, FlashStats, Geometry};
 use ipa_ftl::{
     BlockDevice, DeviceStats, FtlConfig, IoRequest, ShardedFtl, StripePolicy, WriteStrategy,
 };
-use ipa_heat::{DefaultPolicy, HeatDevice, HeatStats, PlacementPolicy};
+use ipa_heat::{DefaultPolicy, HeatDevice, HeatStats};
 use ipa_maint::{MaintConfig, MaintStats, MaintainedFtl};
 use ipa_storage::{EngineConfig, NetBytesHistogram, PoolStats, Result, StorageEngine, TableKind};
 use ipa_trace::{LatencyHistogram, MetricsSnapshot, RingRecorder, TraceEvent};
@@ -200,12 +200,6 @@ impl MaintMode {
         }
     }
 
-    /// Override the background scheduler's policy knobs.
-    pub fn with_maint_config(mut self, maint: MaintConfig) -> Self {
-        self.maint = maint;
-        self
-    }
-
     /// Enable latency-QoS scheduling (read promotion + erase suspend) on
     /// the controller.
     pub fn with_qos(mut self) -> Self {
@@ -282,10 +276,6 @@ pub struct DriverConfig {
     /// controller for the measured window; the retained events land in
     /// [`RunResult::trace`]. `None` runs untraced (zero cost).
     pub trace_capacity: Option<usize>,
-    /// Keep read latencies only in the fixed-memory histogram (no exact
-    /// per-read sample buffer) — the long-soak memory bound.
-    /// [`RunResult::read_latency`] then comes from the histogram.
-    pub bounded_latency: bool,
     /// Draw benchmark primary keys Zipf(θ)-skewed instead of uniformly
     /// (via [`Benchmark::set_key_skew`]); `None` keeps each benchmark's
     /// native distribution.
@@ -311,7 +301,6 @@ impl Default for DriverConfig {
             wal_stripe: None,
             group_commit: None,
             trace_capacity: None,
-            bounded_latency: false,
             zipf_theta: None,
             heat: None,
         }
@@ -376,20 +365,6 @@ impl DriverConfig {
         self
     }
 
-    /// Bound read-latency memory to the log2 histogram (no exact sample
-    /// buffer) — required for unbounded soaks.
-    pub fn with_bounded_latency(mut self) -> Self {
-        self.bounded_latency = true;
-        self
-    }
-
-    /// Skew benchmark key draws Zipf(θ).
-    pub fn with_zipf_theta(mut self, theta: f64) -> Self {
-        assert!(theta >= 0.0 && theta.is_finite(), "theta must be ≥ 0");
-        self.zipf_theta = Some(theta);
-        self
-    }
-
     /// Mount the heat-placement device with this policy.
     pub fn with_heat(mut self, policy: DefaultPolicy) -> Self {
         self.heat = Some(policy);
@@ -443,8 +418,7 @@ pub struct RunResult {
     /// [`HeatDevice`] ([`DriverConfig::with_heat`]).
     pub heat: Option<HeatStats>,
     /// Host-read latency histogram over the measured window (always
-    /// populated on controller devices; the only latency record in
-    /// [`DriverConfig::bounded_latency`] mode).
+    /// populated on controller devices).
     pub read_latency_hist: LatencyHistogram,
     /// Command lifecycle events retained by the measured window's ring
     /// recorder; empty unless [`DriverConfig::trace_capacity`] was set.
@@ -566,11 +540,6 @@ impl Driver {
 
         let before = engine.stats();
         let ctrl = Self::controller_of(engine);
-        if cfg.bounded_latency {
-            if let Some(c) = &ctrl {
-                c.set_bounded_read_latencies(true);
-            }
-        }
         // Read-latency samples accumulated before the measured window
         // (load + warm-up) are excluded by remembering the cursor; the
         // histogram is windowed the same way via a snapshot + delta.
@@ -727,10 +696,9 @@ impl Driver {
             raw_blocks: engine.pool().device().raw_blocks(),
             latency: LatencyPercentiles::from_samples(samples),
             read_latency: match &ctrl {
-                Some(c) if !cfg.bounded_latency => {
+                Some(c) => {
                     LatencyPercentiles::from_samples(c.read_latencies()[read_lat_cursor..].to_vec())
                 }
-                Some(_) => LatencyPercentiles::from_histogram(&read_latency_hist),
                 None => LatencyPercentiles::default(),
             },
             per_stream,
@@ -957,10 +925,7 @@ impl StackSpec {
         let controller = topology.controller(chip, self.maint.queue_cap, self.maint.qos);
         // Heat placement needs the scheduler, so it always runs with
         // deferred (background) GC under the mode's scheduler policy.
-        let placement = cfg
-            .heat
-            .clone()
-            .map(|p| Box::new(p) as Box<dyn PlacementPolicy>);
+        let placement = cfg.heat.clone();
         let maint = (self.maint.background_gc || placement.is_some()).then_some(self.maint.maint);
         let policy = topology.policy;
         StorageEngine::build_with_device(page_size, config, &tables, move |regions, ftl_config| {

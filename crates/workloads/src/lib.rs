@@ -21,7 +21,7 @@ pub use driver::{
     StackSpec, StreamLatency, ThreadedConfig, ThreadedRunResult, Topology,
 };
 pub use ipa_controller::ControllerStats;
-pub use ipa_heat::{DefaultPolicy as HeatPolicy, HeatDevice, HeatStats, PlacementPolicy};
+pub use ipa_heat::{DefaultPolicy as HeatPolicy, HeatDevice, HeatStats};
 pub use ipa_maint::{MaintConfig, MaintStats, MaintainedFtl};
 pub use ipa_trace::{
     chrome_trace_json, trace_csv, LatencyHistogram, MetricSection, MetricsSnapshot, RingRecorder,

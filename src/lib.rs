@@ -53,7 +53,7 @@ pub mod prelude {
         BlockDevice, DeviceStats, Ftl, FtlConfig, NativeFlashDevice, Region, RegionTable,
         WriteStrategy,
     };
-    pub use ipa_heat::{DefaultPolicy, HeatDevice, HeatStats, PlacementPolicy};
+    pub use ipa_heat::{DefaultPolicy, HeatDevice, HeatStats};
     pub use ipa_ipl::{replay_ipa, replay_ipl, IplConfig, IplStore};
     pub use ipa_storage::{
         standard_layout, BufferPool, EngineConfig, Rid, StorageEngine, TableSpec,

@@ -98,3 +98,75 @@ fn threaded_parity_holds_under_qos_scheduling() {
         assert_eq!(run.device.host_reads, reference.device.host_reads);
     }
 }
+
+#[test]
+fn one_threads_posted_vector_never_leaks_into_anothers_blocking_read() {
+    // Threads 0 and 1 post die-affine `ReadV`s on dies 0 and 1; threads
+    // 2 and 3 issue blocking reads on the shards of dies 2 and 3, all
+    // concurrently. How a read is counted and traced must depend on its
+    // own die's context only, under any interleaving.
+    use ipa_controller::{CommandKind, CommandOrigin, ControllerConfig, RingRecorder, TracePhase};
+    use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
+    use ipa_ftl::{BlockDevice, FtlConfig, IoRequest, ShardedFtl};
+    use std::sync::{Arc, Barrier, Mutex};
+
+    const DIES: u64 = 4;
+    const ROUNDS: u64 = 300;
+    const VECTOR: u64 = 4;
+    let chip = DeviceConfig::new(Geometry::new(16, 8, 2048, 64), FlashMode::Slc)
+        .with_disturb(DisturbRates::none());
+    let dev = ShardedFtl::new(
+        ControllerConfig::new(2, 2, chip),
+        FtlConfig::traditional(),
+        StripePolicy::RoundRobin,
+    );
+    for lba in 0..DIES * VECTOR {
+        dev.write_shared(lba, &vec![lba as u8; 2048]).unwrap();
+    }
+    dev.sync();
+    let rec = Arc::new(Mutex::new(RingRecorder::new(1 << 16)));
+    dev.controller().set_tracer(rec.clone());
+
+    let start = Barrier::new(DIES as usize);
+    std::thread::scope(|s| {
+        for die in 0..DIES {
+            let (dev, start) = (&dev, &start);
+            s.spawn(move || {
+                // Round-robin stripe: LBAs ≡ die (mod DIES) live on `die`.
+                let lbas: Vec<u64> = (0..VECTOR).map(|i| die + i * DIES).collect();
+                let mut buf = vec![0u8; 2048];
+                start.wait();
+                for round in 0..ROUNDS {
+                    if die < 2 {
+                        let token = dev.submit_io(IoRequest::ReadV(lbas.clone())).unwrap();
+                        dev.poll_io_checked(token).unwrap();
+                    } else {
+                        let (d, sub) = dev.locate(lbas[(round % VECTOR) as usize]).unwrap();
+                        dev.shard(d).read(sub, &mut buf).unwrap();
+                    }
+                }
+            });
+        }
+    });
+
+    let stats = dev.controller().stats();
+    assert_eq!(
+        stats.posted_reads,
+        2 * ROUNDS * VECTOR,
+        "ReadV members only"
+    );
+    assert_eq!(stats.posted_reads_outstanding, 0);
+    assert_eq!(stats.reads, 2 * ROUNDS * VECTOR + 2 * ROUNDS);
+    let rec = rec.lock().unwrap();
+    assert_eq!(rec.dropped(), 0);
+    for e in rec.to_vec() {
+        if e.kind == CommandKind::Read && e.phase == TracePhase::Completed {
+            let expected = if e.die < 2 {
+                CommandOrigin::ReadAhead
+            } else {
+                CommandOrigin::Host
+            };
+            assert_eq!(e.origin, expected, "read on die {}", e.die);
+        }
+    }
+}
