@@ -10,7 +10,7 @@
 //!       [--maint-tx=N] [--cap=1] [--planes=N] [--readahead[=W]] \
 //!       [--wal-stripe[=C]] [--wal-group=1] [--qos] [--heat[=theta]] \
 //!       [--fleet] [--fleet-tenants=8] [--fleet-rounds=10] [--threads=N] \
-//!       [--csv <path>] [--trace=<out.json>] [--metrics=<out.json>]
+//!       [--csv PATH] [--trace=<out.json>] [--metrics=<out.json>]
 //!
 //! * `--planes=N` (N > 1): [`plane_sweep`], planes over {1, 2, …, N}.
 //! * `--readahead[=W]` (default window 8): [`scan_sweep`].

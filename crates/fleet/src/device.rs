@@ -23,8 +23,8 @@ use ipa_ftl::{
 ///
 /// `Arc<ShardedFtl>` (no cell): the stripe is internally locked per die,
 /// so tenant views on different host threads submit concurrently and
-/// only serialize where the simulated hardware would — on a die, a
-/// channel, or the completion buffer.
+/// only serialize where the simulated hardware would — on a die or a
+/// channel.
 pub type SharedDevice = Arc<ShardedFtl>;
 
 /// One tenant's window onto the shared device.
@@ -251,7 +251,7 @@ mod tests {
 
         // In-window queued ops work translated.
         let t = a.submit(IoRequest::ReadV(vec![0])).unwrap();
-        let c = a.poll_checked(t).expect("completion buffered");
+        let c = a.poll_checked(t).expect("in-window read completes");
         assert_eq!(c.data, vec![ones]);
     }
 }

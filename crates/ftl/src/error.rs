@@ -28,12 +28,6 @@ pub enum FtlError {
     InPlaceRejected { lba: Lba, cause: FlashError },
     /// Buffer size does not match the device page size.
     SizeMismatch { expected: usize, got: usize },
-    /// `poll_checked` on a token whose completion was already taken
-    /// (polled or forgotten) — a double-poll bug in the host, previously
-    /// indistinguishable from "still in flight".
-    TokenRetired { token: u64 },
-    /// `poll_checked` on a token this queue never issued.
-    TokenUnknown { token: u64 },
 }
 
 impl fmt::Display for FtlError {
@@ -60,12 +54,6 @@ impl fmt::Display for FtlError {
             }
             FtlError::SizeMismatch { expected, got } => {
                 write!(f, "buffer size {got} does not match page size {expected}")
-            }
-            FtlError::TokenRetired { token } => {
-                write!(f, "I/O token {token} was already polled or forgotten")
-            }
-            FtlError::TokenUnknown { token } => {
-                write!(f, "I/O token {token} was never issued by this queue")
             }
         }
     }

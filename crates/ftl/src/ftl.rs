@@ -29,9 +29,7 @@ use ipa_flash::{
 };
 
 use crate::error::{FtlError, Lba, Result};
-use crate::interface::{
-    BlockDevice, IoCompletion, IoQueue, IoRequest, IoToken, NativeFlashDevice, SubmissionState,
-};
+use crate::interface::{BlockDevice, IoCompletion, IoQueue, IoRequest, IoToken, NativeFlashDevice};
 use crate::oob::OobCodec;
 use crate::region::RegionTable;
 use crate::stats::DeviceStats;
@@ -109,7 +107,7 @@ impl FtlConfig {
 
 /// A resumable block reclaim: victim selection happened at construction,
 /// the live-delta copy-backs and the final erase are performed one
-/// [`Ftl::reclaim_step`] at a time. Between steps the victim block stays
+/// [`Ftl::background_gc_step`] at a time. Between steps the victim block stays
 /// `Closed` and fully consistent — host writes may keep invalidating its
 /// pages (those migrations are then skipped), reads still hit the old
 /// physical pages until each is individually remapped.
@@ -284,8 +282,6 @@ pub struct Ftl<C: Nand = FlashChip> {
     capacity: u64,
     usable_ppb: u32,
     stats: DeviceStats,
-    /// Queued-interface bookkeeping (tokens, buffered completions).
-    queue: SubmissionState,
     wear: Option<WearLeveler>,
     /// The in-flight background reclaim, when a maintenance scheduler is
     /// stepping this FTL. Victim selection must skip this block, and the
@@ -339,7 +335,6 @@ impl<C: Nand> Ftl<C> {
             capacity,
             usable_ppb,
             stats: DeviceStats::default(),
-            queue: SubmissionState::default(),
             wear,
             pending_job: None,
         }
@@ -1139,7 +1134,7 @@ impl<C: Nand> BlockDevice for Ftl<C> {
     }
 
     fn device_stats(&self) -> DeviceStats {
-        self.queue.fold_into(self.stats)
+        self.stats
     }
 
     fn flash_stats(&self) -> FlashStats {
@@ -1249,11 +1244,13 @@ impl<C: Nand> IoQueue for Ftl<C> {
                     BlockDevice::read(self, lba, &mut buf)?;
                     data.push(buf);
                 }
+                self.stats.vectored_reads += u64::from(lbas.len() > 1);
             }
             IoRequest::WriteV(pages) => {
                 for (lba, page) in pages {
                     BlockDevice::write(self, *lba, page)?;
                 }
+                self.stats.vectored_writes += u64::from(pages.len() > 1);
             }
             IoRequest::WriteDelta { lba, offset, delta } => {
                 self.write_delta(*lba, *offset, delta)?;
@@ -1266,19 +1263,21 @@ impl<C: Nand> IoQueue for Ftl<C> {
                         Err(e) => return Err(e),
                     }
                 }
+                self.stats.vectored_deltas += u64::from(members.len() > 1);
             }
             IoRequest::Trim(lba) => self.trim(*lba)?,
             IoRequest::Flush => self.drain_staged()?,
         }
-        self.queue.count_request(&req);
-        let done = self.chip.elapsed_ns();
-        Ok(self
-            .queue
-            .complete_with_rejections(data, rejected, submitted, done))
+        Ok(IoToken::immediate(IoCompletion {
+            data,
+            rejected,
+            submitted_ns: submitted,
+            done_ns: self.chip.elapsed_ns(),
+        }))
     }
 
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
-        self.queue.take_checked(token)
+        Ok(token.into_completion())
     }
 
     fn sync(&mut self) -> u64 {
@@ -1286,9 +1285,8 @@ impl<C: Nand> IoQueue for Ftl<C> {
         self.chip.elapsed_ns()
     }
 
-    fn forget(&mut self, token: IoToken) {
-        self.queue.forget(token);
-    }
+    /// No scheduler counted the request's reads: nothing to retire.
+    fn forget(&mut self, _token: IoToken) {}
 }
 
 #[cfg(test)]
@@ -1876,10 +1874,6 @@ mod tests {
             rc.done_ns,
             ftl.elapsed_ns(),
             "immediate completion: done is the chip clock"
-        );
-        assert!(
-            matches!(ftl.poll_checked(r), Err(FtlError::TokenRetired { .. })),
-            "completions are taken once"
         );
 
         let t = ftl.submit(IoRequest::Trim(1)).unwrap();

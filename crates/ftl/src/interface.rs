@@ -13,19 +13,21 @@
 //!
 //! [`IoQueue`] is the queued (NVMe-style submission/completion) face of
 //! the same devices: the host posts an [`IoRequest`] — possibly vectored
-//! across many LBAs — receives an [`IoToken`], and later either polls
-//! the token (`poll_checked`, waiting for the completion) or `sync`s the
-//! whole queue. The synchronous `read`/`write` calls drive the same
-//! per-die machinery, so the two interfaces always agree on device state.
+//! across many LBAs — receives an [`IoToken`] that *owns* the request's
+//! completion, and later either moves the token into `poll_checked`
+//! (waiting for the completion) or `sync`s the whole queue; the device
+//! keeps no per-request state. The synchronous `read`/`write` calls drive
+//! the same per-die machinery, so the two interfaces always agree on
+//! device state.
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ipa_controller::{ControllerStats, FlashController};
 use ipa_core::PageLayout;
 use ipa_flash::FlashStats;
 
-use crate::error::{FtlError, Lba, Result};
+use crate::error::{Lba, Result};
 use crate::stats::DeviceStats;
 
 /// How the DBMS drives the device — the three configurations the demo
@@ -51,10 +53,47 @@ impl WriteStrategy {
     }
 }
 
-/// Opaque handle for a submitted [`IoRequest`], redeemed at
-/// [`IoQueue::poll_checked`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct IoToken(pub u64);
+/// The owner of a submitted [`IoRequest`]'s completion, redeemed by
+/// moving it into [`IoQueue::poll_checked`] or [`IoQueue::forget`].
+/// Deliberately neither `Clone` nor `Copy`: a second poll, or a poll
+/// after `forget`, is a use of a moved value and does not compile.
+#[must_use = "a token owns its completion: poll it or forget it"]
+#[derive(Debug)]
+pub struct IoToken {
+    completion: IoCompletion,
+    posted: bool,
+}
+
+impl IoToken {
+    /// Token of a request that completed at submission: polling it
+    /// waits for nothing and touches no device.
+    pub fn immediate(completion: IoCompletion) -> Self {
+        IoToken {
+            completion,
+            posted: false,
+        }
+    }
+
+    /// Token of a request posted to a scheduler-backed device: the
+    /// issuing device's poll is the wait for `done_ns`.
+    pub fn posted(completion: IoCompletion) -> Self {
+        IoToken {
+            completion,
+            posted: true,
+        }
+    }
+
+    /// A layer that services some requests itself routes a poll by this:
+    /// `false` is its own (immediate) token, `true` the device's below.
+    pub fn is_posted(&self) -> bool {
+        self.posted
+    }
+
+    /// Take the completion out — what a device's poll/forget ends with.
+    pub fn into_completion(self) -> IoCompletion {
+        self.completion
+    }
+}
 
 /// One queued host command. Vectored variants carry any number of pages;
 /// a one-element vector is exactly the classic single-page command.
@@ -104,7 +143,6 @@ pub enum IoRequest {
 /// device-side latency, which the old sync-only API could not express.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoCompletion {
-    pub token: IoToken,
     /// Pages read (`ReadV` only), in request order; empty otherwise.
     pub data: Vec<Vec<u8>>,
     /// `WriteDeltaV` member indices the device rejected for in-place
@@ -118,123 +156,113 @@ pub struct IoCompletion {
     pub done_ns: u64,
 }
 
-/// Token allocation, completion buffering and the queued-path counters
-/// shared by every native [`IoQueue`] implementation. The counters are
-/// folded into [`DeviceStats`] by `device_stats()` so hosts see them
-/// through the ordinary stats surface.
+/// The `vectored_*` counters of a device whose queued face is reached
+/// through `&self` (the stripe) or that services part of its traffic
+/// itself (the heat layer); `device_stats()` folds them into
+/// [`DeviceStats`]. Statistics only, so relaxed atomics and no lock.
 #[derive(Debug, Default)]
-pub struct SubmissionState {
-    next: u64,
-    done: HashMap<u64, IoCompletion>,
-    /// `ReadV` submissions spanning more than one page.
-    pub vectored_reads: u64,
-    /// `WriteV` submissions spanning more than one page.
-    pub vectored_writes: u64,
-    /// `WriteDeltaV` submissions spanning more than one member — the
-    /// evict path's batched delta appends.
-    pub vectored_deltas: u64,
+pub struct VectoredCounters {
+    reads: AtomicU64,
+    writes: AtomicU64,
+    deltas: AtomicU64,
 }
 
-impl SubmissionState {
-    /// Record a finished request and hand out its token. `rejected`
-    /// carries the per-member in-place rejections of a `WriteDeltaV`.
-    pub fn complete_with_rejections(
-        &mut self,
-        data: Vec<Vec<u8>>,
-        rejected: Vec<usize>,
-        submitted_ns: u64,
-        done_ns: u64,
-    ) -> IoToken {
-        let token = IoToken(self.next);
-        self.next += 1;
-        self.done.insert(
-            token.0,
-            IoCompletion {
-                token,
-                data,
-                rejected,
-                submitted_ns,
-                done_ns,
-            },
-        );
-        token
+impl VectoredCounters {
+    /// Tick the counter of an accepted request: a vector spanning more
+    /// than one member (a one-element vector is the classic command).
+    pub fn count_request(&self, req: &IoRequest) {
+        let counter = match req {
+            IoRequest::ReadV(v) | IoRequest::HighPriorityReadV(v) if v.len() > 1 => &self.reads,
+            IoRequest::WriteV(v) if v.len() > 1 => &self.writes,
+            IoRequest::WriteDeltaV(v) if v.len() > 1 => &self.deltas,
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Take a completion out of the buffer. Tokens are allocated from a
-    /// private monotone counter, so a miss below the watermark can only
-    /// be a retired (polled/forgotten) token, and a miss at or above it a
-    /// token this queue never issued.
-    pub fn take_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
-        match self.done.remove(&token.0) {
-            Some(c) => Ok(c),
-            None if token.0 >= self.next => Err(FtlError::TokenUnknown { token: token.0 }),
-            None => Err(FtlError::TokenRetired { token: token.0 }),
-        }
-    }
-
-    /// Drop a completion without consuming it (abandoned read-ahead).
-    /// Returns the completion so the device can retire it from any
-    /// scheduler-side bookkeeping (the posted-read completion horizon) —
-    /// dropping the buffer alone would leave those gauges drifting.
-    pub fn forget(&mut self, token: IoToken) -> Option<IoCompletion> {
-        self.done.remove(&token.0)
-    }
-
-    /// Tick the vectored counters for an accepted request.
-    pub fn count_request(&mut self, req: &IoRequest) {
-        match req {
-            IoRequest::ReadV(lbas) | IoRequest::HighPriorityReadV(lbas) if lbas.len() > 1 => {
-                self.vectored_reads += 1
-            }
-            IoRequest::WriteV(pages) if pages.len() > 1 => self.vectored_writes += 1,
-            IoRequest::WriteDeltaV(members) if members.len() > 1 => self.vectored_deltas += 1,
-            _ => {}
-        }
-    }
-
-    /// Overlay the queued-path counters onto a stats snapshot.
+    /// Overlay the counters onto a stats snapshot.
     pub fn fold_into(&self, mut stats: DeviceStats) -> DeviceStats {
-        stats.vectored_reads += self.vectored_reads;
-        stats.vectored_writes += self.vectored_writes;
-        stats.vectored_deltas += self.vectored_deltas;
+        stats.vectored_reads += self.reads.load(Ordering::Relaxed);
+        stats.vectored_writes += self.writes.load(Ordering::Relaxed);
+        stats.vectored_deltas += self.deltas.load(Ordering::Relaxed);
         stats
     }
 }
 
 /// The queued submission/completion face of a device: one NVMe-style
-/// queue pair per device. Devices that are shared across host threads
-/// ([`crate::ShardedFtl`], and the tenant views over it) serialize the
-/// completion buffer behind a small lock of their own, so concurrent
-/// submitters interleave freely and tokens stay unique per device.
+/// queue pair per device. A device keeps **no per-request completion
+/// state** — `submit` hands the finished [`IoCompletion`] to the host
+/// inside the [`IoToken`] — so devices shared across host threads
+/// ([`crate::ShardedFtl`], and the tenant views over it) take no lock for
+/// the queued face beyond the dies a request touches.
 ///
 /// ## Contract
 ///
 /// * `submit` accepts the request, applies its state transition, and
-///   returns a token. Posted semantics: the submission clock does not
-///   advance to the request's completion (it may advance for
-///   queue-admission effects such as NCQ back-pressure, exactly like the
-///   sync write path). How a member is scheduled (posted, priority lane)
-///   is a context set on the die it lands on for that member only, and
-///   `done_ns` is the max over the request's *own* members — a
-///   concurrent submitter's reads neither run in this request's lane nor
-///   extend its completion.
-/// * `poll_checked` *waits* for the token's completion: the submission
-///   clock advances to at least `done_ns` and the completion (with any
-///   read data) is returned. A token can be redeemed once: polling a
-///   token that was already polled or forgotten is a typed
-///   [`FtlError::TokenRetired`], polling one this queue never issued a
-///   typed [`FtlError::TokenUnknown`]; neither costs device time. There
-///   is no "not ready yet" answer — every accepted request has a
-///   completion — so a lost completion is always a host bug and is
-///   reported, never papered over.
+///   returns the token that owns its completion. Posted semantics: the
+///   submission clock does not advance to the request's completion (it
+///   may advance for queue-admission effects such as NCQ back-pressure,
+///   exactly like the sync write path). How a member is scheduled
+///   (posted, priority lane) is a context set on the die it lands on for
+///   that member only, and `done_ns` is the max over the request's *own*
+///   members — a concurrent submitter's reads neither run in this
+///   request's lane nor extend its completion.
+/// * `poll_checked` consumes the token and *waits* for its completion:
+///   the submission clock advances to at least `done_ns` and the
+///   completion (with any read data) is returned. The token is moved, so
+///   a double poll or a poll after `forget` does not compile (see below).
+///   There is no "not ready yet" and no "lost completion": a poll fails
+///   only with a device/maintenance error of a layer working at poll time.
 /// * `sync` is the barrier: every prior submission's completion time is
-///   folded into the device's merged clock, which is returned. It does
-///   not consume buffered completions — tokens stay pollable.
-/// * `forget` abandons a token without waiting (an unused read-ahead).
-///   The device retires the token from its completion horizon: an
-///   abandoned completion is accounted exactly like a polled one in the
+///   folded into the device's merged clock, which is returned. Tokens
+///   the host still holds stay pollable.
+/// * `forget` consumes a token without waiting (an unused read-ahead).
+///   The device retires it from its completion horizon: an abandoned
+///   completion is accounted exactly like a polled one in the
 ///   scheduler's posted-read bookkeeping, so `sync` never waits on behalf
 ///   of data nobody wants and the posted-read gauges cannot drift.
+///   Merely dropping a token skips that accounting — hence `#[must_use]`.
+///
+/// What the type cannot catch: a token carries no device identity, so
+/// redeeming it at a device other than its issuer is an unreported host
+/// bug — the completion comes back, the wrong clock and gauges move.
+///
+/// ```
+/// use ipa_ftl::{BlockDevice, Ftl, FtlConfig, IoQueue, IoRequest};
+/// let chip = ipa_flash::FlashChip::new(ipa_flash::DeviceConfig::small());
+/// let mut dev = Ftl::new(chip, FtlConfig::traditional());
+/// let page = vec![7u8; dev.page_size()];
+/// let write = dev.submit(IoRequest::WriteV(vec![(0, page.clone())]))?;
+/// dev.poll_checked(write)?;
+/// // Submit, hold the token across other work, then redeem it once.
+/// let read = dev.submit(IoRequest::ReadV(vec![0]))?;
+/// dev.sync();
+/// let done = dev.poll_checked(read)?;
+/// assert_eq!(done.data, vec![page]);
+/// # Ok::<(), ipa_ftl::FtlError>(())
+/// ```
+///
+/// Polling a token twice is a use of a moved value:
+///
+/// ```compile_fail,E0382
+/// use ipa_ftl::{Ftl, FtlConfig, IoQueue, IoRequest};
+/// let chip = ipa_flash::FlashChip::new(ipa_flash::DeviceConfig::small());
+/// let mut dev = Ftl::new(chip, FtlConfig::traditional());
+/// let token = dev.submit(IoRequest::Flush).unwrap();
+/// dev.poll_checked(token).unwrap();
+/// dev.poll_checked(token).unwrap(); // error[E0382]: use of moved value: `token`
+/// ```
+///
+/// So is polling after `forget` (a completion-losing device cannot be written):
+///
+/// ```compile_fail,E0382
+/// use ipa_ftl::{Ftl, FtlConfig, IoQueue, IoRequest};
+/// let chip = ipa_flash::FlashChip::new(ipa_flash::DeviceConfig::small());
+/// let mut dev = Ftl::new(chip, FtlConfig::traditional());
+/// let token = dev.submit(IoRequest::Flush).unwrap();
+/// dev.forget(token);
+/// dev.poll_checked(token).unwrap(); // error[E0382]: use of moved value: `token`
+/// ```
 ///
 /// ## Reorder contract (QoS devices)
 ///
@@ -261,19 +289,19 @@ impl SubmissionState {
 /// logical now, which only polling and back-pressure move forward. On
 /// devices with no scheduler the two coincide by construction.
 pub trait IoQueue {
-    /// Post a request; returns its completion token.
+    /// Post a request; returns the token that owns its completion.
     fn submit(&mut self, req: IoRequest) -> Result<IoToken>;
 
-    /// Wait for (and take) a completion. A retired token (already polled
-    /// or forgotten) is [`FtlError::TokenRetired`], a token the queue
-    /// never issued [`FtlError::TokenUnknown`].
+    /// Wait for the token's completion and take it out of the token.
+    /// Fails only with a device/maintenance error raised at poll time.
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion>;
 
     /// Barrier over all prior submissions; returns the merged device
     /// time in nanoseconds.
     fn sync(&mut self) -> u64;
 
-    /// Abandon a token without waiting on its completion.
+    /// Abandon a token without waiting on its completion, retiring it
+    /// from the device's posted-read bookkeeping.
     fn forget(&mut self, token: IoToken);
 }
 
@@ -388,34 +416,8 @@ mod tests {
     }
 
     #[test]
-    fn submission_state_tokens_and_counters() {
-        let mut s = SubmissionState::default();
-        let a = s.complete_with_rejections(vec![vec![1]], Vec::new(), 10, 20);
-        let b = s.complete_with_rejections(Vec::new(), vec![2], 20, 25);
-        assert_ne!(a, b, "tokens are unique");
-        let ca = s.take_checked(a).expect("buffered completion");
-        assert_eq!((ca.submitted_ns, ca.done_ns), (10, 20));
-        assert_eq!(ca.data, vec![vec![1]]);
-        assert!(
-            matches!(
-                s.take_checked(a),
-                Err(FtlError::TokenRetired { token }) if token == a.0
-            ),
-            "double-take is a typed retired error"
-        );
-        assert!(
-            matches!(
-                s.take_checked(IoToken(999)),
-                Err(FtlError::TokenUnknown { token: 999 })
-            ),
-            "never-issued token is unknown, not retired"
-        );
-        assert_eq!(s.forget(b).expect("buffered").rejected, vec![2]);
-        assert!(
-            matches!(s.take_checked(b), Err(FtlError::TokenRetired { .. })),
-            "forget retires the token too"
-        );
-
+    fn vectored_counters_tick_only_for_multi_member_vectors() {
+        let s = VectoredCounters::default();
         s.count_request(&IoRequest::ReadV(vec![1, 2]));
         s.count_request(&IoRequest::ReadV(vec![1]));
         s.count_request(&IoRequest::WriteV(vec![(1, vec![]), (2, vec![])]));

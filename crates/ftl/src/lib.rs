@@ -30,7 +30,7 @@ pub use ftl::{
 };
 pub use interface::{
     BlockDevice, IoCompletion, IoQueue, IoRequest, IoToken, NativeFlashDevice, QueuedBlockDevice,
-    SubmissionState, WriteStrategy,
+    VectoredCounters, WriteStrategy,
 };
 pub use oob::{OobCodec, UncorrectableError, VerifyOutcome};
 pub use region::{Region, RegionTable};

@@ -27,11 +27,11 @@
 //! The stripe is `Send + Sync`: the controller is shared by `Arc`, each
 //! shard sits behind its own mutex (die-local traffic from different
 //! threads contends only when it lands on the same die), and the queued
-//! bookkeeping has a small lock of its own. Every operation is available
-//! through `&self` (`submit_io`/`poll_io_checked`/`sync`/...); the `&mut`
-//! [`IoQueue`]/[`BlockDevice`] trait impls forward to them, so a
-//! single-owner caller pays one uncontended lock per shard touch and the
-//! threaded driver shares a plain `Arc<ShardedFtl>`.
+//! face keeps no state (a completion travels in its [`IoToken`]). Every
+//! operation is available through `&self` (`submit_io`/`poll_io_checked`/
+//! `sync`/...); the `&mut` [`IoQueue`]/[`BlockDevice`] trait impls forward
+//! to them, so a single-owner caller pays one uncontended lock per shard
+//! touch and the threaded driver shares a plain `Arc<ShardedFtl>`.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -42,7 +42,7 @@ use ipa_flash::FlashStats;
 use crate::error::{FtlError, Lba, Result};
 use crate::ftl::{exported_capacity, Ftl, FtlConfig};
 use crate::interface::{
-    BlockDevice, IoCompletion, IoQueue, IoRequest, IoToken, NativeFlashDevice, SubmissionState,
+    BlockDevice, IoCompletion, IoQueue, IoRequest, IoToken, NativeFlashDevice, VectoredCounters,
 };
 use crate::region::{Region, RegionTable};
 use crate::stats::DeviceStats;
@@ -91,8 +91,7 @@ pub struct ShardedFtl {
     map: Vec<(u32, Lba)>,
     policy: StripePolicy,
     capacity: u64,
-    /// Queued-interface bookkeeping (tokens, buffered completions).
-    queue: Mutex<SubmissionState>,
+    vectored: VectoredCounters,
 }
 
 // Shared across host threads by the fleet and the threaded driver.
@@ -182,7 +181,7 @@ impl ShardedFtl {
             map,
             policy,
             capacity,
-            queue: Mutex::new(SubmissionState::default()),
+            vectored: VectoredCounters::default(),
         }
     }
 
@@ -366,7 +365,7 @@ impl BlockDevice for ShardedFtl {
         let merged = self.shards.iter().fold(DeviceStats::default(), |acc, s| {
             acc.merged(&lock(s).device_stats())
         });
-        lock(&self.queue).fold_into(merged)
+        self.vectored.fold_into(merged)
     }
 
     fn flash_stats(&self) -> FlashStats {
@@ -487,8 +486,11 @@ impl ShardedFtl {
                         Err(e) => {
                             // No completion will ever surface the earlier
                             // members (their state effects stand): retire
-                            // them from the outstanding gauge.
-                            self.ctrl.note_posted_reads_polled(data.len() as u64);
+                            // them from the outstanding gauge — with the
+                            // failing one if its die served it before ECC.
+                            let served = matches!(e, FtlError::Uncorrectable { .. });
+                            self.ctrl
+                                .note_posted_reads_polled(data.len() as u64 + u64::from(served));
                             return Err(e);
                         }
                     }
@@ -541,14 +543,18 @@ impl ShardedFtl {
                 }
             }
         }
-        let mut queue = lock(&self.queue);
-        queue.count_request(&req);
-        Ok(queue.complete_with_rejections(data, rejected, submitted, done))
+        self.vectored.count_request(&req);
+        Ok(IoToken::posted(IoCompletion {
+            data,
+            rejected,
+            submitted_ns: submitted,
+            done_ns: done,
+        }))
     }
 
     /// Poll through `&self` (see [`IoQueue::poll_checked`]).
     pub fn poll_io_checked(&self, token: IoToken) -> Result<IoCompletion> {
-        let completion = lock(&self.queue).take_checked(token)?;
+        let completion = token.into_completion();
         // Waiting for a completion is what moves the submitting client's
         // clock — a completion already in the past costs nothing. The
         // monotone advance makes the wait safe under concurrent pollers.
@@ -567,13 +573,10 @@ impl ShardedFtl {
 
     /// Forget through `&self` (see [`IoQueue::forget`]).
     pub fn forget_io(&self, token: IoToken) {
-        // Retire the abandoned completion from the controller's
-        // posted-read horizon: an unforgotten forget left the outstanding
-        // gauge drifting and `sync` accounting for data nobody wants.
-        if let Some(completion) = lock(&self.queue).forget(token) {
-            self.ctrl
-                .retire_forgotten_reads(completion.data.len() as u64);
-        }
+        // Retire the abandoned reads from the controller's posted-read
+        // horizon, so `sync` never accounts for data nobody wants.
+        self.ctrl
+            .retire_forgotten_reads(token.into_completion().data.len() as u64);
     }
 }
 

@@ -10,7 +10,7 @@ use ipa_core::PageLayout;
 use ipa_flash::FlashStats;
 use ipa_ftl::{
     BlockDevice, DeviceStats, FtlError, IoCompletion, IoQueue, IoRequest, IoToken, Lba,
-    NativeFlashDevice, Result, SubmissionState,
+    NativeFlashDevice, Result, VectoredCounters,
 };
 use ipa_maint::{MaintStats, MaintainedFtl};
 
@@ -83,11 +83,6 @@ pub(crate) fn lock_core(core: &Arc<Mutex<HeatCore>>) -> MutexGuard<'_, HeatCore>
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Own-token namespace: completions the heat layer services itself use
-/// the top token bit, so they can never collide with the wrapped
-/// device's tokens.
-const TIER_TOKEN_BIT: u64 = 1 << 63;
-
 /// A [`MaintainedFtl`] with heat-based placement on top:
 ///
 /// * every full write and delta append feeds the [`LbaHeatTracker`];
@@ -104,7 +99,8 @@ const TIER_TOKEN_BIT: u64 = 1 << 63;
 pub struct HeatDevice {
     inner: MaintainedFtl,
     core: Arc<Mutex<HeatCore>>,
-    sub: SubmissionState,
+    /// Vectored requests this layer serviced itself, member by member.
+    vectored: VectoredCounters,
 }
 
 impl HeatDevice {
@@ -131,7 +127,7 @@ impl HeatDevice {
         HeatDevice {
             inner,
             core,
-            sub: SubmissionState::default(),
+            vectored: VectoredCounters::default(),
         }
     }
 
@@ -158,11 +154,14 @@ impl HeatDevice {
         self.inner.check_invariants();
     }
 
-    /// Own-token constructor.
-    fn own_token(&mut self, data: Vec<Vec<u8>>, rejected: Vec<usize>, t0: u64) -> IoToken {
-        let done = self.inner.submission_clock_ns();
-        let raw = self.sub.complete_with_rejections(data, rejected, t0, done);
-        IoToken(raw.0 | TIER_TOKEN_BIT)
+    /// Token of a request this layer serviced itself, complete already.
+    fn own_token(&self, data: Vec<Vec<u8>>, rejected: Vec<usize>, t0: u64) -> IoToken {
+        IoToken::immediate(IoCompletion {
+            data,
+            rejected,
+            submitted_ns: t0,
+            done_ns: self.inner.submission_clock_ns(),
+        })
     }
 }
 
@@ -217,7 +216,7 @@ impl BlockDevice for HeatDevice {
     /// the tier's host-facing traffic (absorbed writes/hits are host
     /// commands too), plus this layer's queued-path counters.
     fn device_stats(&self) -> DeviceStats {
-        let mut d = self.sub.fold_into(self.inner.device_stats());
+        let mut d = self.vectored.fold_into(self.inner.device_stats());
         let t = lock_core(&self.core).tier.device_stats();
         d.host_reads += t.host_reads;
         d.host_writes += t.host_writes;
@@ -283,7 +282,9 @@ impl NativeFlashDevice for HeatDevice {
 /// The queued face. Requests with no tier involvement forward verbatim
 /// (keeping the stripe's posted overlap); a request touching a resident
 /// or hot page is serviced member-by-member through the tier-aware sync
-/// paths and completes immediately on an own-namespace token.
+/// paths and completes at submission: its token is *immediate*
+/// ([`IoToken::is_posted`] is false) and redeeming it touches neither the
+/// stripe nor the scheduler. A forwarded request's token is the stripe's.
 impl IoQueue for HeatDevice {
     fn submit(&mut self, req: IoRequest) -> Result<IoToken> {
         match req {
@@ -295,7 +296,7 @@ impl IoQueue for HeatDevice {
                 if !any_resident {
                     return self.inner.submit(req);
                 }
-                self.sub.count_request(&req);
+                self.vectored.count_request(&req);
                 let t0 = self.inner.submission_clock_ns();
                 let ps = self.page_size();
                 let mut data = Vec::with_capacity(lbas.len());
@@ -338,7 +339,7 @@ impl IoQueue for HeatDevice {
                         .submit(IoRequest::WriteDelta { lba, offset, delta })
                 }
             }
-            IoRequest::WriteDeltaV(members) => {
+            IoRequest::WriteDeltaV(ref members) => {
                 let any_resident = {
                     let core = lock_core(&self.core);
                     members.iter().any(|(l, _, _)| core.tier.contains(*l))
@@ -348,24 +349,23 @@ impl IoQueue for HeatDevice {
                     // tracker.
                     {
                         let mut core = lock_core(&self.core);
-                        for (lba, _, _) in &members {
+                        for (lba, _, _) in members {
                             core.tracker.record(*lba);
                             core.stats.deltas_seen += 1;
                         }
                         core.stats.decays = core.tracker.decays();
                     }
-                    return self.inner.submit(IoRequest::WriteDeltaV(members));
+                    return self.inner.submit(req);
                 }
-                let req = IoRequest::WriteDeltaV(members.clone());
-                self.sub.count_request(&req);
+                self.vectored.count_request(&req);
                 let t0 = self.inner.submission_clock_ns();
                 // Mixed batch: service every member through the sync
                 // path, mirroring the stripe's per-member rejection
                 // contract (an in-place rejection is reported, not
                 // fatal; tier RMWs never reject).
                 let mut rejected = Vec::new();
-                for (i, (lba, offset, delta)) in members.into_iter().enumerate() {
-                    match self.write_delta(lba, offset, &delta) {
+                for (i, (lba, offset, delta)) in members.iter().enumerate() {
+                    match self.write_delta(*lba, *offset, delta) {
                         Ok(()) => {}
                         Err(FtlError::InPlaceRejected { .. }) => rejected.push(i),
                         Err(e) => return Err(e),
@@ -382,12 +382,10 @@ impl IoQueue for HeatDevice {
     }
 
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
-        if token.0 & TIER_TOKEN_BIT != 0 {
-            let mut c = self.sub.take_checked(IoToken(token.0 & !TIER_TOKEN_BIT))?;
-            c.token = token;
-            Ok(c)
-        } else {
+        if token.is_posted() {
             self.inner.poll_checked(token)
+        } else {
+            Ok(token.into_completion())
         }
     }
 
@@ -397,9 +395,7 @@ impl IoQueue for HeatDevice {
     }
 
     fn forget(&mut self, token: IoToken) {
-        if token.0 & TIER_TOKEN_BIT != 0 {
-            self.sub.forget(IoToken(token.0 & !TIER_TOKEN_BIT));
-        } else {
+        if token.is_posted() {
             self.inner.forget(token);
         }
     }

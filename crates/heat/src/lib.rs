@@ -232,4 +232,40 @@ mod tests {
         );
         dev.check_invariants();
     }
+
+    #[test]
+    fn tier_tokens_complete_at_submission_and_spilled_tokens_wait_on_the_stripe() {
+        use ipa_ftl::{IoQueue, IoRequest};
+
+        let mut dev = heat_device(2, 1, DefaultPolicy::default().with_hot_threshold(3));
+        for round in 0..8u8 {
+            dev.write(0, &vec![round; 2048]).unwrap();
+        }
+        dev.write(40, &vec![0xEEu8; 2048]).unwrap();
+        dev.write(41, &vec![0xEEu8; 2048]).unwrap();
+        // (scheduler polls, posted reads in flight, the host's clock)
+        let observed = |dev: &HeatDevice| {
+            let gauge = dev.controller_stats().unwrap().posted_reads_outstanding;
+            (dev.maint_stats().polls, gauge, dev.submission_clock_ns())
+        };
+
+        // Serviced by the tier: redeeming the token reaches nothing.
+        let token = dev.submit(IoRequest::ReadV(vec![0])).unwrap();
+        assert!(!token.is_posted(), "a resident page is a tier hit");
+        let before = observed(&dev);
+        assert_eq!(dev.poll_checked(token).unwrap().data, vec![vec![7u8; 2048]]);
+        assert_eq!(observed(&dev), before, "an immediate poll moves nothing");
+
+        // Spilled to the stripe: the poll is the wait.
+        let token = dev.submit(IoRequest::ReadV(vec![40, 41])).unwrap();
+        assert!(token.is_posted(), "cold pages are the stripe's");
+        let (polls, in_flight, _) = observed(&dev);
+        assert_eq!(in_flight, 2);
+        let done = dev.poll_checked(token).unwrap();
+        assert!(done.done_ns >= done.submitted_ns);
+        let (polls_after, in_flight, clock) = observed(&dev);
+        assert_eq!(polls_after, polls + 1, "the scheduler polls at completion");
+        assert_eq!(in_flight, 0);
+        assert!(clock >= done.done_ns, "the poll waited");
+    }
 }

@@ -320,9 +320,9 @@ impl BufferPool {
             Self::note_dirty_writeback(frame, &mut self.stats, &mut self.trace);
         }
         // Pass 2: one vectored submission; the completion wait ends at
-        // the max of the per-die delta programs. A lost completion is an
-        // error, never "every member accepted": committing the records of
-        // a member the device rejected would drop its update.
+        // the max of the per-die delta programs. A poll error is never
+        // "every member accepted": committing the records of a member
+        // the device rejected would drop its update.
         let token = self.device.submit(IoRequest::WriteDeltaV(members))?;
         let rejected = self.device.poll_checked(token)?.rejected;
         for (i, (idx, records)) in batch.into_iter().enumerate() {

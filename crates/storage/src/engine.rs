@@ -559,7 +559,6 @@ impl StorageEngine {
             ..self.pool.device().device_stats()
         };
         let flash = self.pool.device().flash_stats();
-        let data_ns = self.pool.device().elapsed_ns();
         let wal_ns = self.wal.as_ref().map(|w| w.elapsed_ns()).unwrap_or(0);
         EngineStats {
             pool: *self.pool.stats(),
@@ -568,10 +567,17 @@ impl StorageEngine {
             wal_device: self.wal.as_ref().map(|w| w.device_stats()),
             committed: self.tx.committed,
             aborted: self.tx.aborted,
-            elapsed_ns: data_ns.max(wal_ns),
+            elapsed_ns: self.elapsed_ns(),
             wal_elapsed_ns: wal_ns,
             max_erase_count: self.pool.device().max_erase_count(),
         }
+    }
+
+    /// Simulated time so far — the later of the data and log device
+    /// clocks ([`EngineStats::elapsed_ns`] without the rest of the snapshot).
+    pub fn elapsed_ns(&self) -> u64 {
+        let wal_ns = self.wal.as_ref().map_or(0, |w| w.elapsed_ns());
+        self.pool.device().elapsed_ns().max(wal_ns)
     }
 }
 

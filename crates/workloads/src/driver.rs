@@ -566,7 +566,7 @@ impl Driver {
             loop {
                 match cfg.simulated_duration_ns {
                     Some(limit) => {
-                        let device_ns = engine.stats().elapsed_ns - before.elapsed_ns;
+                        let device_ns = engine.elapsed_ns() - before.elapsed_ns;
                         if device_ns + committed * cfg.cpu_ns_per_tx >= limit {
                             break;
                         }
@@ -577,9 +577,9 @@ impl Driver {
                         }
                     }
                 }
-                let t0 = engine.stats().elapsed_ns;
+                let t0 = engine.elapsed_ns();
                 bench.run_tx(engine, &mut stream_rngs[0])?;
-                samples.push(engine.stats().elapsed_ns - t0);
+                samples.push(engine.elapsed_ns() - t0);
                 committed += 1;
             }
         } else {

@@ -2,9 +2,12 @@
 //! budgets, retired blocks, disturb storms, near-full devices and forced
 //! unsafe appends.
 
+use in_place_appends::controller::ControllerConfig;
 use in_place_appends::core::DeltaRecord;
 use in_place_appends::flash::FlashChip;
-use in_place_appends::ftl::{BlockDevice, Ftl, FtlConfig, FtlError, NativeFlashDevice};
+use in_place_appends::ftl::{
+    BlockDevice, Ftl, FtlConfig, FtlError, NativeFlashDevice, ShardedFtl, StripePolicy,
+};
 use in_place_appends::prelude::*;
 use in_place_appends::storage::standard_layout;
 use ipa_testkit::quiet_slc;
@@ -95,8 +98,13 @@ fn retired_blocks_shrink_but_do_not_corrupt() {
 /// Run the §3 append storm — N×M deltas hammered into every page between
 /// periodic rewrites — on the given flash mode, and count uncorrectable
 /// reads. The `unsafe_ipa` override lets the storm run on modes the
-/// safety policy would normally refuse.
-fn append_storm(mode: FlashMode, unsafe_ipa: bool) -> u64 {
+/// safety policy would normally refuse. `mount` builds the device under
+/// test over the storm's chip; it is handed back for inspection.
+fn append_storm<D: NativeFlashDevice>(
+    mode: FlashMode,
+    unsafe_ipa: bool,
+    mount: impl FnOnce(DeviceConfig, FtlConfig) -> D,
+) -> (u64, D) {
     let scheme = NmScheme::new(8, 8);
     let layout = standard_layout(2048, scheme);
     let device = DeviceConfig::new(Geometry::new(32, 32, 2048, 128), mode)
@@ -107,7 +115,7 @@ fn append_storm(mode: FlashMode, unsafe_ipa: bool) -> u64 {
     } else {
         FtlConfig::ipa_native(layout)
     };
-    let mut ftl = Ftl::new(FlashChip::new(device), config);
+    let mut ftl = mount(device, config);
     let blank = vec![0xFFu8; 2048];
     for lba in 0..32u64 {
         ftl.write(lba, &blank).unwrap();
@@ -142,7 +150,11 @@ fn append_storm(mode: FlashMode, unsafe_ipa: bool) -> u64 {
             }
         }
     }
-    uncorrectable
+    (uncorrectable, ftl)
+}
+
+fn single_chip(device: DeviceConfig, config: FtlConfig) -> Ftl<FlashChip> {
+    Ftl::new(FlashChip::new(device), config)
 }
 
 #[test]
@@ -151,16 +163,30 @@ fn forced_unsafe_appends_corrupt_data_eventually() {
     // pages (explicitly overriding the safety policy) must produce
     // ECC-visible damage — otherwise our interference model is vacuous.
     assert!(
-        append_storm(FlashMode::MlcFull, true) > 0,
+        append_storm(FlashMode::MlcFull, true, single_chip).0 > 0,
         "unsafe MLC appends must eventually defeat SECDED"
     );
+}
+
+#[test]
+fn an_uncorrectable_vector_member_leaves_the_posted_read_gauge() {
+    // The same storm behind a controller: every read is a posted vector.
+    // A member whose die served it before its ECC failed was counted
+    // outstanding; no completion will retire it, so the submission must.
+    let (uncorrectable, dev) = append_storm(FlashMode::MlcFull, true, |device, config| {
+        let topology = ControllerConfig::new(1, 1, device);
+        ShardedFtl::new(topology, config, StripePolicy::RoundRobin)
+    });
+    assert!(uncorrectable > 0, "no vector failed");
+    let gauge = dev.controller().stats().posted_reads_outstanding;
+    assert_eq!(gauge, 0, "gauge must not drift");
 }
 
 #[test]
 fn safe_modes_stay_clean_under_the_same_storm() {
     // Positive control: the identical append storm on pSLC produces zero
     // data loss.
-    assert_eq!(append_storm(FlashMode::PSlc, false), 0);
+    assert_eq!(append_storm(FlashMode::PSlc, false, single_chip).0, 0);
 }
 
 #[test]

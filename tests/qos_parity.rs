@@ -203,43 +203,3 @@ fn forget_retires_posted_reads_from_horizon() {
     dev.read(8, &mut buf).unwrap();
     assert!(buf.iter().all(|&b| b == 8));
 }
-
-/// A poll on a token that was already polled or forgotten is a typed
-/// error — and tells a retired token apart from one the queue never
-/// issued.
-#[test]
-fn double_poll_is_a_typed_error_not_silence() {
-    use ipa_ftl::{FtlError, IoToken};
-    let mut dev = striped_qos_device(WriteStrategy::Traditional, 0x2B011, 4, 1);
-    for lba in 0..8u64 {
-        dev.write(lba, &vec![lba as u8; 2048]).unwrap();
-    }
-    IoQueue::sync(&mut dev);
-
-    let polled = dev.submit(IoRequest::ReadV((0..4).collect())).unwrap();
-    let forgotten = dev.submit(IoRequest::ReadV((4..8).collect())).unwrap();
-
-    assert_eq!(dev.poll_checked(polled).unwrap().data.len(), 4);
-    IoQueue::forget(&mut dev, forgotten);
-
-    // Retired tokens: polled-once and forgotten are both typed retirals.
-    assert!(matches!(
-        dev.poll_checked(polled),
-        Err(FtlError::TokenRetired { token }) if token == polled.0
-    ));
-    assert!(matches!(
-        dev.poll_checked(forgotten),
-        Err(FtlError::TokenRetired { .. })
-    ));
-    // A token the queue never issued is a different bug — and says so.
-    assert!(matches!(
-        dev.poll_checked(IoToken(u64::MAX)),
-        Err(FtlError::TokenUnknown { token: u64::MAX })
-    ));
-
-    // Neither misuse wedged the device.
-    IoQueue::sync(&mut dev);
-    let mut buf = vec![0u8; 2048];
-    dev.read(3, &mut buf).unwrap();
-    assert!(buf.iter().all(|&b| b == 3));
-}
