@@ -109,6 +109,26 @@ impl PageLayout {
         self.delta_area_offset() + i as usize * self.record_size()
     }
 
+    /// The record slots a `write_delta` of `len` bytes at page `offset`
+    /// covers, as `(first_slot, count)` — or why the append is malformed:
+    /// it must start on a record-slot boundary, span whole records, and
+    /// end inside the delta-record area.
+    pub fn append_slots(&self, offset: usize, len: usize) -> Result<(u16, u16), &'static str> {
+        let rs = self.record_size();
+        let area = self.delta_area_offset();
+        if offset < area || !(offset - area).is_multiple_of(rs) {
+            return Err("offset is not a record-slot boundary");
+        }
+        if len == 0 || !len.is_multiple_of(rs) {
+            return Err("length is not a whole number of record slots");
+        }
+        let (first, count) = ((offset - area) / rs, len / rs);
+        if first + count > self.scheme.n as usize {
+            return Err("append beyond the delta-record area");
+        }
+        Ok((first as u16, count as u16))
+    }
+
     /// Does `offset` fall in the tuple body (i.e. is it representable as a
     /// delta pair)?
     #[inline]
@@ -187,6 +207,22 @@ mod tests {
         let l = layout();
         assert_eq!(l.record_offset(0), l.delta_area_offset());
         assert_eq!(l.record_offset(1), l.delta_area_offset() + 45);
+    }
+
+    #[test]
+    fn append_slots_accepts_whole_records_inside_the_area_only() {
+        let l = layout();
+        let (area, rs) = (l.delta_area_offset(), l.record_size());
+        assert_eq!(l.append_slots(area + rs, rs), Ok((1, 1)));
+        assert_eq!(l.append_slots(area, 2 * rs), Ok((0, 2)));
+        let boundary = Err("offset is not a record-slot boundary");
+        assert_eq!(l.append_slots(area + 1, rs), boundary);
+        assert_eq!(l.append_slots(area - rs, rs), boundary, "before the area");
+        let whole = Err("length is not a whole number of record slots");
+        assert_eq!(l.append_slots(area, rs - 1), whole);
+        assert_eq!(l.append_slots(area, 0), whole);
+        let beyond = Err("append beyond the delta-record area");
+        assert_eq!(l.append_slots(area + rs, 2 * rs), beyond);
     }
 
     #[test]

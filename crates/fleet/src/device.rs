@@ -80,11 +80,6 @@ impl TenantDevice {
                     .map(|(l, data)| Ok((self.map(l)?, data)))
                     .collect::<Result<_>>()?,
             ),
-            IoRequest::WriteDelta { lba, offset, delta } => IoRequest::WriteDelta {
-                lba: self.map(lba)?,
-                offset,
-                delta,
-            },
             IoRequest::WriteDeltaV(members) => IoRequest::WriteDeltaV(
                 members
                     .into_iter()

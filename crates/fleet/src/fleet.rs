@@ -33,11 +33,6 @@ pub struct FleetConfig {
     pub wal_pages: u64,
     /// Per-tenant WAL stripe topology (`channels × dies`).
     pub wal_stripe: (u32, u32),
-    /// Keep the exact (unbounded) per-read latency `Vec` on the shared
-    /// controller instead of the bounded histogram. Off by default: long
-    /// soaks must not grow memory linearly. Turn on only as an oracle
-    /// against the histogram's percentiles.
-    pub exact_read_latencies: bool,
 }
 
 impl Default for FleetConfig {
@@ -53,7 +48,6 @@ impl Default for FleetConfig {
             buffer_frames: 24,
             wal_pages: 192,
             wal_stripe: (2, 1),
-            exact_read_latencies: false,
         }
     }
 }
@@ -144,9 +138,9 @@ impl FleetBuilder {
             StripePolicy::RoundRobin,
             regions,
         ));
-        shared
-            .controller()
-            .set_bounded_read_latencies(!cfg.exact_read_latencies);
+        // Long soaks must not grow memory linearly: read latencies go to
+        // the fixed-memory histogram, not the exact per-read `Vec`.
+        shared.controller().set_bounded_read_latencies(true);
         assert!(
             total <= shared.capacity_pages(),
             "fleet needs {total} pages but the shared device exports {}",
@@ -422,18 +416,17 @@ mod tests {
 
     #[test]
     fn default_fleet_bounds_read_latency_memory() {
-        // The long-soak default: read latencies go to the fixed-memory
-        // histogram only; the exact per-read Vec must not grow. The Vec
-        // comes back as an opt-in oracle via `exact_read_latencies`.
+        // A fleet's read latencies go to the fixed-memory histogram
+        // only; the exact per-read Vec must not grow. The Vec comes back
+        // as an oracle by flipping the shared controller's mode.
         let run = |exact: bool| {
-            let cfg = FleetConfig {
-                exact_read_latencies: exact,
-                ..Default::default()
-            };
-            let mut fleet = Fleet::builder(cfg)
+            let mut fleet = Fleet::builder(FleetConfig::default())
                 .tenant("a", vec![TableSpec::heap("rows", 48, 24)])
                 .build()
                 .expect("fleet builds");
+            if exact {
+                fleet.shared.controller().set_bounded_read_latencies(false);
+            }
             insert_row(fleet.tenant_mut(0), 0x3C);
             fleet.tenant_mut(0).engine_mut().flush_all().unwrap();
             let mapped = (0..24).find(|&l| fleet.shared.is_mapped(l)).unwrap();

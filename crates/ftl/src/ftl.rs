@@ -35,13 +35,14 @@ use crate::region::RegionTable;
 use crate::stats::DeviceStats;
 use crate::wear::{WearConfig, WearLeveler, WearSummary};
 
+/// Fraction of usable capacity withheld from the host (GC headroom).
+const OVER_PROVISIONING: f64 = 0.10;
+/// Run GC whenever the free-block pool drops below this many blocks.
+const GC_LOW_WATER_BLOCKS: u32 = 3;
+
 /// FTL policy knobs.
 #[derive(Debug, Clone)]
 pub struct FtlConfig {
-    /// Fraction of usable capacity withheld from the host (GC headroom).
-    pub over_provisioning: f64,
-    /// Run GC whenever the free-block pool drops below this.
-    pub gc_low_water_blocks: u32,
     /// Detect overwrite-compatible full-page writes and program them in
     /// place (IPA for conventional SSDs).
     pub in_place_detection: bool,
@@ -65,8 +66,6 @@ impl FtlConfig {
     /// Plain SSD: no IPA anywhere.
     pub fn traditional() -> Self {
         FtlConfig {
-            over_provisioning: 0.10,
-            gc_low_water_blocks: 3,
             in_place_detection: false,
             default_layout: None,
             allow_unsafe_ipa: false,
@@ -110,7 +109,9 @@ impl FtlConfig {
 /// [`Ftl::background_gc_step`] at a time. Between steps the victim block stays
 /// `Closed` and fully consistent — host writes may keep invalidating its
 /// pages (those migrations are then skipped), reads still hit the old
-/// physical pages until each is individually remapped.
+/// physical pages until each is individually remapped. The job is owned
+/// by its [`Ftl`] (at most one in flight per die); schedulers only decide
+/// when the next step runs.
 #[derive(Debug, Clone)]
 pub struct GcJob {
     victim: u32,
@@ -118,8 +119,6 @@ pub struct GcJob {
     next_page: u32,
     /// Count this job's work in the GC counters (false: wear levelling).
     count_as_gc: bool,
-    /// Pages migrated so far.
-    migrated: u32,
 }
 
 impl GcJob {
@@ -128,43 +127,6 @@ impl GcJob {
     pub fn victim(&self) -> u32 {
         self.victim
     }
-
-    /// Valid pages copied out so far.
-    #[inline]
-    pub fn migrated(&self) -> u32 {
-        self.migrated
-    }
-}
-
-/// A resumable background-reclaim work item the idle-die maintenance
-/// scheduler dispatches. Block GC ([`ReclaimJob::Gc`]) runs within one
-/// die; the heat-placement variants re-stripe host LBAs *across* dies
-/// ([`ReclaimJob::MigrateRange`]) or flush the SLC hot tier back to the
-/// main stripe ([`ReclaimJob::Destage`]). Each variant is stepped one
-/// bounded unit of work at a time, so a job in flight never blocks host
-/// traffic for longer than a single step.
-#[derive(Debug, Clone)]
-pub enum ReclaimJob {
-    /// Reclaim one block on one die (GC or wear levelling).
-    Gc(GcJob),
-    /// Wear shifting: swap each hot host LBA with a cold partner living
-    /// on a less-worn die ([`crate::ShardedFtl::swap_stripe`]), one pair
-    /// per step. `next` indexes the first unswapped pair.
-    MigrateRange {
-        /// `(hot, cold)` host-LBA pairs to cross-swap.
-        pairs: Vec<(Lba, Lba)>,
-        /// First pair not yet processed.
-        next: usize,
-    },
-    /// Hot-tier destage: write tier-resident page images back to the
-    /// main stripe in cached-program batches. `next` indexes the first
-    /// LBA not yet destaged.
-    Destage {
-        /// Host LBAs whose current images live in the hot tier.
-        lbas: Vec<Lba>,
-        /// First LBA not yet processed.
-        next: usize,
-    },
 }
 
 /// What one [`Ftl::background_gc_step`] call did.
@@ -253,17 +215,17 @@ impl BlockInfo {
 /// smaller of the over-provisioning-derived capacity and what is left
 /// after reserving GC headroom. Shared by [`Ftl`] and the die-striped
 /// `ShardedFtl`, which must size every shard before building it.
-pub fn exported_capacity(geometry: &Geometry, mode: FlashMode, config: &FtlConfig) -> u64 {
+pub fn exported_capacity(geometry: &Geometry, mode: FlashMode) -> u64 {
     let usable_ppb = mode.usable_pages_per_block(geometry.pages_per_block);
     let total_usable = geometry.blocks as u64 * usable_ppb as u64;
-    let op_capacity = (total_usable as f64 * (1.0 - config.over_provisioning)) as u64;
-    op_capacity.min(total_usable.saturating_sub(gc_reserve_pages(usable_ppb, config)))
+    let op_capacity = (total_usable as f64 * (1.0 - OVER_PROVISIONING)) as u64;
+    op_capacity.min(total_usable.saturating_sub(gc_reserve_pages(usable_ppb)))
 }
 
 /// Usable pages withheld from the host as GC headroom (low-water + 1
 /// blocks) — the reserve [`exported_capacity`] subtracts.
-fn gc_reserve_pages(usable_ppb: u32, config: &FtlConfig) -> u64 {
-    (config.gc_low_water_blocks as u64 + 1) * usable_ppb as u64
+fn gc_reserve_pages(usable_ppb: u32) -> u64 {
+    (GC_LOW_WATER_BLOCKS as u64 + 1) * usable_ppb as u64
 }
 
 /// The flash translation layer (see module docs). Generic over the flash
@@ -304,8 +266,8 @@ impl<C: Nand> Ftl<C> {
         // Export the smaller of the OP-derived capacity and what is left
         // after reserving GC headroom (low-water + 1 blocks), so tiny test
         // devices clamp instead of misconfiguring.
-        let capacity = exported_capacity(&g, mode, &config);
-        let gc_reserve = gc_reserve_pages(usable_ppb, &config);
+        let capacity = exported_capacity(&g, mode);
+        let gc_reserve = gc_reserve_pages(usable_ppb);
         assert!(
             capacity > 0,
             "geometry too small: {total_usable} usable pages cannot spare {gc_reserve} for GC"
@@ -622,7 +584,7 @@ impl<C: Nand> Ftl<C> {
         let low_water = if self.config.background_gc {
             1
         } else {
-            self.config.gc_low_water_blocks
+            GC_LOW_WATER_BLOCKS
         };
         while (self.free_blocks.len() as u32) < low_water {
             if let Some(mut job) = self.pending_job.take() {
@@ -692,7 +654,6 @@ impl<C: Nand> Ftl<C> {
             victim,
             next_page: 0,
             count_as_gc,
-            migrated: 0,
         };
         while !self.reclaim_step(&mut job)? {}
         Ok(())
@@ -743,7 +704,6 @@ impl<C: Nand> Ftl<C> {
             self.blocks[dst.block as usize].owner[dst.page as usize] = Some(lba);
             self.blocks[dst.block as usize].valid += 1;
             self.l2p[lba as usize] = Some(dst);
-            job.migrated += 1;
             if job.count_as_gc {
                 self.stats.gc_page_migrations += 1;
             }
@@ -767,10 +727,10 @@ impl<C: Nand> Ftl<C> {
         self.free_blocks.len() as u32
     }
 
-    /// The configured GC low-water mark.
+    /// The GC low-water mark (free blocks).
     #[inline]
     pub fn gc_low_water(&self) -> u32 {
-        self.config.gc_low_water_blocks
+        GC_LOW_WATER_BLOCKS
     }
 
     /// Would a maintenance step make progress against `low_water`? True
@@ -802,7 +762,6 @@ impl<C: Nand> Ftl<C> {
                     victim,
                     next_page: 0,
                     count_as_gc: true,
-                    migrated: 0,
                 }
             }
         };
@@ -821,7 +780,6 @@ impl<C: Nand> Ftl<C> {
                     victim,
                     next_page: 0,
                     count_as_gc: false,
-                    migrated: 0,
                 });
             }
             Ok(GcProgress::Erased)
@@ -996,7 +954,7 @@ impl<C: Nand> Ftl<C> {
         let reclaim_water = if self.config.background_gc {
             1
         } else {
-            self.config.gc_low_water_blocks
+            GC_LOW_WATER_BLOCKS
         };
         let mut pending: Vec<(Ppa, Vec<u8>, Vec<u8>)> = Vec::new();
         for (lba, data) in items {
@@ -1166,27 +1124,9 @@ impl<C: Nand> NativeFlashDevice for Ftl<C> {
 
         // The delta must be whole record slots starting at a slot boundary.
         let rs = layout.record_size();
-        let area = layout.delta_area_offset();
-        if offset < area || !(offset - area).is_multiple_of(rs) {
-            return Err(FtlError::BadWriteDelta {
-                lba,
-                reason: "offset is not a record-slot boundary",
-            });
-        }
-        if delta_bytes.is_empty() || !delta_bytes.len().is_multiple_of(rs) {
-            return Err(FtlError::BadWriteDelta {
-                lba,
-                reason: "length is not a whole number of record slots",
-            });
-        }
-        let first_slot = ((offset - area) / rs) as u16;
-        let count = (delta_bytes.len() / rs) as u16;
-        if first_slot + count > layout.scheme.n {
-            return Err(FtlError::BadWriteDelta {
-                lba,
-                reason: "append beyond the delta-record area",
-            });
-        }
+        let (first_slot, count) = layout
+            .append_slots(offset, delta_bytes.len())
+            .map_err(|reason| FtlError::BadWriteDelta { lba, reason })?;
 
         // Physical-page policy: the mode decides whether this page may be
         // re-programmed at all.
@@ -1251,9 +1191,6 @@ impl<C: Nand> IoQueue for Ftl<C> {
                     BlockDevice::write(self, *lba, page)?;
                 }
                 self.stats.vectored_writes += u64::from(pages.len() > 1);
-            }
-            IoRequest::WriteDelta { lba, offset, delta } => {
-                self.write_delta(*lba, *offset, delta)?;
             }
             IoRequest::WriteDeltaV(members) => {
                 for (i, (lba, offset, delta)) in members.iter().enumerate() {

@@ -113,15 +113,10 @@ pub enum IoRequest {
     HighPriorityReadV(Vec<Lba>),
     /// Write whole pages (posted, like the sync `write`).
     WriteV(Vec<(Lba, Vec<u8>)>),
-    /// Native IPA delta append (`write_delta`) as a queued command.
-    WriteDelta {
-        lba: Lba,
-        offset: usize,
-        delta: Vec<u8>,
-    },
-    /// Vectored native delta appends `(lba, offset, delta)` — the evict
-    /// path's analogue of a multi-page `WriteV`: members landing on
-    /// distinct dies post and overlap like any vectored submission.
+    /// Native IPA delta appends (`write_delta`) as a queued command, one
+    /// `(lba, offset, delta)` per member — the evict path's analogue of
+    /// a multi-page `WriteV`: members landing on distinct dies post and
+    /// overlap like any vectored submission.
     /// A member the device rejects for in-place append (NOP budget, ECC
     /// verdict) does *not* fail the request: its index is reported in
     /// [`IoCompletion::rejected`] and the host falls back per member.

@@ -25,9 +25,7 @@ pub mod stats;
 pub mod wear;
 
 pub use error::{FtlError, Lba, Result};
-pub use ftl::{
-    exported_capacity, overwrite_compatible, Ftl, FtlConfig, GcJob, GcProgress, ReclaimJob,
-};
+pub use ftl::{exported_capacity, overwrite_compatible, Ftl, FtlConfig, GcJob, GcProgress};
 pub use interface::{
     BlockDevice, IoCompletion, IoQueue, IoRequest, IoToken, NativeFlashDevice, QueuedBlockDevice,
     VectoredCounters, WriteStrategy,

@@ -116,7 +116,7 @@ impl ShardedFtl {
         regions: RegionTable,
     ) -> Self {
         let dies = cfg.dies();
-        let shard_cap = exported_capacity(&cfg.chip.geometry, cfg.chip.mode, &ftl_config);
+        let shard_cap = exported_capacity(&cfg.chip.geometry, cfg.chip.mode);
 
         // Assign sub-LBAs die by die, in host-LBA order, until some die
         // fills up — the host space must stay contiguous, so the first
@@ -502,11 +502,6 @@ impl ShardedFtl {
                     lock(&self.shards[die as usize]).write(sub, page)?;
                     done = done.max(self.die_horizon(die));
                 }
-            }
-            IoRequest::WriteDelta { lba, offset, delta } => {
-                let (die, sub) = self.locate(*lba)?;
-                lock(&self.shards[die as usize]).write_delta(sub, *offset, delta)?;
-                done = done.max(self.die_horizon(die));
             }
             IoRequest::WriteDeltaV(members) => {
                 // The evict path's batched appends: members post to their

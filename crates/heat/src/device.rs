@@ -1,9 +1,10 @@
 //! The heat-placement device: a [`MaintainedFtl`] fronted by the heat
-//! tracker and the SLC hot tier, with the wear shifter installed in the
-//! maintenance scheduler.
+//! tracker and the SLC hot tier, with the heat core installed in the
+//! maintenance scheduler as its wear shifter.
 
 use std::borrow::Borrow;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use ipa_controller::FlashController;
 use ipa_core::PageLayout;
@@ -14,22 +15,26 @@ use ipa_ftl::{
 };
 use ipa_maint::{MaintStats, MaintainedFtl};
 
-use crate::policy::DefaultPolicy;
-use crate::shifter::HeatShifter;
+use crate::policy::{DefaultPolicy, DECAY_INTERVAL};
+use crate::shifter::ShiftUnit;
 use crate::stats::HeatStats;
 use crate::tier::HotTier;
 use crate::tracker::LbaHeatTracker;
 
-/// The state the device and the shifter share: tracker, tier, policy
-/// and the subsystem counters. Always lock this *around* heat
-/// decisions, never across a call into the wrapped device — the
-/// maintenance poll inside every inner command re-enters the core
-/// through the shifter.
+/// All heat-placement state: tracker, tier, policy, counters and the
+/// shift job in flight. Owned by the wrapped device's scheduler, which
+/// drives it as its [`ipa_maint::WearShifter`] (`shifter.rs`).
 pub(crate) struct HeatCore {
     pub(crate) tracker: LbaHeatTracker,
     pub(crate) tier: HotTier,
     pub(crate) policy: DefaultPolicy,
     pub(crate) stats: HeatStats,
+    /// The shift job being stepped across polls: its remaining units,
+    /// next first. Empty between jobs.
+    pub(crate) job: VecDeque<ShiftUnit>,
+    /// Per-die erase counters at the last migration proposal (the epoch
+    /// baseline the wear deltas are measured against).
+    pub(crate) last_wear: Vec<u64>,
 }
 
 impl HeatCore {
@@ -77,66 +82,64 @@ impl HeatCore {
     }
 }
 
-/// Poison-tolerant core lock (mirrors the stripe's shard locking).
-pub(crate) fn lock_core(core: &Arc<Mutex<HeatCore>>) -> MutexGuard<'_, HeatCore> {
-    core.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// A [`MaintainedFtl`] with heat-based placement on top:
 ///
 /// * every full write and delta append feeds the [`LbaHeatTracker`];
 /// * hot-range full writes are absorbed by the SLC [`HotTier`] (reads
 ///   and delta appends to resident pages are served there too);
-/// * a [`HeatShifter`] installed in the maintenance scheduler destages
-///   the tier back to the main stripe and re-stripes hot LBA ranges off
-///   high-erase-delta dies, both gated on idle dies.
+/// * the maintenance scheduler, stepping the heat state as its
+///   [`ipa_maint::WearShifter`], destages the tier back to the main
+///   stripe and re-stripes hot LBA ranges off high-erase-delta dies,
+///   both gated on idle dies.
+///
+/// The heat state lives *in* the wrapped device's scheduler; this layer
+/// borrows it ([`MaintainedFtl::shifter_mut`]) around inner commands,
+/// never during one — nothing is shared, nothing is locked.
 ///
 /// Tier operations run on the tier chip's own clock; the device horizon
 /// ([`BlockDevice::elapsed_ns`]) is the max of both devices, while the
 /// per-stream submission clock stays with the main stripe (a tier hit
 /// behaves like a controller-buffer hit).
 pub struct HeatDevice {
-    inner: MaintainedFtl,
-    core: Arc<Mutex<HeatCore>>,
+    inner: MaintainedFtl<HeatCore>,
     /// Vectored requests this layer serviced itself, member by member.
     vectored: VectoredCounters,
 }
 
 impl HeatDevice {
     /// Wrap `inner`, sizing the tracker and tier from `policy`, and
-    /// install the wear shifter in `inner`'s scheduler. `policy` is copied
-    /// out of the box; the parameter is a trait object only because the
-    /// frozen `benchmark/` crate calls `new(_, Box::new(DefaultPolicy::default()))`
-    /// and its `clippy -D warnings` accepts that expression only where
-    /// it coerces to `dyn`.
-    pub fn new(mut inner: MaintainedFtl, policy: Box<dyn Borrow<DefaultPolicy>>) -> Self {
+    /// install the heat state as the wear shifter of `inner`'s scheduler.
+    /// `policy` is copied out of the box; the parameter is a trait object
+    /// only because the frozen `benchmark/` crate calls
+    /// `new(_, Box::new(DefaultPolicy::default()))` and its
+    /// `clippy -D warnings` accepts that expression only where it coerces
+    /// to `dyn`.
+    pub fn new(inner: MaintainedFtl, policy: Box<dyn Borrow<DefaultPolicy>>) -> Self {
         let policy: DefaultPolicy = (*policy).borrow().clone();
         let capacity = inner.capacity_pages();
-        let page_size = inner.page_size();
-        let tracker = LbaHeatTracker::new(capacity, policy.range_pages, policy.decay_interval);
         let slots = ((capacity as f64 * policy.tier_fraction).ceil() as u64).max(4);
-        let tier = HotTier::new(page_size, slots);
-        let core = Arc::new(Mutex::new(HeatCore {
-            tracker,
-            tier,
+        let core = HeatCore {
+            tracker: LbaHeatTracker::new(capacity, policy.range_pages, DECAY_INTERVAL),
+            tier: HotTier::new(inner.page_size(), slots),
             policy,
             stats: HeatStats::default(),
-        }));
-        inner.set_wear_shifter(Box::new(HeatShifter::new(Arc::clone(&core))));
+            job: VecDeque::new(),
+            last_wear: Vec::new(),
+        };
         HeatDevice {
-            inner,
-            core,
+            inner: inner.with_shifter(core),
             vectored: VectoredCounters::default(),
         }
     }
 
     /// The heat subsystem's counters, with the tier gauges refreshed.
     pub fn heat_stats(&self) -> HeatStats {
-        let mut core = lock_core(&self.core);
-        core.stats.tier_resident = core.tier.resident();
-        core.stats.tier_slots = core.tier.slots();
-        core.stats
+        let core = self.inner.shifter();
+        HeatStats {
+            tier_resident: core.tier.resident(),
+            tier_slots: core.tier.slots(),
+            ..core.stats
+        }
     }
 
     /// The wrapped maintenance scheduler's counters.
@@ -146,7 +149,7 @@ impl HeatDevice {
 
     /// Raw counters of the tier's own chip.
     pub fn tier_flash_stats(&self) -> FlashStats {
-        lock_core(&self.core).tier.flash_stats()
+        self.inner.shifter().tier.flash_stats()
     }
 
     /// Run every shard's exhaustive invariant check.
@@ -175,15 +178,9 @@ impl BlockDevice for HeatDevice {
     }
 
     fn read(&mut self, lba: Lba, buf: &mut [u8]) -> Result<()> {
-        let hit = {
-            let mut core = lock_core(&self.core);
-            let hit = core.tier.read(lba, buf)?;
-            if hit {
-                core.stats.tier_read_hits += 1;
-            }
-            hit
-        };
-        if hit {
+        let core = self.inner.shifter_mut();
+        if core.tier.read(lba, buf)? {
+            core.stats.tier_read_hits += 1;
             self.inner.poll_now()
         } else {
             self.inner.read(lba, buf)
@@ -191,8 +188,7 @@ impl BlockDevice for HeatDevice {
     }
 
     fn write(&mut self, lba: Lba, data: &[u8]) -> Result<()> {
-        let absorbed = lock_core(&self.core).absorb_write(lba, data)?;
-        if absorbed {
+        if self.inner.shifter_mut().absorb_write(lba, data)? {
             self.inner.poll_now()
         } else {
             self.inner.write(lba, data)
@@ -200,12 +196,12 @@ impl BlockDevice for HeatDevice {
     }
 
     fn trim(&mut self, lba: Lba) -> Result<()> {
-        lock_core(&self.core).tier.remove(lba)?;
+        self.inner.shifter_mut().tier.remove(lba)?;
         self.inner.trim(lba)
     }
 
     fn is_mapped(&self, lba: Lba) -> bool {
-        lock_core(&self.core).tier.contains(lba) || self.inner.is_mapped(lba)
+        self.inner.shifter().tier.contains(lba) || self.inner.is_mapped(lba)
     }
 
     fn layout_for(&self, lba: Lba) -> Option<PageLayout> {
@@ -217,7 +213,7 @@ impl BlockDevice for HeatDevice {
     /// commands too), plus this layer's queued-path counters.
     fn device_stats(&self) -> DeviceStats {
         let mut d = self.vectored.fold_into(self.inner.device_stats());
-        let t = lock_core(&self.core).tier.device_stats();
+        let t = self.inner.shifter().tier.device_stats();
         d.host_reads += t.host_reads;
         d.host_writes += t.host_writes;
         d.bytes_host_read += t.bytes_host_read;
@@ -230,13 +226,13 @@ impl BlockDevice for HeatDevice {
     fn flash_stats(&self) -> FlashStats {
         self.inner
             .flash_stats()
-            .merged(&lock_core(&self.core).tier.flash_stats())
+            .merged(&self.inner.shifter().tier.flash_stats())
     }
 
     fn elapsed_ns(&self) -> u64 {
         self.inner
             .elapsed_ns()
-            .max(lock_core(&self.core).tier.elapsed_ns())
+            .max(self.inner.shifter().tier.elapsed_ns())
     }
 
     /// Peak wear of the *main* stripe — the tier is a separate
@@ -270,8 +266,8 @@ impl BlockDevice for HeatDevice {
 impl NativeFlashDevice for HeatDevice {
     fn write_delta(&mut self, lba: Lba, offset: usize, delta_bytes: &[u8]) -> Result<()> {
         let layout = self.inner.layout_for(lba);
-        let absorbed = lock_core(&self.core).absorb_delta(lba, offset, delta_bytes, layout)?;
-        if absorbed {
+        let core = self.inner.shifter_mut();
+        if core.absorb_delta(lba, offset, delta_bytes, layout)? {
             self.inner.poll_now()
         } else {
             self.inner.write_delta(lba, offset, delta_bytes)
@@ -289,11 +285,8 @@ impl IoQueue for HeatDevice {
     fn submit(&mut self, req: IoRequest) -> Result<IoToken> {
         match req {
             IoRequest::ReadV(ref lbas) | IoRequest::HighPriorityReadV(ref lbas) => {
-                let any_resident = {
-                    let core = lock_core(&self.core);
-                    lbas.iter().any(|&l| core.tier.contains(l))
-                };
-                if !any_resident {
+                let tier = &self.inner.shifter().tier;
+                if !lbas.iter().any(|&l| tier.contains(l)) {
                     return self.inner.submit(req);
                 }
                 self.vectored.count_request(&req);
@@ -308,13 +301,11 @@ impl IoQueue for HeatDevice {
                 Ok(self.own_token(data, Vec::new(), t0))
             }
             IoRequest::WriteV(pages) => {
+                let core = self.inner.shifter_mut();
                 let mut remainder = Vec::with_capacity(pages.len());
-                {
-                    let mut core = lock_core(&self.core);
-                    for (lba, data) in pages {
-                        if !core.absorb_write(lba, &data)? {
-                            remainder.push((lba, data));
-                        }
+                for (lba, data) in pages {
+                    if !core.absorb_write(lba, &data)? {
+                        remainder.push((lba, data));
                     }
                 }
                 if remainder.is_empty() {
@@ -327,34 +318,16 @@ impl IoQueue for HeatDevice {
                     self.inner.submit(IoRequest::WriteV(remainder))
                 }
             }
-            IoRequest::WriteDelta { lba, offset, delta } => {
-                let layout = self.inner.layout_for(lba);
-                let absorbed = lock_core(&self.core).absorb_delta(lba, offset, &delta, layout)?;
-                if absorbed {
-                    let t0 = self.inner.submission_clock_ns();
-                    self.inner.poll_now()?;
-                    Ok(self.own_token(Vec::new(), Vec::new(), t0))
-                } else {
-                    self.inner
-                        .submit(IoRequest::WriteDelta { lba, offset, delta })
-                }
-            }
             IoRequest::WriteDeltaV(ref members) => {
-                let any_resident = {
-                    let core = lock_core(&self.core);
-                    members.iter().any(|(l, _, _)| core.tier.contains(*l))
-                };
-                if !any_resident {
+                let core = self.inner.shifter_mut();
+                if !members.iter().any(|(l, _, _)| core.tier.contains(*l)) {
                     // Record heat before forwarding — the stripe has no
                     // tracker.
-                    {
-                        let mut core = lock_core(&self.core);
-                        for (lba, _, _) in members {
-                            core.tracker.record(*lba);
-                            core.stats.deltas_seen += 1;
-                        }
-                        core.stats.decays = core.tracker.decays();
+                    for (lba, _, _) in members {
+                        core.tracker.record(*lba);
+                        core.stats.deltas_seen += 1;
                     }
+                    core.stats.decays = core.tracker.decays();
                     return self.inner.submit(req);
                 }
                 self.vectored.count_request(&req);
@@ -374,7 +347,7 @@ impl IoQueue for HeatDevice {
                 Ok(self.own_token(Vec::new(), rejected, t0))
             }
             IoRequest::Trim(lba) => {
-                lock_core(&self.core).tier.remove(lba)?;
+                self.inner.shifter_mut().tier.remove(lba)?;
                 self.inner.submit(IoRequest::Trim(lba))
             }
             IoRequest::Flush => self.inner.submit(IoRequest::Flush),
@@ -391,7 +364,7 @@ impl IoQueue for HeatDevice {
 
     fn sync(&mut self) -> u64 {
         let merged = self.inner.sync();
-        merged.max(lock_core(&self.core).tier.elapsed_ns())
+        merged.max(self.inner.shifter().tier.elapsed_ns())
     }
 
     fn forget(&mut self, token: IoToken) {

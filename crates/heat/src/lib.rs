@@ -12,25 +12,31 @@
 //!   hot-range writes as a write-back cache, with a background destage
 //!   path returning images to the main stripe via cached-program
 //!   batches.
-//! * [`HeatShifter`] — an [`ipa_maint::WearShifter`] proposing
-//!   [`ipa_ftl::ReclaimJob::Destage`] and
-//!   [`ipa_ftl::ReclaimJob::MigrateRange`] jobs to the idle-die
+//! * the wear shifter (`shifter.rs`) — the heat state's
+//!   [`ipa_maint::WearShifter`] face, stepped by the idle-die
 //!   maintenance scheduler: tier flushes when the high-water mark trips,
 //!   and hot/cold stripe-slot swaps
 //!   ([`ipa_ftl::ShardedFtl::swap_stripe`]) that move hot LBA ranges off
 //!   dies accumulating erase deltas fastest.
+//!
+//! Tracker, tier, counters and the shift job in flight are one value with
+//! one owner: the scheduler inside the wrapped
+//! [`ipa_maint::MaintainedFtl`] holds it as its shifter, and
+//! [`HeatDevice`] borrows it from there around (never during) inner
+//! commands. There is no lock in this crate.
 //!
 //! [`HeatDevice`] assembles the stack around a
 //! [`ipa_maint::MaintainedFtl`] and speaks the same
 //! [`ipa_ftl::NativeFlashDevice`] contract, so the storage engine mounts
 //! it like any other device. As the top device crate this is also where
 //! the whole tower is built: [`build_stack`] is the single function that
-//! nests stripe, scheduler and heat layer. Thresholds, decay, tier sizing and
-//! migration pacing are the fields of [`DefaultPolicy`].
+//! nests stripe, scheduler and heat layer. Thresholds and tier sizing are
+//! the fields of [`DefaultPolicy`]; decay interval and job batch sizes are
+//! constants beside it.
 
 pub mod device;
 pub mod policy;
-pub mod shifter;
+mod shifter;
 pub mod stack;
 pub mod stats;
 pub mod tier;
@@ -38,7 +44,6 @@ pub mod tracker;
 
 pub use device::HeatDevice;
 pub use policy::DefaultPolicy;
-pub use shifter::HeatShifter;
 pub use stack::build_stack;
 pub use stats::HeatStats;
 pub use tier::HotTier;

@@ -1,5 +1,13 @@
-//! The placement policy: thresholds, decay, tier sizing and migration
-//! pacing, as one plain struct the device and the shifter read.
+//! The placement policy: thresholds and tier sizing as one plain struct
+//! the device and the shifter read, plus the pacing values every caller
+//! runs at.
+
+/// Recorded writes between heat-counter halvings.
+pub(crate) const DECAY_INTERVAL: u64 = 1024;
+/// Pages per destage job (each page is one scheduler step).
+pub(crate) const DESTAGE_BATCH: usize = 8;
+/// Hot/cold LBA pairs per migration job (each pair is one step).
+pub(crate) const MIGRATE_BATCH: usize = 4;
 
 /// The default policy: small tracking ranges, a tier sized at 1/16 of
 /// the LBA space, destage at 75 % full, and migration once the die
@@ -8,8 +16,6 @@
 pub struct DefaultPolicy {
     /// LBAs per heat-tracking range (the tracker's bucket size).
     pub range_pages: u64,
-    /// Recorded writes between counter halvings.
-    pub decay_interval: u64,
     /// Range heat at or above which full-page writes route to the SLC
     /// tier.
     pub hot_threshold: u32,
@@ -18,26 +24,19 @@ pub struct DefaultPolicy {
     /// Tier occupancy fraction at which the shifter proposes destage
     /// jobs.
     pub destage_high_water: f64,
-    /// Pages per destage job (each page is one scheduler step).
-    pub destage_batch: usize,
     /// Cross-die erase spread (max − min, counted since the last
     /// proposal) at which the shifter proposes wear-shifting migrations.
     pub migrate_wear_delta: u64,
-    /// Hot/cold LBA pairs per migration job (each pair is one step).
-    pub migrate_batch: usize,
 }
 
 impl Default for DefaultPolicy {
     fn default() -> Self {
         DefaultPolicy {
             range_pages: 8,
-            decay_interval: 1024,
             hot_threshold: 4,
             tier_fraction: 1.0 / 16.0,
             destage_high_water: 0.75,
-            destage_batch: 8,
             migrate_wear_delta: 4,
-            migrate_batch: 4,
         }
     }
 }
@@ -56,11 +55,6 @@ impl DefaultPolicy {
 
     pub fn with_range_pages(mut self, pages: u64) -> Self {
         self.range_pages = pages;
-        self
-    }
-
-    pub fn with_decay_interval(mut self, records: u64) -> Self {
-        self.decay_interval = records;
         self
     }
 
@@ -86,17 +80,13 @@ mod tests {
             .with_hot_threshold(9)
             .with_tier_fraction(0.25)
             .with_range_pages(4)
-            .with_decay_interval(64)
             .with_migrate_wear_delta(2)
             .with_destage_high_water(0.5);
         assert_eq!(p.hot_threshold, 9);
         assert!((p.tier_fraction - 0.25).abs() < 1e-12);
         assert_eq!(p.range_pages, 4);
-        assert_eq!(p.decay_interval, 64);
         assert_eq!(p.migrate_wear_delta, 2);
         assert!((p.destage_high_water - 0.5).abs() < 1e-12);
-        assert!(p.destage_batch > 0);
-        assert!(p.migrate_batch > 0);
     }
 
     #[test]

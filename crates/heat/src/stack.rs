@@ -18,30 +18,29 @@ use crate::policy::DefaultPolicy;
 /// Build the die-striped device for `controller`, wrapped in as many
 /// layers as the arguments ask for:
 ///
-/// * `maint: None`, `placement: None` — the bare stripe, inline GC;
-/// * `maint: Some(_)` — low-water GC deferred to the idle-die scheduler;
+/// * neither — the bare stripe, inline GC;
+/// * `background_gc` — low-water GC deferred to the idle-die scheduler;
 /// * `placement: Some(_)` — the heat tier and wear shifter on top of the
-///   scheduler (which it needs, so `maint: None` then means the default
-///   scheduler policy, not "no scheduler").
+///   scheduler (which it needs, so `background_gc` is then implied).
 pub fn build_stack(
     controller: ControllerConfig,
     ftl_config: FtlConfig,
     policy: StripePolicy,
     regions: RegionTable,
-    maint: Option<MaintConfig>,
+    background_gc: bool,
     placement: Option<DefaultPolicy>,
 ) -> Box<dyn NativeFlashDevice> {
-    let maint = maint.or_else(|| placement.as_ref().map(|_| MaintConfig::default()));
-    let ftl_config = if maint.is_some() {
+    let background_gc = background_gc || placement.is_some();
+    let ftl_config = if background_gc {
         ftl_config.with_background_gc()
     } else {
         ftl_config
     };
     let striped = ShardedFtl::with_regions(controller, ftl_config, policy, regions);
-    let Some(maint) = maint else {
+    if !background_gc {
         return Box::new(striped);
-    };
-    let maintained = MaintainedFtl::new(striped, maint);
+    }
+    let maintained = MaintainedFtl::new(striped, MaintConfig::default());
     match placement {
         Some(placement) => Box::new(HeatDevice::new(maintained, Box::new(placement))),
         None => Box::new(maintained),

@@ -135,28 +135,9 @@ impl HotTier {
             return Ok(false);
         };
         let layout = layout.ok_or(FtlError::LayoutRequired { lba: host })?;
-        let rs = layout.record_size();
-        let area = layout.delta_area_offset();
-        if offset < area || !(offset - area).is_multiple_of(rs) {
-            return Err(FtlError::BadWriteDelta {
-                lba: host,
-                reason: "offset is not a record-slot boundary",
-            });
-        }
-        if delta.is_empty() || !delta.len().is_multiple_of(rs) {
-            return Err(FtlError::BadWriteDelta {
-                lba: host,
-                reason: "length is not a whole number of record slots",
-            });
-        }
-        let first_slot = ((offset - area) / rs) as u16;
-        let count = (delta.len() / rs) as u16;
-        if first_slot + count > layout.scheme.n {
-            return Err(FtlError::BadWriteDelta {
-                lba: host,
-                reason: "append beyond the delta-record area",
-            });
-        }
+        layout
+            .append_slots(offset, delta.len())
+            .map_err(|reason| FtlError::BadWriteDelta { lba: host, reason })?;
         let mut img = vec![0u8; self.ftl.page_size()];
         self.ftl.read(slot, &mut img)?;
         // Same cell semantics as the physical append: programming can

@@ -80,21 +80,6 @@ impl LbaHeatTracker {
         self.heat(lba) >= threshold
     }
 
-    /// Ranges ordered hottest first (ties broken by lower index), at most
-    /// `n` entries, zero-heat ranges omitted.
-    pub fn hottest(&self, n: usize) -> Vec<(usize, u32)> {
-        let mut v: Vec<(usize, u32)> = self
-            .counters
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v
-    }
-
     /// The raw per-range counters (metrics export).
     #[inline]
     pub fn snapshot(&self) -> &[u32] {
@@ -162,21 +147,6 @@ mod tests {
         }
         assert_eq!(t.heat(0), 0);
         assert!(t.heat(60) > 0);
-    }
-
-    #[test]
-    fn hottest_orders_and_truncates() {
-        let mut t = LbaHeatTracker::new(64, 8, 1_000_000);
-        for _ in 0..3 {
-            t.record(0);
-        }
-        for _ in 0..7 {
-            t.record(16);
-        }
-        t.record(40);
-        let top = t.hottest(2);
-        assert_eq!(top, vec![(2, 7), (0, 3)]);
-        assert_eq!(t.hottest(10).len(), 3, "zero-heat ranges omitted");
     }
 
     #[test]

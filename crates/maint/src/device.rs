@@ -11,7 +11,7 @@ use ipa_ftl::{
 };
 
 use crate::config::MaintConfig;
-use crate::scheduler::MaintenanceScheduler;
+use crate::scheduler::{MaintenanceScheduler, NoShift, WearShifter};
 use crate::stats::MaintStats;
 
 /// A [`ShardedFtl`] whose low-water GC runs in the background: every host
@@ -21,9 +21,12 @@ use crate::stats::MaintStats;
 /// [`ipa_ftl::FtlConfig::with_background_gc`] so its write path defers
 /// low-water reclaim to this wrapper (emergency inline GC stays armed
 /// either way).
-pub struct MaintainedFtl {
+///
+/// `S` is the [`WearShifter`] the scheduler owns ([`NoShift`]: plain
+/// background GC); see the crate docs for who owns what.
+pub struct MaintainedFtl<S = NoShift> {
     inner: ShardedFtl,
-    sched: MaintenanceScheduler,
+    sched: MaintenanceScheduler<S>,
     /// A maintenance failure that surfaced on a queue call that cannot
     /// carry it (`sync` returns no `Result`; a poll must hand back its
     /// completion); re-raised by the next fallible operation instead of
@@ -32,11 +35,25 @@ pub struct MaintainedFtl {
 }
 
 impl MaintainedFtl {
-    pub fn new(inner: ShardedFtl, cfg: MaintConfig) -> Self {
+    /// Background GC only. `MaintConfig` carries no setting; the
+    /// parameter keeps the constructor's frozen call shape.
+    pub fn new(inner: ShardedFtl, _cfg: MaintConfig) -> Self {
         MaintainedFtl {
             inner,
-            sched: MaintenanceScheduler::new(cfg),
+            sched: MaintenanceScheduler::new(NoShift),
             deferred_maint_err: None,
+        }
+    }
+}
+
+impl<S: WearShifter> MaintainedFtl<S> {
+    /// The same device with `shifter` installed in its scheduler: heat
+    /// placement work is dispatched after GC in every poll.
+    pub fn with_shifter<T: WearShifter>(self, shifter: T) -> MaintainedFtl<T> {
+        MaintainedFtl {
+            inner: self.inner,
+            sched: self.sched.with_shifter(shifter),
+            deferred_maint_err: self.deferred_maint_err,
         }
     }
 
@@ -45,20 +62,26 @@ impl MaintainedFtl {
         self.sched.stats()
     }
 
-    /// Install the heat-placement hook the scheduler dispatches
-    /// migration/destage jobs through (see
-    /// [`crate::scheduler::WearShifter`]).
-    pub fn set_wear_shifter(&mut self, shifter: Box<dyn crate::scheduler::WearShifter>) {
-        self.sched.set_wear_shifter(shifter);
+    /// The installed shifter (a stacked layer's placement state).
+    pub fn shifter(&self) -> &S {
+        &self.sched.shifter
     }
 
-    /// Run one scheduler poll outside any host command. Layered devices
-    /// that absorb host traffic before it reaches the stripe (the heat
-    /// tier) call this after an absorbed command, so background
-    /// destage/migration keeps pace even when the main stripe itself
-    /// sees no traffic.
+    /// See [`MaintainedFtl::shifter`].
+    pub fn shifter_mut(&mut self) -> &mut S {
+        &mut self.sched.shifter
+    }
+
+    /// Run one scheduler poll — what follows every host command here.
+    /// Layered devices that absorb host traffic before it reaches the
+    /// stripe (the heat tier) call this after an absorbed command, so
+    /// background destage/migration keeps pace even when the main stripe
+    /// itself sees no traffic.
     pub fn poll_now(&mut self) -> Result<()> {
-        self.poll_maint()
+        if let Some(e) = self.deferred_maint_err.take() {
+            return Err(e);
+        }
+        self.sched.poll(&mut self.inner)
     }
 
     /// Run every shard's exhaustive invariant check.
@@ -66,23 +89,16 @@ impl MaintainedFtl {
         self.inner.check_invariants();
     }
 
-    fn poll_maint(&mut self) -> Result<()> {
-        if let Some(e) = self.deferred_maint_err.take() {
-            return Err(e);
-        }
-        self.sched.poll(&mut self.inner)
-    }
-
-    /// `poll_maint` for paths that cannot return a `Result`: the error,
+    /// `poll_now` for paths that cannot return a `Result`: the error,
     /// if any, is parked for the next fallible call.
     fn poll_maint_deferred(&mut self) {
-        if let Err(e) = self.poll_maint() {
+        if let Err(e) = self.poll_now() {
             self.deferred_maint_err = Some(e);
         }
     }
 }
 
-impl BlockDevice for MaintainedFtl {
+impl<S: WearShifter> BlockDevice for MaintainedFtl<S> {
     fn page_size(&self) -> usize {
         self.inner.page_size()
     }
@@ -93,17 +109,17 @@ impl BlockDevice for MaintainedFtl {
 
     fn read(&mut self, lba: Lba, buf: &mut [u8]) -> Result<()> {
         self.inner.read(lba, buf)?;
-        self.poll_maint()
+        self.poll_now()
     }
 
     fn write(&mut self, lba: Lba, data: &[u8]) -> Result<()> {
         self.inner.write(lba, data)?;
-        self.poll_maint()
+        self.poll_now()
     }
 
     fn trim(&mut self, lba: Lba) -> Result<()> {
         self.inner.trim(lba)?;
-        self.poll_maint()
+        self.poll_now()
     }
 
     fn is_mapped(&self, lba: Lba) -> bool {
@@ -151,10 +167,10 @@ impl BlockDevice for MaintainedFtl {
     }
 }
 
-impl NativeFlashDevice for MaintainedFtl {
+impl<S: WearShifter> NativeFlashDevice for MaintainedFtl<S> {
     fn write_delta(&mut self, lba: Lba, offset: usize, delta_bytes: &[u8]) -> Result<()> {
         self.inner.write_delta(lba, offset, delta_bytes)?;
-        self.poll_maint()
+        self.poll_now()
     }
 }
 
@@ -162,10 +178,10 @@ impl NativeFlashDevice for MaintainedFtl {
 /// stripe, and the scheduler polls between submissions and completions —
 /// so background reclaim keeps landing on idle dies while the host sits
 /// on unpolled tokens (exactly the window inline GC could never use).
-impl IoQueue for MaintainedFtl {
+impl<S: WearShifter> IoQueue for MaintainedFtl<S> {
     fn submit(&mut self, req: IoRequest) -> Result<IoToken> {
         let token = self.inner.submit(req)?;
-        self.poll_maint()?;
+        self.poll_now()?;
         Ok(token)
     }
 

@@ -1,52 +1,82 @@
 //! The idle-die reclaim scheduler.
 
 use ipa_controller::{CmdContext, CommandKind, FlashController, TracePhase};
-use ipa_ftl::{GcProgress, ReclaimJob, Result, ShardedFtl};
+use ipa_ftl::{GcProgress, Result, ShardedFtl};
 use std::sync::Arc;
 
-use crate::config::MaintConfig;
 use crate::stats::MaintStats;
 
-/// Pluggable heat-placement hook: proposes and executes the cross-die
-/// [`ReclaimJob`] variants ([`ReclaimJob::MigrateRange`] wear shifting,
-/// [`ReclaimJob::Destage`] hot-tier flushes) that the idle-die scheduler
-/// dispatches alongside per-die GC. The scheduler owns *when* (idle dies,
-/// step budgets, internal context); the shifter owns *what* (which LBAs move
-/// where) — so tier sizing, heat thresholds and pairing policy live
-/// outside `ipa-maint`.
-pub trait WearShifter: Send {
-    /// Propose the next job, or `None` while the device is balanced.
-    /// Called only when no shift job is in flight.
-    fn propose(&mut self, ftl: &ShardedFtl) -> Option<ReclaimJob>;
-
-    /// The dies the *next* step of `job` would occupy — the scheduler's
-    /// idle gate. Empty means the step is free to run.
-    fn next_dies(&self, job: &ReclaimJob, ftl: &ShardedFtl) -> Vec<u32>;
-
-    /// Run one bounded step of `job` (one swap pair, one destage batch).
-    /// Returns `true` when the job is complete.
-    fn step(&mut self, job: &mut ReclaimJob, ftl: &mut ShardedFtl) -> Result<bool>;
+/// What one [`WearShifter::step`] did — which [`MaintStats`] counter the
+/// scheduler ticks for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShiftStep {
+    /// A hot-tier image went back to the stripe: [`MaintStats::destages`].
+    Destaged,
+    /// A hot/cold stripe swap ran: [`MaintStats::range_migrations`].
+    Migrated,
 }
 
-/// Dispatches background [`ipa_ftl::ReclaimJob`] steps onto idle dies.
+/// Heat-placement hook: cross-die background work (wear-shifting stripe
+/// swaps, hot-tier flushes) the idle-die scheduler dispatches after
+/// per-die GC. The scheduler owns *when* (idle dies, internal context,
+/// one step per poll); the shifter owns *what* — which LBAs move where,
+/// and the job those moves belong to, which the scheduler never sees.
+pub trait WearShifter: Send + 'static {
+    /// The dies the next step would occupy — the scheduler's idle gate.
+    /// A shifter holding no work proposes some here; `None` while the
+    /// device is balanced (nothing to step). `Some` of an empty list is
+    /// a step free to run.
+    fn next_dies(&mut self, ftl: &ShardedFtl) -> Option<Vec<u32>>;
+
+    /// Run the one bounded step [`WearShifter::next_dies`] just named
+    /// (one swap pair, one destaged page).
+    fn step(&mut self, ftl: &mut ShardedFtl) -> Result<ShiftStep>;
+}
+
+/// The GC-only scheduler's shifter: never has work.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoShift;
+
+impl WearShifter for NoShift {
+    fn next_dies(&mut self, _ftl: &ShardedFtl) -> Option<Vec<u32>> {
+        None
+    }
+
+    fn step(&mut self, _ftl: &mut ShardedFtl) -> Result<ShiftStep> {
+        unreachable!("NoShift names no step")
+    }
+}
+
+/// Dispatches background reclaim steps onto idle dies.
 ///
 /// One `poll` runs after every host command on a maintained device. It
-/// asks each shard whether reclaim work is pending (an in-flight job, or
-/// a free pool below `low_water + early_blocks`), orders the needy dies
-/// by urgency (fewest free blocks first) with the controller's wear view
-/// (fewest total erases first) as the deterministic tie-break, and gives
-/// each die that is *idle at the current host time* a budget of at most
-/// [`MaintConfig::steps_per_poll`] single-command steps. Dies busy with
-/// host work are skipped — their reclaim waits for a quieter poll, or
-/// for the write path's emergency inline GC if pressure wins.
+/// asks each shard whether reclaim work is pending (an in-flight
+/// [`ipa_ftl::GcJob`], or a free pool below the shard's low-water mark),
+/// orders the needy dies by urgency (fewest free blocks first) with the
+/// controller's wear view (fewest total erases first) as the
+/// deterministic tie-break, and gives each die that is *idle at the
+/// current host time* one single-command step. Dies busy with host work
+/// are skipped — their reclaim waits for a quieter poll, or for the write
+/// path's emergency inline GC if pressure wins. Then the [`WearShifter`]
+/// gets one step under the same idle gate.
+///
+/// The scheduler holds no job state: a half-done GC job lives in its
+/// shard, a half-done shift job in the shifter `S` ([`NoShift`] for
+/// plain background GC). Two policy values are fixed, not configured.
+/// *One step per die per poll*: after a step the die reads busy, so the
+/// idle gate itself spreads the rest of a job across later polls instead
+/// of stacking a reclaim burst into one die-busy period a host read then
+/// waits out in full. *Refill starts at the low-water mark, not above
+/// it*: triggering early reclaims blocks while they still hold valid
+/// pages, and on GC-light workloads (TATP) that extra copy-back traffic
+/// costs more tail latency than the deeper pool buys.
 ///
 /// Note the limit of what dispatch ordering can do: with a fixed LBA
 /// stripe, each shard's long-run erase count is set by the workload, so
 /// the wear view here is observability (the spread is tracked per poll
 /// and reported in [`MaintStats`]) plus priority, not active balancing.
 /// Shifting erases between dies needs LBA re-striping — that is the
-/// `ipa-heat` crate's job: its `WearShifter` proposes `MigrateRange` /
-/// `Destage` work that this scheduler dispatches on idle dies.
+/// `ipa-heat` crate's job, through the [`WearShifter`] hook.
 ///
 /// Steps run with the die handles of exactly the shards they touch set
 /// to [`CmdContext::INTERNAL`] (a GC step's own die; the dies
@@ -63,28 +93,18 @@ pub trait WearShifter: Send {
 /// no cooperation for this — posted internal erases sit in the same
 /// die queue the QoS slot search walks — but it observes the suspensions
 /// in [`MaintStats::erase_suspends_seen`].
-pub struct MaintenanceScheduler {
-    cfg: MaintConfig,
+pub struct MaintenanceScheduler<S = NoShift> {
     stats: MaintStats,
-    /// Heat-placement hook; GC-only when absent.
-    shifter: Option<Box<dyn WearShifter>>,
-    /// The shift job currently being stepped across polls.
-    active_shift: Option<ReclaimJob>,
+    /// The installed shifter and, inside it, whatever job it holds.
+    pub shifter: S,
 }
 
-impl MaintenanceScheduler {
-    pub fn new(cfg: MaintConfig) -> Self {
+impl<S: WearShifter> MaintenanceScheduler<S> {
+    pub fn new(shifter: S) -> Self {
         MaintenanceScheduler {
-            cfg,
             stats: MaintStats::default(),
-            shifter: None,
-            active_shift: None,
+            shifter,
         }
-    }
-
-    #[inline]
-    pub fn config(&self) -> &MaintConfig {
-        &self.cfg
     }
 
     #[inline]
@@ -92,12 +112,13 @@ impl MaintenanceScheduler {
         self.stats
     }
 
-    /// Install (or replace) the heat-placement hook. A half-done shift
-    /// job from a previous shifter is dropped — jobs are resumable but
-    /// not transferable, and every step leaves the stripe consistent.
-    pub fn set_wear_shifter(&mut self, shifter: Box<dyn WearShifter>) {
-        self.shifter = Some(shifter);
-        self.active_shift = None;
+    /// The same scheduler (counters kept) dispatching for `shifter`
+    /// instead; the old shifter and whatever job it held are dropped.
+    pub fn with_shifter<T: WearShifter>(self, shifter: T) -> MaintenanceScheduler<T> {
+        MaintenanceScheduler {
+            stats: self.stats,
+            shifter,
+        }
     }
 
     /// One scheduling round over all shards (see the type docs).
@@ -109,8 +130,7 @@ impl MaintenanceScheduler {
         let mut pending: Vec<(u32 /* free */, u64 /* wear */, u32 /* die */)> = Vec::new();
         for die in 0..ftl.dies() {
             let shard = ftl.shard(die);
-            let threshold = shard.gc_low_water() + self.cfg.early_blocks;
-            if shard.gc_pending(threshold) {
+            if shard.gc_pending(shard.gc_low_water()) {
                 let wear = ctrl.die_erase_count(die);
                 pending.push((shard.free_block_count(), wear, die));
             }
@@ -122,15 +142,14 @@ impl MaintenanceScheduler {
                 self.stats.deferred_busy += 1;
                 continue;
             }
-            let threshold = ftl.shard(die).gc_low_water() + self.cfg.early_blocks;
             // Mark the dispatch decision on the die's trace track (no-op
             // without a tracer): the copy-backs/erases that follow carry
             // the `internal` origin and attribute to this instant.
             ctrl.trace_instant(die, CommandKind::ReclaimStep, TracePhase::Dispatched);
-            self.run_steps(ftl, die, threshold)?;
+            self.gc_step(ftl, die)?;
         }
 
-        self.poll_shift(ftl, &ctrl)?;
+        self.shift_step(ftl, &ctrl)?;
 
         let cstats = ctrl.stats();
         self.stats.max_wear_spread = self.stats.max_wear_spread.max(cstats.wear_spread());
@@ -138,71 +157,46 @@ impl MaintenanceScheduler {
         Ok(())
     }
 
-    /// Heat-placement dispatch: advance (or propose) the cross-die shift
-    /// job, stepping only while every die the next unit touches is idle
-    /// at the current host time — migrations yield to host traffic the
-    /// same way GC does.
-    fn poll_shift(&mut self, ftl: &mut ShardedFtl, ctrl: &Arc<FlashController>) -> Result<()> {
-        let Some(shifter) = self.shifter.as_mut() else {
+    /// Heat-placement dispatch: one step of the shifter's work, run only
+    /// if every die it touches is idle at the current host time —
+    /// migrations yield to host traffic the same way GC does.
+    fn shift_step(&mut self, ftl: &mut ShardedFtl, ctrl: &FlashController) -> Result<()> {
+        let Some(dies) = self.shifter.next_dies(ftl) else {
             return Ok(());
         };
-        if self.active_shift.is_none() {
-            self.active_shift = shifter.propose(ftl);
-        }
-        let Some(mut job) = self.active_shift.take() else {
+        if dies.iter().any(|&d| !ctrl.die_idle(d)) {
+            self.stats.deferred_busy += 1;
             return Ok(());
-        };
-        for _ in 0..self.cfg.steps_per_poll {
-            let dies = shifter.next_dies(&job, ftl);
-            if dies.iter().any(|&d| !ctrl.die_idle(d)) {
-                self.stats.deferred_busy += 1;
-                break;
-            }
-            if let Some(&die) = dies.first() {
-                ctrl.trace_instant(die, CommandKind::MigrateStep, TracePhase::Dispatched);
-            }
-            let counter = match &job {
-                ReclaimJob::Destage { .. } => &mut self.stats.destages,
-                _ => &mut self.stats.range_migrations,
-            };
-            set_context(ftl, &dies, CmdContext::INTERNAL);
-            let done = shifter.step(&mut job, ftl);
-            set_context(ftl, &dies, CmdContext::default());
-            *counter += 1;
-            self.stats.steps += 1;
-            if done? {
-                return Ok(());
-            }
         }
-        self.active_shift = Some(job);
+        if let Some(&die) = dies.first() {
+            ctrl.trace_instant(die, CommandKind::MigrateStep, TracePhase::Dispatched);
+        }
+        set_context(ftl, &dies, CmdContext::INTERNAL);
+        let step = self.shifter.step(ftl);
+        set_context(ftl, &dies, CmdContext::default());
+        match step? {
+            ShiftStep::Destaged => self.stats.destages += 1,
+            ShiftStep::Migrated => self.stats.range_migrations += 1,
+        }
+        self.stats.steps += 1;
         Ok(())
     }
 
-    /// Up to `steps_per_poll` reclaim steps on one shard, issued as
-    /// firmware-internal commands on that shard's die only.
-    fn run_steps(&mut self, ftl: &mut ShardedFtl, die: u32, threshold: u32) -> Result<()> {
+    /// One reclaim step on one shard, issued as a firmware-internal
+    /// command on that shard's die only.
+    fn gc_step(&mut self, ftl: &mut ShardedFtl, die: u32) -> Result<()> {
         let mut shard = ftl.shard(die);
         shard.chip_mut().set_context(CmdContext::INTERNAL);
-        let mut outcome = Ok(());
-        for _ in 0..self.cfg.steps_per_poll {
-            match shard.background_gc_step(threshold) {
-                Ok(GcProgress::Idle) => break,
-                Ok(GcProgress::Migrated) => {
-                    self.stats.steps += 1;
-                    self.stats.migrations += 1;
-                }
-                Ok(GcProgress::Erased) => {
-                    self.stats.steps += 1;
-                    self.stats.erases += 1;
-                }
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
+        let low_water = shard.gc_low_water();
+        let progress = shard.background_gc_step(low_water);
         shard.chip_mut().set_context(CmdContext::default());
-        outcome
+        match progress? {
+            GcProgress::Idle => return Ok(()),
+            GcProgress::Migrated => self.stats.migrations += 1,
+            GcProgress::Erased => self.stats.erases += 1,
+        }
+        self.stats.steps += 1;
+        Ok(())
     }
 }
 
@@ -218,22 +212,117 @@ mod tests {
     use super::*;
     use ipa_controller::ControllerConfig;
     use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
-    use ipa_ftl::{BlockDevice, FtlConfig, StripePolicy};
+    use ipa_ftl::{BlockDevice, FtlConfig, FtlError, Lba, StripePolicy};
 
-    fn striped(channels: u32, dpc: u32) -> ShardedFtl {
+    fn striped(channels: u32, dpc: u32, queue_cap: Option<usize>) -> ShardedFtl {
         let chip = DeviceConfig::new(Geometry::new(16, 8, 2048, 64), FlashMode::Slc)
             .with_disturb(DisturbRates::none());
+        let mut ctrl = ControllerConfig::new(channels, dpc, chip);
+        ctrl.queue_cap = queue_cap;
         ShardedFtl::new(
-            ControllerConfig::new(channels, dpc, chip),
+            ctrl,
             FtlConfig::traditional().with_background_gc(),
             StripePolicy::RoundRobin,
         )
     }
 
+    /// The trait's test double: names `dies`; a step programs `writes`
+    /// (in whatever context the scheduler left on their dies) and reports
+    /// `outcome`.
+    struct Scripted {
+        dies: Option<Vec<u32>>,
+        writes: Vec<Lba>,
+        outcome: Result<ShiftStep>,
+        steps: u32,
+    }
+
+    impl WearShifter for Scripted {
+        fn next_dies(&mut self, _ftl: &ShardedFtl) -> Option<Vec<u32>> {
+            self.dies.clone()
+        }
+
+        fn step(&mut self, ftl: &mut ShardedFtl) -> Result<ShiftStep> {
+            self.steps += 1;
+            for &lba in &self.writes {
+                ftl.write(lba, &[0x3C; 2048])?;
+            }
+            self.outcome.clone()
+        }
+    }
+
+    fn scripted(dies: Option<Vec<u32>>, writes: &[Lba]) -> MaintenanceScheduler<Scripted> {
+        MaintenanceScheduler::new(Scripted {
+            dies,
+            writes: writes.to_vec(),
+            outcome: Ok(ShiftStep::Migrated),
+            steps: 0,
+        })
+    }
+
+    #[test]
+    fn a_shifter_without_work_or_with_a_busy_die_is_not_stepped() {
+        // 1ch×2d round-robin: even LBAs on die 0, odd on die 1. A posted
+        // host program leaves die 1 busy and die 0 idle.
+        let mut s = striped(1, 2, None);
+        s.write(1, &[0x11; 2048]).unwrap();
+
+        let mut balanced = scripted(None, &[0]);
+        balanced.poll(&mut s).unwrap();
+        let st = balanced.stats();
+        assert_eq!((st.polls, st.steps, st.deferred_busy), (1, 0, 0), "{st}");
+
+        let mut gated = scripted(Some(vec![0, 1]), &[0]);
+        gated.poll(&mut s).unwrap();
+        let st = gated.stats();
+        assert_eq!((st.steps, st.deferred_busy), (0, 1), "{st}");
+        assert_eq!((balanced.shifter.steps, gated.shifter.steps), (0, 0));
+    }
+
+    #[test]
+    fn a_shift_step_is_internal_on_the_named_dies_only_and_the_context_is_restored() {
+        let stalls = |s: &ShardedFtl| s.controller().stats().backpressure_stalls;
+        // NCQ depth 1: a second host program on a die still working on
+        // its first stalls the host; internal commands are exempt.
+        let mut s = striped(1, 2, Some(1));
+        s.write(1, &[0x11; 2048]).unwrap();
+
+        // Die 0 is idle and the only die named. The step programs die 1,
+        // which it did not name and which still holds the host's program,
+        // then die 0 twice (the second finds the queue at the cap).
+        let mut sched = scripted(Some(vec![0]), &[1, 0, 2]);
+        sched.poll(&mut s).unwrap();
+        let st = sched.stats();
+        assert_eq!(sched.shifter.steps, 1, "exactly one step per poll");
+        assert_eq!((st.steps, st.range_migrations, st.destages), (1, 1, 0));
+        assert_eq!(stalls(&s), 1, "only the unnamed die's program stalled");
+        // Back in the default context: the host's next program on die 0
+        // queues behind the step's and feels the cap.
+        s.write(0, &[0x22; 2048]).unwrap();
+        assert!(stalls(&s) > 1, "die 0 was left in the internal context");
+
+        // The counter follows the step's report.
+        s.sync();
+        sched.shifter.writes = vec![0];
+        sched.shifter.outcome = Ok(ShiftStep::Destaged);
+        sched.poll(&mut s).unwrap();
+        let st = sched.stats();
+        assert_eq!((st.steps, st.range_migrations, st.destages), (2, 1, 1));
+
+        // A failing step is propagated, counts nothing, and still leaves
+        // the default context behind.
+        s.sync();
+        sched.shifter.outcome = Err(FtlError::DeviceFull);
+        assert_eq!(sched.poll(&mut s), Err(FtlError::DeviceFull));
+        assert_eq!((sched.shifter.steps, sched.stats().steps), (3, 2));
+        let before = stalls(&s);
+        s.write(0, &[0x33; 2048]).unwrap();
+        assert!(stalls(&s) > before, "an error must not leak the context");
+    }
+
     #[test]
     fn poll_reclaims_only_on_idle_dies() {
-        let mut s = striped(2, 1);
-        let mut sched = MaintenanceScheduler::new(MaintConfig::default());
+        let mut s = striped(2, 1, None);
+        let mut sched = MaintenanceScheduler::new(NoShift);
         let data = vec![0x5Au8; 2048];
         // Churn a hot set until both shards sit below their marks, then
         // poll with every die idle: reclaim must happen.
@@ -266,8 +355,8 @@ mod tests {
 
     #[test]
     fn busy_dies_are_skipped() {
-        let mut s = striped(1, 2);
-        let mut sched = MaintenanceScheduler::new(MaintConfig::default());
+        let mut s = striped(1, 2, None);
+        let mut sched = MaintenanceScheduler::new(NoShift);
         let data = vec![0xA5u8; 2048];
         for i in 0..900u64 {
             s.write(i % 16, &data).unwrap();
@@ -286,8 +375,8 @@ mod tests {
 
     #[test]
     fn wear_spread_is_observed() {
-        let mut s = striped(2, 2);
-        let mut sched = MaintenanceScheduler::new(MaintConfig::default());
+        let mut s = striped(2, 2, None);
+        let mut sched = MaintenanceScheduler::new(NoShift);
         let data = vec![0x11u8; 2048];
         for i in 0..2500u64 {
             s.write(i % 24, &data).unwrap();

@@ -25,12 +25,12 @@ pub struct MaintStats {
     /// stays 0 under FIFO scheduling).
     #[serde(default)]
     pub erase_suspends_seen: u64,
-    /// Wear-shifting steps dispatched: hot/cold LBA stripe swaps run via
-    /// `ReclaimJob::MigrateRange` (0 without a wear shifter installed).
+    /// Shifter steps that reported `ShiftStep::Migrated`: hot/cold LBA
+    /// stripe swaps attempted (0 under `NoShift`).
     #[serde(default)]
     pub range_migrations: u64,
-    /// Hot-tier destage steps dispatched via `ReclaimJob::Destage`
-    /// (0 without a wear shifter installed).
+    /// Shifter steps that reported `ShiftStep::Destaged`: hot-tier pages
+    /// handed back to the stripe (0 under `NoShift`).
     #[serde(default)]
     pub destages: u64,
 }

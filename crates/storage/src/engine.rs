@@ -31,7 +31,7 @@ pub struct EngineConfig {
     pub scheme: NmScheme,
     /// Buffer-pool frames.
     pub buffer_frames: usize,
-    /// WAL capacity in log pages; 0 disables logging.
+    /// WAL capacity in log pages (at least 1: the engine always logs).
     pub wal_pages: u64,
     /// Commits per WAL flush (group commit). 1 = flush every commit
     /// (strict durability); benchmark runs model a loaded multi-client
@@ -112,14 +112,16 @@ pub struct EngineStats {
     pub pool: PoolStats,
     pub device: DeviceStats,
     pub flash: FlashStats,
+    /// The log device's counters. Always `Some` — the engine always
+    /// logs; the `Option` is a shape frozen by `benchmark/`.
     pub wal_device: Option<DeviceStats>,
     pub committed: u64,
     pub aborted: u64,
     /// Simulated time: data and log devices operate in parallel, so the
     /// run takes as long as the busier one.
     pub elapsed_ns: u64,
-    /// The log device's own horizon (0 without a WAL) — the `wal_ns` leg
-    /// of `elapsed_ns`, exposed so WAL-bound configs are identifiable.
+    /// The log device's own horizon — the `wal_ns` leg of `elapsed_ns`,
+    /// exposed so WAL-bound configs are identifiable.
     pub wal_elapsed_ns: u64,
     pub max_erase_count: u32,
 }
@@ -136,10 +138,8 @@ pub struct RecoveryReport {
 pub struct StorageEngine {
     pool: BufferPool,
     catalog: Catalog,
-    wal: Option<Wal>,
+    wal: Wal,
     tx: TxManager,
-    /// LSN source when the WAL is disabled.
-    bare_lsn: u64,
     /// Commits since the last WAL flush (group commit).
     commits_since_flush: u32,
     config: EngineConfig,
@@ -221,24 +221,27 @@ impl StorageEngine {
         if config.readahead_window > 0 {
             pool.enable_readahead(config.readahead_window);
         }
-        let wal = (config.wal_pages > 0).then(|| match config.wal_stripe {
+        assert!(
+            config.wal_pages > 0,
+            "the engine always logs: wal_pages = 0"
+        );
+        let wal = match config.wal_stripe {
             Some((channels, dies)) => Wal::striped(config.wal_pages, page_size, channels, dies),
             None => Wal::new(config.wal_pages, page_size),
-        });
+        };
 
         let mut engine = StorageEngine {
             pool,
             catalog,
             wal,
             tx: TxManager::new(),
-            bare_lsn: 0,
             commits_since_flush: 0,
             config,
         };
         // Create index roots.
         for id in 0..engine.catalog.len() {
             if engine.catalog.get(id).spec.kind == TableKind::Index {
-                let lsn = engine.next_lsn();
+                let lsn = engine.wal.next_lsn();
                 let mut info = engine.catalog.get(id).clone();
                 btree::create(&mut engine.pool, &mut info, lsn)?;
                 *engine.catalog.get_mut(id) = info;
@@ -282,73 +285,52 @@ impl StorageEngine {
         self.catalog.get(id)
     }
 
-    fn next_lsn(&mut self) -> u64 {
-        match &mut self.wal {
-            Some(w) => w.next_lsn(),
-            None => {
-                self.bare_lsn += 1;
-                self.bare_lsn
-            }
-        }
-    }
-
     /// Log an update (WAL + undo). `ops` come from the page-write capture.
     fn log_update(&mut self, tx: TxId, lsn: u64, page: PageId, ops: Vec<WriteOp>) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
         self.tx.log_undo(tx, page, &ops)?;
-        if let Some(wal) = &mut self.wal {
-            wal.append(&WalRecord {
-                lsn,
-                tx,
-                kind: WalKind::Update { page, ops },
-            })?;
-        }
-        Ok(())
+        self.wal.append(&WalRecord {
+            lsn,
+            tx,
+            kind: WalKind::Update { page, ops },
+        })
+    }
+
+    /// Log a transaction-control record at the next LSN.
+    fn log_control(&mut self, tx: TxId, kind: WalKind) -> Result<()> {
+        let lsn = self.wal.next_lsn();
+        self.wal.append(&WalRecord { lsn, tx, kind })
     }
 
     // ----- transactions ---------------------------------------------------
 
     pub fn begin(&mut self) -> TxId {
         let tx = self.tx.begin();
-        if let Some(wal) = &mut self.wal {
-            let lsn = wal.next_lsn();
-            // Begin records need no durability on their own.
-            let _ = wal.append(&WalRecord {
-                lsn,
-                tx,
-                kind: WalKind::Begin,
-            });
-        }
+        // Begin records need no durability on their own.
+        let _ = self.log_control(tx, WalKind::Begin);
         tx
     }
 
     pub fn commit(&mut self, tx: TxId) -> Result<()> {
-        if let Some(wal) = &mut self.wal {
-            let lsn = wal.next_lsn();
-            wal.append(&WalRecord {
-                lsn,
-                tx,
-                kind: WalKind::Commit,
-            })?;
-            self.commits_since_flush += 1;
-            if self.commits_since_flush >= self.config.group_commit {
-                // Group-commit durability point, charged to the
-                // committing client: the flush submits at the client's
-                // logical now and the client resumes at its completion.
-                // Concurrent clients' flushes land on different dies of
-                // a striped log and overlap; a single-chip log (whose
-                // submission clock IS its device clock) serialises them.
-                let now = self.pool.device().submission_clock_ns();
-                wal.set_submission_clock_ns(now);
-                wal.flush()?;
-                let done = wal.submission_clock_ns();
-                if done > now {
-                    self.pool.device_mut().set_submission_clock_ns(done);
-                }
-                self.commits_since_flush = 0;
+        self.log_control(tx, WalKind::Commit)?;
+        self.commits_since_flush += 1;
+        if self.commits_since_flush >= self.config.group_commit {
+            // Group-commit durability point, charged to the committing
+            // client: the flush submits at the client's logical now and
+            // the client resumes at its completion. Concurrent clients'
+            // flushes land on different dies of a striped log and
+            // overlap; a single-chip log (whose submission clock IS its
+            // device clock) serialises them.
+            let now = self.pool.device().submission_clock_ns();
+            self.wal.set_submission_clock_ns(now);
+            self.wal.flush()?;
+            let done = self.wal.submission_clock_ns();
+            if done > now {
+                self.pool.device_mut().set_submission_clock_ns(done);
             }
+            self.commits_since_flush = 0;
         }
         self.tx.commit(tx)
     }
@@ -360,21 +342,13 @@ impl StorageEngine {
                 pm.write(entry.op.offset as usize, &entry.op.old);
             })?;
         }
-        if let Some(wal) = &mut self.wal {
-            let lsn = wal.next_lsn();
-            wal.append(&WalRecord {
-                lsn,
-                tx,
-                kind: WalKind::Abort,
-            })?;
-        }
-        Ok(())
+        self.log_control(tx, WalKind::Abort)
     }
 
     // ----- heap operations ------------------------------------------------
 
     pub fn insert(&mut self, tx: TxId, table: TableId, row: &[u8]) -> Result<Rid> {
-        let lsn = self.next_lsn();
+        let lsn = self.wal.next_lsn();
         let mut ops = Vec::new();
         let mut info = self.catalog.get(table).clone();
         let rid = heap::insert(&mut self.pool, &mut info, row, lsn, Some(&mut ops));
@@ -396,21 +370,21 @@ impl StorageEngine {
         offset: usize,
         bytes: &[u8],
     ) -> Result<()> {
-        let lsn = self.next_lsn();
+        let lsn = self.wal.next_lsn();
         let mut ops = Vec::new();
         heap::update_field(&mut self.pool, rid, offset, bytes, lsn, Some(&mut ops))?;
         self.log_update(tx, lsn, rid.page, ops)
     }
 
     pub fn update_row(&mut self, tx: TxId, _table: TableId, rid: Rid, row: &[u8]) -> Result<()> {
-        let lsn = self.next_lsn();
+        let lsn = self.wal.next_lsn();
         let mut ops = Vec::new();
         heap::update_row(&mut self.pool, rid, row, lsn, Some(&mut ops))?;
         self.log_update(tx, lsn, rid.page, ops)
     }
 
     pub fn delete(&mut self, tx: TxId, table: TableId, rid: Rid) -> Result<()> {
-        let lsn = self.next_lsn();
+        let lsn = self.wal.next_lsn();
         let mut ops = Vec::new();
         let mut info = self.catalog.get(table).clone();
         let r = heap::delete(&mut self.pool, &mut info, rid, lsn, Some(&mut ops));
@@ -429,7 +403,7 @@ impl StorageEngine {
     /// symmetry with the heap operations): an index survives a crash only
     /// as far as its pages were flushed.
     pub fn index_insert(&mut self, _tx: TxId, index: TableId, key: u64, rid: Rid) -> Result<()> {
-        let lsn = self.next_lsn();
+        let lsn = self.wal.next_lsn();
         let mut info = self.catalog.get(index).clone();
         let r = btree::insert(&mut self.pool, &mut info, key, rid, lsn);
         *self.catalog.get_mut(index) = info;
@@ -442,7 +416,7 @@ impl StorageEngine {
 
     /// Not WAL-logged — see [`StorageEngine::index_insert`].
     pub fn index_delete(&mut self, _tx: TxId, index: TableId, key: u64) -> Result<bool> {
-        let lsn = self.next_lsn();
+        let lsn = self.wal.next_lsn();
         btree::delete(&mut self.pool, self.catalog.get(index), key, lsn)
     }
 
@@ -461,10 +435,7 @@ impl StorageEngine {
     /// Flush all dirty pages (checkpoint).
     pub fn flush_all(&mut self) -> Result<()> {
         self.pool.flush_all()?;
-        if let Some(w) = &mut self.wal {
-            w.flush()?;
-        }
-        Ok(())
+        self.wal.flush()
     }
 
     /// Sharp checkpoint: force every dirty page to flash, then write a
@@ -479,10 +450,8 @@ impl StorageEngine {
             "checkpoint with active transactions would orphan their undo"
         );
         self.pool.flush_all()?;
-        if let Some(w) = &mut self.wal {
-            w.checkpoint()?;
-            self.commits_since_flush = 0;
-        }
+        self.wal.checkpoint()?;
+        self.commits_since_flush = 0;
         Ok(())
     }
 
@@ -499,14 +468,7 @@ impl StorageEngine {
 
     /// Redo committed work from the WAL (call after [`StorageEngine::crash`]).
     pub fn recover(&mut self) -> Result<RecoveryReport> {
-        let Some(wal) = &mut self.wal else {
-            return Ok(RecoveryReport {
-                records_scanned: 0,
-                updates_redone: 0,
-                updates_skipped_uncommitted: 0,
-            });
-        };
-        let records = wal.replay()?;
+        let records = self.wal.replay()?;
         let committed: HashSet<u64> = records
             .iter()
             .filter(|r| matches!(r.kind, WalKind::Commit))
@@ -559,16 +521,15 @@ impl StorageEngine {
             ..self.pool.device().device_stats()
         };
         let flash = self.pool.device().flash_stats();
-        let wal_ns = self.wal.as_ref().map(|w| w.elapsed_ns()).unwrap_or(0);
         EngineStats {
             pool: *self.pool.stats(),
             device,
             flash,
-            wal_device: self.wal.as_ref().map(|w| w.device_stats()),
+            wal_device: Some(self.wal.device_stats()),
             committed: self.tx.committed,
             aborted: self.tx.aborted,
             elapsed_ns: self.elapsed_ns(),
-            wal_elapsed_ns: wal_ns,
+            wal_elapsed_ns: self.wal.elapsed_ns(),
             max_erase_count: self.pool.device().max_erase_count(),
         }
     }
@@ -576,8 +537,7 @@ impl StorageEngine {
     /// Simulated time so far — the later of the data and log device
     /// clocks ([`EngineStats::elapsed_ns`] without the rest of the snapshot).
     pub fn elapsed_ns(&self) -> u64 {
-        let wal_ns = self.wal.as_ref().map_or(0, |w| w.elapsed_ns());
-        self.pool.device().elapsed_ns().max(wal_ns)
+        self.pool.device().elapsed_ns().max(self.wal.elapsed_ns())
     }
 }
 
@@ -730,6 +690,15 @@ mod tests {
         // Only post-checkpoint records exist in the log.
         assert!(report.records_scanned < 10, "log not truncated: {report:?}");
         assert_eq!(e.get(t, rid).unwrap()[0], 0x77);
+    }
+
+    #[test]
+    #[should_panic(expected = "the engine always logs")]
+    fn an_engine_without_a_log_is_rejected() {
+        let _ = engine(EngineConfig {
+            wal_pages: 0,
+            ..EngineConfig::default()
+        });
     }
 
     #[test]

@@ -97,6 +97,9 @@ fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// One log page on its way to the device: its log LBA and image.
+type LogPage = (Lba, Vec<u8>);
+
 /// A decoded page trailer plus whether the page contents matched its CRC.
 #[derive(Debug, Clone, Copy)]
 struct PageTrailer {
@@ -234,7 +237,7 @@ pub struct Wal {
     cursor: usize,
     /// Sealed log pages not yet flushed: the group-commit batch that the
     /// next [`Wal::flush`] submits as one vectored write.
-    sealed: Vec<(Lba, Vec<u8>)>,
+    sealed: Vec<LogPage>,
     /// Seal the current page after every flush instead of rewriting the
     /// partial page at the next one (write-once log pages — the striped
     /// log's policy; trades log space for never re-serialising flushes
@@ -382,23 +385,9 @@ impl Wal {
     /// wait ends at the max of the per-die completions — the whole point
     /// of striping the log.
     pub fn flush(&mut self) -> Result<()> {
-        let mut pages = self.sealed.clone();
-        if self.cursor > 0 {
-            pages.push((self.cur_lba, self.buf.clone()));
-        }
-        if pages.is_empty() {
+        let Some((batch_seq, pages)) = self.stamp_batch() else {
             return Ok(());
-        }
-        // Stamp every member with this flush's batch trailer. The same
-        // sequence marks the whole vector, so replay can tell "the crash
-        // tore this batch" (incomplete tail sequence) from "history rotted
-        // underneath us" (CRC failure below the tail).
-        let batch_seq = self.next_batch_seq;
-        self.next_batch_seq += 1;
-        let batch_len = pages.len() as u16;
-        for (idx, (_, page)) in pages.iter_mut().enumerate() {
-            PageTrailer::stamp(page, batch_seq, batch_len, idx as u16);
-        }
+        };
         let vectored = pages.len() > 1;
         // The sealed batch is only dropped once the device accepted it:
         // a failed submit keeps it queued for the next flush (page
@@ -442,6 +431,29 @@ impl Wal {
         Ok(())
     }
 
+    /// The pending batch — every sealed page plus the open partial one —
+    /// as `(batch sequence, members)`, each member stamped with this
+    /// flush's batch trailer; `None` when nothing is pending. The same
+    /// sequence marks the whole vector, so replay can tell "the crash
+    /// tore this batch" (incomplete tail sequence) from "history rotted
+    /// underneath us" (CRC failure below the tail).
+    fn stamp_batch(&mut self) -> Option<(u64, Vec<LogPage>)> {
+        let mut pages = self.sealed.clone();
+        if self.cursor > 0 {
+            pages.push((self.cur_lba, self.buf.clone()));
+        }
+        if pages.is_empty() {
+            return None;
+        }
+        let batch_seq = self.next_batch_seq;
+        self.next_batch_seq += 1;
+        let batch_len = pages.len() as u16;
+        for (idx, (_, page)) in pages.iter_mut().enumerate() {
+            PageTrailer::stamp(page, batch_seq, batch_len, idx as u16);
+        }
+        Some((batch_seq, pages))
+    }
+
     /// Finish the current page and move to the next (wrapping circularly;
     /// recovery assumes checkpoints retire wrapped history). The sealed
     /// page joins the pending batch; no device I/O until the next flush.
@@ -450,25 +462,6 @@ impl Wal {
         self.sealed.push((self.cur_lba, full));
         self.cur_lba = (self.cur_lba + 1) % self.capacity;
         self.cursor = 0;
-        Ok(())
-    }
-
-    /// Discard all log history (checkpoint completion): every data page
-    /// the log protected is known durable, so the records are dead weight.
-    /// Recovery after this point replays only newer records.
-    pub fn truncate(&mut self) -> Result<()> {
-        for lba in 0..self.capacity {
-            match self.device.trim(lba) {
-                Ok(()) => {}
-                Err(ipa_ftl::FtlError::UnmappedLba(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.cur_lba = 0;
-        self.buf.fill(0xFF);
-        self.cursor = 0;
-        self.sealed.clear();
-        self.live.clear();
         Ok(())
     }
 
@@ -481,9 +474,9 @@ impl Wal {
     /// Crash safety: the marker batch is flushed *before* any trim, so a
     /// power cut mid-reclaim leaves stale pages behind at worst — and
     /// [`Wal::replay`] drops records at or below the newest checkpoint's
-    /// horizon, so dead history cannot resurrect. Unlike
-    /// [`Wal::truncate`] this keeps the log device live (no global reset)
-    /// and is what bounds log space across kill/recover soak cycles.
+    /// horizon, so dead history cannot resurrect. This is the only way
+    /// log history is discarded, and what bounds log space across
+    /// kill/recover soak cycles.
     pub fn checkpoint(&mut self) -> Result<u64> {
         self.flush()?;
         // Everything flushed so far is dead once the marker is durable.
@@ -671,16 +664,7 @@ impl Wal {
     /// during the vectored write leaves behind.
     #[cfg(test)]
     fn flush_torn(&mut self, keep: usize) -> Result<()> {
-        let mut pages = self.sealed.clone();
-        if self.cursor > 0 {
-            pages.push((self.cur_lba, self.buf.clone()));
-        }
-        let batch_seq = self.next_batch_seq;
-        self.next_batch_seq += 1;
-        let batch_len = pages.len() as u16;
-        for (idx, (_, page)) in pages.iter_mut().enumerate() {
-            PageTrailer::stamp(page, batch_seq, batch_len, idx as u16);
-        }
+        let (_, mut pages) = self.stamp_batch().expect("a batch to tear");
         pages.truncate(keep);
         if !pages.is_empty() {
             let token = self
@@ -806,25 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_discards_history() {
-        let mut wal = Wal::new(64, 2048);
-        for i in 0..30u64 {
-            wal.append(&upd(i + 1, 1, i)).unwrap();
-        }
-        wal.flush().unwrap();
-        assert!(!wal.replay().unwrap().is_empty());
-        wal.truncate().unwrap();
-        assert!(wal.replay().unwrap().is_empty());
-        // Still usable afterwards; LSNs keep rising.
-        let lsn = wal.next_lsn();
-        wal.append(&upd(lsn, 2, 5)).unwrap();
-        wal.flush().unwrap();
-        let records = wal.replay().unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].lsn, lsn);
-    }
-
-    #[test]
     fn lsn_counter_monotone() {
         let mut wal = Wal::new(16, 2048);
         let a = wal.next_lsn();
@@ -843,9 +808,11 @@ mod tests {
         let records = wal.replay().unwrap();
         assert_eq!(records.len(), 200);
         assert!(records.windows(2).all(|w| w[0].lsn <= w[1].lsn));
-        // Truncate still clears the striped device.
-        wal.truncate().unwrap();
-        assert!(wal.replay().unwrap().is_empty());
+        // A checkpoint retires all of it: only its marker survives.
+        wal.checkpoint().unwrap();
+        let records = wal.replay().unwrap();
+        assert_eq!(records.len(), 1);
+        assert!(matches!(records[0].kind, WalKind::Checkpoint { .. }));
     }
 
     #[test]

@@ -11,7 +11,6 @@ use ipa_flash::{DeviceConfig, DisturbRates, FlashChip, FlashMode, Geometry};
 use ipa_fleet::SoakConfig;
 use ipa_ftl::{Ftl, FtlConfig, ShardedFtl, StripePolicy, WriteStrategy};
 use ipa_heat::{build_stack, DefaultPolicy};
-use ipa_maint::MaintConfig;
 use ipa_storage::{BufferPool, EngineConfig, StorageEngine, TableSpec};
 
 /// The paper's three write paths with their canonical N×M configurations:
@@ -133,9 +132,8 @@ fn striped_engine(
         engine_config(strategy, scheme, 8),
         &[TableSpec::heap("m", crate::ops::ROW, 200)],
         move |regions, ftl_config| {
-            let maint = maint.map(|_| MaintConfig::default());
-            let placement = heat.then(aggressive_heat_policy);
-            build_stack(controller, ftl_config, policy, regions, maint, placement)
+            let (bg_gc, placement) = (maint.is_some(), heat.then(aggressive_heat_policy));
+            build_stack(controller, ftl_config, policy, regions, bg_gc, placement)
         },
     )
     .expect("testkit striped engine")

@@ -311,11 +311,7 @@ pub fn run_ops(
                 let l = device_layout();
                 let change = vec![(40, fill & 0x0F)];
                 let rec = DeltaRecord::new(change, vec![1; l.meta_len()], l.scheme);
-                IoRequest::WriteDelta {
-                    lba,
-                    offset: l.record_offset(slot),
-                    delta: rec.encode(&l),
-                }
+                IoRequest::WriteDeltaV(vec![(lba, l.record_offset(slot), rec.encode(&l))])
             }
             QueuedOp::Trim(lba) => {
                 model.mapped.remove(&(lba % span));
@@ -334,7 +330,11 @@ pub fn run_ops(
 pub fn run_queued(dev: &mut ShardedFtl, strategy: WriteStrategy, ops: &[QueuedOp]) -> Vec<Vec<u8>> {
     run_ops(dev, strategy, ops, |dev, req| {
         let token = dev.submit(req).unwrap();
-        dev.poll_checked(token).unwrap().data
+        let done = dev.poll_checked(token).unwrap();
+        // The sync loop's `write_delta(..).unwrap()` fails on an in-place
+        // rejection; the vector reports one per member instead.
+        assert!(done.rejected.is_empty(), "rejected: {:?}", done.rejected);
+        done.data
     })
 }
 

@@ -16,7 +16,7 @@ use ipa_ftl::{
     BlockDevice, DeviceStats, FtlConfig, IoRequest, ShardedFtl, StripePolicy, WriteStrategy,
 };
 use ipa_heat::{DefaultPolicy, HeatDevice, HeatStats};
-use ipa_maint::{MaintConfig, MaintStats, MaintainedFtl};
+use ipa_maint::{MaintStats, MaintainedFtl};
 use ipa_storage::{EngineConfig, NetBytesHistogram, PoolStats, Result, StorageEngine, TableKind};
 use ipa_trace::{LatencyHistogram, MetricsSnapshot, RingRecorder, TraceEvent};
 
@@ -167,9 +167,6 @@ pub struct MaintMode {
     /// Per-die cap on posted host commands (NCQ depth); `None` leaves the
     /// queues unbounded.
     pub queue_cap: Option<usize>,
-    /// Scheduler policy for the background mode (step budget, early
-    /// refill margin). Ignored when `background_gc` is false.
-    pub maint: MaintConfig,
     /// Latency-QoS scheduling on the controller
     /// ([`ControllerConfig::with_qos`]): short host reads jump queued
     /// programs and suspend in-flight erases. Off = FIFO reference
@@ -385,8 +382,9 @@ pub struct RunResult {
     pub tps: f64,
     /// Device counters over the measured window.
     pub device: DeviceStats,
-    /// Log-device counters over the measured window (`None` when the
-    /// engine runs without a WAL). `wal_stripe_writes` lives here.
+    /// Log-device counters over the measured window; always `Some` (the
+    /// engine always logs — the `Option` is a shape frozen by
+    /// `benchmark/`). `wal_stripe_writes` lives here.
     pub wal_device: Option<DeviceStats>,
     /// Raw flash counters over the measured window.
     pub flash: FlashStats,
@@ -923,13 +921,12 @@ impl StackSpec {
             self.mode,
         );
         let controller = topology.controller(chip, self.maint.queue_cap, self.maint.qos);
-        // Heat placement needs the scheduler, so it always runs with
-        // deferred (background) GC under the mode's scheduler policy.
+        // Heat placement needs the scheduler, so `build_stack` always
+        // runs it with deferred (background) GC.
         let placement = cfg.heat.clone();
-        let maint = (self.maint.background_gc || placement.is_some()).then_some(self.maint.maint);
-        let policy = topology.policy;
+        let (policy, bg_gc) = (topology.policy, self.maint.background_gc);
         StorageEngine::build_with_device(page_size, config, &tables, move |regions, ftl_config| {
-            ipa_heat::build_stack(controller, ftl_config, policy, regions, maint, placement)
+            ipa_heat::build_stack(controller, ftl_config, policy, regions, bg_gc, placement)
         })
     }
 }
@@ -966,9 +963,6 @@ pub struct ThreadedConfig {
     pub queue_cap: Option<usize>,
     /// Device page size, bytes.
     pub page_size: usize,
-    /// Bounded read-latency accounting (the long-soak default). Opt out
-    /// only to use the exact sample buffer as an oracle.
-    pub bounded_latency: bool,
 }
 
 impl Default for ThreadedConfig {
@@ -983,7 +977,6 @@ impl Default for ThreadedConfig {
             qos: false,
             queue_cap: None,
             page_size: 2048,
-            bounded_latency: true,
         }
     }
 }
@@ -1070,8 +1063,8 @@ impl Driver {
             FtlConfig::traditional(),
             topo.policy,
         ));
-        dev.controller()
-            .set_bounded_read_latencies(cfg.bounded_latency);
+        // Read latencies go to the fixed-memory histogram only.
+        dev.controller().set_bounded_read_latencies(true);
         assert!(
             ranks * cfg.window * dies <= dev.capacity_pages(),
             "threaded windows exceed device capacity"

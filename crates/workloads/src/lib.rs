@@ -22,7 +22,7 @@ pub use driver::{
 };
 pub use ipa_controller::ControllerStats;
 pub use ipa_heat::{DefaultPolicy as HeatPolicy, HeatDevice, HeatStats};
-pub use ipa_maint::{MaintConfig, MaintStats, MaintainedFtl};
+pub use ipa_maint::{MaintStats, MaintainedFtl};
 pub use ipa_trace::{
     chrome_trace_json, trace_csv, LatencyHistogram, MetricSection, MetricsSnapshot, RingRecorder,
     TraceEvent,

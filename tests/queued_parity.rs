@@ -3,7 +3,7 @@
 //!
 //! The same seeded operation stream (`ipa_testkit::QueuedOp`), driven
 //! through `IoQueue` by `ipa_testkit::run_queued` (vectored
-//! `ReadV`/`WriteV`/`WriteDelta`/`Trim`/`Flush` submissions, completions
+//! `ReadV`/`WriteV`/`WriteDeltaV`/`Trim`/`Flush` submissions, completions
 //! polled out of order with respect to device time) and through the
 //! classic one-page-at-a-time `BlockDevice` loop on an identical twin
 //! device, must produce byte-identical reads, an identical final logical
@@ -39,8 +39,10 @@ fn issue_sync(dev: &mut ShardedFtl, req: IoRequest) -> Vec<Vec<u8>> {
                 reads.push(buf);
             }
         }
-        IoRequest::WriteDelta { lba, offset, delta } => {
-            dev.write_delta(lba, offset, &delta).unwrap()
+        IoRequest::WriteDeltaV(members) => {
+            for (lba, offset, delta) in members {
+                dev.write_delta(lba, offset, &delta).unwrap();
+            }
         }
         IoRequest::Trim(lba) => dev.trim(lba).unwrap(),
         IoRequest::Flush => {
@@ -48,7 +50,6 @@ fn issue_sync(dev: &mut ShardedFtl, req: IoRequest) -> Vec<Vec<u8>> {
                 dev.shard(die).drain_staged().unwrap();
             }
         }
-        IoRequest::WriteDeltaV(_) => unreachable!("the op stream never batches deltas"),
     }
     reads
 }
