@@ -5,9 +5,9 @@
 //! * [`FlashChip::program_page`] — first program of an erased page.
 //! * [`FlashChip::reprogram_page`] — in-place overwrite of a programmed
 //!   page; legal only if every bit transition is `1 → 0` (the IPA append).
-//! * [`FlashChip::append_region`] — convenience for `write_delta`: splice a
-//!   byte range into the current image and re-program in place, accounting
-//!   bus transfer only for the delta bytes.
+//! * [`FlashChip::append_region`] — the `write_delta` primitive: splice a
+//!   byte range into the stored image in place. Only the spliced bytes
+//!   cross the bus, are checked for `1 → 0` legality and are copied.
 //! * [`FlashChip::erase_block`] — the only way to get `0 → 1` transitions.
 //!
 //! Each mutation advances the simulated clock by a datasheet-class latency
@@ -260,7 +260,7 @@ impl FlashChip {
                 return Err(FlashError::NotErased { ppa });
             }
         }
-        self.program_raw(ppa, data, oob, data.len() + oob.len())
+        self.program_raw(ppa, 0, data, 0, oob)
     }
 
     /// In-place overwrite of a programmed page. Every bit transition must
@@ -270,13 +270,14 @@ impl FlashChip {
     pub fn reprogram_page(&mut self, ppa: Ppa, data: &[u8], oob: &[u8]) -> Result<()> {
         self.check_bounds(ppa)?;
         self.check_sizes(data, oob)?;
-        self.validate_overwrite(ppa, data, oob)?;
-        self.program_raw(ppa, data, oob, data.len() + oob.len())
+        self.validate_overwrite(ppa, 0, data, 0, oob)?;
+        self.program_raw(ppa, 0, data, 0, oob)
     }
 
     /// `write_delta` primitive: splice `bytes` at `data_off` (and
-    /// `oob_bytes` at `oob_off`) into the page's current image and
-    /// re-program in place. Only the spliced bytes cross the bus.
+    /// `oob_bytes` at `oob_off`) into the page's stored image, in place.
+    /// Only the spliced bytes cross the bus — and only they can change, so
+    /// only they are checked for `1 → 0` legality and copied.
     pub fn append_region(
         &mut self,
         ppa: Ppa,
@@ -301,57 +302,56 @@ impl FlashChip {
                 what: "append OOB range",
             });
         }
-        let (mut data, mut oob) = {
-            let page = self.blocks[ppa.block as usize].page(ppa.page);
-            if page.is_erased() {
-                return Err(FlashError::NotErased { ppa });
-            }
-            (
-                page.data()
-                    .map(<[u8]>::to_vec)
-                    .unwrap_or_else(|| vec![0xFF; g.page_size]),
-                page.oob()
-                    .map(<[u8]>::to_vec)
-                    .unwrap_or_else(|| vec![0xFF; g.oob_size]),
-            )
-        };
-        data[data_off..data_off + bytes.len()].copy_from_slice(bytes);
-        oob[oob_off..oob_off + oob_bytes.len()].copy_from_slice(oob_bytes);
-        self.validate_overwrite(ppa, &data, &oob)?;
-        self.program_raw(ppa, &data, &oob, bytes.len() + oob_bytes.len())
+        self.validate_overwrite(ppa, data_off, bytes, oob_off, oob_bytes)?;
+        self.program_raw(ppa, data_off, bytes, oob_off, oob_bytes)
     }
 
     /// Enforce the erase-before-overwrite relaxation: a re-program is legal
-    /// iff no bit goes `0 → 1`.
-    fn validate_overwrite(&self, ppa: Ppa, data: &[u8], oob: &[u8]) -> Result<()> {
+    /// iff no bit goes `0 → 1`. `data` / `oob` replace the stored bytes
+    /// from `data_off` / `oob_off` on (a full image sits at offset 0);
+    /// offsets in the error are absolute within the area.
+    fn validate_overwrite(
+        &self,
+        ppa: Ppa,
+        data_off: usize,
+        data: &[u8],
+        oob_off: usize,
+        oob: &[u8],
+    ) -> Result<()> {
         let page = self.blocks[ppa.block as usize].page(ppa.page);
         if page.is_erased() {
             return Err(FlashError::NotErased { ppa });
         }
-        if let Some(old) = page.data() {
-            if let Some(off) = first_illegal_byte(old, data) {
-                return Err(FlashError::IllegalOverwrite {
-                    ppa,
-                    byte_offset: off,
-                    in_oob: false,
-                });
-            }
+        let illegal = |old: Option<&[u8]>, off: usize, new: &[u8]| {
+            first_illegal_byte(&old?[off..off + new.len()], new).map(|i| off + i)
+        };
+        if let Some(byte_offset) = illegal(page.data(), data_off, data) {
+            return Err(FlashError::IllegalOverwrite {
+                ppa,
+                byte_offset,
+                in_oob: false,
+            });
         }
-        if let Some(old) = page.oob() {
-            if let Some(off) = first_illegal_byte(old, oob) {
-                return Err(FlashError::IllegalOverwrite {
-                    ppa,
-                    byte_offset: off,
-                    in_oob: true,
-                });
-            }
+        if let Some(byte_offset) = illegal(page.oob(), oob_off, oob) {
+            return Err(FlashError::IllegalOverwrite {
+                ppa,
+                byte_offset,
+                in_oob: true,
+            });
         }
         Ok(())
     }
 
     /// Common single-page program path: NOP check, then the shared store
-    /// core, then one staircase + transfer of time.
-    fn program_raw(&mut self, ppa: Ppa, data: &[u8], oob: &[u8], transferred: usize) -> Result<()> {
+    /// core, then one staircase + transfer of the bytes handed in.
+    fn program_raw(
+        &mut self,
+        ppa: Ppa,
+        data_off: usize,
+        data: &[u8],
+        oob_off: usize,
+        oob: &[u8],
+    ) -> Result<()> {
         let nop = self.nop_limit(ppa.page);
         {
             let page = self.blocks[ppa.block as usize].page(ppa.page);
@@ -360,7 +360,8 @@ impl FlashChip {
             }
         }
 
-        let staircase = self.store_program(ppa, data, oob);
+        let transferred = data.len() + oob.len();
+        let staircase = self.store_program(ppa, data_off, data, oob_off, oob);
         let t = staircase + self.config.latency.transfer_ns(transferred);
         self.clock.advance_ns(t);
         self.stats.busy_ns += t;
@@ -368,22 +369,28 @@ impl FlashChip {
         Ok(())
     }
 
-    /// Time-free core of every program command: store the image, bump the
-    /// per-page program count and the program/reprogram counters, expose
-    /// the wordline to disturb noise. Whether this is a reprogram is read
-    /// off the page itself (programmed = reprogram), so single-page and
+    /// Time-free core of every program command: store the bytes (a full
+    /// image at offset 0, or an append's splice), bump the per-page
+    /// program count and the program/reprogram counters, expose the
+    /// wordline to disturb noise. Whether this is a reprogram is read off
+    /// the page itself (programmed = reprogram), so single-page and
     /// multi-plane paths cannot disagree. Returns this member's staircase
     /// latency — the caller decides how staircases combine (alone for a
     /// single command, `max` across planes for a multi-plane one).
-    fn store_program(&mut self, ppa: Ppa, data: &[u8], oob: &[u8]) -> u64 {
+    fn store_program(
+        &mut self,
+        ppa: Ppa,
+        data_off: usize,
+        data: &[u8],
+        oob_off: usize,
+        oob: &[u8],
+    ) -> u64 {
         let g = self.config.geometry;
-        let is_reprogram = !self.blocks[ppa.block as usize].page(ppa.page).is_erased();
-        {
-            let page = self.blocks[ppa.block as usize].page_mut(ppa.page);
-            page.data_mut(g.page_size).copy_from_slice(data);
-            page.oob_mut(g.oob_size).copy_from_slice(oob);
-            page.program_count += 1;
-        }
+        let page = self.blocks[ppa.block as usize].page_mut(ppa.page);
+        let is_reprogram = !page.is_erased();
+        page.data_mut(g.page_size)[data_off..data_off + data.len()].copy_from_slice(data);
+        page.oob_mut(g.oob_size)[oob_off..oob_off + oob.len()].copy_from_slice(oob);
+        page.program_count += 1;
         if is_reprogram {
             self.stats.page_reprograms += 1;
         } else {
@@ -462,14 +469,14 @@ impl FlashChip {
                 return Err(FlashError::NopExceeded { ppa: p.ppa, nop });
             }
             if !page.is_erased() {
-                self.validate_overwrite(p.ppa, p.data, p.oob)?;
+                self.validate_overwrite(p.ppa, 0, p.data, 0, p.oob)?;
             }
             total += p.data.len() + p.oob.len();
         }
 
         let mut staircase = 0u64;
         for p in pages {
-            staircase = staircase.max(self.store_program(p.ppa, p.data, p.oob));
+            staircase = staircase.max(self.store_program(p.ppa, 0, p.data, 0, p.oob));
         }
         let t = staircase + self.config.latency.transfer_ns(total);
         self.clock.advance_ns(t);
@@ -513,7 +520,7 @@ impl FlashChip {
                 return Err(FlashError::NopExceeded { ppa: p.ppa, nop });
             }
             if !page.is_erased() {
-                self.validate_overwrite(p.ppa, p.data, p.oob)?;
+                self.validate_overwrite(p.ppa, 0, p.data, 0, p.oob)?;
             }
             total += p.data.len() + p.oob.len();
         }
@@ -524,7 +531,7 @@ impl FlashChip {
             .collect();
         let mut t = xfer[0];
         for (i, p) in pages.iter().enumerate() {
-            let pulse = self.store_program(p.ppa, p.data, p.oob);
+            let pulse = self.store_program(p.ppa, 0, p.data, 0, p.oob);
             t += match xfer.get(i + 1) {
                 Some(&next) => pulse.max(next),
                 None => pulse,
@@ -925,6 +932,93 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn append_region_reports_absolute_offset_of_illegal_byte() {
+        let mut chip = quiet_chip();
+        let ppa = Ppa::new(1, 1);
+        let mut data = vec![0xFF; chip.geometry().page_size];
+        data[53] = 0x0F;
+        let mut oob = vec![0xFF; chip.geometry().oob_size];
+        oob[9] = 0x00;
+        chip.program_page(ppa, &data, &oob).unwrap();
+        // Splice starts at 50; its fourth byte needs a 0 → 1 flip.
+        let in_data = chip.append_region(ppa, 50, &[0x00, 0x00, 0x00, 0x1F], 0, &[]);
+        assert!(
+            matches!(
+                in_data,
+                Err(FlashError::IllegalOverwrite {
+                    byte_offset: 53,
+                    in_oob: false,
+                    ..
+                })
+            ),
+            "{in_data:?}"
+        );
+        // Legal data, illegal OOB: second byte of an OOB splice at 8.
+        let in_oob = chip.append_region(ppa, 50, &[0x00], 8, &[0x00, 0x01]);
+        assert!(
+            matches!(
+                in_oob,
+                Err(FlashError::IllegalOverwrite {
+                    byte_offset: 9,
+                    in_oob: true,
+                    ..
+                })
+            ),
+            "{in_oob:?}"
+        );
+        // Rejected appends store nothing and spend no program.
+        assert_eq!(chip.peek_data(ppa).unwrap(), &data[..]);
+        assert_eq!(chip.peek_oob(ppa).unwrap(), &oob[..]);
+        assert_eq!(chip.program_count(ppa).unwrap(), 1);
+    }
+
+    #[test]
+    fn append_region_at_nop_limit_leaves_page_untouched() {
+        let mut chip = FlashChip::new(
+            DeviceConfig::tiny()
+                .with_mode(FlashMode::Slc)
+                .with_disturb(DisturbRates::none())
+                .with_nop(2),
+        );
+        let ppa = Ppa::new(0, 0);
+        let (data, oob) = page_of(&chip, 0xFF);
+        chip.program_page(ppa, &data, &oob).unwrap();
+        chip.append_region(ppa, 0, &[0xF0], 0, &[0x0F]).unwrap();
+        let (stored, stored_oob) = (
+            chip.peek_data(ppa).unwrap().to_vec(),
+            chip.peek_oob(ppa).unwrap().to_vec(),
+        );
+        let stats = *chip.stats();
+        assert!(matches!(
+            chip.append_region(ppa, 1, &[0x00], 1, &[0x00]),
+            Err(FlashError::NopExceeded { nop: 2, .. })
+        ));
+        assert_eq!(chip.peek_data(ppa).unwrap(), &stored[..]);
+        assert_eq!(chip.peek_oob(ppa).unwrap(), &stored_oob[..]);
+        assert_eq!(*chip.stats(), stats, "a rejected append is free");
+    }
+
+    #[test]
+    fn append_region_leaves_bytes_outside_the_splice_untouched() {
+        let mut chip = quiet_chip();
+        let ppa = Ppa::new(1, 1);
+        let g = *chip.geometry();
+        let data: Vec<u8> = (0..g.page_size).map(|i| (i % 251) as u8 | 0xF0).collect();
+        let oob: Vec<u8> = (0..g.oob_size).map(|i| i as u8 | 0xF0).collect();
+        chip.program_page(ppa, &data, &oob).unwrap();
+        chip.append_region(ppa, 200, &[0x10, 0x20, 0x30], 12, &[0x40, 0x50])
+            .unwrap();
+        let (mut want, mut want_oob) = (data, oob);
+        want[200..203].copy_from_slice(&[0x10, 0x20, 0x30]);
+        want_oob[12..14].copy_from_slice(&[0x40, 0x50]);
+        let img = chip.read_page(ppa).unwrap();
+        assert_eq!(img.data, want);
+        assert_eq!(img.oob, want_oob);
+        assert_eq!(chip.stats().page_reprograms, 1);
+        assert_eq!(chip.program_count(ppa).unwrap(), 2);
     }
 
     #[test]

@@ -688,16 +688,21 @@ impl<C: Nand> Ftl<C> {
             let mut img = self.chip.copyback_read(src)?;
             // Scrub on the way: correct what ECC can, count what it fixed.
             let codec = self.codec_for(lba);
-            match codec.verify(&mut img.data, &img.oob) {
-                Ok(o) => self.stats.ecc_corrected_bits += o.corrected_bits,
-                Err(_) => {
-                    // Migrate the raw bits; the host read will report the
-                    // loss. (A real controller would log a media error.)
-                    self.stats.uncorrectable_reads += 1;
+            let oob = match codec.verify(&mut img.data, &img.oob) {
+                Ok(o) => {
+                    self.stats.ecc_corrected_bits += o.corrected_bits;
+                    codec.encode_oob(&img.data)
                 }
-            }
+                Err(_) => {
+                    // Migrate the raw bits beside their *old* codewords, so
+                    // the host read still reports the loss — re-encoding
+                    // would bless the corrupt data as clean. (A real
+                    // controller would log a media error.)
+                    self.stats.uncorrectable_reads += 1;
+                    img.oob
+                }
+            };
             let dst = self.allocate()?;
-            let oob = codec.encode_oob(&img.data);
             self.chip.program_page(dst, &img.data, &oob)?;
             self.blocks[victim as usize].owner[page as usize] = None;
             self.blocks[victim as usize].valid -= 1;
@@ -1292,6 +1297,42 @@ mod tests {
         assert_eq!(s.out_of_place_writes, 2);
         assert_eq!(s.page_invalidations, 1);
         assert_eq!(s.in_place_appends, 0);
+    }
+
+    #[test]
+    fn gc_does_not_launder_an_uncorrectable_page() {
+        let mut ftl = Ftl::new(chip(FlashMode::Slc), FtlConfig::traditional());
+        ftl.write(90, &vec![0xFFu8; 2048]).unwrap();
+        let ppa = ftl.l2p[90].unwrap();
+        // Two legal 1 → 0 flips in one ECC chunk, OOB untouched: more than
+        // SECDED can repair.
+        ftl.chip_mut()
+            .append_region(ppa, 10, &[0xFE, 0xFE], 0, &[])
+            .unwrap();
+        let mut buf = vec![0u8; 2048];
+        assert!(matches!(
+            ftl.read(90, &mut buf),
+            Err(FtlError::Uncorrectable { lba: 90 })
+        ));
+        // Churn other LBAs until GC migrates the damaged page.
+        let data = vec![0x22u8; 2048];
+        for i in 0..10_000u64 {
+            ftl.write(i % 8, &data).unwrap();
+            if ftl.l2p[90] != Some(ppa) {
+                break;
+            }
+        }
+        assert_ne!(ftl.l2p[90], Some(ppa), "GC never moved the page");
+        // The migration must carry the loss along, not re-encode the
+        // corrupt bits into a clean-verifying page.
+        assert!(
+            matches!(
+                ftl.read(90, &mut buf),
+                Err(FtlError::Uncorrectable { lba: 90 })
+            ),
+            "GC laundered corrupt data: bytes 10..12 read back as {:02x?}",
+            &buf[10..12]
+        );
     }
 
     #[test]

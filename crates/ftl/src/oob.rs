@@ -16,11 +16,21 @@
 //!   a legal `1 → 0` program on both planes.
 //!
 //! Without an IPA layout the whole page is covered by `ECC_initial`.
+//!
+//! The bytes `ECC_initial` covers are the page with the delta-record area
+//! cut out, split into [`CHUNK`]-byte chunks as if the two sides of the
+//! gap were concatenated. Nothing is concatenated: every chunk is encoded
+//! and checked as a **view** of the page itself. At most one chunk
+//! straddles the gap (its head is the last bytes before the delta area,
+//! its tail the first bytes after it — the footer); only that one is
+//! assembled in a `CHUNK`-byte stack buffer, and written back only when
+//! the check corrected a bit in it.
+
+use std::ops::Range;
 
 use ipa_core::PageLayout;
 use ipa_flash::ecc::{
-    check_region, codewords_for, encode_chunk, encode_region, Codeword, EccOutcome, CHUNK,
-    CODEWORD_BYTES,
+    check_chunk, codewords_for, encode_chunk, Codeword, EccOutcome, CHUNK, CODEWORD_BYTES,
 };
 
 /// Per-page-format OOB codec.
@@ -94,30 +104,23 @@ impl OobCodec {
         (self.initial_codewords + i as usize) * CODEWORD_BYTES
     }
 
-    /// The bytes `ECC_initial` covers, concatenated (everything except the
-    /// delta-record area).
-    fn initial_region(&self, page: &[u8]) -> Vec<u8> {
-        match &self.layout {
-            Some(l) => {
-                let r = l.delta_area_range();
-                let mut v = Vec::with_capacity(self.page_size - l.delta_area_len());
-                v.extend_from_slice(&page[..r.start]);
-                v.extend_from_slice(&page[r.end..]);
-                v
-            }
-            None => page.to_vec(),
-        }
-    }
-
-    /// Scatter a (possibly corrected) initial region back into the page.
-    fn restore_initial_region(&self, page: &mut [u8], region: &[u8]) {
-        match &self.layout {
-            Some(l) => {
-                let r = l.delta_area_range();
-                page[..r.start].copy_from_slice(&region[..r.start]);
-                page[r.end..].copy_from_slice(&region[r.start..]);
-            }
-            None => page.copy_from_slice(region),
+    /// Where `ECC_initial` chunk `i` lives in the page, as `(head, tail)`
+    /// byte ranges. `tail` is empty — the chunk is the plain sub-slice
+    /// `head` — for every chunk but the one straddling the delta-record
+    /// gap, whose bytes are `head` (up to the gap) then `tail` (after it).
+    fn initial_chunk(&self, i: usize) -> (Range<usize>, Range<usize>) {
+        let gap = match &self.layout {
+            Some(l) => l.delta_area_range(),
+            None => self.page_size..self.page_size,
+        };
+        let start = i * CHUNK;
+        let end = (start + CHUNK).min(self.page_size - gap.len());
+        let before = start.min(gap.start)..end.min(gap.start);
+        let after = start.max(gap.start) + gap.len()..end.max(gap.start) + gap.len();
+        if before.is_empty() {
+            (after, 0..0)
+        } else {
+            (before, after)
         }
     }
 
@@ -127,8 +130,14 @@ impl OobCodec {
     pub fn encode_oob(&self, page: &[u8]) -> Vec<u8> {
         debug_assert_eq!(page.len(), self.page_size);
         let mut oob = vec![0xFFu8; self.oob_size];
-        let region = self.initial_region(page);
-        for (i, cw) in encode_region(&region).into_iter().enumerate() {
+        for i in 0..self.initial_codewords {
+            let (head, tail) = self.initial_chunk(i);
+            let cw = if tail.is_empty() {
+                encode_chunk(&page[head])
+            } else {
+                let (buf, len) = gather(page, &head, &tail);
+                encode_chunk(&buf[..len])
+            };
             let off = i * CODEWORD_BYTES;
             oob[off..off + CODEWORD_BYTES].copy_from_slice(&cw.to_bytes());
         }
@@ -159,31 +168,45 @@ impl OobCodec {
 
     /// Verify a page image against its OOB, correcting single-bit errors
     /// in place.
+    ///
+    /// Corrections are incremental: chunks and record slots are checked in
+    /// order, each repair lands in `page` as it is made, and an `Err`
+    /// leaves the repairs made before the failing chunk in place (the
+    /// failing chunk itself is untouched). Every repair is a single-bit
+    /// fix that re-encodes to its unchanged codeword, so a partly repaired
+    /// page is still consistent with the OOB it was verified against.
     pub fn verify(&self, page: &mut [u8], oob: &[u8]) -> Result<VerifyOutcome, UncorrectableError> {
         debug_assert_eq!(page.len(), self.page_size);
         debug_assert_eq!(oob.len(), self.oob_size);
         let mut corrected = 0u64;
 
-        // 1. Initial region.
-        let mut region = self.initial_region(page);
-        let mut codewords = Vec::with_capacity(self.initial_codewords);
+        // 1. Initial region, chunk by chunk, in place.
         for i in 0..self.initial_codewords {
             let off = i * CODEWORD_BYTES;
             let slot: &[u8; CODEWORD_BYTES] = oob[off..off + CODEWORD_BYTES]
                 .try_into()
                 .expect("slot width");
-            match Codeword::from_bytes(slot) {
-                Some(cw) => codewords.push(cw),
-                // Erased codeword for a programmed page: treat as data
-                // loss (write path always writes ECC_initial).
-                None => return Err(UncorrectableError),
+            // Erased codeword for a programmed page: treat as data loss
+            // (write path always writes ECC_initial).
+            let cw = Codeword::from_bytes(slot).ok_or(UncorrectableError)?;
+            let (head, tail) = self.initial_chunk(i);
+            let outcome = if tail.is_empty() {
+                check_chunk(&mut page[head], cw)
+            } else {
+                let (mut buf, len) = gather(page, &head, &tail);
+                let outcome = check_chunk(&mut buf[..len], cw);
+                if let EccOutcome::Corrected { .. } = outcome {
+                    page[head.clone()].copy_from_slice(&buf[..head.len()]);
+                    page[tail].copy_from_slice(&buf[head.len()..len]);
+                }
+                outcome
+            };
+            match outcome {
+                EccOutcome::Clean => {}
+                EccOutcome::Corrected { .. } => corrected += 1,
+                EccOutcome::Uncorrectable => return Err(UncorrectableError),
             }
         }
-        match check_region(&mut region, &codewords) {
-            Ok(n) => corrected += n as u64,
-            Err(_) => return Err(UncorrectableError),
-        }
-        self.restore_initial_region(page, &region);
 
         // 2. Delta records: verify exactly those slots whose OOB codeword
         //    was written. The OOB marker is authoritative — a disturbed
@@ -199,7 +222,7 @@ impl OobCodec {
                 };
                 let roff = l.record_offset(i);
                 let rec = &mut page[roff..roff + l.record_size()];
-                match ipa_flash::ecc::check_chunk(rec, cw) {
+                match check_chunk(rec, cw) {
                     EccOutcome::Clean => {}
                     EccOutcome::Corrected { .. } => corrected += 1,
                     EccOutcome::Uncorrectable => return Err(UncorrectableError),
@@ -212,10 +235,21 @@ impl OobCodec {
     }
 }
 
+/// Assemble the chunk straddling the delta-record gap: `page[head]`
+/// followed by `page[tail]`, as `(buffer, length)`.
+fn gather(page: &[u8], head: &Range<usize>, tail: &Range<usize>) -> ([u8; CHUNK], usize) {
+    let mut buf = [0u8; CHUNK];
+    let len = head.len() + tail.len();
+    buf[..head.len()].copy_from_slice(&page[head.clone()]);
+    buf[head.len()..len].copy_from_slice(&page[tail.clone()]);
+    (buf, len)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ipa_core::{write_record_into, DeltaRecord, NmScheme};
+    use ipa_flash::ecc::encode_region;
 
     fn layout() -> PageLayout {
         PageLayout::new(2048, 24, 8, NmScheme::new(2, 4))
@@ -229,6 +263,114 @@ mod tests {
         let mut p: Vec<u8> = (0..l.page_size).map(|i| (i % 251) as u8).collect();
         l.wipe_delta_area(&mut p);
         p
+    }
+
+    /// The TPC-B page format: 8 KiB, 32 B header, 8 B footer, [2×4].
+    fn tpcb_layout() -> PageLayout {
+        PageLayout::new(8192, 32, 8, NmScheme::new(2, 4))
+    }
+
+    /// The construction `encode_oob` replaced: concatenate the two sides
+    /// of the delta-record gap, then `encode_region` the copy.
+    fn encode_oob_ref(c: &OobCodec, page: &[u8]) -> Vec<u8> {
+        let region = match c.layout() {
+            Some(l) => {
+                let r = l.delta_area_range();
+                [&page[..r.start], &page[r.end..]].concat()
+            }
+            None => page.to_vec(),
+        };
+        let mut oob = vec![0xFFu8; c.oob_size];
+        for (i, cw) in encode_region(&region).into_iter().enumerate() {
+            oob[i * CODEWORD_BYTES..][..CODEWORD_BYTES].copy_from_slice(&cw.to_bytes());
+        }
+        if let Some(l) = c.layout() {
+            for i in 0..l.scheme.n {
+                let slot = c.record_slice(page, i);
+                if slot[0] != 0xFF {
+                    let off = c.record_oob_offset(i);
+                    oob[off..][..CODEWORD_BYTES].copy_from_slice(&c.encode_record(slot));
+                }
+            }
+        }
+        oob
+    }
+
+    #[test]
+    fn encode_oob_equals_concatenate_then_encode_region() {
+        let codecs = [
+            OobCodec::new(8192, 128, Some(tpcb_layout())),
+            codec(),
+            OobCodec::new(2048, 64, None),
+            // No footer: the gap ends the page, no chunk straddles it.
+            OobCodec::new(
+                2048,
+                64,
+                Some(PageLayout::new(2048, 24, 0, NmScheme::new(2, 4))),
+            ),
+            // Gap starting on a chunk boundary (2048 - 8 - 8·63 = 1536).
+            OobCodec::new(
+                2048,
+                64,
+                Some(PageLayout::new(2048, 24, 8, NmScheme::new(8, 10))),
+            ),
+        ];
+        assert_eq!(codecs[4].layout().unwrap().delta_area_offset(), 3 * CHUNK);
+        for c in &codecs {
+            let mut page: Vec<u8> = (0..c.page_size).map(|i| (i * 31 % 253) as u8).collect();
+            assert_eq!(c.encode_oob(&page), encode_oob_ref(c, &page), "{c:?}");
+            if let Some(l) = c.layout() {
+                // An erased delta area, then one with a record present.
+                l.wipe_delta_area(&mut page);
+                assert_eq!(c.encode_oob(&page), encode_oob_ref(c, &page), "{c:?}");
+                let rec = DeltaRecord::new(vec![(40, 0x77)], vec![3; l.meta_len()], l.scheme);
+                write_record_into(&mut page, l, 0, &rec);
+                assert_eq!(c.encode_oob(&page), encode_oob_ref(c, &page), "{c:?}");
+            }
+            let oob = c.encode_oob(&page);
+            assert_eq!(c.verify(&mut page, &oob).unwrap().corrected_bits, 0);
+        }
+    }
+
+    #[test]
+    fn flips_around_the_gap_are_corrected_at_their_page_offset() {
+        // The chunk straddling the delta-record gap is checked in a
+        // scratch buffer: a correction there must land on the right *page*
+        // byte — before the gap, right after it, and at the footer's end.
+        for (l, oob_size) in [(tpcb_layout(), 128), (layout(), 64)] {
+            let c = OobCodec::new(l.page_size, oob_size, Some(l));
+            let clean = sample_page(&l);
+            let oob = c.encode_oob(&clean);
+            let gap = l.delta_area_range();
+            for at in [gap.start - 1, gap.end, l.page_size - 1] {
+                for bit in [0x01u8, 0x80] {
+                    let mut page = clean.clone();
+                    page[at] ^= bit;
+                    let out = c.verify(&mut page, &oob).unwrap();
+                    assert_eq!(out.corrected_bits, 1, "byte {at}");
+                    assert_eq!(page, clean, "byte {at} not repaired in place");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repairs_before_an_uncorrectable_chunk_stay_in_the_page() {
+        // The documented error-path behaviour of in-place verify.
+        let l = layout();
+        let c = codec();
+        let clean = sample_page(&l);
+        let oob = c.encode_oob(&clean);
+        let mut page = clean.clone();
+        page[7] ^= 0x10; // chunk 0: single flip
+        page[2 * CHUNK + 3] ^= 0x01; // chunk 2: double flip
+        page[2 * CHUNK + 9] ^= 0x04;
+        assert_eq!(c.verify(&mut page, &oob), Err(UncorrectableError));
+        assert_eq!(page[..CHUNK], clean[..CHUNK], "chunk 0 restored");
+        let mut expected = clean.clone();
+        expected[2 * CHUNK + 3] ^= 0x01;
+        expected[2 * CHUNK + 9] ^= 0x04;
+        assert_eq!(page, expected, "chunk 2 untouched, nothing else moved");
     }
 
     #[test]
