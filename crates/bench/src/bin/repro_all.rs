@@ -2,8 +2,8 @@
 //! order, with one-line PASS/FAIL verdicts per experiment.
 //!
 //! Each check encodes the *shape* the paper reports (direction and rough
-//! magnitude), not absolute counts; see `EXPERIMENTS.md` for the rationale
-//! per experiment.
+//! magnitude), not absolute counts; the rationale sits beside each check
+//! below.
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin repro_all [--secs=8]`
 

@@ -1,7 +1,6 @@
 //! # `ipa-bench` — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `DESIGN.md` §4 for the
-//! experiment index):
+//! One binary per table/figure of the paper:
 //!
 //! | binary            | paper artifact                                  |
 //! |-------------------|-------------------------------------------------|

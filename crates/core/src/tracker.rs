@@ -131,8 +131,20 @@ impl ChangeTracker {
 
     /// Report one byte write: `old` is the value before this write. Calls
     /// after the out-of-place flag is set are cheap no-ops.
+    ///
+    /// A layout without a delta area (`[0×0]`: index pages, `history`, the
+    /// whole traditional baseline) can only ever be written out of place,
+    /// so its first differing byte sets the flag and nothing is mapped.
+    /// The one observable difference to tracking it: such a page modified
+    /// and then restored byte for byte within one residency is written
+    /// back instead of dropped as clean. No engine path does that — every
+    /// tracked write also moves the page LSN.
     pub fn record_write(&mut self, offset: usize, old: u8, new: u8) {
         if self.out_of_place || old == new {
+            return;
+        }
+        if self.layout.scheme.is_disabled() {
+            self.mark_out_of_place();
             return;
         }
         if self.layout.in_meta(offset) {
@@ -197,9 +209,6 @@ impl ChangeTracker {
         }
         if self.changes.is_empty() && !self.meta_changed {
             return IpaVerdict::Clean;
-        }
-        if self.layout.scheme.is_disabled() {
-            return IpaVerdict::OutOfPlace;
         }
         let pending = self.pending_records();
         if pending + self.on_flash.len() <= self.layout.scheme.n as usize {
@@ -453,6 +462,26 @@ mod tests {
         t.commit_out_of_place();
         t.record_write(body_off(&l, 0), 1, 2);
         assert_eq!(t.verdict(), IpaVerdict::InPlace { records: 1 });
+    }
+
+    #[test]
+    fn delta_less_layout_maps_nothing() {
+        let l = PageLayout::new(2048, 24, 8, NmScheme::disabled());
+        let mut t = ChangeTracker::new(l, Vec::new());
+        assert_eq!(t.verdict(), IpaVerdict::Clean);
+        let off = body_off(&l, 10);
+        t.record_write(off, 7, 9);
+        assert!(t.is_out_of_place() && t.dirty());
+        assert_eq!(t.changed_body_bytes(), 0, "no per-byte map");
+        // Restoring the byte does not make the page clean again (it did
+        // while every byte was mapped): it is written back.
+        t.record_write(off, 9, 7);
+        assert_eq!(t.verdict(), IpaVerdict::OutOfPlace);
+        t.commit_out_of_place();
+        assert_eq!(t.verdict(), IpaVerdict::Clean);
+        // A header byte alone has the same effect.
+        t.record_write(0, 1, 2);
+        assert_eq!(t.verdict(), IpaVerdict::OutOfPlace);
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl DeviceConfig {
         DeviceConfig::new(Geometry::new(128, 64, 8192, 128), FlashMode::PSlc)
     }
 
-    /// 512 MB device matching the experiments in `EXPERIMENTS.md`.
+    /// 512 MB device with 8 KB pages ([`Geometry::experiment`]).
     pub fn experiment(mode: FlashMode) -> Self {
         DeviceConfig::new(Geometry::experiment(), mode)
     }

@@ -1,8 +1,9 @@
 //! # `ipa-flash` — cell-accurate NAND flash simulator
 //!
 //! The hardware substrate for the IPA reproduction (the paper runs on the
-//! OpenSSD Jasmine board; see `DESIGN.md` §2 for the substitution
-//! rationale). The simulator enforces the physics the technique depends on:
+//! OpenSSD Jasmine board; a simulated chip makes every run repeatable bit
+//! for bit and needs no hardware). The simulator enforces the physics the
+//! technique depends on:
 //!
 //! * **Erase-before-overwrite, relaxed precisely.** A page re-program is
 //!   accepted iff every bit transition is `1 → 0` — the bitwise shadow of

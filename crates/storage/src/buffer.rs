@@ -1,4 +1,4 @@
-//! The buffer pool: clock replacement, pin/dirty bookkeeping, and the
+//! The buffer pool: clock replacement, dirty bookkeeping, and the
 //! eviction paths of the three write strategies.
 //!
 //! This is where the paper's §3 "Page operations" live:
@@ -115,7 +115,6 @@ struct Frame {
     /// At-fetch snapshot for net-write measurement (Figure 1 mode).
     snapshot: Option<Vec<u8>>,
     dirty: bool,
-    pins: u32,
     referenced: bool,
 }
 
@@ -298,14 +297,8 @@ impl BufferPool {
                 self.write_back(idx)?;
                 continue;
             }
-            let layout = *frame.tracker.layout();
-            let records = frame.tracker.build_new_records(&frame.data);
-            let first_slot = frame.tracker.records_on_flash();
-            let mut bytes = Vec::with_capacity(records.len() * layout.record_size());
-            for r in &records {
-                bytes.extend_from_slice(&r.encode(&layout));
-            }
-            members.push((frame.page_id, layout.record_offset(first_slot), bytes));
+            let (records, offset, bytes) = Self::encode_new_records(frame);
+            members.push((frame.page_id, offset, bytes));
             batch.push((idx, records));
         }
         match batch.len() {
@@ -380,7 +373,6 @@ impl BufferPool {
                     .measure_net_writes
                     .then(|| vec![0xFF; self.device.page_size()]),
                 dirty: false,
-                pins: 0,
                 referenced: true,
             }
         } else {
@@ -413,7 +405,6 @@ impl BufferPool {
                 original,
                 data,
                 dirty: false,
-                pins: 0,
                 referenced: true,
             }
         };
@@ -544,9 +535,6 @@ impl BufferPool {
             let idx = self.hand;
             self.hand = (self.hand + 1) % n;
             let frame = self.frames[idx].as_mut().expect("full pool");
-            if frame.pins > 0 {
-                continue;
-            }
             if frame.referenced {
                 frame.referenced = false;
                 continue;
@@ -579,18 +567,8 @@ impl BufferPool {
             }
             IpaVerdict::InPlace { .. } => match self.strategy {
                 WriteStrategy::IpaNative => {
-                    let layout = *frame.tracker.layout();
-                    let records = frame.tracker.build_new_records(&frame.data);
-                    let first_slot = frame.tracker.records_on_flash();
-                    let mut bytes = Vec::with_capacity(records.len() * layout.record_size());
-                    for r in &records {
-                        bytes.extend_from_slice(&r.encode(&layout));
-                    }
-                    match self.device.write_delta(
-                        frame.page_id,
-                        layout.record_offset(first_slot),
-                        &bytes,
-                    ) {
+                    let (records, offset, bytes) = Self::encode_new_records(frame);
+                    match self.device.write_delta(frame.page_id, offset, &bytes) {
                         Ok(()) => {
                             frame.tracker.commit_in_place(records);
                             self.stats.evict_in_place += 1;
@@ -638,6 +616,19 @@ impl BufferPool {
             snap.copy_from_slice(&frame.data);
         }
         Ok(())
+    }
+
+    /// The native strategy's in-place payload: the frame's new delta
+    /// records, the page offset they append at, and their encoding.
+    fn encode_new_records(frame: &Frame) -> (Vec<DeltaRecord>, usize, Vec<u8>) {
+        let layout = frame.tracker.layout();
+        let records = frame.tracker.build_new_records(&frame.data);
+        let mut bytes = Vec::with_capacity(records.len() * layout.record_size());
+        for r in &records {
+            bytes.extend_from_slice(&r.encode(layout));
+        }
+        let offset = layout.record_offset(frame.tracker.records_on_flash());
+        (records, offset, bytes)
     }
 
     /// Figure 1 accounting: net modified bytes vs the at-fetch snapshot.

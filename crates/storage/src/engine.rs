@@ -242,9 +242,7 @@ impl StorageEngine {
         for id in 0..engine.catalog.len() {
             if engine.catalog.get(id).spec.kind == TableKind::Index {
                 let lsn = engine.wal.next_lsn();
-                let mut info = engine.catalog.get(id).clone();
-                btree::create(&mut engine.pool, &mut info, lsn)?;
-                *engine.catalog.get_mut(id) = info;
+                btree::create(&mut engine.pool, engine.catalog.get_mut(id), lsn)?;
             }
         }
         Ok(engine)
@@ -350,10 +348,8 @@ impl StorageEngine {
     pub fn insert(&mut self, tx: TxId, table: TableId, row: &[u8]) -> Result<Rid> {
         let lsn = self.wal.next_lsn();
         let mut ops = Vec::new();
-        let mut info = self.catalog.get(table).clone();
-        let rid = heap::insert(&mut self.pool, &mut info, row, lsn, Some(&mut ops));
-        *self.catalog.get_mut(table) = info;
-        let rid = rid?;
+        let info = self.catalog.get_mut(table);
+        let rid = heap::insert(&mut self.pool, info, row, lsn, Some(&mut ops))?;
         self.log_update(tx, lsn, rid.page, ops)?;
         Ok(rid)
     }
@@ -386,10 +382,8 @@ impl StorageEngine {
     pub fn delete(&mut self, tx: TxId, table: TableId, rid: Rid) -> Result<()> {
         let lsn = self.wal.next_lsn();
         let mut ops = Vec::new();
-        let mut info = self.catalog.get(table).clone();
-        let r = heap::delete(&mut self.pool, &mut info, rid, lsn, Some(&mut ops));
-        *self.catalog.get_mut(table) = info;
-        r?;
+        let info = self.catalog.get_mut(table);
+        heap::delete(&mut self.pool, info, rid, lsn, Some(&mut ops))?;
         self.log_update(tx, lsn, rid.page, ops)
     }
 
@@ -404,10 +398,7 @@ impl StorageEngine {
     /// as far as its pages were flushed.
     pub fn index_insert(&mut self, _tx: TxId, index: TableId, key: u64, rid: Rid) -> Result<()> {
         let lsn = self.wal.next_lsn();
-        let mut info = self.catalog.get(index).clone();
-        let r = btree::insert(&mut self.pool, &mut info, key, rid, lsn);
-        *self.catalog.get_mut(index) = info;
-        r
+        btree::insert(&mut self.pool, self.catalog.get_mut(index), key, rid, lsn)
     }
 
     pub fn index_lookup(&mut self, index: TableId, key: u64) -> Result<Option<Rid>> {

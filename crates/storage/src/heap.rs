@@ -2,7 +2,7 @@
 //!
 //! Rows are addressed by [`Rid`] (page, slot). Inserts fill pages in order
 //! and never reuse tombstoned space (the OLTP benchmarks are
-//! insert/update-only on their hot tables; see DESIGN.md).
+//! insert/update-only on their hot tables).
 
 use serde::{Deserialize, Serialize};
 
