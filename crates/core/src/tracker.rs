@@ -52,8 +52,9 @@ struct ByteChange {
 #[derive(Debug, Clone)]
 pub struct ChangeTracker {
     layout: PageLayout,
-    /// Delta records already present on the physical flash page.
-    on_flash: Vec<DeltaRecord>,
+    /// Delta records already present on the physical flash page (only
+    /// their number matters: it is the budget already spent).
+    on_flash: u16,
     /// Net changed body bytes since the last eviction, by offset.
     changes: BTreeMap<u16, ByteChange>,
     /// Whether any header/footer byte changed since the last eviction.
@@ -74,7 +75,7 @@ impl ChangeTracker {
         let over = existing.len() > layout.scheme.n as usize;
         ChangeTracker {
             layout,
-            on_flash: existing,
+            on_flash: existing.len() as u16,
             changes: BTreeMap::new(),
             meta_changed: false,
             // A page carrying more records than the scheme allows (scheme
@@ -100,7 +101,7 @@ impl ChangeTracker {
     /// Records already on the physical page.
     #[inline]
     pub fn records_on_flash(&self) -> u16 {
-        self.on_flash.len() as u16
+        self.on_flash
     }
 
     /// Net changed body bytes currently pending.
@@ -211,7 +212,7 @@ impl ChangeTracker {
             return IpaVerdict::Clean;
         }
         let pending = self.pending_records();
-        if pending + self.on_flash.len() <= self.layout.scheme.n as usize {
+        if pending + self.on_flash as usize <= self.layout.scheme.n as usize {
             IpaVerdict::InPlace {
                 records: pending as u16,
             }
@@ -269,11 +270,11 @@ impl ChangeTracker {
         image
     }
 
-    /// Account a successful in-place eviction: the new records are now on
-    /// flash, pending changes are consumed.
-    pub fn commit_in_place(&mut self, new_records: Vec<DeltaRecord>) {
-        self.on_flash.extend(new_records);
-        debug_assert!(self.on_flash.len() <= self.layout.scheme.n as usize);
+    /// Account a successful in-place eviction: the `new_records` built for
+    /// it are now on flash, pending changes are consumed.
+    pub fn commit_in_place(&mut self, new_records: u16) {
+        self.on_flash += new_records;
+        debug_assert!(self.on_flash <= self.layout.scheme.n);
         self.changes.clear();
         self.meta_changed = false;
     }
@@ -281,7 +282,7 @@ impl ChangeTracker {
     /// Account a successful out-of-place eviction: the rewritten page has
     /// an empty delta area and a clean history.
     pub fn commit_out_of_place(&mut self) {
-        self.on_flash.clear();
+        self.on_flash = 0;
         self.changes.clear();
         self.meta_changed = false;
         self.out_of_place = false;
@@ -427,14 +428,14 @@ mod tests {
         t.record_write(body_off(&l, 0), 0, 1);
         let page = vec![0u8; l.page_size];
         let recs = t.build_new_records(&page);
-        t.commit_in_place(recs);
+        t.commit_in_place(recs.len() as u16);
         assert_eq!(t.records_on_flash(), 1);
         assert!(!t.dirty());
         // Second round: one more record fits, then the budget is gone.
         t.record_write(body_off(&l, 1), 0, 1);
         assert_eq!(t.verdict(), IpaVerdict::InPlace { records: 1 });
         let recs = t.build_new_records(&page);
-        t.commit_in_place(recs);
+        t.commit_in_place(recs.len() as u16);
         t.record_write(body_off(&l, 2), 0, 1);
         assert_eq!(t.verdict(), IpaVerdict::OutOfPlace);
     }

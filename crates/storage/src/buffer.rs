@@ -16,11 +16,11 @@
 
 use std::collections::HashMap;
 
-use ipa_core::{apply_and_collect, ChangeTracker, DeltaRecord, IpaVerdict, NmScheme, PageLayout};
+use ipa_core::{apply_and_collect, ChangeTracker, IpaVerdict, NmScheme, PageLayout};
 use ipa_ftl::{FtlError, IoRequest, IoToken, Lba, NativeFlashDevice, WriteStrategy};
 
 use crate::error::{Result, StorageError};
-use crate::page::{standard_layout, PageMut, WriteOp};
+use crate::page::{standard_layout, PageMut};
 
 /// Logical page identifier; maps 1:1 onto the device LBA.
 pub type PageId = u64;
@@ -240,7 +240,7 @@ impl BufferPool {
     pub fn with_page_mut<R>(
         &mut self,
         pid: PageId,
-        capture: Option<&mut Vec<WriteOp>>,
+        capture: Option<&mut Vec<u8>>,
         f: impl FnOnce(&mut PageMut<'_>) -> R,
     ) -> Result<R> {
         let idx = self.ensure_cached(pid, false)?;
@@ -284,7 +284,7 @@ impl BufferPool {
         }
         // Pass 1: split dirty frames into delta-batch members and
         // everything else.
-        let mut batch: Vec<(usize, Vec<DeltaRecord>)> = Vec::new();
+        let mut batch: Vec<(usize, u16)> = Vec::new();
         let mut members: Vec<(Lba, usize, Vec<u8>)> = Vec::new();
         for idx in 0..self.frames.len() {
             let Some(frame) = self.frames[idx].as_mut() else {
@@ -524,16 +524,16 @@ impl BufferPool {
         self.last_miss = None;
     }
 
-    /// Clock replacement: find a free or evictable slot.
+    /// Clock replacement: find a free or evictable slot. Nothing pins a
+    /// frame, so the hand's second lap always finds a victim.
     fn find_victim_slot(&mut self) -> Result<usize> {
         // Free slot first.
         if let Some(idx) = self.frames.iter().position(|f| f.is_none()) {
             return Ok(idx);
         }
-        let n = self.frames.len();
-        for _ in 0..2 * n {
+        loop {
             let idx = self.hand;
-            self.hand = (self.hand + 1) % n;
+            self.hand = (self.hand + 1) % self.frames.len();
             let frame = self.frames[idx].as_mut().expect("full pool");
             if frame.referenced {
                 frame.referenced = false;
@@ -542,7 +542,6 @@ impl BufferPool {
             self.evict(idx)?;
             return Ok(idx);
         }
-        Err(StorageError::BufferExhausted)
     }
 
     fn evict(&mut self, idx: usize) -> Result<()> {
@@ -599,7 +598,7 @@ impl BufferPool {
                     self.device
                         .write(frame.page_id, &image)
                         .map_err(StorageError::from)?;
-                    frame.tracker.commit_in_place(records);
+                    frame.tracker.commit_in_place(records.len() as u16);
                     frame.original = Some(image);
                     self.stats.evict_in_place += 1;
                 }
@@ -618,9 +617,9 @@ impl BufferPool {
         Ok(())
     }
 
-    /// The native strategy's in-place payload: the frame's new delta
-    /// records, the page offset they append at, and their encoding.
-    fn encode_new_records(frame: &Frame) -> (Vec<DeltaRecord>, usize, Vec<u8>) {
+    /// The native strategy's in-place payload: how many new delta records
+    /// the frame has, the page offset they append at, and their encoding.
+    fn encode_new_records(frame: &Frame) -> (u16, usize, Vec<u8>) {
         let layout = frame.tracker.layout();
         let records = frame.tracker.build_new_records(&frame.data);
         let mut bytes = Vec::with_capacity(records.len() * layout.record_size());
@@ -628,7 +627,7 @@ impl BufferPool {
             bytes.extend_from_slice(&r.encode(layout));
         }
         let offset = layout.record_offset(frame.tracker.records_on_flash());
-        (records, offset, bytes)
+        (records.len() as u16, offset, bytes)
     }
 
     /// Figure 1 accounting: net modified bytes vs the at-fetch snapshot.
@@ -852,8 +851,11 @@ mod tests {
             sp.update_field(0, 1, &[6]).unwrap();
         })
         .unwrap();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].offset as usize, HEADER_LEN + 1);
+        let at = (HEADER_LEN + 1) as u16;
+        assert_eq!(
+            crate::page::write_ops(&ops).collect::<Vec<_>>(),
+            [(at, &[5u8][..], &[6u8][..])]
+        );
     }
 
     #[test]

@@ -18,9 +18,9 @@ use crate::buffer::{BufferPool, PageId, PoolStats};
 use crate::catalog::{Catalog, TableId, TableInfo, TableKind, TableSpec};
 use crate::error::{Result, StorageError};
 use crate::heap::{self, Rid};
-use crate::page::{standard_layout, WriteOp};
+use crate::page::{insert_capture_bound, standard_layout, write_ops};
 use crate::tx::{TxId, TxManager};
-use crate::wal::{Wal, WalKind, WalRecord};
+use crate::wal::{Wal, WalKind, WalRecord, UPDATE_HEADER_LEN};
 
 /// Engine-level configuration.
 #[derive(Debug, Clone)]
@@ -142,6 +142,8 @@ pub struct StorageEngine {
     tx: TxManager,
     /// Commits since the last WAL flush (group commit).
     commits_since_flush: u32,
+    /// Page-write capture buffer, `mem::take`n around each logged operation.
+    capture: Vec<u8>,
     config: EngineConfig,
 }
 
@@ -187,6 +189,13 @@ impl StorageEngine {
         let mut catalog = Catalog::new();
         let mut regions = RegionTable::new();
         for spec in tables {
+            // Inserting one row must fit one log record (old + new bytes):
+            // refuse the schema, not the transaction that trips over it.
+            let bytes = UPDATE_HEADER_LEN + insert_capture_bound(spec.row_len);
+            let max = Wal::max_record_len(page_size);
+            if spec.kind == TableKind::Heap && bytes > max {
+                return Err(StorageError::LogRecordTooLarge { bytes, max });
+            }
             let id = catalog.add(spec.clone());
             let info = catalog.get(id);
             regions.add(Region {
@@ -236,6 +245,7 @@ impl StorageEngine {
             wal,
             tx: TxManager::new(),
             commits_since_flush: 0,
+            capture: Vec::new(),
             config,
         };
         // Create index roots.
@@ -283,17 +293,18 @@ impl StorageEngine {
         self.catalog.get(id)
     }
 
-    /// Log an update (WAL + undo). `ops` come from the page-write capture.
-    fn log_update(&mut self, tx: TxId, lsn: u64, page: PageId, ops: Vec<WriteOp>) -> Result<()> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        self.tx.log_undo(tx, page, &ops)?;
-        self.wal.append(&WalRecord {
-            lsn,
-            tx,
-            kind: WalKind::Update { page, ops },
-        })
+    /// Log what a page operation captured in `ops` (the capture buffer,
+    /// handed back cleared): undo first, so a failed append can still abort.
+    fn log_update(&mut self, tx: TxId, lsn: u64, page: PageId, mut ops: Vec<u8>) -> Result<()> {
+        let logged = if ops.is_empty() {
+            Ok(())
+        } else {
+            (self.tx.log_undo(tx, page, &ops))
+                .and_then(|()| self.wal.append_update(lsn, tx, page, &ops))
+        };
+        ops.clear();
+        self.capture = ops;
+        logged
     }
 
     /// Log a transaction-control record at the next LSN.
@@ -335,10 +346,9 @@ impl StorageEngine {
 
     pub fn abort(&mut self, tx: TxId) -> Result<()> {
         let undo = self.tx.take_undo(tx)?;
-        for entry in undo {
-            self.pool.with_page_mut(entry.page, None, |pm| {
-                pm.write(entry.op.offset as usize, &entry.op.old);
-            })?;
+        for (page, offset, old) in undo.newest_first() {
+            self.pool
+                .with_page_mut(page, None, |pm| pm.write(offset as usize, old))?;
         }
         self.log_control(tx, WalKind::Abort)
     }
@@ -347,7 +357,7 @@ impl StorageEngine {
 
     pub fn insert(&mut self, tx: TxId, table: TableId, row: &[u8]) -> Result<Rid> {
         let lsn = self.wal.next_lsn();
-        let mut ops = Vec::new();
+        let mut ops = std::mem::take(&mut self.capture);
         let info = self.catalog.get_mut(table);
         let rid = heap::insert(&mut self.pool, info, row, lsn, Some(&mut ops))?;
         self.log_update(tx, lsn, rid.page, ops)?;
@@ -367,21 +377,21 @@ impl StorageEngine {
         bytes: &[u8],
     ) -> Result<()> {
         let lsn = self.wal.next_lsn();
-        let mut ops = Vec::new();
+        let mut ops = std::mem::take(&mut self.capture);
         heap::update_field(&mut self.pool, rid, offset, bytes, lsn, Some(&mut ops))?;
         self.log_update(tx, lsn, rid.page, ops)
     }
 
     pub fn update_row(&mut self, tx: TxId, _table: TableId, rid: Rid, row: &[u8]) -> Result<()> {
         let lsn = self.wal.next_lsn();
-        let mut ops = Vec::new();
+        let mut ops = std::mem::take(&mut self.capture);
         heap::update_row(&mut self.pool, rid, row, lsn, Some(&mut ops))?;
         self.log_update(tx, lsn, rid.page, ops)
     }
 
     pub fn delete(&mut self, tx: TxId, table: TableId, rid: Rid) -> Result<()> {
         let lsn = self.wal.next_lsn();
-        let mut ops = Vec::new();
+        let mut ops = std::mem::take(&mut self.capture);
         let info = self.catalog.get_mut(table);
         heap::delete(&mut self.pool, info, rid, lsn, Some(&mut ops))?;
         self.log_update(tx, lsn, rid.page, ops)
@@ -485,10 +495,10 @@ impl StorageEngine {
         Ok(report)
     }
 
-    fn redo_page(&mut self, page: PageId, ops: &[WriteOp]) -> Result<()> {
+    fn redo_page(&mut self, page: PageId, ops: &[u8]) -> Result<()> {
         let apply = |pm: &mut crate::page::PageMut<'_>| {
-            for op in ops {
-                pm.write(op.offset as usize, &op.new);
+            for (offset, _, new) in write_ops(ops) {
+                pm.write(offset as usize, new);
             }
         };
         match self.pool.with_page_mut(page, None, apply) {
@@ -536,6 +546,13 @@ impl StorageEngine {
 mod tests {
     use super::*;
     use ipa_flash::{DisturbRates, FlashMode, Geometry};
+
+    impl StorageEngine {
+        /// The engine's log, for `wal::tests::golden_log_image`.
+        pub(crate) fn wal_mut(&mut self) -> &mut Wal {
+            &mut self.wal
+        }
+    }
 
     fn device() -> DeviceConfig {
         DeviceConfig::new(Geometry::new(128, 16, 2048, 64), FlashMode::PSlc)
@@ -588,6 +605,66 @@ mod tests {
         assert_eq!(&e.get(t, rid).unwrap()[..2], &[9, 9]);
         e.abort(tx2).unwrap();
         assert_eq!(&e.get(t, rid).unwrap()[..2], &[7, 7]);
+    }
+
+    #[test]
+    fn abort_restores_newest_first_across_pages() {
+        let mut e = engine(EngineConfig::default().with_ipa(NmScheme::new(2, 4)));
+        let t = e.table("accounts").unwrap();
+        let tx = e.begin();
+        let rids: Vec<Rid> = (0..40u8)
+            .map(|i| e.insert(tx, t, &[i; 64]).unwrap())
+            .collect();
+        e.commit(tx).unwrap();
+        let (a, b) = (rids[0], rids[39]);
+        assert_ne!(a.page, b.page, "two pages");
+        let images = |e: &mut StorageEngine| {
+            [a.page, b.page].map(|p| e.pool_mut().with_page(p, <[u8]>::to_vec).unwrap())
+        };
+        let before = images(&mut e);
+
+        // Overlapping ranges written twice on each page, interleaved:
+        // only newest-first undo puts the oldest bytes back last.
+        let tx = e.begin();
+        e.update_field(tx, t, a, 0, &[0xA1; 8]).unwrap();
+        e.update_field(tx, t, b, 4, &[0xB1; 8]).unwrap();
+        e.update_field(tx, t, a, 4, &[0xA2; 8]).unwrap();
+        e.update_row(tx, t, b, &[0xB2; 64]).unwrap();
+        e.update_field(tx, t, a, 2, &[0xA3; 4]).unwrap();
+        assert_ne!(images(&mut e), before);
+        e.abort(tx).unwrap();
+        assert_eq!(images(&mut e), before, "byte-identical, page LSN included");
+    }
+
+    #[test]
+    fn oversize_row_is_a_typed_error_not_a_panic() {
+        // Physical logging stores old + new: a 1 100-byte row fits a
+        // 2 KiB page but its insert record (2 295 B) fits no log page.
+        // Refused when the table is declared, not mid-transaction.
+        let build = |row_len| {
+            StorageEngine::build(
+                DeviceConfig::new(Geometry::new(64, 32, 2048, 64), FlashMode::PSlc),
+                EngineConfig::default(),
+                &[TableSpec::heap("t", row_len, 16)],
+            )
+        };
+        assert_eq!(
+            build(1100).err(),
+            Some(StorageError::LogRecordTooLarge {
+                bytes: 2295,
+                max: 2028
+            })
+        );
+        // The largest loggable row inserts, updates and aborts cleanly.
+        let row_len = (2028 - 95) / 2;
+        assert!(build(row_len + 1).is_err());
+        let mut e = build(row_len).unwrap();
+        let t = e.table("t").unwrap();
+        let tx = e.begin();
+        let rid = e.insert(tx, t, &vec![7; row_len]).unwrap();
+        e.update_row(tx, t, rid, &vec![8; row_len]).unwrap();
+        e.abort(tx).unwrap();
+        assert!(e.get(t, rid).is_err(), "the insert was undone");
     }
 
     #[test]

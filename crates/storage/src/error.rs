@@ -18,14 +18,16 @@ pub enum StorageError {
     TableFull(String),
     /// Row bytes do not match the table's row length.
     RowSizeMismatch { expected: usize, got: usize },
-    /// All buffer frames are pinned; cannot evict.
-    BufferExhausted,
     /// Update range does not fit inside the row.
     FieldOutOfRange {
         row_len: usize,
         offset: usize,
         len: usize,
     },
+    /// A log record would not fit one log page. Physical logging stores
+    /// old and new bytes, so a row longer than about half a page cannot
+    /// be logged; the engine rejects such a table at build time.
+    LogRecordTooLarge { bytes: usize, max: usize },
     /// WAL replay found a malformed record.
     WalCorrupt { lba: u64, reason: &'static str },
     /// Transaction handle is unknown or already finished.
@@ -47,13 +49,15 @@ impl fmt::Display for StorageError {
             StorageError::RowSizeMismatch { expected, got } => {
                 write!(f, "row size {got}, table expects {expected}")
             }
-            StorageError::BufferExhausted => write!(f, "all buffer frames pinned"),
             StorageError::FieldOutOfRange {
                 row_len,
                 offset,
                 len,
             } => {
                 write!(f, "field {offset}+{len} outside row of {row_len} bytes")
+            }
+            StorageError::LogRecordTooLarge { bytes, max } => {
+                write!(f, "log record of {bytes} bytes exceeds a log page ({max})")
             }
             StorageError::WalCorrupt { lba, reason } => {
                 write!(f, "WAL corrupt at page {lba}: {reason}")

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::buffer::{BufferPool, PageId};
 use crate::catalog::TableInfo;
 use crate::error::{Result, StorageError};
-use crate::page::{PageRef, SlottedPage, WriteOp};
+use crate::page::{PageRef, SlottedPage};
 
 /// Row identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -45,7 +45,7 @@ pub fn insert(
     table: &mut TableInfo,
     row: &[u8],
     lsn: u64,
-    capture: Option<&mut Vec<WriteOp>>,
+    mut capture: Option<&mut Vec<u8>>,
 ) -> Result<Rid> {
     if row.len() != table.spec.row_len {
         return Err(StorageError::RowSizeMismatch {
@@ -53,7 +53,6 @@ pub fn insert(
             got: row.len(),
         });
     }
-    let mut capture = capture;
     loop {
         // Allocate/format a fresh page when the cursor catches up.
         if table.insert_cursor == table.allocated_pages {
@@ -118,7 +117,7 @@ pub fn update_field(
     offset: usize,
     bytes: &[u8],
     lsn: u64,
-    capture: Option<&mut Vec<WriteOp>>,
+    capture: Option<&mut Vec<u8>>,
 ) -> Result<()> {
     pool.with_page_mut(rid.page, capture, |pm| {
         let mut sp = SlottedPage::new(pm);
@@ -134,7 +133,7 @@ pub fn update_row(
     rid: Rid,
     row: &[u8],
     lsn: u64,
-    capture: Option<&mut Vec<WriteOp>>,
+    capture: Option<&mut Vec<u8>>,
 ) -> Result<()> {
     pool.with_page_mut(rid.page, capture, |pm| {
         let mut sp = SlottedPage::new(pm);
@@ -150,7 +149,7 @@ pub fn delete(
     table: &mut TableInfo,
     rid: Rid,
     lsn: u64,
-    capture: Option<&mut Vec<WriteOp>>,
+    capture: Option<&mut Vec<u8>>,
 ) -> Result<()> {
     pool.with_page_mut(rid.page, capture, |pm| -> Result<()> {
         let mut sp = SlottedPage::new(pm);

@@ -27,6 +27,6 @@ pub use catalog::{Catalog, TableId, TableInfo, TableKind, TableSpec};
 pub use engine::{EngineConfig, EngineStats, RecoveryReport, StorageEngine};
 pub use error::{Result, StorageError};
 pub use heap::Rid;
-pub use page::{standard_layout, PageMut, PageRef, SlottedPage, WriteOp, FOOTER_LEN, HEADER_LEN};
-pub use tx::{TxId, TxManager};
+pub use page::{standard_layout, write_ops, PageMut, PageRef, SlottedPage, FOOTER_LEN, HEADER_LEN};
+pub use tx::{TxId, TxManager, UndoChain};
 pub use wal::{Wal, WalKind, WalRecord};

@@ -6,8 +6,10 @@
 //! 1. patches the buffer frame,
 //! 2. reports old/new values to the page's [`ChangeTracker`] (feeding the
 //!    N×M conformance check), and
-//! 3. appends to an optional [`WriteOp`] capture used for transaction undo
-//!    and WAL redo.
+//! 3. appends `[offset u16][len u16][old; len][new; len]` to an optional
+//!    capture — the bytes of the WAL update record's payload, which the log
+//!    copies verbatim. Only [`PageMut::write`] writes that header and only
+//!    [`write_ops`] reads it: undo, redo and replay all go through it.
 //!
 //! The page format follows Figure 3: a 32-byte header, the tuple body with
 //! a slot directory growing down from the end of the body region, the
@@ -45,15 +47,23 @@ pub fn standard_layout(page_size: usize, scheme: NmScheme) -> PageLayout {
     PageLayout::new(page_size, HEADER_LEN, FOOTER_LEN, scheme)
 }
 
-/// One captured byte-range write (for undo/redo).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteOp {
-    /// Byte offset within the page.
-    pub offset: u16,
-    /// Bytes replaced.
-    pub old: Vec<u8>,
-    /// Bytes written.
-    pub new: Vec<u8>,
+/// Bytes one tracked write of `len` bytes adds to a capture.
+pub const fn write_op_len(len: usize) -> usize {
+    4 + 2 * len
+}
+
+/// The writes of a capture, oldest first, as `(offset, old, new)`. These
+/// bytes also come back off the log device, so a write they cannot hold
+/// ends the iteration instead of indexing past the end.
+pub fn write_ops(mut bytes: &[u8]) -> impl Iterator<Item = (u16, &[u8], &[u8])> {
+    std::iter::from_fn(move || {
+        let (&[o0, o1, l0, l1], rest) = bytes.split_first_chunk()?;
+        let len = u16::from_le_bytes([l0, l1]) as usize;
+        let (old, rest) = rest.split_at_checked(len)?;
+        let (new, rest) = rest.split_at_checked(len)?;
+        bytes = rest;
+        Some((u16::from_le_bytes([o0, o1]), old, new))
+    })
 }
 
 /// Mutable view of a buffered page that funnels all writes through the
@@ -61,14 +71,14 @@ pub struct WriteOp {
 pub struct PageMut<'a> {
     buf: &'a mut [u8],
     tracker: &'a mut ChangeTracker,
-    capture: Option<&'a mut Vec<WriteOp>>,
+    capture: Option<&'a mut Vec<u8>>,
 }
 
 impl<'a> PageMut<'a> {
     pub fn new(
         buf: &'a mut [u8],
         tracker: &'a mut ChangeTracker,
-        capture: Option<&'a mut Vec<WriteOp>>,
+        capture: Option<&'a mut Vec<u8>>,
     ) -> Self {
         PageMut {
             buf,
@@ -95,11 +105,10 @@ impl<'a> PageMut<'a> {
             return; // no-op writes cost nothing anywhere
         }
         if let Some(cap) = self.capture.as_deref_mut() {
-            cap.push(WriteOp {
-                offset: offset as u16,
-                old: old.to_vec(),
-                new: new.to_vec(),
-            });
+            cap.extend_from_slice(&(offset as u16).to_le_bytes());
+            cap.extend_from_slice(&(new.len() as u16).to_le_bytes());
+            cap.extend_from_slice(old);
+            cap.extend_from_slice(new);
         }
         self.tracker
             .record_range_write(offset, &self.buf[offset..offset + new.len()], new);
@@ -217,6 +226,13 @@ impl<'a> PageRef<'a> {
     pub fn space_needed(len: usize) -> usize {
         len + SLOT_BYTES
     }
+}
+
+/// Most capture bytes [`SlottedPage::insert`] + [`SlottedPage::set_lsn`]
+/// produce for a `len`-byte tuple: the tuple, five `u16` slot/header
+/// fields and the LSN.
+pub const fn insert_capture_bound(len: usize) -> usize {
+    write_op_len(len) + 5 * write_op_len(2) + write_op_len(8)
 }
 
 /// Mutable slotted-page operations over a [`PageMut`].
@@ -338,6 +354,7 @@ impl<'a, 'b> SlottedPage<'a, 'b> {
 mod tests {
     use super::*;
     use ipa_core::IpaVerdict;
+    use proptest::prelude::*;
 
     fn setup(scheme: NmScheme) -> (Vec<u8>, ChangeTracker, PageLayout) {
         let layout = standard_layout(2048, scheme);
@@ -486,10 +503,62 @@ mod tests {
             let mut sp = SlottedPage::new(&mut pm);
             sp.update_field(0, 2, &[9]).unwrap();
         }
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].old, vec![1]);
-        assert_eq!(ops[0].new, vec![9]);
-        assert_eq!(ops[0].offset as usize, HEADER_LEN + 2);
+        let at = (HEADER_LEN + 2) as u16;
+        assert_eq!(
+            write_ops(&ops).collect::<Vec<_>>(),
+            [(at, &[1u8][..], &[9u8][..])]
+        );
+        let [o0, o1] = at.to_le_bytes();
+        assert_eq!(ops, [o0, o1, 1, 0, 1, 9], "the wire bytes, verbatim");
+    }
+
+    #[test]
+    fn write_ops_stops_on_hostile_bytes() {
+        let count = |bytes: &[u8]| write_ops(bytes).count();
+        assert_eq!(count(&[]), 0, "empty");
+        assert_eq!(count(&[9, 0, 1]), 0, "a 3-byte tail");
+        assert_eq!(count(&[9, 0, 2, 0, 1, 1, 2]), 0, "new half cut short");
+        assert_eq!(count(&[9, 0, 0xFF, 0xFF, 1, 2]), 0, "len past the end");
+        // A sound write, then garbage: the sound one is read, then a stop.
+        let ops = [9, 0, 1, 0, 5, 6, 3, 0, 200, 0, 1];
+        assert_eq!(
+            write_ops(&ops).collect::<Vec<_>>(),
+            [(9, &[5u8][..], &[6u8][..])]
+        );
+        assert_eq!(count(&[0, 0, 0, 0]), 1, "a zero-length write is a write");
+    }
+
+    proptest! {
+        /// What `PageMut::write` captures, `write_ops` reads back — and
+        /// every truncation of it reads back as a prefix, never a panic.
+        #[test]
+        fn capture_round_trips_through_the_reader(
+            writes in proptest::collection::vec(
+                (40usize..1900, proptest::collection::vec(any::<u8>(), 0..9)),
+                0..12,
+            ),
+            cut in 0usize..400,
+        ) {
+            let (mut buf, mut tr, _) = setup(NmScheme::disabled());
+            let (mut ops, mut model) = (Vec::new(), Vec::new());
+            let mut pm = PageMut::new(&mut buf, &mut tr, Some(&mut ops));
+            for (at, new) in &writes {
+                let old = pm.bytes()[*at..at + new.len()].to_vec();
+                if old != *new {
+                    model.push((*at as u16, old, new.clone()));
+                }
+                pm.write(*at, new);
+            }
+            let read = |bytes| -> Vec<_> {
+                write_ops(bytes)
+                    .map(|(at, old, new)| (at, old.to_vec(), new.to_vec()))
+                    .collect()
+            };
+            prop_assert_eq!(&read(&ops), &model);
+            let cut = cut.min(ops.len());
+            let prefix = read(&ops[..cut]);
+            prop_assert_eq!(&prefix[..], &model[..prefix.len()]);
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! writes). Records use physical byte-range logging (offset/old/new per
 //! page write), which makes redo and undo trivially idempotent.
 //!
+//! An update record's payload is `[page u64][count u16]`, then the
+//! page-write capture verbatim: [`crate::page::PageMut::write`] produced
+//! those bytes, [`Wal::append_update`] copies them into the open log page,
+//! and replay returns them once [`crate::page::write_ops`] has walked them
+//! to the record's exact end.
+//!
 //! The log device is anything speaking [`ipa_ftl::BlockDevice`] +
 //! [`ipa_ftl::IoQueue`]:
 //! the historic single SLC chip ([`Wal::new`]) or a die-striped
@@ -42,7 +48,7 @@ use ipa_ftl::{
 
 use crate::buffer::PageId;
 use crate::error::{Result, StorageError};
-use crate::page::WriteOp;
+use crate::page::{write_op_len, write_ops};
 
 /// Log record kinds.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,10 +56,10 @@ pub enum WalKind {
     Begin,
     Commit,
     Abort,
-    /// Physical redo/undo for one page.
+    /// Physical redo/undo for one page; `ops` is its page-write capture.
     Update {
         page: PageId,
-        ops: Vec<WriteOp>,
+        ops: Vec<u8>,
     },
     /// Checkpoint marker: every record with `lsn <= upto_lsn` protects
     /// data known durable. Replay discards records at or below the
@@ -79,6 +85,11 @@ const TAG_ABORT: u8 = 3;
 const TAG_UPDATE: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
 const END_MARK: u32 = u32::MAX;
+/// Bytes of the record header `[len u32][lsn u64][tx u64][tag u8]`.
+const RECORD_HEADER_LEN: usize = 21;
+/// Bytes of an update record before its page-write capture: the record
+/// header, then `[page u64][count u16]`.
+pub const UPDATE_HEADER_LEN: usize = RECORD_HEADER_LEN + 10;
 
 /// Per-page batch trailer: `[batch_seq u64][batch_len u16][member_idx u16][crc u32]`.
 const TRAILER_LEN: usize = 16;
@@ -181,36 +192,6 @@ impl PageTrailer {
 }
 
 impl WalRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&0u32.to_le_bytes()); // len patched below
-        out.extend_from_slice(&self.lsn.to_le_bytes());
-        out.extend_from_slice(&self.tx.to_le_bytes());
-        match &self.kind {
-            WalKind::Begin => out.push(TAG_BEGIN),
-            WalKind::Commit => out.push(TAG_COMMIT),
-            WalKind::Abort => out.push(TAG_ABORT),
-            WalKind::Update { page, ops } => {
-                out.push(TAG_UPDATE);
-                out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&(ops.len() as u16).to_le_bytes());
-                for op in ops {
-                    out.extend_from_slice(&op.offset.to_le_bytes());
-                    out.extend_from_slice(&(op.new.len() as u16).to_le_bytes());
-                    out.extend_from_slice(&op.old);
-                    out.extend_from_slice(&op.new);
-                }
-            }
-            WalKind::Checkpoint { upto_lsn } => {
-                out.push(TAG_CHECKPOINT);
-                out.extend_from_slice(&upto_lsn.to_le_bytes());
-            }
-        }
-        let len = out.len() as u32;
-        out[..4].copy_from_slice(&len.to_le_bytes());
-        out
-    }
-
     /// Decode one record at the head of `buf`. Returns `(record, encoded
     /// length)`, or `None` at the end marker / erased tail.
     fn decode(buf: &[u8]) -> std::result::Result<Option<(WalRecord, usize)>, &'static str> {
@@ -222,7 +203,7 @@ impl WalRecord {
             return Ok(None);
         }
         let len = len as usize;
-        if len < 21 || len > buf.len() {
+        if len < RECORD_HEADER_LEN || len > buf.len() {
             return Err("record length out of bounds");
         }
         let lsn = u64::from_le_bytes(buf[4..12].try_into().unwrap());
@@ -233,29 +214,19 @@ impl WalRecord {
             TAG_COMMIT => WalKind::Commit,
             TAG_ABORT => WalKind::Abort,
             TAG_UPDATE => {
-                if len < 31 {
+                if len < UPDATE_HEADER_LEN {
                     return Err("update record too short");
                 }
                 let page = u64::from_le_bytes(buf[21..29].try_into().unwrap());
                 let count = u16::from_le_bytes(buf[29..31].try_into().unwrap()) as usize;
-                let mut ops = Vec::with_capacity(count);
-                let mut off = 31usize;
-                for _ in 0..count {
-                    if off + 4 > len {
-                        return Err("op header truncated");
-                    }
-                    let offset = u16::from_le_bytes(buf[off..off + 2].try_into().unwrap());
-                    let olen =
-                        u16::from_le_bytes(buf[off + 2..off + 4].try_into().unwrap()) as usize;
-                    off += 4;
-                    if off + 2 * olen > len {
-                        return Err("op payload truncated");
-                    }
-                    let old = buf[off..off + olen].to_vec();
-                    let new = buf[off + olen..off + 2 * olen].to_vec();
-                    off += 2 * olen;
-                    ops.push(WriteOp { offset, old, new });
+                let ops = &buf[UPDATE_HEADER_LEN..len];
+                let (found, used) = write_ops(ops).fold((0, 0), |(n, used), (_, old, _)| {
+                    (n + 1, used + write_op_len(old.len()))
+                });
+                if (found, used) != (count, ops.len()) {
+                    return Err("op list disagrees with its count or the record length");
                 }
+                let ops = ops.to_vec();
                 WalKind::Update { page, ops }
             }
             TAG_CHECKPOINT => {
@@ -409,22 +380,52 @@ impl Wal {
     /// Append a record to the in-memory log tail (durable after
     /// [`Wal::flush`]).
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        let bytes = rec.encode();
-        // Records share the page with the end-marker reservation (4 B)
-        // and the batch trailer stamped at flush time.
-        let record_area = self.page_size - TRAILER_LEN;
-        assert!(
-            bytes.len() + 4 <= record_area,
-            "log record ({} B) exceeds a log page",
-            bytes.len()
-        );
-        if self.cursor + bytes.len() + 4 > record_area {
-            self.seal_page()?;
+        let (lsn, tx) = (rec.lsn, rec.tx);
+        match &rec.kind {
+            WalKind::Begin => self.put(lsn, tx, TAG_BEGIN, &[]),
+            WalKind::Commit => self.put(lsn, tx, TAG_COMMIT, &[]),
+            WalKind::Abort => self.put(lsn, tx, TAG_ABORT, &[]),
+            WalKind::Update { page, ops } => self.append_update(lsn, tx, *page, ops),
+            WalKind::Checkpoint { upto_lsn } => {
+                self.put(lsn, tx, TAG_CHECKPOINT, &[&upto_lsn.to_le_bytes()])
+            }
         }
-        self.buf[self.cursor..self.cursor + bytes.len()].copy_from_slice(&bytes);
-        self.cursor += bytes.len();
+    }
+
+    /// Append the update record of one page-write capture, `ops`.
+    pub fn append_update(&mut self, lsn: u64, tx: u64, page: PageId, ops: &[u8]) -> Result<()> {
+        let count = write_ops(ops).count() as u16;
+        let body: [&[u8]; 3] = [&page.to_le_bytes(), &count.to_le_bytes(), ops];
+        self.put(lsn, tx, TAG_UPDATE, &body)
+    }
+
+    /// Largest record a log page of `page_size` bytes can hold: records
+    /// share the page with the end-marker reservation (4 B) and the batch
+    /// trailer stamped at flush time.
+    pub fn max_record_len(page_size: usize) -> usize {
+        page_size - TRAILER_LEN - 4
+    }
+
+    /// Write one record — `[len u32][lsn u64][tx u64][tag u8]`, then
+    /// `body`'s parts back to back — straight into the open log page,
+    /// sealing it first if the record does not fit the remainder.
+    fn put(&mut self, lsn: u64, tx: u64, tag: u8, body: &[&[u8]]) -> Result<()> {
+        let bytes = RECORD_HEADER_LEN + body.iter().map(|part| part.len()).sum::<usize>();
+        let max = Self::max_record_len(self.page_size);
+        if bytes > max {
+            return Err(StorageError::LogRecordTooLarge { bytes, max });
+        }
+        if self.cursor + bytes > max {
+            self.seal_page();
+        }
+        let len = (bytes as u32).to_le_bytes();
+        let header: [&[u8]; 4] = [&len, &lsn.to_le_bytes(), &tx.to_le_bytes(), &[tag]];
+        for part in header.iter().chain(body) {
+            self.buf[self.cursor..self.cursor + part.len()].copy_from_slice(part);
+            self.cursor += part.len();
+        }
         self.records_appended += 1;
-        self.next_lsn = self.next_lsn.max(rec.lsn);
+        self.next_lsn = self.next_lsn.max(lsn);
         Ok(())
     }
 
@@ -508,12 +509,11 @@ impl Wal {
     /// Finish the current page and move to the next (wrapping circularly;
     /// recovery assumes checkpoints retire wrapped history). The sealed
     /// page joins the pending batch; no device I/O until the next flush.
-    fn seal_page(&mut self) -> Result<()> {
+    fn seal_page(&mut self) {
         let full = std::mem::replace(&mut self.buf, vec![0xFF; self.page_size]);
         self.sealed.push((self.cur_lba, full));
         self.cur_lba = (self.cur_lba + 1) % self.capacity;
         self.cursor = 0;
-        Ok(())
     }
 
     /// Checkpoint the log: every record appended so far protects data the
@@ -747,6 +747,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn upd(lsn: u64, tx: u64, page: u64) -> WalRecord {
         WalRecord {
@@ -754,13 +755,18 @@ mod tests {
             tx,
             kind: WalKind::Update {
                 page,
-                ops: vec![WriteOp {
-                    offset: 40,
-                    old: vec![0, 1],
-                    new: vec![2, 3],
-                }],
+                // One write at offset 40: [0, 1] → [2, 3].
+                ops: vec![40, 0, 2, 0, 0, 1, 2, 3],
             },
         }
+    }
+
+    /// The bytes `rec` occupies in the log: appended to a fresh log, read
+    /// off its open page.
+    fn encoded(rec: &WalRecord) -> Vec<u8> {
+        let mut wal = Wal::new(4, 2048);
+        wal.append(rec).unwrap();
+        wal.buf[..wal.cursor].to_vec()
     }
 
     /// The bitwise definition of the page CRC — the oracle the table-
@@ -804,7 +810,7 @@ mod tests {
             },
             upd(9, 3, 123),
         ] {
-            let bytes = rec.encode();
+            let bytes = encoded(&rec);
             let (back, len) = WalRecord::decode(&bytes).unwrap().unwrap();
             assert_eq!(back, rec);
             assert_eq!(len, bytes.len());
@@ -819,12 +825,112 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        let mut bytes = upd(1, 1, 1).encode();
+        let mut bytes = encoded(&upd(1, 1, 1));
         bytes[0] = 200; // absurd length
         bytes[1] = 0;
         bytes[2] = 0;
         bytes[3] = 0;
         assert!(WalRecord::decode(&bytes).is_err());
+    }
+
+    /// The one write `upd` logs: `[0, 1]` → `[2, 3]` at offset 40.
+    const OP: [u8; 8] = [40, 0, 2, 0, 0, 1, 2, 3];
+
+    /// An update record claiming `count` writes, with `ops` as its op list.
+    fn raw_update(count: u16, ops: &[u8]) -> Vec<u8> {
+        let len = (UPDATE_HEADER_LEN + ops.len()) as u32;
+        let mut bytes = len.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&9u64.to_le_bytes());
+        bytes.extend_from_slice(&3u64.to_le_bytes());
+        bytes.push(TAG_UPDATE);
+        bytes.extend_from_slice(&123u64.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(ops);
+        bytes
+    }
+
+    #[test]
+    fn decode_validates_the_op_list() {
+        assert_eq!(raw_update(1, &OP), encoded(&upd(9, 3, 123)));
+        let two = [OP, OP].concat();
+        let (rec, len) = WalRecord::decode(&raw_update(2, &two)).unwrap().unwrap();
+        assert_eq!(len, UPDATE_HEADER_LEN + 16);
+        assert_eq!(
+            rec.kind,
+            WalKind::Update {
+                page: 123,
+                ops: two.clone()
+            }
+        );
+        // No writes at all is well-formed (the engine never logs one).
+        assert!(WalRecord::decode(&raw_update(0, &[])).unwrap().is_some());
+        for (count, ops, case) in [
+            (1, &[][..], "count larger than the ops present (none)"),
+            (3, &two[..], "count larger than the ops present"),
+            (1, &two[..], "count smaller than the ops present"),
+            (1, &OP[..3], "a 3-byte tail"),
+            (2, &two[..12], "a header without its payload"),
+            (1, &OP[..7], "a truncated new half"),
+            (
+                1,
+                &[40, 0, 200, 0, 1, 2][..],
+                "a len that runs past the end",
+            ),
+            (1, &[OP.as_slice(), &[0]].concat()[..], "a trailing byte"),
+        ] {
+            assert!(
+                WalRecord::decode(&raw_update(count, ops)).is_err(),
+                "{case}"
+            );
+        }
+    }
+
+    proptest! {
+        /// Whatever comes off the device, `decode` answers — it never
+        /// panics — and it accepts an op list exactly when the reader
+        /// walks it to its end in `count` writes.
+        #[test]
+        fn decode_never_panics_on_hostile_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            small in proptest::collection::vec((0u8..5, any::<u8>()), 0..24),
+            count in 0u16..6,
+        ) {
+            let _ = WalRecord::decode(&bytes);
+            // Small `len` fields, so some lists are well-formed.
+            let ops: Vec<u8> = small.iter().flat_map(|&(len, b)| [b, 0, len, 0]).collect();
+            for ops in [&bytes, &ops] {
+                let walked: Vec<usize> = write_ops(ops)
+                    .map(|(_, old, _)| write_op_len(old.len()))
+                    .collect();
+                let sound =
+                    walked.iter().sum::<usize>() == ops.len() && walked.len() == count as usize;
+                prop_assert_eq!(WalRecord::decode(&raw_update(count, ops)).is_ok(), sound);
+            }
+        }
+    }
+
+    #[test]
+    fn oversize_record_is_a_typed_error() {
+        let mut wal = Wal::new(16, 2048);
+        let max = Wal::max_record_len(2048);
+        assert_eq!(max, 2048 - 16 - 4);
+        // One write of `len` bytes: the largest that fits, then one more.
+        let rec = |len: usize| {
+            let mut ops = vec![0u8; write_op_len(len)];
+            ops[2..4].copy_from_slice(&(len as u16).to_le_bytes());
+            ops
+        };
+        let fits = (max - UPDATE_HEADER_LEN - 4) / 2;
+        wal.append_update(1, 1, 0, &rec(fits)).unwrap();
+        assert_eq!(
+            wal.append_update(2, 1, 0, &rec(fits + 1)),
+            Err(StorageError::LogRecordTooLarge {
+                bytes: UPDATE_HEADER_LEN + write_op_len(fits + 1),
+                max
+            })
+        );
+        assert_eq!(wal.records_appended, 1, "the refused record left no trace");
+        assert_eq!(wal.replay().unwrap().len(), 1);
     }
 
     #[test]
@@ -1012,7 +1118,7 @@ mod tests {
             tx: 0,
             kind: WalKind::Checkpoint { upto_lsn: 41 },
         };
-        let bytes = rec.encode();
+        let bytes = encoded(&rec);
         let (back, len) = WalRecord::decode(&bytes).unwrap().unwrap();
         assert_eq!(back, rec);
         assert_eq!(len, bytes.len());
@@ -1165,6 +1271,97 @@ mod tests {
         let records = wal.replay().unwrap();
         assert_eq!(records.len(), 1, "stale pages must not resurrect");
         assert!(matches!(records[0].kind, WalKind::Checkpoint { .. }));
+    }
+
+    /// FNV-1a over every mapped log page (LBA, then image) as the device
+    /// returns it.
+    fn image_fnv(wal: &mut Wal) -> u64 {
+        let fnv = |h: u64, bytes: &[u8]| {
+            bytes.iter().fold(h, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        };
+        let mut page = vec![0u8; wal.page_size];
+        let mut h = 0xCBF2_9CE4_8422_2325;
+        for lba in 0..wal.capacity {
+            if wal.device.read(lba, &mut page).is_ok() {
+                h = fnv(fnv(h, &lba.to_le_bytes()), &page);
+            }
+        }
+        h
+    }
+
+    /// The scripted engine run [`golden_log_image`] pins: a 120-row load in
+    /// one transaction (a dozen log pages in one flush), then 90 small
+    /// transactions — field updates, history inserts, whole-row updates,
+    /// deletes, one abort, one checkpoint — under group commit 4 on 2 KiB
+    /// log pages. Returns the log image hash and `[records_appended,
+    /// log host_writes, log vectored_writes]`.
+    fn golden_log_run() -> (u64, [u64; 3]) {
+        use crate::{EngineConfig, StorageEngine, TableSpec};
+        let device = DeviceConfig::new(Geometry::new(128, 16, 2048, 64), FlashMode::PSlc)
+            .with_disturb(DisturbRates::none());
+        let mut e = StorageEngine::build(
+            device,
+            EngineConfig::default()
+                .with_ipa(ipa_core::NmScheme::new(2, 4))
+                .with_group_commit(4),
+            &[
+                TableSpec::heap("accounts", 64, 64),
+                TableSpec::heap("history", 24, 32).without_ipa(),
+            ],
+        )
+        .unwrap();
+        let (acc, hist) = (e.table("accounts").unwrap(), e.table("history").unwrap());
+        let tx = e.begin();
+        let rids: Vec<_> = (0..120u64)
+            .map(|i| {
+                let mut row = [0u8; 64];
+                row[..8].copy_from_slice(&i.to_le_bytes());
+                e.insert(tx, acc, &row).unwrap()
+            })
+            .collect();
+        e.commit(tx).unwrap();
+        for i in 0..90u64 {
+            let tx = e.begin();
+            let rid = rids[(i * 37 % 120) as usize];
+            e.update_field(tx, acc, rid, 16, &(i * 1_000_003).to_le_bytes())
+                .unwrap();
+            e.update_field(tx, acc, rid, 40 + (i % 3) as usize, &[i as u8])
+                .unwrap();
+            let h = e.insert(tx, hist, &[i as u8; 24]).unwrap();
+            match i % 10 {
+                3 => e
+                    .update_row(tx, acc, rids[(i * 53 % 120) as usize], &[i as u8; 64])
+                    .unwrap(),
+                6 => e.delete(tx, hist, h).unwrap(),
+                _ => {}
+            }
+            if i == 41 {
+                e.abort(tx).unwrap();
+            } else {
+                e.commit(tx).unwrap();
+            }
+            if i == 60 {
+                e.checkpoint().unwrap();
+            }
+        }
+        e.flush_all().unwrap();
+        let log = e.stats().wal_device.unwrap();
+        let wal = e.wal_mut();
+        (
+            image_fnv(wal),
+            [wal.records_appended, log.host_writes, log.vectored_writes],
+        )
+    }
+
+    /// Bit-identity of the log path: same log bytes, same record lengths
+    /// (they decide where pages seal), same flush pattern. Constants
+    /// captured by running this very test at the parent commit d796f0e
+    /// (owned `WriteOp` capture, `WalRecord::encode` into a scratch `Vec`).
+    #[test]
+    fn golden_log_image() {
+        assert_eq!(golden_log_run(), (4777407716231452261, [591, 53, 16]));
     }
 
     #[test]
