@@ -401,6 +401,15 @@ impl FlashController {
         s
     }
 
+    /// `(erases, erase_suspends)` — the erase commands issued and the
+    /// erase suspensions served so far, as [`FlashController::stats`]
+    /// reports them, for a per-command poller that needs only these: one
+    /// central lock, no snapshot.
+    pub fn erase_counters(&self) -> (u64, u64) {
+        let c = lock(&self.central);
+        (c.stats.erases, c.stats.erase_suspends)
+    }
+
     /// Total block erases a die has performed — the wear view the
     /// maintenance scheduler balances reclaim dispatch against.
     /// Aggregated across every plane of the die: a multi-plane die wears
@@ -1171,6 +1180,21 @@ impl Nand for DieHandle {
         self.read(1, CommandKind::CopybackRead, |chip| chip.read_page(ppa))
     }
 
+    // The borrowed reads schedule exactly like the owned ones — the
+    // closure is all that differs, and it copies out of the array under
+    // the same die lock.
+    fn read_page_into(&mut self, ppa: Ppa, data: &mut [u8], oob: &mut [u8]) -> Result<()> {
+        self.read(1, CommandKind::Read, |chip| {
+            chip.read_page_into(ppa, data, oob)
+        })
+    }
+
+    fn copyback_read_into(&mut self, ppa: Ppa, data: &mut [u8], oob: &mut [u8]) -> Result<()> {
+        self.read(1, CommandKind::CopybackRead, |chip| {
+            chip.read_page_into(ppa, data, oob)
+        })
+    }
+
     fn program_page(&mut self, ppa: Ppa, data: &[u8], oob: &[u8]) -> Result<()> {
         let bytes = data.len() + oob.len();
         self.post(bytes, CommandKind::Program, |chip| {
@@ -1802,6 +1826,76 @@ mod tests {
             "copy-backs and firmware-internal reads are not host samples"
         );
         assert!(ctrl.read_latencies()[0] > 0);
+    }
+
+    #[test]
+    fn borrowed_reads_schedule_exactly_like_owned_ones() {
+        // Twin QoS controllers run one script — programs left in flight,
+        // then reads in every lane — one through the owned reads, one
+        // through the borrowed ones.
+        let twin = || {
+            let ctrl = FlashController::shared(cfg(2, 1).with_qos());
+            let handles = FlashController::handles(&ctrl);
+            (ctrl, handles)
+        };
+        let ((owned_ctrl, mut owned), (into_ctrl, mut into)) = (twin(), twin());
+        let (data, oob) = page(&owned[0], 0x5A);
+        let (mut d, mut o) = (vec![0xEE; data.len()], vec![0xEE; oob.len()]);
+        for h in owned.iter_mut().chain(&mut into) {
+            h.program_page(Ppa::new(0, 0), &data, &oob).unwrap();
+        }
+        let script = [
+            (0, CmdContext::default(), false),
+            (1, CmdContext::host(Lane::PostedPriority), false),
+            (0, CmdContext::host(Lane::Posted), false),
+            (1, CmdContext::INTERNAL, true),
+            (0, CmdContext::default(), true),
+        ];
+        for (step, (die, ctx, copyback)) in script.into_iter().enumerate() {
+            for h in [&mut owned[die], &mut into[die]] {
+                h.program_page(Ppa::new(0, step as u32 + 1), &data, &oob)
+                    .unwrap();
+                h.set_context(ctx);
+            }
+            let (img, ()) = if copyback {
+                (
+                    owned[die].copyback_read(Ppa::new(0, 0)).unwrap(),
+                    into[die]
+                        .copyback_read_into(Ppa::new(0, 0), &mut d, &mut o)
+                        .unwrap(),
+                )
+            } else {
+                (
+                    owned[die].read_page(Ppa::new(0, 0)).unwrap(),
+                    into[die]
+                        .read_page_into(Ppa::new(0, 0), &mut d, &mut o)
+                        .unwrap(),
+                )
+            };
+            assert_eq!((&img.data, &img.oob), (&d, &o), "step {step}");
+            assert_eq!(
+                owned[die].last_read_done_ns(),
+                into[die].last_read_done_ns(),
+                "step {step}"
+            );
+            assert_eq!(owned_ctrl.host_ns(), into_ctrl.host_ns(), "step {step}");
+            assert_eq!(owned_ctrl.stats(), into_ctrl.stats(), "step {step}");
+            assert_eq!(owned_ctrl.flash_stats(), into_ctrl.flash_stats());
+            assert_eq!(owned_ctrl.read_latencies(), into_ctrl.read_latencies());
+        }
+        assert!(into_ctrl.stats().reads_promoted > 0, "the script met QoS");
+
+        // A rejected borrowed read is free and writes nothing.
+        let before = (into_ctrl.stats(), into[0].last_read_done_ns());
+        d.fill(0xEE);
+        assert!(into[0]
+            .read_page_into(Ppa::new(1, 0), &mut d, &mut o)
+            .is_err());
+        assert!(into[0]
+            .read_page_into(Ppa::new(0, 0), &mut d, &mut o[1..])
+            .is_err());
+        assert!(d.iter().all(|&b| b == 0xEE));
+        assert_eq!((into_ctrl.stats(), into[0].last_read_done_ns()), before);
     }
 
     #[test]

@@ -57,10 +57,15 @@ impl Page {
             .get_or_insert_with(|| vec![0xFF; page_size].into_boxed_slice())
     }
 
-    /// OOB image, materialising on first touch.
-    pub fn oob_mut(&mut self, oob_size: usize) -> &mut [u8] {
-        self.oob
-            .get_or_insert_with(|| vec![0xFF; oob_size].into_boxed_slice())
+    /// Store `bytes` at `off` of the data area (a program's splice; a
+    /// whole image sits at offset 0).
+    pub fn store_data(&mut self, page_size: usize, off: usize, bytes: &[u8]) {
+        store(&mut self.data, page_size, off, bytes);
+    }
+
+    /// Store `bytes` at `off` of the OOB area.
+    pub fn store_oob(&mut self, oob_size: usize, off: usize, bytes: &[u8]) {
+        store(&mut self.oob, oob_size, off, bytes);
     }
 
     /// Data image for reading; `None` while never programmed.
@@ -80,6 +85,18 @@ impl Page {
         self.data = None;
         self.oob = None;
         self.program_count = 0;
+    }
+}
+
+/// A whole image onto an unmaterialised area is one allocation and one
+/// copy — filling `0xFF` first would write every byte twice. A partial
+/// store materialises the erased state, then splices.
+fn store(area: &mut Option<Box<[u8]>>, size: usize, off: usize, bytes: &[u8]) {
+    match area {
+        None if off == 0 && bytes.len() == size => *area = Some(bytes.into()),
+        _ => area.get_or_insert_with(|| vec![0xFF; size].into_boxed_slice())
+            [off..off + bytes.len()]
+            .copy_from_slice(bytes),
     }
 }
 
@@ -150,7 +167,35 @@ mod tests {
     fn materialises_as_all_ff() {
         let mut p = Page::erased();
         assert!(p.data_mut(64).iter().all(|&b| b == 0xFF));
-        assert!(p.oob_mut(16).iter().all(|&b| b == 0xFF));
+        p.store_oob(16, 0, &[]);
+        assert!(p.oob().unwrap().iter().all(|&b| b == 0xFF));
+    }
+
+    #[test]
+    fn whole_image_store_equals_fill_then_copy() {
+        let image: Vec<u8> = (0..64).map(|i| i as u8 ^ 0x5A).collect();
+        let (mut direct, mut filled) = (Page::erased(), Page::erased());
+        direct.store_data(64, 0, &image);
+        direct.store_oob(16, 0, &image[..16]);
+        filled.data_mut(64).copy_from_slice(&image);
+        assert_eq!(direct.data(), filled.data());
+        assert_eq!(direct.oob(), Some(&image[..16]));
+        // A second whole image lands in the buffer the first one made.
+        direct.store_data(64, 0, &[0u8; 64]);
+        assert_eq!(direct.data(), Some(&[0u8; 64][..]));
+    }
+
+    #[test]
+    fn partial_store_onto_an_erased_page_reads_ff_outside_the_splice() {
+        let mut p = Page::erased();
+        p.store_data(64, 8, &[0x11, 0x22, 0x33]);
+        p.store_oob(16, 15, &[0x44]);
+        let mut want = [0xFFu8; 64];
+        want[8..11].copy_from_slice(&[0x11, 0x22, 0x33]);
+        assert_eq!(p.data(), Some(&want[..]));
+        let mut want_oob = [0xFFu8; 16];
+        want_oob[15] = 0x44;
+        assert_eq!(p.oob(), Some(&want_oob[..]));
     }
 
     #[test]

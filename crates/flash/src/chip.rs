@@ -2,6 +2,9 @@
 //!
 //! Operations:
 //!
+//! * [`FlashChip::read_page_into`] — copy a page out of the array into
+//!   the caller's buffers; [`FlashChip::read_page`] is the same read into
+//!   a freshly allocated [`PageImage`].
 //! * [`FlashChip::program_page`] — first program of an erased page.
 //! * [`FlashChip::reprogram_page`] — in-place overwrite of a programmed
 //!   page; legal only if every bit transition is `1 → 0` (the IPA append).
@@ -16,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::block::{build_blocks, Block};
+use crate::block::{build_blocks, Block, Page};
 use crate::cell::FlashMode;
 use crate::clock::SimClock;
 use crate::config::DeviceConfig;
@@ -125,21 +128,7 @@ impl FlashChip {
     }
 
     fn check_sizes(&self, data: &[u8], oob: &[u8]) -> Result<()> {
-        if data.len() != self.config.geometry.page_size {
-            return Err(FlashError::SizeMismatch {
-                expected: self.config.geometry.page_size,
-                got: data.len(),
-                what: "page data",
-            });
-        }
-        if oob.len() != self.config.geometry.oob_size {
-            return Err(FlashError::SizeMismatch {
-                expected: self.config.geometry.oob_size,
-                got: oob.len(),
-                what: "page OOB",
-            });
-        }
-        Ok(())
+        check_sizes(&self.config.geometry, data, oob)
     }
 
     /// Is the page still erased (never programmed since last erase)?
@@ -194,10 +183,38 @@ impl FlashChip {
     /// Read a page (data + OOB), advancing the clock by sense + transfer
     /// time. Reading an erased page is an explicit error so layering bugs
     /// surface immediately.
+    ///
+    /// The owned form of [`FlashChip::read_page_into`]: the same command
+    /// (`read_with`) handing back a fresh copy of the image, so the two
+    /// cannot differ in what a read checks or costs.
     pub fn read_page(&mut self, ppa: Ppa) -> Result<PageImage> {
+        self.read_with(ppa, snapshot)
+    }
+
+    /// Read a page into buffers the caller owns (`data`: `page_size`
+    /// bytes, `oob`: `oob_size` bytes), one copy per area out of the
+    /// array. Every check runs before the first byte is written — buffer
+    /// sizes, bounds, bad block, usable page, erased — so a rejected read
+    /// leaves both buffers exactly as they were; a successful one
+    /// overwrites all of both.
+    pub fn read_page_into(&mut self, ppa: Ppa, data: &mut [u8], oob: &mut [u8]) -> Result<()> {
+        self.check_sizes(data, oob)?;
+        self.read_with(ppa, |page, _| {
+            for (dst, src) in [(data, page.data()), (oob, page.oob())] {
+                match src {
+                    Some(src) => dst.copy_from_slice(src),
+                    None => dst.fill(0xFF),
+                }
+            }
+        })
+    }
+
+    /// The single-page read command: every check, then `take` sees the
+    /// stored page, then sense + transfer time and the read counters.
+    fn read_with<R>(&mut self, ppa: Ppa, take: impl FnOnce(&Page, &Geometry) -> R) -> Result<R> {
         self.check_bounds(ppa)?;
         let g = self.config.geometry;
-        let img = self.snapshot_image(ppa)?;
+        let out = take(self.readable_page(ppa)?, &g);
 
         let t = self.config.latency.read_sense_ns
             + self.config.latency.transfer_ns(g.page_size + g.oob_size);
@@ -205,29 +222,18 @@ impl FlashChip {
         self.stats.page_reads += 1;
         self.stats.bytes_read += (g.page_size + g.oob_size) as u64;
         self.stats.busy_ns += t;
-        Ok(img)
+        Ok(out)
     }
 
-    /// Time-free core of every read command: reject erased pages, copy
-    /// the current image out of the array. Shared by [`FlashChip::read_page`]
-    /// and [`FlashChip::multi_plane_read`] so the two paths can never
-    /// drift in what a read returns.
-    fn snapshot_image(&self, ppa: Ppa) -> Result<PageImage> {
-        let g = self.config.geometry;
+    /// Time-free core of every read command: the stored page, unless it
+    /// is erased. Shared by the single-page reads and
+    /// [`FlashChip::multi_plane_read`].
+    fn readable_page(&self, ppa: Ppa) -> Result<&Page> {
         let page = self.blocks[ppa.block as usize].page(ppa.page);
         if page.is_erased() {
             return Err(FlashError::ReadErased { ppa });
         }
-        Ok(PageImage {
-            data: page
-                .data()
-                .map(<[u8]>::to_vec)
-                .unwrap_or_else(|| vec![0xFF; g.page_size]),
-            oob: page
-                .oob()
-                .map(<[u8]>::to_vec)
-                .unwrap_or_else(|| vec![0xFF; g.oob_size]),
-        })
+        Ok(page)
     }
 
     /// Which ISPP staircase a program of this page runs.
@@ -388,8 +394,8 @@ impl FlashChip {
         let g = self.config.geometry;
         let page = self.blocks[ppa.block as usize].page_mut(ppa.page);
         let is_reprogram = !page.is_erased();
-        page.data_mut(g.page_size)[data_off..data_off + data.len()].copy_from_slice(data);
-        page.oob_mut(g.oob_size)[oob_off..oob_off + oob.len()].copy_from_slice(oob);
+        page.store_data(g.page_size, data_off, data);
+        page.store_oob(g.oob_size, oob_off, oob);
         page.program_count += 1;
         if is_reprogram {
             self.stats.page_reprograms += 1;
@@ -402,12 +408,13 @@ impl FlashChip {
             .program_latency_ns(self.program_kind(ppa.page))
     }
 
-    /// Expose victims of a program operation to disturb noise.
+    /// Expose victims of a program operation to disturb noise: first the
+    /// pages sharing the aggressor's wordline, then both neighbouring
+    /// wordlines, lower first — the order fixes the RNG draw order.
     fn apply_interference(&mut self, aggressor: Ppa, is_reprogram: bool) {
         let mode = self.config.mode;
-        let mut victims: Vec<(u32, Coupling)> = Vec::with_capacity(8);
         for partner in mode.wordline_partners(aggressor.page).into_iter().flatten() {
-            victims.push((partner, Coupling::SameWordline));
+            self.disturb_victim(aggressor, partner, Coupling::SameWordline, is_reprogram);
         }
         let wl = mode.wordline_of(aggressor.page);
         let ppb = self.config.geometry.pages_per_block;
@@ -416,37 +423,43 @@ impl FlashChip {
             for k in 0..ppw {
                 let page = neighbour_wl * ppw + k;
                 if page < ppb && page != aggressor.page {
-                    victims.push((page, Coupling::AdjacentWordline));
+                    self.disturb_victim(aggressor, page, Coupling::AdjacentWordline, is_reprogram);
                 }
             }
         }
+    }
 
-        let nbits = self.config.geometry.page_size * 8;
-        for (victim_page, coupling) in victims {
-            let vppa = Ppa::new(aggressor.block, victim_page);
-            // Only programmed victims hold data that can be corrupted.
-            let programmed = !self.blocks[vppa.block as usize].page(vppa.page).is_erased();
-            if !programmed {
-                continue;
-            }
-            let p = self.disturb.flip_probability(
-                mode,
-                aggressor.page,
-                victim_page,
-                coupling,
-                is_reprogram,
-            );
-            let count = self.disturb.draw_flip_count(&mut self.rng, nbits, p);
-            if count == 0 {
-                continue;
-            }
-            let g = self.config.geometry;
-            let page = self.blocks[vppa.block as usize].page_mut(vppa.page);
-            let flipped =
-                self.disturb
-                    .inject_flips(&mut self.rng, page.data_mut(g.page_size), count);
-            self.stats.disturb_bits_injected += flipped as u64;
+    /// Draw and inject one victim page's disturb flips.
+    fn disturb_victim(
+        &mut self,
+        aggressor: Ppa,
+        victim_page: u32,
+        coupling: Coupling,
+        is_reprogram: bool,
+    ) {
+        let g = self.config.geometry;
+        let page = self.blocks[aggressor.block as usize].page_mut(victim_page);
+        // Only programmed victims hold data that can be corrupted.
+        if page.is_erased() {
+            return;
         }
+        let p = self.disturb.flip_probability(
+            self.config.mode,
+            aggressor.page,
+            victim_page,
+            coupling,
+            is_reprogram,
+        );
+        let count = self
+            .disturb
+            .draw_flip_count(&mut self.rng, g.page_size * 8, p);
+        if count == 0 {
+            return;
+        }
+        let flipped = self
+            .disturb
+            .inject_flips(&mut self.rng, page.data_mut(g.page_size), count);
+        self.stats.disturb_bits_injected += flipped as u64;
     }
 
     /// One command staircase, one page per plane: validate the whole set
@@ -554,7 +567,7 @@ impl FlashChip {
         let mut images = Vec::with_capacity(ppas.len());
         for &ppa in ppas {
             self.check_bounds(ppa)?;
-            images.push(self.snapshot_image(ppa)?);
+            images.push(snapshot(self.readable_page(ppa)?, &g));
         }
         let total = ppas.len() * (g.page_size + g.oob_size);
         let t = self.config.latency.read_sense_ns + self.config.latency.transfer_ns(total);
@@ -654,6 +667,32 @@ impl FlashChip {
             .map(|b| b.bad)
             .unwrap_or(true)
     }
+}
+
+/// An owned copy of a stored page's image.
+fn snapshot(page: &Page, g: &Geometry) -> PageImage {
+    let area = |src: Option<&[u8]>, size| src.map_or_else(|| vec![0xFF; size], <[u8]>::to_vec);
+    PageImage {
+        data: area(page.data(), g.page_size),
+        oob: area(page.oob(), g.oob_size),
+    }
+}
+
+/// Are `data` / `oob` exactly one page's data and OOB areas?
+pub(crate) fn check_sizes(g: &Geometry, data: &[u8], oob: &[u8]) -> Result<()> {
+    for (buf, expected, what) in [
+        (data, g.page_size, "page data"),
+        (oob, g.oob_size, "page OOB"),
+    ] {
+        if buf.len() != expected {
+            return Err(FlashError::SizeMismatch {
+                expected,
+                got: buf.len(),
+                what,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// First byte offset where `new` requires a `0 → 1` transition vs `old`.
@@ -770,6 +809,79 @@ mod tests {
             chip.read_page(Ppa::new(0, 0)),
             Err(FlashError::ReadErased { .. })
         ));
+    }
+
+    #[test]
+    fn read_page_into_equals_read_page() {
+        // Two identical noisy chips, one read through each form.
+        let cfg = DeviceConfig::tiny().with_mode(FlashMode::MlcFull);
+        let (mut owned, mut borrowed) = (FlashChip::new(cfg.clone()), FlashChip::new(cfg));
+        let g = *owned.geometry();
+        let data: Vec<u8> = (0..g.page_size).map(|i| (i * 31) as u8).collect();
+        let oob: Vec<u8> = (0..g.oob_size).map(|i| !(i as u8)).collect();
+        for chip in [&mut owned, &mut borrowed] {
+            for page in 0..4 {
+                chip.program_page(Ppa::new(1, page), &data, &oob).unwrap();
+            }
+        }
+        let (mut d, mut o) = (vec![0xEE; g.page_size], vec![0xEE; g.oob_size]);
+        for page in 0..4 {
+            let img = owned.read_page(Ppa::new(1, page)).unwrap();
+            borrowed
+                .read_page_into(Ppa::new(1, page), &mut d, &mut o)
+                .unwrap();
+            assert_eq!((&img.data, &img.oob), (&d, &o), "page {page}");
+            assert_eq!(owned.elapsed_ns(), borrowed.elapsed_ns());
+            assert_eq!(owned.stats(), borrowed.stats());
+        }
+        assert_eq!(owned.stats().page_reads, 4);
+    }
+
+    #[test]
+    fn rejected_read_page_into_leaves_the_buffers_untouched() {
+        let mut chip = FlashChip::new(
+            DeviceConfig::tiny()
+                .with_mode(FlashMode::PSlc)
+                .with_disturb(DisturbRates::none()),
+        );
+        let g = *chip.geometry();
+        let (data, oob) = page_of(&chip, 0x3C);
+        chip.program_page(Ppa::new(0, 1), &data, &oob).unwrap();
+        chip.program_page(Ppa::new(2, 1), &data, &oob).unwrap();
+        chip.retire_block(2).unwrap();
+        let before = (*chip.stats(), chip.elapsed_ns());
+
+        let (ps, os) = (g.page_size, g.oob_size);
+        let mismatch = |expected, got, what| FlashError::SizeMismatch {
+            expected,
+            got,
+            what,
+        };
+        let (beyond, bad, msb, erased, ok) = (
+            Ppa::new(g.blocks, 1),
+            Ppa::new(2, 1),
+            Ppa::new(0, 0),
+            Ppa::new(0, 3),
+            Ppa::new(0, 1),
+        );
+        let cases = [
+            (beyond, ps, os, FlashError::OutOfBounds { ppa: beyond }),
+            (bad, ps, os, FlashError::BadBlock { block: 2 }),
+            (msb, ps, os, FlashError::PageNotUsable { ppa: msb }),
+            (erased, ps, os, FlashError::ReadErased { ppa: erased }),
+            (ok, ps - 1, os, mismatch(ps, ps - 1, "page data")),
+            (ok, ps, os + 1, mismatch(os, os + 1, "page OOB")),
+        ];
+        for (ppa, dlen, olen, expected) in cases {
+            let (mut d, mut o) = (vec![0xEE; dlen], vec![0xEE; olen]);
+            assert_eq!(chip.read_page_into(ppa, &mut d, &mut o), Err(expected));
+            assert!(d.iter().chain(&o).all(|&b| b == 0xEE), "{ppa}");
+        }
+        assert_eq!(
+            (*chip.stats(), chip.elapsed_ns()),
+            before,
+            "rejects are free"
+        );
     }
 
     #[test]

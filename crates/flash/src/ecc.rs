@@ -22,24 +22,45 @@
 //! [`encode_chunk`] never visits a bit. Bit `k` of an XOR of numbers is the
 //! parity of how many of them have bit `k` set, so locator bit `k` is the
 //! parity of the set data bits whose `q = pos + 1` has bit `k` set — a
-//! popcount under a mask, not a walk. To make the masks regular the chunk
-//! (64 little-endian `u64` words) is shifted left by one bit first, so that
-//! data bit `pos` sits at bit index `q = 64·W + j` (word `W`, bit `j`) of
-//! the shifted words `B`; the bit shifted out of word 63 is the lone
-//! `q = 4096`. Then, with `all` the XOR of the 64 shifted words:
+//! popcount under a mask, not a walk. The masks are regular in `q`, not in
+//! `pos`: were the chunk (64 little-endian `u64` words `D[0..64]`) shifted
+//! left by one bit into words `B[W] = D[W] << 1 | top(D[W−1])` (`top` =
+//! bit 63, `D[−1] = 0`), data bit `pos` would sit at bit `j` of word `W`
+//! with `q = 64·W + j`, and the lone `q = 4096` would be `top(D[63])`. The
+//! kernel computes what that shift would give without performing it — a
+//! pass that only re-aligns bytes is a pass over the page too many — by
+//! folding the *raw* words by halves. For `m = 5 … 0`, `n = 2^m`, over the
+//! `2n` live slots (initially `slot = D`):
 //!
-//! * locator bits 0–5 are the bits of `j`: parity of `all` under the six
-//!   alternating masks `0xAAAA…`, `0xCCCC…`, `0xF0F0…`, `0xFF00…`,
-//!   `0xFFFF0000…`, `0xFFFFFFFF00000000`;
-//! * locator bits 6–11 are the bits of `W`: parity of the XOR of the words
-//!   whose index has that bit set — collected for free as the odd-indexed
-//!   half of each of the six levels of the pairwise fold that computes
-//!   `all`;
-//! * locator bit 12 is the carry, and `parity` is `parity(all) ^ carry`.
+//! * `hi_m` = XOR of slots `n..2n` — the words whose index has bit `m`
+//!   set (`S_m`), because entering the level slot `i` holds the XOR of
+//!   the words `W ≡ i (mod 2n)`;
+//! * `slot[i] ^= slot[i + n]` for `i < n`;
+//! * `E_m = slot[n − 1]` after that fold: the XOR of the words
+//!   `D[j·n − 1]`, each the word just below (`j` odd) or the last word of
+//!   (`j` even) a run of `S_m`. `all = E_0` is the XOR of every word.
 //!
-//! That is ~130 word XORs and 13 parity folds per chunk whatever the
-//! data's density, against one XOR per set bit (up to 4 096) before. The
-//! per-bit definition survives as the test oracle `encode_chunk_ref`.
+//! Then
+//!
+//! * locator bit `6 + m` (bit `m` of `W`) = `parity(hi_m) ^ top(E_m)`.
+//!   The shifted words would give `XOR_{W∈S_m} B[W] = (hi_m << 1) | t_m`
+//!   with `t_m = top(XOR_{V∈S_m−1} D[V])`. Moving every run of `S_m` down
+//!   by one swaps the run's last word for the word below the run, so
+//!   `XOR_{V∈S_m−1} D[V] = hi_m ^ E_m`, and `parity((hi_m << 1) | t_m) =
+//!   parity(hi_m) ^ top(hi_m) ^ top(hi_m ^ E_m)`: the `top(hi_m)` shifted
+//!   out and the one carried in cancel;
+//! * locator bit `k < 6` (bit `k` of `j`) = `parity((all << 1) & M_k)` with
+//!   the alternating masks `M_k` = `0xAAAA…`, `0xCCCC…`, `0xF0F0…`,
+//!   `0xFF00…`, `0xFFFF0000…`, `0xFFFFFFFF00000000`. Every mask has bit 0
+//!   clear, so the bit the shift would carry into `j = 0` is never seen;
+//! * locator bit 12 = `top(D[63])`, and `parity = parity(all)` — a shift
+//!   moves bits, it does not change how many are set.
+//!
+//! The fold's halves are contiguous, so the compiler vectorises them on
+//! the baseline target: ~130 word XORs and 13 parity folds per chunk
+//! whatever the data's density, one read of the chunk. The per-bit
+//! definition survives as the test oracle `encode_chunk_ref`; a change to
+//! the kernel is shown equal to it before it is shown fast.
 
 use serde::{Deserialize, Serialize};
 
@@ -134,39 +155,38 @@ pub fn encode_chunk(data: &[u8]) -> Codeword {
     }
 }
 
-/// The bit-sliced kernel (module docs): branch-free, density-independent.
+/// The bit-sliced kernel (module docs): branch-free, density-independent,
+/// one pass over the chunk.
 fn encode_full(data: &[u8; CHUNK]) -> Codeword {
-    // B: the chunk shifted left one bit, so bit `q = pos + 1` of B is data
-    // bit `pos`; `carry` ends as B's bit 4096.
-    let mut b = [0u64; WORDS];
-    let mut carry = 0u64;
-    for (b, bytes) in b.iter_mut().zip(data.chunks_exact(8)) {
-        let w = u64::from_le_bytes(bytes.try_into().expect("8-byte word"));
-        *b = w << 1 | carry;
-        carry = w >> 63;
+    let mut d = [0u64; WORDS];
+    for (d, bytes) in d.iter_mut().zip(data.chunks_exact(8)) {
+        *d = u64::from_le_bytes(bytes.try_into().expect("8-byte word"));
     }
-    // Pairwise fold, six levels: entering level `m`, slot `i` holds the XOR
-    // of the words `W` with `W >> m == i`, so the odd slots are exactly
-    // the words with index bit `m` set.
-    let mut locator = 0u16;
+    // Bit `pos = 4095` is the lone `q = 4096`.
+    let mut locator = ((d[WORDS - 1] >> 63) as u16) << 12;
+    // Fold by halves, six levels: entering level `m` (`n = 2^m`), slot `i`
+    // of the first `2n` holds the XOR of the words `W ≡ i (mod 2n)`, so the
+    // upper half is exactly the words with index bit `m` set; after the
+    // fold, slot `n − 1` is `E_m`, the XOR of the words below a multiple
+    // of `n`.
     let mut n = WORDS;
-    for m in 0..6 {
+    for m in (0..6).rev() {
         n /= 2;
-        let mut odd = 0u64;
-        for i in 0..n {
-            odd ^= b[2 * i + 1];
-            b[i] = b[2 * i] ^ b[2 * i + 1];
+        let (lo, hi) = d[..2 * n].split_at_mut(n);
+        let mut hi_m = 0u64;
+        for (l, h) in lo.iter_mut().zip(hi.iter()) {
+            hi_m ^= *h;
+            *l ^= *h;
         }
-        locator |= parity64(odd) << (6 + m);
+        locator |= (parity64(hi_m) ^ (lo[n - 1] >> 63) as u16) << (6 + m);
     }
-    let all = b[0];
+    let all = d[0];
     for (k, mask) in BIT_MASKS.iter().enumerate() {
-        locator |= parity64(all & mask) << k;
+        locator |= parity64((all << 1) & mask) << k;
     }
-    locator |= (carry as u16) << 12;
     Codeword {
         locator,
-        parity: (parity64(all) ^ carry as u16) as u8,
+        parity: parity64(all) as u8,
     }
 }
 
@@ -286,6 +306,51 @@ mod tests {
                     "fill {fill:#04x}, len {len}"
                 );
             }
+        }
+    }
+
+    /// The terms the shift-free derivation adds: bit 63 of the words
+    /// `j·2^m − 1` (each level's `E_m` — level 0 names every word) and of
+    /// word 63 (the `q = 4096` carry), set singly and in pairs.
+    #[test]
+    fn run_boundary_top_bits() {
+        let top = |data: &mut [u8; CHUNK], w: usize| data[8 * w + 7] ^= 0x80;
+        for a in 0..WORDS {
+            let mut data = [0u8; CHUNK];
+            top(&mut data, a);
+            assert_eq!(encode_chunk(&data), encode_chunk_ref(&data), "word {a}");
+            for b in a + 1..WORDS {
+                top(&mut data, b);
+                assert_eq!(
+                    encode_chunk(&data),
+                    encode_chunk_ref(&data),
+                    "words {a} and {b}"
+                );
+                top(&mut data, b);
+            }
+        }
+    }
+
+    /// Delta records are far shorter than a chunk and reach the kernel
+    /// through [`encode_chunk`]'s zero padding.
+    #[test]
+    fn short_chunks_through_padding() {
+        for len in [1usize, 4, 13, 24, 45, 46, 64, 100, 255] {
+            for fill in [0xFFu8, 0x80, 0x7F] {
+                let data = vec![fill; len];
+                assert_eq!(
+                    encode_chunk(&data),
+                    encode_chunk_ref(&data),
+                    "fill {fill:#04x}, len {len}"
+                );
+            }
+            let data: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8 | 0x80).collect();
+            assert_eq!(encode_chunk(&data), encode_chunk_ref(&data), "len {len}");
+            // The last byte's top bit is the record's highest position.
+            let mut one = vec![0u8; len];
+            one[len - 1] = 0x80;
+            let cw = encode_chunk(&one);
+            assert_eq!((cw.locator, cw.parity), (len as u16 * 8, 1), "len {len}");
         }
     }
 

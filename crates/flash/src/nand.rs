@@ -11,9 +11,18 @@
 //! `Copy`; peeks clone the page image) so implementations that proxy
 //! through shared interior-mutable state can satisfy the trait without
 //! leaking borrows.
+//!
+//! A read comes in two forms. [`Nand::read_page`] returns an image the
+//! caller keeps. [`Nand::read_page_into`] fills buffers the caller already
+//! owns — the FTL reads a host page straight into the host's frame and a
+//! migrating page into its own scratch — and is a *provided* method (owned
+//! read + copy), so an implementor outside this workspace supplies only
+//! `read_page`; the two targets that hold the array override it to copy
+//! from the array once. Same for [`Nand::copyback_read`] /
+//! [`Nand::copyback_read_into`].
 
 use crate::cell::FlashMode;
-use crate::chip::{FlashChip, MultiPlaneWrite, PageImage};
+use crate::chip::{check_sizes, FlashChip, MultiPlaneWrite, PageImage};
 use crate::error::Result;
 use crate::geometry::{Geometry, Ppa};
 use crate::stats::FlashStats;
@@ -71,6 +80,16 @@ pub trait Nand {
     /// Read a page (data + OOB), paying sense + transfer time.
     fn read_page(&mut self, ppa: Ppa) -> Result<PageImage>;
 
+    /// [`Nand::read_page`] into buffers the caller owns (`page_size` and
+    /// `oob_size` bytes): same checks, same time, same counters. A
+    /// rejected read leaves both buffers untouched. The default reads an
+    /// owned image and copies it out, so an implementor need only supply
+    /// `read_page`; targets that hold the array ([`FlashChip`], the
+    /// controller's die handle) copy straight from it instead.
+    fn read_page_into(&mut self, ppa: Ppa, data: &mut [u8], oob: &mut [u8]) -> Result<()> {
+        copy_out(self.geometry(), data, oob, || self.read_page(ppa))
+    }
+
     /// Firmware-internal read (GC migration, wear levelling): the data
     /// lands in a controller buffer, not in host memory, so a scheduled
     /// implementation occupies the die and channel without stalling the
@@ -78,6 +97,12 @@ pub trait Nand {
     /// it. On a bare chip this is indistinguishable from [`Nand::read_page`].
     fn copyback_read(&mut self, ppa: Ppa) -> Result<PageImage> {
         self.read_page(ppa)
+    }
+
+    /// [`Nand::copyback_read`] into buffers the caller owns — to
+    /// `copyback_read` what [`Nand::read_page_into`] is to `read_page`.
+    fn copyback_read_into(&mut self, ppa: Ppa, data: &mut [u8], oob: &mut [u8]) -> Result<()> {
+        copy_out(self.geometry(), data, oob, || self.copyback_read(ppa))
     }
 
     /// First program of an erased page.
@@ -157,6 +182,22 @@ pub trait Nand {
     }
 }
 
+/// The provided borrowed reads: check the caller's buffers as
+/// [`FlashChip`] would before issuing the owned `read`, then copy its
+/// image out.
+fn copy_out(
+    g: Geometry,
+    data: &mut [u8],
+    oob: &mut [u8],
+    read: impl FnOnce() -> Result<PageImage>,
+) -> Result<()> {
+    check_sizes(&g, data, oob)?;
+    let img = read()?;
+    data.copy_from_slice(&img.data);
+    oob.copy_from_slice(&img.oob);
+    Ok(())
+}
+
 impl Nand for FlashChip {
     fn geometry(&self) -> Geometry {
         *FlashChip::geometry(self)
@@ -212,6 +253,14 @@ impl Nand for FlashChip {
 
     fn read_page(&mut self, ppa: Ppa) -> Result<PageImage> {
         FlashChip::read_page(self, ppa)
+    }
+
+    fn read_page_into(&mut self, ppa: Ppa, data: &mut [u8], oob: &mut [u8]) -> Result<()> {
+        FlashChip::read_page_into(self, ppa, data, oob)
+    }
+
+    fn copyback_read_into(&mut self, ppa: Ppa, data: &mut [u8], oob: &mut [u8]) -> Result<()> {
+        FlashChip::read_page_into(self, ppa, data, oob)
     }
 
     fn program_page(&mut self, ppa: Ppa, data: &[u8], oob: &[u8]) -> Result<()> {

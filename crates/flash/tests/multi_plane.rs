@@ -573,6 +573,28 @@ fn default_trait_fallback_keeps_state_identical() {
             native.peek_data(Ppa::new(b, 0)).map(<[u8]>::to_vec)
         );
     }
+    // The provided borrowed reads (owned read + copy) return what the
+    // chip's direct ones do, and check the caller's buffers first.
+    let g = *native.geometry();
+    let (mut d, mut o) = (vec![0xEE; g.page_size], vec![0xEE; g.oob_size]);
+    let (mut nd, mut no) = (d.clone(), o.clone());
+    Nand::read_page_into(&mut plain, Ppa::new(0, 0), &mut d, &mut o).unwrap();
+    native
+        .read_page_into(Ppa::new(0, 0), &mut nd, &mut no)
+        .unwrap();
+    assert_eq!((&d, &o), (&nd, &no));
+    d.fill(0xEE);
+    Nand::copyback_read_into(&mut plain, Ppa::new(1, 0), &mut d, &mut o).unwrap();
+    assert_eq!(d, nd);
+    let reads = plain.0.stats().page_reads;
+    let mut short = vec![0xEE; g.oob_size - 1];
+    assert!(matches!(
+        Nand::read_page_into(&mut plain, Ppa::new(0, 0), &mut d, &mut short),
+        Err(FlashError::SizeMismatch { .. })
+    ));
+    assert!(short.iter().all(|&b| b == 0xEE));
+    assert_eq!(plain.0.stats().page_reads, reads, "rejected before reading");
+
     // The fallback still rejects misaligned pairs.
     let bad = [
         MultiPlaneWrite {

@@ -20,6 +20,12 @@
 //! Garbage collection is greedy (victim = closed block with the most
 //! invalid pages, ties broken toward low erase counts for wear levelling)
 //! and migrates ECC-corrected images.
+//!
+//! Who owns the bytes of a read: a host read lands in the caller's buffer
+//! ([`Nand::read_page_into`]) and is ECC-checked there; only the OOB it is
+//! checked against lands in a scratch the FTL owns. GC and migration read
+//! the page they move into a page-sized scratch, verify and program from
+//! it. No read path allocates.
 
 use std::collections::VecDeque;
 
@@ -249,6 +255,12 @@ pub struct Ftl<C: Nand = FlashChip> {
     /// stepping this FTL. Victim selection must skip this block, and the
     /// emergency inline path drains it before picking a fresh victim.
     pending_job: Option<GcJob>,
+    /// Where a chip read's OOB lands (host reads verify against it) and,
+    /// with `page_scratch`, where GC and migration hold the page they are
+    /// moving. Owned here so that no read allocates; each use begins with
+    /// a read that overwrites the whole buffer and ends within the call.
+    oob_scratch: Vec<u8>,
+    page_scratch: Vec<u8>,
 }
 
 impl<C: Nand> Ftl<C> {
@@ -299,6 +311,8 @@ impl<C: Nand> Ftl<C> {
             stats: DeviceStats::default(),
             wear,
             pending_job: None,
+            oob_scratch: vec![0; g.oob_size],
+            page_scratch: vec![0; g.page_size],
         }
     }
 
@@ -685,13 +699,14 @@ impl<C: Nand> Ftl<C> {
             let src = Ppa::new(victim, page);
             // Copy-back: a migration read is firmware-internal — it keeps
             // the die busy but never stalls the host interface.
-            let mut img = self.chip.copyback_read(src)?;
+            self.chip
+                .copyback_read_into(src, &mut self.page_scratch, &mut self.oob_scratch)?;
             // Scrub on the way: correct what ECC can, count what it fixed.
             let codec = self.codec_for(lba);
-            let oob = match codec.verify(&mut img.data, &img.oob) {
+            let fresh_oob = match codec.verify(&mut self.page_scratch, &self.oob_scratch) {
                 Ok(o) => {
                     self.stats.ecc_corrected_bits += o.corrected_bits;
-                    codec.encode_oob(&img.data)
+                    Some(codec.encode_oob(&self.page_scratch))
                 }
                 Err(_) => {
                     // Migrate the raw bits beside their *old* codewords, so
@@ -699,11 +714,12 @@ impl<C: Nand> Ftl<C> {
                     // would bless the corrupt data as clean. (A real
                     // controller would log a media error.)
                     self.stats.uncorrectable_reads += 1;
-                    img.oob
+                    None
                 }
             };
             let dst = self.allocate()?;
-            self.chip.program_page(dst, &img.data, &oob)?;
+            let oob = fresh_oob.as_deref().unwrap_or(&self.oob_scratch);
+            self.chip.program_page(dst, &self.page_scratch, oob)?;
             self.blocks[victim as usize].owner[page as usize] = None;
             self.blocks[victim as usize].valid -= 1;
             self.blocks[dst.block as usize].owner[dst.page as usize] = Some(lba);
@@ -926,16 +942,17 @@ impl<C: Nand> Ftl<C> {
         self.check_lba(lba)?;
         self.drain_staged_for(lba)?;
         let ppa = self.l2p[lba as usize].ok_or(FtlError::UnmappedLba(lba))?;
-        let mut img = self.chip.read_page(ppa)?;
+        self.chip
+            .read_page_into(ppa, &mut self.page_scratch, &mut self.oob_scratch)?;
         let codec = self.codec_for(lba);
-        match codec.verify(&mut img.data, &img.oob) {
+        match codec.verify(&mut self.page_scratch, &self.oob_scratch) {
             Ok(o) => self.stats.ecc_corrected_bits += o.corrected_bits,
             Err(_) => {
                 self.stats.uncorrectable_reads += 1;
                 return Err(FtlError::Uncorrectable { lba });
             }
         }
-        Ok(img.data)
+        Ok(self.page_scratch.clone())
     }
 
     /// Internal bulk-write for migration/destage batches, issued as
@@ -1041,10 +1058,11 @@ impl<C: Nand> BlockDevice for Ftl<C> {
         }
         self.drain_staged_for(lba)?;
         let ppa = self.l2p[lba as usize].ok_or(FtlError::UnmappedLba(lba))?;
-        let img = self.chip.read_page(ppa)?;
-        buf.copy_from_slice(&img.data);
+        // Straight into the caller's frame; the ECC check below runs on
+        // every host read, in place.
+        self.chip.read_page_into(ppa, buf, &mut self.oob_scratch)?;
         let codec = self.codec_for(lba);
-        match codec.verify(buf, &img.oob) {
+        match codec.verify(buf, &self.oob_scratch) {
             Ok(o) => self.stats.ecc_corrected_bits += o.corrected_bits,
             Err(_) => {
                 self.stats.uncorrectable_reads += 1;

@@ -331,7 +331,7 @@ impl ShardedFtl {
 
 impl BlockDevice for ShardedFtl {
     fn page_size(&self) -> usize {
-        lock(&self.shards[0]).page_size()
+        self.ctrl.config().chip.geometry.page_size
     }
 
     fn capacity_pages(&self) -> u64 {
@@ -413,18 +413,28 @@ impl ShardedFtl {
     /// Rides the priority lane: under a QoS-scheduled controller it may
     /// jump posted bulk work on its die; without QoS the lane degenerates
     /// to exactly the plain vectored-read path.
+    ///
+    /// The page lands in `buf` — no completion is built. Timing and
+    /// counters are exactly those of submitting
+    /// `HighPriorityReadV(vec![lba])` and polling it at once (pinned by
+    /// `read_shared_equals_one_member_submit_and_poll`): the submission
+    /// instant is sampled before the member is posted, the wait ends at
+    /// `max(submitted, ready)`, one posted read leaves the outstanding
+    /// gauge — on an error, only if the die served it before ECC failed.
     pub fn read_shared(&self, lba: Lba, buf: &mut [u8]) -> Result<()> {
-        let page_size = self.page_size();
-        if buf.len() != page_size {
-            return Err(FtlError::SizeMismatch {
-                expected: page_size,
-                got: buf.len(),
-            });
+        let submitted = self.ctrl.host_ns();
+        match self.read_member_into(lba, Lane::PostedPriority, buf) {
+            Ok(ready) => {
+                self.ctrl.advance_host_ns(submitted.max(ready));
+                self.ctrl.note_posted_reads_polled(1);
+                Ok(())
+            }
+            Err(e) => {
+                let served = matches!(e, FtlError::Uncorrectable { .. });
+                self.ctrl.note_posted_reads_polled(u64::from(served));
+                Err(e)
+            }
         }
-        let token = self.submit_io(IoRequest::HighPriorityReadV(vec![lba]))?;
-        let completion = self.poll_io_checked(token)?;
-        buf.copy_from_slice(&completion.data[0]);
-        Ok(())
     }
 
     /// Page write through `&self`.
@@ -441,17 +451,25 @@ impl ShardedFtl {
 
     /// One member of a vectored read, routed to its die and posted in
     /// `lane`: the read issues from the vector's submission instant
-    /// without advancing the host clock. Returns the page and the instant
-    /// it is ready. The shard lock spans the lane change, so no other
-    /// submitter's command on this die can run in it.
-    fn read_member(&self, lba: Lba, lane: Lane) -> Result<(Vec<u8>, u64)> {
+    /// without advancing the host clock. The page lands in `buf` (the
+    /// shard checks its length); returns the instant it is ready. The
+    /// shard lock spans the lane change, so no other submitter's command
+    /// on this die can run in it.
+    fn read_member_into(&self, lba: Lba, lane: Lane, buf: &mut [u8]) -> Result<u64> {
         let (die, sub) = self.locate(lba)?;
         let mut shard = lock(&self.shards[die as usize]);
-        let mut buf = vec![0u8; shard.page_size()];
         shard.chip_mut().set_context(CmdContext::host(lane));
-        let result = shard.read(sub, &mut buf);
+        let result = shard.read(sub, buf);
         shard.chip_mut().set_context(CmdContext::default());
-        result.map(|()| (buf, shard.chip().last_read_done_ns()))
+        result.map(|()| shard.chip().last_read_done_ns())
+    }
+
+    /// [`ShardedFtl::read_member_into`] for a completion that owns its
+    /// members' pages.
+    fn read_member(&self, lba: Lba, lane: Lane) -> Result<(Vec<u8>, u64)> {
+        let mut buf = vec![0u8; self.page_size()];
+        let ready = self.read_member_into(lba, lane, &mut buf)?;
+        Ok((buf, ready))
     }
 
     /// Completion horizon of the die a posted member landed on: the
@@ -1024,5 +1042,92 @@ mod tests {
             out
         };
         assert_eq!(serial, threaded, "logical state must be thread-invariant");
+    }
+
+    /// `read_shared` builds no completion, so it repeats by hand what
+    /// `submit_io` + `poll_io_checked` do for a one-member priority
+    /// vector. Twin QoS stripes, one driven each way, must agree on the
+    /// bytes, the host clock and every controller counter after every
+    /// step — reads racing posted programs, an uncorrectable member and
+    /// an unmapped one included.
+    #[test]
+    fn read_shared_equals_one_member_submit_and_poll() {
+        let twin = || {
+            ShardedFtl::new(
+                ControllerConfig::new(2, 2, chip_cfg()).with_qos(),
+                FtlConfig::traditional(),
+                StripePolicy::RoundRobin,
+            )
+        };
+        let (direct, queued) = (twin(), twin());
+        let image = |lba: Lba, gen: u64| {
+            let mut page = vec![0xFFu8; 2048];
+            page[64..].fill((lba * 31 + gen) as u8);
+            page
+        };
+        let check = |step: &str| {
+            assert_eq!(direct.ctrl.host_ns(), queued.ctrl.host_ns(), "{step}");
+            assert_eq!(direct.ctrl.stats(), queued.ctrl.stats(), "{step}");
+            assert_eq!(direct.device_stats(), queued.device_stats(), "{step}");
+        };
+        let read_both = |lba: Lba, step: &str| {
+            let mut buf = vec![0xEEu8; 2048];
+            let a = direct.read_shared(lba, &mut buf);
+            let b = queued
+                .submit_io(IoRequest::HighPriorityReadV(vec![lba]))
+                .and_then(|token| queued.poll_io_checked(token))
+                .map(|mut c| c.data.remove(0));
+            match (&a, &b) {
+                (Ok(()), Ok(page)) => assert_eq!(&buf, page, "{step}"),
+                _ => assert_eq!(a.as_ref().err(), b.as_ref().err(), "{step}"),
+            }
+            check(step);
+            a
+        };
+
+        for lba in 0..24u64 {
+            for s in [&direct, &queued] {
+                s.write_shared(lba, &image(lba, 0)).unwrap();
+            }
+        }
+        // Reads land while the programs around them are still in flight.
+        for step in 0..200u64 {
+            let (w, r) = ((step * 7) % 24, (step * 5 + 3) % 24);
+            for s in [&direct, &queued] {
+                s.write_shared(w, &image(w, step)).unwrap();
+            }
+            read_both(r, &format!("step {step}")).unwrap();
+        }
+        assert!(direct.ctrl.stats().reads_promoted > 0, "QoS was exercised");
+
+        // Two 1 -> 0 flips in one ECC chunk of LBA 5's page, on both twins.
+        let (die, sub) = direct.locate(5).unwrap();
+        let mut current = vec![0u8; 2048];
+        direct.read_shared(5, &mut current).unwrap();
+        queued.read_shared(5, &mut current).unwrap();
+        for s in [&direct, &queued] {
+            let g = s.ctrl.config().chip.geometry;
+            let ppa = (0..g.blocks)
+                .flat_map(|b| (0..g.pages_per_block).map(move |p| ipa_flash::Ppa::new(b, p)))
+                .find(|&ppa| {
+                    s.ctrl
+                        .with_chip(die, |chip| chip.peek_data(ppa) == Some(&current[..]))
+                })
+                .expect("LBA 5's page is on its die");
+            assert!(s.shard(die).is_mapped(sub));
+            ipa_flash::Nand::append_region(s.shard(die).chip_mut(), ppa, 10, &[0xFE, 0xFE], 0, &[])
+                .unwrap();
+        }
+        check("after the corruption");
+        assert_eq!(
+            read_both(5, "uncorrectable"),
+            Err(FtlError::Uncorrectable { lba: sub })
+        );
+        assert_eq!(direct.ctrl.stats().posted_reads_outstanding, 0);
+        assert!(matches!(
+            read_both(30, "unmapped"),
+            Err(FtlError::UnmappedLba(_))
+        ));
+        read_both(6, "a clean read after the failures").unwrap();
     }
 }

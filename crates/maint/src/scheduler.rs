@@ -95,6 +95,10 @@ impl WearShifter for NoShift {
 /// in [`MaintStats::erase_suspends_seen`].
 pub struct MaintenanceScheduler<S = NoShift> {
     stats: MaintStats,
+    /// The controller's erase-command count when the wear spread was last
+    /// computed; `u64::MAX` before the first poll. The spread can only
+    /// change when something erased, so a poll recomputes it only then.
+    spread_at_erases: u64,
     /// The installed shifter and, inside it, whatever job it holds.
     pub shifter: S,
 }
@@ -103,6 +107,7 @@ impl<S: WearShifter> MaintenanceScheduler<S> {
     pub fn new(shifter: S) -> Self {
         MaintenanceScheduler {
             stats: MaintStats::default(),
+            spread_at_erases: u64::MAX,
             shifter,
         }
     }
@@ -117,6 +122,7 @@ impl<S: WearShifter> MaintenanceScheduler<S> {
     pub fn with_shifter<T: WearShifter>(self, shifter: T) -> MaintenanceScheduler<T> {
         MaintenanceScheduler {
             stats: self.stats,
+            spread_at_erases: self.spread_at_erases,
             shifter,
         }
     }
@@ -151,10 +157,24 @@ impl<S: WearShifter> MaintenanceScheduler<S> {
 
         self.shift_step(ftl, &ctrl)?;
 
-        let cstats = ctrl.stats();
-        self.stats.max_wear_spread = self.stats.max_wear_spread.max(cstats.wear_spread());
-        self.stats.erase_suspends_seen = cstats.erase_suspends;
+        self.observe_wear(&ctrl);
         Ok(())
+    }
+
+    /// Fold the controller's wear view into the stats. This runs after
+    /// every host command, so it reads two counters rather than taking a
+    /// full [`FlashController::stats`] snapshot, and walks the dies only
+    /// when an erase — the scheduler's own or the write path's inline GC —
+    /// has happened since the last walk.
+    fn observe_wear(&mut self, ctrl: &FlashController) {
+        let (erases, erase_suspends) = ctrl.erase_counters();
+        self.stats.erase_suspends_seen = erase_suspends;
+        if erases != self.spread_at_erases {
+            self.spread_at_erases = erases;
+            let wear = (0..ctrl.dies()).map(|die| ctrl.die_erase_count(die));
+            let (min, max) = wear.fold((u64::MAX, 0), |(lo, hi), e| (lo.min(e), hi.max(e)));
+            self.stats.max_wear_spread = self.stats.max_wear_spread.max(max.saturating_sub(min));
+        }
     }
 
     /// Heat-placement dispatch: one step of the shifter's work, run only
@@ -391,5 +411,79 @@ mod tests {
         // controller's final report or exceeded it mid-run.
         let final_spread = s.controller().stats().wear_spread();
         assert!(st.max_wear_spread >= final_spread.saturating_sub(1));
+    }
+
+    /// The poll's wear observation as it was before it stopped taking a
+    /// full controller snapshot per host command — the reference the
+    /// two-counter form must equal.
+    fn observe_wear_by_snapshot(stats: &mut MaintStats, ctrl: &FlashController) {
+        let c = ctrl.stats();
+        stats.max_wear_spread = stats.max_wear_spread.max(c.wear_spread());
+        stats.erase_suspends_seen = c.erase_suspends;
+    }
+
+    #[test]
+    fn wear_observation_equals_a_snapshot_per_poll() {
+        let chip = DeviceConfig::new(Geometry::new(16, 8, 2048, 64), FlashMode::Slc)
+            .with_disturb(DisturbRates::none());
+        let mut s = ShardedFtl::new(
+            ControllerConfig::new(2, 2, chip).with_qos(),
+            FtlConfig::traditional().with_background_gc(),
+            StripePolicy::RoundRobin,
+        );
+        let ctrl = Arc::clone(s.controller());
+        let mut sched = MaintenanceScheduler::new(NoShift);
+        let mut reference = MaintStats::default();
+        let mut poll = |s: &mut ShardedFtl, sched: &mut MaintenanceScheduler, at: &str| {
+            sched.poll(s).unwrap();
+            observe_wear_by_snapshot(&mut reference, &ctrl);
+            let st = sched.stats();
+            assert_eq!(
+                (st.max_wear_spread, st.erase_suspends_seen),
+                (reference.max_wear_spread, reference.erase_suspends_seen),
+                "{at}"
+            );
+        };
+        let data = vec![0x5Au8; 2048];
+        let mut buf = vec![0u8; 2048];
+        // Before anything erased: the first poll computes a spread (0).
+        poll(&mut s, &mut sched, "first poll");
+        // Skewed churn with a poll per command: background erases, and
+        // host reads that land on them (suspensions under QoS).
+        for i in 0..1500u64 {
+            s.write((i * i) % 20, &data).unwrap();
+            poll(&mut s, &mut sched, "write");
+            if i % 4 == 0 {
+                s.sync();
+            }
+            if i % 2 == 0 {
+                s.read((i * i) % 20, &mut buf).unwrap();
+                poll(&mut s, &mut sched, "read");
+            }
+        }
+        let scheduled = sched.stats().erases;
+        assert!(scheduled > 0 && sched.stats().max_wear_spread > 0);
+        // Unpolled churn on one die: the write path's emergency GC erases
+        // inline — erases this scheduler did not issue but must observe.
+        let before = ctrl.erase_counters().0;
+        for _ in 0..600 {
+            s.write(4, &data).unwrap();
+        }
+        assert_eq!(sched.stats().erases, scheduled);
+        assert!(
+            ctrl.erase_counters().0 > before,
+            "inline GC must have erased"
+        );
+        poll(&mut s, &mut sched, "after inline GC");
+        // Polls with reads only: most see no new erase and skip the walk.
+        s.sync();
+        for _ in 0..8 {
+            s.read(4, &mut buf).unwrap();
+            poll(&mut s, &mut sched, "read-only poll");
+        }
+        assert!(
+            sched.stats().erase_suspends_seen > 0,
+            "QoS suspensions seen"
+        );
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! This is where the paper's §3 "Page operations" live:
 //!
-//! * **fetch** — read the page, apply any delta records
+//! * **fetch** — read the page straight into the buffer its frame will
+//!   keep (the one the last eviction freed), apply any delta records
 //!   ([`ipa_core::apply_and_collect`]), wipe the area, seed the tracker.
 //! * **modify** — all mutations flow through [`crate::page::PageMut`],
 //!   which feeds the tracker's conformance check.
@@ -144,6 +145,10 @@ pub struct BufferPool {
     pending_prefetch: Vec<Prefetch>,
     /// Polled read-ahead images awaiting consumption.
     ready_prefetch: HashMap<PageId, Vec<u8>>,
+    /// The last evicted frame's page buffer, kept for the next miss: the
+    /// device read (or `new_page`'s `0xFF` fill) overwrites all of it, so
+    /// a steady-state miss allocates nothing.
+    spare: Option<Vec<u8>>,
     stats: PoolStats,
 }
 
@@ -162,6 +167,7 @@ impl BufferPool {
             last_miss: None,
             pending_prefetch: Vec::new(),
             ready_prefetch: HashMap::new(),
+            spare: None,
             stats: PoolStats::default(),
         }
     }
@@ -364,9 +370,11 @@ impl BufferPool {
             // A stale prefetch of this LBA (issued before the page was
             // re-created) must never be consumed later.
             self.drop_prefetch(pid);
+            let mut data = self.take_page_buffer();
+            data.fill(0xFF);
             Frame {
                 page_id: pid,
-                data: vec![0xFF; self.device.page_size()],
+                data,
                 tracker: ChangeTracker::new_unflashed(layout),
                 original: None,
                 snapshot: self
@@ -385,10 +393,13 @@ impl BufferPool {
                     img
                 }
                 None => {
-                    let mut data = vec![0u8; self.device.page_size()];
-                    self.device
-                        .read(pid, &mut data)
-                        .map_err(StorageError::from)?;
+                    // The device reads straight into the frame's buffer;
+                    // a failed read hands it back instead of installing it.
+                    let mut data = self.take_page_buffer();
+                    if let Err(e) = self.device.read(pid, &mut data) {
+                        self.spare = Some(data);
+                        return Err(e.into());
+                    }
                     data
                 }
             };
@@ -415,6 +426,15 @@ impl BufferPool {
             self.last_miss = Some(pid);
         }
         Ok(idx)
+    }
+
+    /// A page-sized buffer for a new frame: the spare if an eviction left
+    /// one, a fresh allocation otherwise. Contents are unspecified — the
+    /// caller overwrites every byte.
+    fn take_page_buffer(&mut self) -> Vec<u8> {
+        self.spare
+            .take()
+            .unwrap_or_else(|| vec![0u8; self.device.page_size()])
     }
 
     /// Take a page image out of the read-ahead pipeline, polling its
@@ -548,6 +568,7 @@ impl BufferPool {
         self.write_back(idx)?;
         let frame = self.frames[idx].take().expect("frame present");
         self.map.remove(&frame.page_id);
+        self.spare = Some(frame.data);
         self.stats.evictions += 1;
         Ok(())
     }
@@ -739,6 +760,53 @@ mod tests {
             .unwrap();
         }
         assert!(p.stats().evictions >= 1);
+    }
+
+    /// The evicted frame's buffer serves the next miss; nothing of the
+    /// victim may survive in it.
+    #[test]
+    fn a_recycled_buffer_holds_exactly_what_the_miss_put_there() {
+        let mut p = pool(WriteStrategy::Traditional, 2);
+        for pid in 0..3u64 {
+            format_with_row(&mut p, pid, &[pid as u8; 8]);
+        }
+        p.flush_all().unwrap();
+        let device_image = |p: &mut BufferPool, pid: PageId| {
+            let mut img = vec![0u8; 2048];
+            p.device_mut().read(pid, &mut img).unwrap();
+            img
+        };
+
+        // Dirty both resident pages end to end, so whichever the clock
+        // evicts leaves a distinctive spare behind.
+        let resident: Vec<PageId> = p.map.keys().copied().collect();
+        for &pid in &resident {
+            p.with_page_mut(pid, None, |pm| {
+                pm.write(HEADER_LEN, &[0xA7; 2048 - HEADER_LEN])
+            })
+            .unwrap();
+        }
+        let absent = (0..3u64).find(|pid| !resident.contains(pid)).unwrap();
+        let evictions = p.stats().evictions;
+        let frame = p.with_page(absent, <[u8]>::to_vec).unwrap();
+        assert_eq!(p.stats().evictions, evictions + 1);
+        assert_eq!(frame, device_image(&mut p, absent), "evict -> miss");
+
+        // A brand-new page built in a recycled buffer starts erased.
+        p.new_page(7).unwrap();
+        assert!(p.spare.is_none(), "new_page took the spare");
+        p.with_page(7, |b| assert!(b.iter().all(|&x| x == 0xFF)))
+            .unwrap();
+
+        // A miss whose device read fails installs nothing, keeps the
+        // buffer, and the next miss is served from it correctly.
+        assert!(p.with_page(9, |_| ()).is_err(), "LBA 9 was never written");
+        assert!(!p.map.contains_key(&9));
+        assert_eq!(p.map.len(), 1, "the failed miss had already evicted");
+        assert!(p.spare.is_some(), "the buffer went back to the spare");
+        let pid = (0..3u64).find(|pid| !p.map.contains_key(pid)).unwrap();
+        let frame = p.with_page(pid, <[u8]>::to_vec).unwrap();
+        assert_eq!(frame, device_image(&mut p, pid), "miss after a failed miss");
     }
 
     #[test]

@@ -20,6 +20,11 @@ end-to-end metric of `BENCHMARK.json`:
 `sim_digest` must be equal on both sides for every workload listed in
 `tests/golden/ledger_digests.txt`. Exit status 1 on a regression, a digest
 mismatch, a failed end-of-run check or a larger share of failed operations.
+
+`--probes N` runs the probe ladder instead (`ipa-perf-ledger --probes`, the
+two binaries alternating N times) and prints one row per rung: both medians,
+their ratio, and a flag on any rung whose median rose by more than 10 %. The
+rungs are per-layer readings, not gated metrics: the exit status stays 0.
 """
 
 import argparse
@@ -32,6 +37,7 @@ from pathlib import Path
 
 LEDGER = Path("benchmark/target/release/ipa-perf-ledger")
 DIGEST = re.compile(r"^\s*sim_digest\s+(0x[0-9a-fA-F]+)", re.M)
+RUNG = re.compile(r"^\s+(\S+_ns)\s+([0-9.]+) ns\b", re.M)
 
 
 def run_once(tree, workload, seed, seconds):
@@ -84,6 +90,33 @@ def verdict(parent, change, lower_is_better, bound):
     return ratio, won, "unchanged"
 
 
+def probe_ladder(trees, rounds):
+    """Alternate `--probes` runs; one Markdown row per rung."""
+    samples = {side: {} for side in trees}
+    for i in range(rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            out = subprocess.run([str(trees[side] / LEDGER), "--probes"], cwd=trees[side],
+                                 check=True, capture_output=True, text=True).stdout
+            rungs = RUNG.findall(out)
+            if not rungs:
+                sys.exit(f"{trees[side]}: --probes printed no rung")
+            for name, ns in rungs:
+                samples[side].setdefault(name, []).append(float(ns))
+        print(f"  probes: round {i + 1}/{rounds}", file=sys.stderr)
+    print(f"probe ladder, {rounds} alternating runs a side, ns per call\n")
+    print("| rung | parent median | change median | change / parent | |")
+    print("|---|---|---|---|---|")
+    for name, parent in samples["parent"].items():
+        change = samples["change"].get(name)
+        if not change:
+            continue
+        p, c = statistics.median(parent), statistics.median(change)
+        ratio = f"{c / p:.3f}" if p else "n/a"
+        flag = "> 10 % higher" if c > 1.1 * p else ""
+        print(f"| {name} | {fmt(p)} | {fmt(c)} | {ratio} | {flag} |")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="tree of the parent commit")
@@ -92,11 +125,16 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=8)
     ap.add_argument("--workloads", help="comma-separated; default: all of BENCHMARK.json")
+    ap.add_argument("--probes", type=int, metavar="N",
+                    help="run the probe ladder N times a side instead of the workloads")
     args = ap.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / LEDGER).is_file():
             sys.exit(f"{tree / LEDGER} is missing: build the benchmark in that tree first")
+    if args.probes:
+        probe_ladder(trees, args.probes)
+        return 0
 
     contract = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     metrics = contract["end_to_end"]
