@@ -450,8 +450,12 @@ impl FlashController {
     }
 
     /// A posted-read completion was consumed by the host's `poll`: its
-    /// members leave the outstanding completion horizon.
+    /// members leave the outstanding completion horizon. A completion
+    /// without reads (every polled write) takes no lock.
     pub fn note_posted_reads_polled(&self, members: u64) {
+        if members == 0 {
+            return;
+        }
         let mut c = lock(&self.central);
         c.outstanding_posted_reads = c.outstanding_posted_reads.saturating_sub(members);
     }

@@ -28,10 +28,22 @@
 //! shard sits behind its own mutex (die-local traffic from different
 //! threads contends only when it lands on the same die), and the queued
 //! face keeps no state (a completion travels in its [`IoToken`]). Every
-//! operation is available through `&self` (`submit_io`/`poll_io_checked`/
-//! `sync`/...); the `&mut` [`IoQueue`]/[`BlockDevice`] trait impls forward
-//! to them, so a single-owner caller pays one uncontended lock per shard
-//! touch and the threaded driver shares a plain `Arc<ShardedFtl>`.
+//! operation is available through `&self` (`read_shared`/`submit_io`/
+//! `poll_io_checked`/`sync`/...), and those `&self` twins lock the shard
+//! they touch, so the threaded driver and `TenantDevice` share a plain
+//! `Arc<ShardedFtl>`.
+//!
+//! The `&mut` face takes no shard lock: [`BlockDevice::read`] /
+//! [`BlockDevice::write`] / [`BlockDevice::trim`],
+//! [`NativeFlashDevice::write_delta`], [`ShardedFtl::swap_stripe`],
+//! [`ShardedFtl::write_batch_cached`] and the maintenance scheduler's poll
+//! reach their shard through [`ShardedFtl::shard_mut`] — exclusive
+//! ownership already rules out a second submitter. The point read's logic
+//! is shared by both faces, which differ only in how they reach the shard.
+//! The queued [`IoQueue`] impl still forwards to the `&self` twins.
+//! [`BlockDevice::layout_for`] takes no lock on either face: regions never
+//! change after construction, and [`ShardedFtl::swap_stripe`] only swaps
+//! slots of equal layout, so the host-level region table answers it.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -89,6 +101,10 @@ pub struct ShardedFtl {
     /// Host LBA → (die, sub-LBA). Immutable after construction, so the
     /// hot translation path never takes a lock.
     map: Vec<(u32, Lba)>,
+    /// The host-level regions and default layout every shard's table was
+    /// derived from: [`BlockDevice::layout_for`] answers from them.
+    regions: RegionTable,
+    default_layout: Option<PageLayout>,
     policy: StripePolicy,
     capacity: u64,
     vectored: VectoredCounters,
@@ -168,6 +184,7 @@ impl ShardedFtl {
         }
 
         let ctrl = FlashController::shared(cfg);
+        let default_layout = ftl_config.default_layout;
         let shards = FlashController::handles(&ctrl)
             .into_iter()
             .zip(per_die)
@@ -179,6 +196,8 @@ impl ShardedFtl {
             ctrl,
             shards,
             map,
+            regions,
+            default_layout,
             policy,
             capacity,
             vectored: VectoredCounters::default(),
@@ -216,6 +235,15 @@ impl ShardedFtl {
     /// traffic from other threads queues behind it.
     pub fn shard(&self, die: u32) -> MutexGuard<'_, Ftl<DieHandle>> {
         lock(&self.shards[die as usize])
+    }
+
+    /// One die's sub-FTL through exclusive ownership: no lock is taken
+    /// (`&mut self` already excludes every other submitter). Recovers from
+    /// a poisoned mutex like [`ShardedFtl::shard`].
+    pub fn shard_mut(&mut self, die: u32) -> &mut Ftl<DieHandle> {
+        self.shards[die as usize]
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Host LBA → (die, sub-LBA) translation.
@@ -270,39 +298,20 @@ impl ShardedFtl {
         }
         let (da, sa) = self.locate(a)?;
         let (db, sb) = self.locate(b)?;
-        let la = lock(&self.shards[da as usize]).layout_for(sa);
-        let lb = lock(&self.shards[db as usize]).layout_for(sb);
-        if la != lb {
+        if self.shard_mut(da).layout_for(sa) != self.shard_mut(db).layout_for(sb) {
             return Ok(false);
         }
-        let img_a = {
-            let mut s = lock(&self.shards[da as usize]);
-            if s.is_mapped(sa) {
-                Some(s.migrate_read(sa)?)
-            } else {
-                None
-            }
+        let mut read_out = |die: u32, sub: Lba| {
+            let s = self.shard_mut(die);
+            s.is_mapped(sub).then(|| s.migrate_read(sub)).transpose()
         };
-        let img_b = {
-            let mut s = lock(&self.shards[db as usize]);
-            if s.is_mapped(sb) {
-                Some(s.migrate_read(sb)?)
-            } else {
-                None
-            }
-        };
-        {
-            let mut s = lock(&self.shards[db as usize]);
-            match img_a {
-                Some(img) => s.write_batch_cached(&[(sb, img)])?,
-                None => s.trim(sb)?,
-            }
-        }
-        {
-            let mut s = lock(&self.shards[da as usize]);
-            match img_b {
-                Some(img) => s.write_batch_cached(&[(sa, img)])?,
-                None => s.trim(sa)?,
+        let img_a = read_out(da, sa)?;
+        let img_b = read_out(db, sb)?;
+        for (die, sub, img) in [(db, sb, img_a), (da, sa, img_b)] {
+            let s = self.shard_mut(die);
+            match img {
+                Some(img) => s.write_batch_cached(&[(sub, img)])?,
+                None => s.trim(sub)?,
             }
         }
         self.map[a as usize] = (db, sb);
@@ -322,7 +331,7 @@ impl ShardedFtl {
         }
         for (die, batch) in per_die.into_iter().enumerate() {
             if !batch.is_empty() {
-                lock(&self.shards[die]).write_batch_cached(&batch)?;
+                self.shard_mut(die as u32).write_batch_cached(&batch)?;
             }
         }
         Ok(())
@@ -339,15 +348,21 @@ impl BlockDevice for ShardedFtl {
     }
 
     fn read(&mut self, lba: Lba, buf: &mut [u8]) -> Result<()> {
-        self.read_shared(lba, buf)
+        let submitted = self.ctrl.host_ns();
+        let ready = self
+            .locate(lba)
+            .and_then(|(die, sub)| read_on(self.shard_mut(die), sub, Lane::PostedPriority, buf));
+        self.finish_point_read(submitted, ready)
     }
 
     fn write(&mut self, lba: Lba, data: &[u8]) -> Result<()> {
-        self.write_shared(lba, data)
+        let (die, sub) = self.locate(lba)?;
+        self.shard_mut(die).write(sub, data)
     }
 
     fn trim(&mut self, lba: Lba) -> Result<()> {
-        self.trim_shared(lba)
+        let (die, sub) = self.locate(lba)?;
+        self.shard_mut(die).trim(sub)
     }
 
     fn is_mapped(&self, lba: Lba) -> bool {
@@ -357,8 +372,10 @@ impl BlockDevice for ShardedFtl {
     }
 
     fn layout_for(&self, lba: Lba) -> Option<PageLayout> {
-        let (die, sub) = self.locate(lba).ok()?;
-        lock(&self.shards[die as usize]).layout_for(sub)
+        self.locate(lba).ok()?;
+        self.regions
+            .layout_for(lba, self.default_layout.as_ref())
+            .copied()
     }
 
     fn device_stats(&self) -> DeviceStats {
@@ -404,7 +421,8 @@ impl BlockDevice for ShardedFtl {
 
 impl NativeFlashDevice for ShardedFtl {
     fn write_delta(&mut self, lba: Lba, offset: usize, delta_bytes: &[u8]) -> Result<()> {
-        self.write_delta_shared(lba, offset, delta_bytes)
+        let (die, sub) = self.locate(lba)?;
+        self.shard_mut(die).write_delta(sub, offset, delta_bytes)
     }
 }
 
@@ -417,13 +435,21 @@ impl ShardedFtl {
     /// The page lands in `buf` — no completion is built. Timing and
     /// counters are exactly those of submitting
     /// `HighPriorityReadV(vec![lba])` and polling it at once (pinned by
-    /// `read_shared_equals_one_member_submit_and_poll`): the submission
-    /// instant is sampled before the member is posted, the wait ends at
-    /// `max(submitted, ready)`, one posted read leaves the outstanding
-    /// gauge — on an error, only if the die served it before ECC failed.
+    /// `read_shared_equals_one_member_submit_and_poll`). The `&mut`
+    /// [`BlockDevice::read`] is the same read without the shard lock
+    /// (pinned by `the_mut_face_equals_the_shared_face`).
     pub fn read_shared(&self, lba: Lba, buf: &mut [u8]) -> Result<()> {
         let submitted = self.ctrl.host_ns();
-        match self.read_member_into(lba, Lane::PostedPriority, buf) {
+        let ready = self.read_member_into(lba, Lane::PostedPriority, buf);
+        self.finish_point_read(submitted, ready)
+    }
+
+    /// The completion half of a point read submitted at `submitted`, as a
+    /// one-member poll would do it: the wait ends at `max(submitted,
+    /// ready)`, and one posted read leaves the outstanding gauge — on an
+    /// error, only if the die served it before ECC failed.
+    fn finish_point_read(&self, submitted: u64, ready: Result<u64>) -> Result<()> {
+        match ready {
             Ok(ready) => {
                 self.ctrl.advance_host_ns(submitted.max(ready));
                 self.ctrl.note_posted_reads_polled(1);
@@ -457,11 +483,7 @@ impl ShardedFtl {
     /// on this die can run in it.
     fn read_member_into(&self, lba: Lba, lane: Lane, buf: &mut [u8]) -> Result<u64> {
         let (die, sub) = self.locate(lba)?;
-        let mut shard = lock(&self.shards[die as usize]);
-        shard.chip_mut().set_context(CmdContext::host(lane));
-        let result = shard.read(sub, buf);
-        shard.chip_mut().set_context(CmdContext::default());
-        result.map(|()| shard.chip().last_read_done_ns())
+        read_on(&mut lock(&self.shards[die as usize]), sub, lane, buf)
     }
 
     /// [`ShardedFtl::read_member_into`] for a completion that owns its
@@ -591,6 +613,15 @@ impl ShardedFtl {
         self.ctrl
             .retire_forgotten_reads(token.into_completion().data.len() as u64);
     }
+}
+
+/// Read sub-LBA `sub` of `shard` into `buf` in `lane`, restoring the die's
+/// default context after; returns the instant the page is ready.
+fn read_on(shard: &mut Ftl<DieHandle>, sub: Lba, lane: Lane, buf: &mut [u8]) -> Result<u64> {
+    shard.chip_mut().set_context(CmdContext::host(lane));
+    let result = shard.read(sub, buf);
+    shard.chip_mut().set_context(CmdContext::default());
+    result.map(|()| shard.chip().last_read_done_ns())
 }
 
 impl IoQueue for ShardedFtl {
@@ -1065,11 +1096,7 @@ mod tests {
             page[64..].fill((lba * 31 + gen) as u8);
             page
         };
-        let check = |step: &str| {
-            assert_eq!(direct.ctrl.host_ns(), queued.ctrl.host_ns(), "{step}");
-            assert_eq!(direct.ctrl.stats(), queued.ctrl.stats(), "{step}");
-            assert_eq!(direct.device_stats(), queued.device_stats(), "{step}");
-        };
+        let check = |step: &str| assert_twins(&direct, &queued, step);
         let read_both = |lba: Lba, step: &str| {
             let mut buf = vec![0xEEu8; 2048];
             let a = direct.read_shared(lba, &mut buf);
@@ -1101,23 +1128,12 @@ mod tests {
         assert!(direct.ctrl.stats().reads_promoted > 0, "QoS was exercised");
 
         // Two 1 -> 0 flips in one ECC chunk of LBA 5's page, on both twins.
-        let (die, sub) = direct.locate(5).unwrap();
+        let sub = direct.locate(5).unwrap().1;
         let mut current = vec![0u8; 2048];
         direct.read_shared(5, &mut current).unwrap();
         queued.read_shared(5, &mut current).unwrap();
-        for s in [&direct, &queued] {
-            let g = s.ctrl.config().chip.geometry;
-            let ppa = (0..g.blocks)
-                .flat_map(|b| (0..g.pages_per_block).map(move |p| ipa_flash::Ppa::new(b, p)))
-                .find(|&ppa| {
-                    s.ctrl
-                        .with_chip(die, |chip| chip.peek_data(ppa) == Some(&current[..]))
-                })
-                .expect("LBA 5's page is on its die");
-            assert!(s.shard(die).is_mapped(sub));
-            ipa_flash::Nand::append_region(s.shard(die).chip_mut(), ppa, 10, &[0xFE, 0xFE], 0, &[])
-                .unwrap();
-        }
+        corrupt(&direct, 5, &current);
+        corrupt(&queued, 5, &current);
         check("after the corruption");
         assert_eq!(
             read_both(5, "uncorrectable"),
@@ -1129,5 +1145,174 @@ mod tests {
             Err(FtlError::UnmappedLba(_))
         ));
         read_both(6, "a clean read after the failures").unwrap();
+    }
+
+    /// Bytes, host clock and every counter of two stripes must agree.
+    fn assert_twins(a: &ShardedFtl, b: &ShardedFtl, step: &str) {
+        assert_eq!(a.ctrl.host_ns(), b.ctrl.host_ns(), "{step}");
+        assert_eq!(a.ctrl.stats(), b.ctrl.stats(), "{step}");
+        assert_eq!(a.device_stats(), b.device_stats(), "{step}");
+    }
+
+    /// Two 1 -> 0 flips in one ECC chunk of `lba`'s stored page, whose
+    /// current image is `current`.
+    fn corrupt(s: &ShardedFtl, lba: Lba, current: &[u8]) {
+        let (die, sub) = s.locate(lba).unwrap();
+        let g = s.ctrl.config().chip.geometry;
+        let ppa = (0..g.blocks)
+            .flat_map(|b| (0..g.pages_per_block).map(move |p| ipa_flash::Ppa::new(b, p)))
+            .find(|&ppa| {
+                s.ctrl
+                    .with_chip(die, |chip| chip.peek_data(ppa) == Some(current))
+            })
+            .expect("the page is on its die");
+        assert!(s.shard(die).is_mapped(sub));
+        ipa_flash::Nand::append_region(s.shard(die).chip_mut(), ppa, 10, &[0xFE, 0xFE], 0, &[])
+            .unwrap();
+    }
+
+    /// The `&mut` face reaches its shard without a lock, the `&self` twins
+    /// lock it; nothing else may differ. Twin QoS stripes in IPA-native
+    /// mode, one driven through `read` / `write` / `write_delta`, the
+    /// other through `read_shared` / `write_shared` / `write_delta_shared`,
+    /// interleaved, agree after every step — unmapped, out-of-range and
+    /// uncorrectable reads included.
+    #[test]
+    fn the_mut_face_equals_the_shared_face() {
+        use ipa_core::DeltaRecord;
+        let page = 2048;
+        let layout = PageLayout::new(page, 24, 8, NmScheme::new(2, 4));
+        let twin = || {
+            let chip = DeviceConfig::new(Geometry::new(16, 8, page, 64), FlashMode::PSlc)
+                .with_disturb(DisturbRates::none());
+            ShardedFtl::new(
+                ControllerConfig::new(2, 2, chip).with_qos(),
+                FtlConfig::ipa_native(layout),
+                StripePolicy::RoundRobin,
+            )
+        };
+        let (mut owned, shared) = (twin(), twin());
+        let image = |lba: Lba, gen: u64| {
+            let mut img = vec![0xFFu8; page];
+            img[64..].fill((lba * 31 + gen) as u8);
+            layout.wipe_delta_area(&mut img);
+            img
+        };
+        let delta = DeltaRecord::new(vec![(40, 0x0F)], vec![2; layout.meta_len()], layout.scheme)
+            .encode(&layout);
+        let read_both = |owned: &mut ShardedFtl, lba: Lba, step: &str| {
+            let (mut a, mut b) = (vec![0xEEu8; page], vec![0xEEu8; page]);
+            let ra = owned.read(lba, &mut a);
+            let rb = shared.read_shared(lba, &mut b);
+            assert_eq!(ra, rb, "{step}");
+            assert_eq!(a, b, "{step}");
+            assert_twins(owned, &shared, step);
+            ra
+        };
+
+        for lba in 0..24u64 {
+            owned.write(lba, &image(lba, 0)).unwrap();
+            shared.write_shared(lba, &image(lba, 0)).unwrap();
+        }
+        assert_twins(&owned, &shared, "load");
+        // Reads land while programs and appends around them are in flight.
+        for step in 0..200u64 {
+            let (w, r) = ((step * 7) % 24, (step * 5 + 3) % 24);
+            owned.write(w, &image(w, step)).unwrap();
+            shared.write_shared(w, &image(w, step)).unwrap();
+            if w % 2 == 0 {
+                let at = layout.record_offset(0);
+                owned.write_delta(w, at, &delta).unwrap();
+                shared.write_delta_shared(w, at, &delta).unwrap();
+            }
+            assert_twins(&owned, &shared, &format!("step {step} writes"));
+            read_both(&mut owned, r, &format!("step {step} read")).unwrap();
+        }
+        let d = owned.device_stats();
+        assert!(d.host_write_deltas > 0 && d.gc_erases > 0, "{d:?}");
+        assert!(owned.ctrl.stats().reads_promoted > 0, "QoS was exercised");
+
+        let mut current = vec![0u8; page];
+        owned.read(5, &mut current).unwrap();
+        shared.read_shared(5, &mut current).unwrap();
+        corrupt(&owned, 5, &current);
+        corrupt(&shared, 5, &current);
+        assert_twins(&owned, &shared, "after the corruption");
+        let sub = owned.locate(5).unwrap().1;
+        assert_eq!(
+            read_both(&mut owned, 5, "uncorrectable"),
+            Err(FtlError::Uncorrectable { lba: sub })
+        );
+        assert_eq!(owned.ctrl.stats().posted_reads_outstanding, 0);
+        assert!(matches!(
+            read_both(&mut owned, 30, "unmapped"),
+            Err(FtlError::UnmappedLba(_))
+        ));
+        let cap = owned.capacity_pages();
+        assert!(matches!(
+            read_both(&mut owned, cap, "out of range"),
+            Err(FtlError::LbaOutOfRange { .. })
+        ));
+        read_both(&mut owned, 6, "a clean read after the failures").unwrap();
+    }
+
+    /// `layout_for` answers from the host-level region table without a
+    /// lock; it must equal the shard's own answer for the slot the LBA maps
+    /// to — in and out of regions, under both stripe policies, and after
+    /// stripe swaps (which only ever exchange slots of equal layout).
+    #[test]
+    fn layout_for_equals_the_shards_answer() {
+        let page = 2048;
+        let hot = PageLayout::new(page, 24, 8, NmScheme::new(2, 4));
+        let other = PageLayout::new(page, 24, 8, NmScheme::new(1, 8));
+        for policy in [StripePolicy::RoundRobin, StripePolicy::Hash] {
+            let mut regions = RegionTable::new();
+            for (name, lbas, layout) in [
+                ("hot", 0..40, Some(hot)),
+                ("plain", 40..80, None),
+                ("other", 80..120, Some(other)),
+            ] {
+                let name = name.into();
+                regions.add(Region { name, lbas, layout });
+            }
+            let mut s = ShardedFtl::with_regions(
+                ControllerConfig::new(2, 2, chip_cfg()),
+                FtlConfig::ipa_native(hot),
+                policy,
+                regions,
+            );
+            let agree = |s: &ShardedFtl, when: &str| {
+                for lba in 0..s.capacity_pages() + 2 {
+                    let shard = s
+                        .locate(lba)
+                        .ok()
+                        .and_then(|(die, sub)| s.shard(die).layout_for(sub));
+                    assert_eq!(
+                        BlockDevice::layout_for(s, lba),
+                        shard,
+                        "{policy:?} {when}: lba {lba}"
+                    );
+                }
+            };
+            agree(&s, "as built");
+            for lba in [3, 41, 42, 90, 200] {
+                s.write(lba, &vec![0x5A; page]).unwrap();
+            }
+            let on_other_die = |s: &ShardedFtl, a: Lba, from: std::ops::Range<Lba>| {
+                from.into_iter()
+                    .find(|&b| s.locate(b).unwrap().0 != s.locate(a).unwrap().0)
+                    .unwrap()
+            };
+            // Hot with default-layout space (the same layout), and two
+            // plain pages: both swaps run.
+            let b = on_other_die(&s, 3, 200..260);
+            assert!(s.swap_stripe(3, b).unwrap());
+            let b = on_other_die(&s, 41, 42..80);
+            assert!(s.swap_stripe(41, b).unwrap());
+            // Hot with other: the layouts differ, the swap is refused.
+            let b = on_other_die(&s, 3, 80..120);
+            assert!(!s.swap_stripe(3, b).unwrap());
+            agree(&s, "after the swaps");
+        }
     }
 }

@@ -2,7 +2,6 @@
 
 use ipa_controller::{CmdContext, CommandKind, FlashController, TracePhase};
 use ipa_ftl::{GcProgress, Result, ShardedFtl};
-use std::sync::Arc;
 
 use crate::stats::MaintStats;
 
@@ -127,23 +126,25 @@ impl<S: WearShifter> MaintenanceScheduler<S> {
         }
     }
 
-    /// One scheduling round over all shards (see the type docs).
+    /// One scheduling round over all shards (see the type docs). The
+    /// poll owns the stripe exclusively, so it reaches each shard without
+    /// a lock ([`ShardedFtl::shard_mut`]).
     pub fn poll(&mut self, ftl: &mut ShardedFtl) -> Result<()> {
         self.stats.polls += 1;
-        let ctrl: Arc<FlashController> = Arc::clone(ftl.controller());
 
         // Snapshot the needy dies with their urgency and wear keys.
         let mut pending: Vec<(u32 /* free */, u64 /* wear */, u32 /* die */)> = Vec::new();
         for die in 0..ftl.dies() {
-            let shard = ftl.shard(die);
+            let shard = ftl.shard_mut(die);
             if shard.gc_pending(shard.gc_low_water()) {
-                let wear = ctrl.die_erase_count(die);
-                pending.push((shard.free_block_count(), wear, die));
+                let free = shard.free_block_count();
+                pending.push((free, ftl.controller().die_erase_count(die), die));
             }
         }
         pending.sort_unstable();
 
         for (_, _, die) in pending {
+            let ctrl = ftl.controller();
             if !ctrl.die_idle(die) {
                 self.stats.deferred_busy += 1;
                 continue;
@@ -155,9 +156,9 @@ impl<S: WearShifter> MaintenanceScheduler<S> {
             self.gc_step(ftl, die)?;
         }
 
-        self.shift_step(ftl, &ctrl)?;
+        self.shift_step(ftl)?;
 
-        self.observe_wear(&ctrl);
+        self.observe_wear(ftl.controller());
         Ok(())
     }
 
@@ -180,10 +181,11 @@ impl<S: WearShifter> MaintenanceScheduler<S> {
     /// Heat-placement dispatch: one step of the shifter's work, run only
     /// if every die it touches is idle at the current host time —
     /// migrations yield to host traffic the same way GC does.
-    fn shift_step(&mut self, ftl: &mut ShardedFtl, ctrl: &FlashController) -> Result<()> {
+    fn shift_step(&mut self, ftl: &mut ShardedFtl) -> Result<()> {
         let Some(dies) = self.shifter.next_dies(ftl) else {
             return Ok(());
         };
+        let ctrl = ftl.controller();
         if dies.iter().any(|&d| !ctrl.die_idle(d)) {
             self.stats.deferred_busy += 1;
             return Ok(());
@@ -205,7 +207,7 @@ impl<S: WearShifter> MaintenanceScheduler<S> {
     /// One reclaim step on one shard, issued as a firmware-internal
     /// command on that shard's die only.
     fn gc_step(&mut self, ftl: &mut ShardedFtl, die: u32) -> Result<()> {
-        let mut shard = ftl.shard(die);
+        let shard = ftl.shard_mut(die);
         shard.chip_mut().set_context(CmdContext::INTERNAL);
         let low_water = shard.gc_low_water();
         let progress = shard.background_gc_step(low_water);
@@ -221,9 +223,9 @@ impl<S: WearShifter> MaintenanceScheduler<S> {
 }
 
 /// Set the command context of the die handles behind `dies`' shards.
-fn set_context(ftl: &ShardedFtl, dies: &[u32], ctx: CmdContext) {
+fn set_context(ftl: &mut ShardedFtl, dies: &[u32], ctx: CmdContext) {
     for &die in dies {
-        ftl.shard(die).chip_mut().set_context(ctx);
+        ftl.shard_mut(die).chip_mut().set_context(ctx);
     }
 }
 
@@ -233,6 +235,7 @@ mod tests {
     use ipa_controller::ControllerConfig;
     use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
     use ipa_ftl::{BlockDevice, FtlConfig, FtlError, Lba, StripePolicy};
+    use std::sync::Arc;
 
     fn striped(channels: u32, dpc: u32, queue_cap: Option<usize>) -> ShardedFtl {
         let chip = DeviceConfig::new(Geometry::new(16, 8, 2048, 64), FlashMode::Slc)

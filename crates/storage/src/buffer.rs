@@ -15,13 +15,12 @@
 //!   [`IpaVerdict::OutOfPlace`] resets the delta area and writes the whole
 //!   page out of place.
 
-use std::collections::HashMap;
-
 use ipa_core::{apply_and_collect, ChangeTracker, IpaVerdict, NmScheme, PageLayout};
 use ipa_ftl::{FtlError, IoRequest, IoToken, Lba, NativeFlashDevice, WriteStrategy};
 
 use crate::error::{Result, StorageError};
 use crate::page::{standard_layout, PageMut};
+use crate::IdMap;
 
 /// Logical page identifier; maps 1:1 onto the device LBA.
 pub type PageId = u64;
@@ -84,7 +83,7 @@ pub enum TraceEvent {
 }
 
 /// Buffer-pool statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     pub hits: u64,
     pub misses: u64,
@@ -132,7 +131,7 @@ pub struct BufferPool {
     device: Box<dyn NativeFlashDevice>,
     strategy: WriteStrategy,
     frames: Vec<Option<Frame>>,
-    map: HashMap<PageId, usize>,
+    map: IdMap<PageId, usize>,
     hand: usize,
     measure_net_writes: bool,
     trace: Option<Vec<TraceEvent>>,
@@ -144,7 +143,7 @@ pub struct BufferPool {
     /// Posted read-ahead vectors not yet polled.
     pending_prefetch: Vec<Prefetch>,
     /// Polled read-ahead images awaiting consumption.
-    ready_prefetch: HashMap<PageId, Vec<u8>>,
+    ready_prefetch: IdMap<PageId, Vec<u8>>,
     /// The last evicted frame's page buffer, kept for the next miss: the
     /// device read (or `new_page`'s `0xFF` fill) overwrites all of it, so
     /// a steady-state miss allocates nothing.
@@ -159,14 +158,14 @@ impl BufferPool {
             device,
             strategy,
             frames: (0..frames).map(|_| None).collect(),
-            map: HashMap::with_capacity(frames),
+            map: IdMap::with_capacity_and_hasher(frames, Default::default()),
             hand: 0,
             measure_net_writes: false,
             trace: None,
             readahead: 0,
             last_miss: None,
             pending_prefetch: Vec::new(),
-            ready_prefetch: HashMap::new(),
+            ready_prefetch: IdMap::default(),
             spare: None,
             stats: PoolStats::default(),
         }
@@ -524,12 +523,14 @@ impl BufferPool {
         }
         // Evict only the overflow from the ready set — its images are
         // already paid for in device time, so dropping all of them would
-        // make the scan re-read (and re-pay for) pages it owns.
+        // make the scan re-read (and re-pay for) pages it owns. The victim
+        // is the lowest page id, never the map's iteration order: an
+        // ascending scan has most likely passed it.
         while self.ready_prefetch.len() > budget {
             let victim = *self
                 .ready_prefetch
                 .keys()
-                .next()
+                .min()
                 .expect("non-empty over budget");
             self.ready_prefetch.remove(&victim);
         }
@@ -807,6 +808,35 @@ mod tests {
         let pid = (0..3u64).find(|pid| !p.map.contains_key(pid)).unwrap();
         let frame = p.with_page(pid, <[u8]>::to_vec).unwrap();
         assert_eq!(frame, device_image(&mut p, pid), "miss after a failed miss");
+    }
+
+    /// Evictions remove from the page map and misses insert into it, far
+    /// more often than the pool has frames; the map must still name
+    /// exactly the resident frames, each at its slot.
+    #[test]
+    fn the_page_map_names_exactly_the_resident_frames() {
+        let mut p = pool(WriteStrategy::Traditional, 4);
+        for pid in 0..24u64 {
+            format_with_row(&mut p, pid, &[pid as u8; 8]);
+        }
+        for round in 0..4u64 {
+            for pid in (0..24u64).rev().skip(round as usize).step_by(3) {
+                p.with_page(pid, |_| ()).unwrap();
+            }
+        }
+        assert!(p.stats().evictions > 40, "{:?}", p.stats());
+        let mut resident: Vec<(PageId, usize)> = p
+            .frames
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, f)| f.as_ref().map(|f| (f.page_id, idx)))
+            .collect();
+        let mut mapped: Vec<(PageId, usize)> =
+            p.map.iter().map(|(&pid, &idx)| (pid, idx)).collect();
+        resident.sort_unstable();
+        mapped.sort_unstable();
+        assert_eq!(resident.len(), 4);
+        assert_eq!(mapped, resident);
     }
 
     #[test]
@@ -1123,6 +1153,44 @@ mod tests {
             for pid in 0..12u64 {
                 p.with_page(pid, |b| assert_eq!(b[0], (pid % 251) as u8))
                     .unwrap();
+            }
+        }
+
+        /// Six 3-page sequential bursts: each burst's third miss claims its
+        /// read-ahead vector, parking three siblings in the ready set, and —
+        /// sequential itself — posts one more read-ahead, whose trim finds
+        /// the sixth burst's 18 ready images over the budget of 16. The
+        /// lowest page ids must go, on every pool alike, so identical access
+        /// sequences end identically.
+        #[test]
+        fn the_read_ahead_victim_is_the_lowest_page_id() {
+            let bases: Vec<PageId> = (0..60).step_by(10).collect();
+            let drive = || {
+                let mut p = striped_pool(80, 4);
+                let fetch = |p: &mut BufferPool, pids: std::ops::Range<PageId>| {
+                    for pid in pids {
+                        p.with_page(pid, |b| assert_eq!(b[0], (pid % 251) as u8))
+                            .unwrap();
+                    }
+                };
+                for &base in &bases {
+                    fetch(&mut p, base..base + 3);
+                }
+                let mut ready: Vec<PageId> = p.ready_prefetch.keys().copied().collect();
+                ready.sort_unstable();
+                let mut want: Vec<PageId> = bases.iter().flat_map(|b| b + 3..b + 6).collect();
+                want.retain(|&pid| pid != 3 && pid != 4);
+                assert_eq!(ready, want, "the trim dropped pages 3 and 4");
+                // The rest of every burst's window.
+                for &base in &bases {
+                    fetch(&mut p, base + 3..base + 6);
+                }
+                (*p.stats(), p.device().device_stats())
+            };
+            let (stats, device) = drive();
+            assert!(stats.readahead_hits > 0, "{stats:?}");
+            for _ in 0..3 {
+                assert_eq!(drive(), (stats, device));
             }
         }
 

@@ -30,3 +30,35 @@ pub use heap::Rid;
 pub use page::{standard_layout, write_ops, PageMut, PageRef, SlottedPage, FOOTER_LEN, HEADER_LEN};
 pub use tx::{TxId, TxManager, UndoChain};
 pub use wal::{Wal, WalKind, WalRecord};
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by an id the engine hands out itself — a page id, a
+/// transaction id.
+///
+/// Not `std`'s SipHash: its DoS resistance guards against keys an adversary
+/// picks, and these are dense internal counters, so all it bought was most
+/// of the cost of a buffer-pool hit — and a per-process random seed that
+/// made iteration order differ between identical runs. One FxHash-style
+/// multiply spreads consecutive ids over both the bucket bits and the
+/// control bits of the table. Nothing may depend on iteration order.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The [`IdMap`] hasher: `h = (h.rotl(5) ^ word) · K` per word.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}

@@ -17,11 +17,10 @@
 //! its chain cost +9.6 % / +12 % `peak_rss_mb` on the ledger's
 //! `tpcb_chip_*` workloads.
 
-use std::collections::HashMap;
-
 use crate::buffer::PageId;
 use crate::error::{Result, StorageError};
 use crate::page::write_ops;
+use crate::IdMap;
 
 /// Transaction identifier.
 pub type TxId = u64;
@@ -58,7 +57,7 @@ impl UndoChain {
 #[derive(Debug, Default)]
 pub struct TxManager {
     next_id: TxId,
-    active: HashMap<TxId, UndoChain>,
+    active: IdMap<TxId, UndoChain>,
     /// The last committed chain, emptied, for the next `begin` to reuse.
     spare: UndoChain,
     pub committed: u64,

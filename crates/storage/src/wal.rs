@@ -39,6 +39,29 @@
 //! proceeds from the last complete batch) from *corruption inside
 //! committed history* (a CRC failure below the tail sequence:
 //! [`StorageError::WalCorrupt`]).
+//!
+//! ## Page CRC
+//!
+//! Every flush CRCs each member page (≈ 8 KiB), so the CRC is on the
+//! commit path. One slice-by-8 chain is latency-bound — each step's
+//! register feeds the next step's table look-ups — so the kernel runs four
+//! independent chains. The input splits into four lanes of
+//! `q = ⌊len/32⌋·8` bytes plus a tail of `len mod 32`; lane 0 starts from
+//! the CRC's `!0` register, lanes 1–3 from zero, and the four advance side
+//! by side. CRC linearity joins them: feeding bytes `B` into register `s`
+//! gives
+//!
+//! ```text
+//! reg(A‖B, s) = reg(A, s) · x^(8|B|)  ⊕  reg(B, 0)        (mod P, over GF(2))
+//! ```
+//!
+//! because the register update is linear in (register, data) jointly, and
+//! `|B|` zero bytes multiply a register by `x^(8|B|)`. Folding left to
+//! right, `crc = crc · x^(8q) ⊕ reg_lane`, turns the four lane registers
+//! into the register of the whole `4q`-byte prefix; the tail runs byte by
+//! byte from there. `x^(8q)` is the product of the compile-time powers
+//! `x^(8·2^k)` for the set bits `k` of `q`. This is the GF(2) algebra
+//! behind zlib's `crc32_combine` (M. Adler, `crc32.c`).
 
 use ipa_controller::ControllerConfig;
 use ipa_flash::{DeviceConfig, DisturbRates, FlashChip, FlashMode, Geometry};
@@ -95,33 +118,99 @@ pub const UPDATE_HEADER_LEN: usize = RECORD_HEADER_LEN + 10;
 const TRAILER_LEN: usize = 16;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — local
-/// implementation so the log format has no dependency footprint.
-///
-/// Slice-by-8: `CRC_TABLES[0]` is the classic byte table (the CRC of each
-/// byte value, eight shift/xor rounds each), and `CRC_TABLES[k][b]` is the
-/// CRC of byte `b` followed by `k` zero bytes, so eight input bytes fold
-/// into the state with eight independent look-ups instead of 64 dependent
-/// shift/xor rounds. Same polynomial, same bytes on flash as the bitwise
-/// loop it replaced (kept as the test oracle `crc32_ref`).
+/// implementation so the log format has no dependency footprint. Four
+/// slice-by-8 lanes joined by CRC linearity (module docs, "Page CRC");
+/// same polynomial, same bytes on flash as the bitwise loop kept as the
+/// test oracle `crc32_ref`.
 fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
+    let q = bytes.len() / 32 * 8;
+    let (lanes, tail) = bytes.split_at(4 * q);
+    let (l0, rest) = lanes.split_at(q);
+    let (l1, rest) = rest.split_at(q);
+    let (l2, l3) = rest.split_at(q);
+    let mut reg = [!0u32, 0, 0, 0];
+    for (((w0, w1), w2), w3) in l0
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .zip(l1.as_chunks::<8>().0)
+        .zip(l2.as_chunks::<8>().0)
+        .zip(l3.as_chunks::<8>().0)
+    {
+        reg = [
+            crc_step(reg[0], w0),
+            crc_step(reg[1], w1),
+            crc_step(reg[2], w2),
+            crc_step(reg[3], w3),
+        ];
     }
-    for &b in words.remainder() {
-        crc = crc >> 8 ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    let shift = x_pow_8n(q);
+    let mut crc = reg[1..]
+        .iter()
+        .fold(reg[0], |crc, &lane| gf2_mul(crc, shift) ^ lane);
+    for &b in tail {
+        crc = crc >> 8 ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// One slice-by-8 step: `CRC_TABLES[0]` is the classic byte table (the CRC
+/// of each byte value, eight shift/xor rounds each), and `CRC_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so eight input bytes
+/// fold into the register with eight independent look-ups instead of 64
+/// dependent shift/xor rounds.
+#[inline(always)]
+fn crc_step(crc: u32, w: &[u8; 8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][(lo >> 8 & 0xFF) as usize]
+        ^ t[5][(lo >> 16 & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][w[4] as usize]
+        ^ t[2][w[5] as usize]
+        ^ t[1][w[6] as usize]
+        ^ t[0][w[7] as usize]
+}
+
+/// `a · b mod P` in the reflected domain, where bit 31 holds the `x^0`
+/// coefficient: for each coefficient of `a`, low to high, add the running
+/// `b · x^i`, then step it to `b · x^(i+1)` (shift right, reduce by `P`).
+const fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut i = 0;
+    while i < 32 {
+        p ^= b & (a >> (31 - i) & 1).wrapping_neg();
+        b = (b >> 1) ^ (0xEDB8_8320 & (b & 1).wrapping_neg());
+        i += 1;
+    }
+    p
+}
+
+/// `X8_POW2[k] = x^(8·2^k) mod P` (reflected): `x^8`, then repeated squaring.
+static X8_POW2: [u32; 32] = {
+    let mut t = [0u32; 32];
+    t[0] = 1 << (31 - 8);
+    let mut k = 1;
+    while k < 32 {
+        t[k] = gf2_mul(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
+/// `x^(8n) mod P` (reflected): the register multiplier of `n` zero bytes,
+/// one [`X8_POW2`] factor per set bit of `n`.
+fn x_pow_8n(mut n: usize) -> u32 {
+    debug_assert!((n as u64) >> 32 == 0, "a CRC input beyond 16 GiB");
+    let mut p = 1 << 31;
+    for &factor in &X8_POW2 {
+        if n & 1 == 1 {
+            p = gf2_mul(p, factor);
+        }
+        n >>= 1;
+    }
+    p
 }
 
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
@@ -793,6 +882,28 @@ mod tests {
         }
         // The erased log tail the flush actually stamps.
         assert_eq!(crc32(&[0xFF; 2044]), crc32_ref(&[0xFF; 2044]));
+    }
+
+    /// Every lane split the kernel can take: no lanes (under 32 bytes),
+    /// every tail length against every small lane length, and the lengths
+    /// around an 8 KiB page's CRC field.
+    #[test]
+    fn four_lane_crc32_equals_the_bitwise_reference_at_every_length() {
+        let bytes: Vec<u8> = (0..8188u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in (0..=1100).chain(8176..=8188) {
+            assert_eq!(crc32(&bytes[..len]), crc32_ref(&bytes[..len]), "len {len}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn four_lane_crc32_equals_the_bitwise_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 0..2100),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_ref(&bytes));
+        }
     }
 
     #[test]

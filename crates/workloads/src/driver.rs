@@ -1077,18 +1077,18 @@ impl Driver {
 
         let run_stream = |s: u64| {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ (s).wrapping_mul(0xA24B_AED4_963E_E407));
-            let mut model: std::collections::HashMap<u64, u8> = Default::default();
+            // The fill last written to each slot of the stream's window.
+            let mut model: Vec<Option<u8>> = vec![None; cfg.window as usize];
             let mut buf = vec![0u8; cfg.page_size];
             for i in 0..cfg.ops_per_stream {
                 let slot = rng.gen_range(0..cfg.window);
                 let lba = lba_of(s, slot);
-                if i % 4 == 3 && model.contains_key(&slot) {
+                if let (3, Some(want)) = (i % 4, model[slot as usize]) {
                     // Point read on the priority lane, checked against
                     // the stream's own model (read-your-writes holds per
                     // LBA whatever the cross-stream interleaving).
                     dev.read_shared(lba, &mut buf)
                         .expect("modelled slot must read back");
-                    let want = model[&slot];
                     assert!(
                         buf.iter().all(|&b| b == want),
                         "stream {s}: slot {slot} returned foreign data"
@@ -1099,7 +1099,7 @@ impl Driver {
                         .submit_io(IoRequest::WriteV(vec![(lba, vec![fill; cfg.page_size])]))
                         .expect("write submits");
                     dev.poll_io_checked(token).expect("fresh token completes");
-                    model.insert(slot, fill);
+                    model[slot as usize] = Some(fill);
                 }
             }
         };

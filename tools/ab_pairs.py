@@ -25,6 +25,13 @@ mismatch, a failed end-of-run check or a larger share of failed operations.
 two binaries alternating N times) and prints one row per rung: both medians,
 their ratio, and a flag on any rung whose median rose by more than 10 %. The
 rungs are per-layer readings, not gated metrics: the exit status stays 0.
+
+`--layers N` alternates N `--trace 1` runs of each workload instead and prints
+one row per per-layer metric of `BENCHMARK.json` (the `*_share_est` columns
+and `workloads.churn_t1_wall_us_per_op` included): both medians, their ratio,
+and a flag on any metric more than 10 % worse in its `better` direction. Rows
+whose medians are both 0 (a layer the workload's stack does not have) are
+left out. Also ungated: the exit status stays 0.
 """
 
 import argparse
@@ -40,10 +47,10 @@ DIGEST = re.compile(r"^\s*sim_digest\s+(0x[0-9a-fA-F]+)", re.M)
 RUNG = re.compile(r"^\s+(\S+_ns)\s+([0-9.]+) ns\b", re.M)
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     """One ledger run: (metrics by name, failed share, sim_digest or None)."""
     cmd = [str(tree / LEDGER), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     if not result["correct"]:
@@ -117,6 +124,29 @@ def probe_ladder(trees, rounds):
         print(f"| {name} | {fmt(p)} | {fmt(c)} | {ratio} | {flag} |")
 
 
+def layer_table(trees, rounds, seed, seconds, workloads, per_layer):
+    """Alternate `--trace 1` runs; one Markdown row per workload x per-layer metric."""
+    print(f"per-layer metrics, seed {seed}, {seconds} s, {rounds} alternating runs a side\n")
+    print("| workload | metric | parent median | change median | change / parent | |")
+    print("|---|---|---|---|---|---|")
+    for w in workloads:
+        samples = {side: [] for side in trees}
+        for i in range(rounds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                samples[side].append(run_once(trees[side], w, seed, seconds, trace=1)[0])
+            print(f"  {w}: round {i + 1}/{rounds}", file=sys.stderr)
+        for m in per_layer:
+            name = m["name"]
+            p, c = (statistics.median(run[name] for run in samples[side]) for side in trees)
+            if p == 0 and c == 0:
+                continue
+            ratio = f"{c / p:.3f}" if p else "n/a"
+            worse = c > 1.1 * p if m["better"] == "lower" else c < 0.9 * p
+            flag = "> 10 % worse" if worse else ""
+            print(f"| {w} | {name} | {fmt(p)} | {fmt(c)} | {ratio} | {flag} |", flush=True)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="tree of the parent commit")
@@ -127,6 +157,8 @@ def main():
     ap.add_argument("--workloads", help="comma-separated; default: all of BENCHMARK.json")
     ap.add_argument("--probes", type=int, metavar="N",
                     help="run the probe ladder N times a side instead of the workloads")
+    ap.add_argument("--layers", type=int, metavar="N",
+                    help="compare the per-layer metrics of N --trace 1 runs a side instead")
     args = ap.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -140,6 +172,9 @@ def main():
     metrics = contract["end_to_end"]
     workloads = args.workloads.split(",") if args.workloads else [
         w["name"] for w in contract["workloads"]]
+    if args.layers:
+        layer_table(trees, args.layers, args.seed, args.seconds, workloads, contract["per_layer"])
+        return 0
     golden = (trees["change"] / "tests/golden/ledger_digests.txt").read_text()
     deterministic = {line.split()[0] for line in golden.splitlines()
                      if line.strip() and not line.startswith("#")}
