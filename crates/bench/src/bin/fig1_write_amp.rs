@@ -9,7 +9,7 @@
 //! IPA native (`write_delta`) to show the transferred-bytes reduction of
 //! Figure 1's lower half.
 //!
-//! Usage: `cargo run --release -p ipa-bench --bin fig1_write_amp [--tx=6000]`
+//! Usage: `cargo run --release -p ipa-bench --bin fig1_write_amp [--tx=6000] [--seed=N]`
 
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
@@ -18,6 +18,7 @@ use ipa_workloads::{build, Driver, DriverConfig, StackSpec, WorkloadKind};
 fn main() {
     let tx: u64 = ipa_bench::arg("tx", 6_000);
     let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
+    ipa_bench::reject_unasked_args();
     let page_size = 8 * 1024;
 
     println!();

@@ -20,6 +20,7 @@ use ipa_flash::{
 };
 
 fn main() {
+    ipa_bench::reject_unasked_args();
     println!();
     println!("Figure 2: ISPP staircases and in-place append legality");
     ipa_bench::rule(72);

@@ -12,6 +12,7 @@ use ipa_ftl::OobCodec;
 use ipa_storage::standard_layout;
 
 fn main() {
+    ipa_bench::reject_unasked_args();
     let page_size = 8 * 1024;
     println!();
     println!("Figure 3: IPA page layout — delta-record area sizing, 8 KB page");

@@ -8,7 +8,7 @@
 //! For each OLTP workload this runs traditional vs IPA `[2×4]` (pSLC) for
 //! the same simulated duration and reports exactly those four quantities.
 //!
-//! Usage: `cargo run --release -p ipa-bench --bin headline_claims [--secs=10]`
+//! Usage: `cargo run --release -p ipa-bench --bin headline_claims [--secs=10] [--seed=N]`
 
 use ipa_flash::FlashMode;
 use ipa_workloads::{Driver, DriverConfig, WorkloadKind};
@@ -16,6 +16,7 @@ use ipa_workloads::{Driver, DriverConfig, WorkloadKind};
 fn main() {
     let secs: f64 = ipa_bench::arg("secs", 10.0);
     let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
+    ipa_bench::reject_unasked_args();
     let cfg = DriverConfig::default()
         .with_seed(seed)
         .for_simulated_secs(secs);

@@ -111,6 +111,7 @@ fn run_mode(mode: FlashMode, force_unsafe: bool, rounds: u32) -> Outcome {
 
 fn main() {
     let rounds: u32 = ipa_bench::arg("rounds", 300);
+    ipa_bench::reject_unasked_args();
     println!();
     println!("Program interference under IPA appends ({rounds} rounds x 64 pages)");
     ipa_bench::rule(104);

@@ -10,7 +10,7 @@
 //! benchmark run, then replayed against the IPL store and the IPA stack on
 //! identically configured flash.
 //!
-//! Usage: `cargo run --release -p ipa-bench --bin ipa_vs_ipl [--tx=6000]`
+//! Usage: `cargo run --release -p ipa-bench --bin ipa_vs_ipl [--tx=6000] [--seed=N]`
 
 use ipa_core::NmScheme;
 use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
@@ -21,6 +21,7 @@ use ipa_workloads::{build, Driver, DriverConfig, StackSpec, WorkloadKind};
 fn main() {
     let tx: u64 = ipa_bench::arg("tx", 6_000);
     let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
+    ipa_bench::reject_unasked_args();
     let page_size = 8 * 1024;
 
     println!();

@@ -6,7 +6,7 @@
 //! space overhead, in-place fraction, GC pressure and throughput — showing
 //! where bigger schemes stop paying.
 //!
-//! Usage: `cargo run --release -p ipa-bench --bin nm_sweep [--secs=6]`
+//! Usage: `cargo run --release -p ipa-bench --bin nm_sweep [--secs=6] [--seed=N]`
 
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
@@ -17,6 +17,7 @@ use ipa_workloads::{Driver, DriverConfig, StackSpec, WorkloadKind};
 fn main() {
     let secs: f64 = ipa_bench::arg("secs", 6.0);
     let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
+    ipa_bench::reject_unasked_args();
     let cfg = DriverConfig::default()
         .with_seed(seed)
         .for_simulated_secs(secs);

@@ -6,7 +6,7 @@
 //! shrinks — and that a NOP of 1 (initial program only) collapses IPA to
 //! the traditional path via the rejection/fallback mechanism.
 //!
-//! Usage: `cargo run --release -p ipa-bench --bin nop_sweep [--secs=6]`
+//! Usage: `cargo run --release -p ipa-bench --bin nop_sweep [--secs=6] [--seed=N]`
 
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
@@ -16,6 +16,7 @@ use ipa_workloads::{build, Driver, DriverConfig, WorkloadKind};
 fn main() {
     let secs: f64 = ipa_bench::arg("secs", 6.0);
     let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
+    ipa_bench::reject_unasked_args();
     let page_size = 8 * 1024;
 
     println!();

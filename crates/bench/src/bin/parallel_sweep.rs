@@ -96,6 +96,7 @@ impl SweepArgs {
         use ipa_bench::{arg, flag, str_arg};
         let valued = |name: &str, default: u32| if flag(name) { arg(name, default) } else { 0 };
         let tx = arg("tx", 1_200);
+        let fleet = (arg("fleet-tenants", 8), arg("fleet-rounds", 10));
         SweepArgs {
             tx,
             streams: arg("streams", 8),
@@ -112,7 +113,7 @@ impl SweepArgs {
             wal_group: arg("wal-group", 1),
             qos: flag("qos"),
             heat: flag("heat").then(|| arg("heat", 0.99)),
-            fleet: flag("fleet").then(|| (arg("fleet-tenants", 8), arg("fleet-rounds", 10))),
+            fleet: flag("fleet").then_some(fleet),
             threads: valued("threads", 4),
             trace: str_arg("trace"),
             metrics: str_arg("metrics"),
@@ -556,6 +557,8 @@ fn sections(a: &SweepArgs) -> Vec<SectionFn> {
 
 fn main() {
     let args = SweepArgs::from_env();
+    let csv_path = ipa_bench::str_arg("csv");
+    ipa_bench::reject_unasked_args();
     println!("{args:?}");
     ipa_bench::rule(118);
     let mut csv = Row::header() + "\n";
@@ -569,7 +572,7 @@ fn main() {
             csv.push('\n');
         }
     }
-    if let Some(path) = ipa_bench::str_arg("csv") {
+    if let Some(path) = csv_path {
         std::fs::write(&path, csv).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("csv written to {path}");
     }

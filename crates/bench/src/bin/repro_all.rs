@@ -5,7 +5,7 @@
 //! magnitude), not absolute counts; the rationale sits beside each check
 //! below.
 //!
-//! Usage: `cargo run --release -p ipa-bench --bin repro_all [--secs=8]`
+//! Usage: `cargo run --release -p ipa-bench --bin repro_all [--secs=8] [--seed=N]`
 
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
@@ -21,6 +21,7 @@ struct Verdict {
 fn main() {
     let secs: f64 = ipa_bench::arg("secs", 8.0);
     let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
+    ipa_bench::reject_unasked_args();
     let mut verdicts: Vec<Verdict> = Vec::new();
 
     // --- E1/E4: Table 1 + headline, TPC-B --------------------------------

@@ -17,6 +17,7 @@ fn main() {
     let secs: f64 = ipa_bench::arg("secs", 20.0);
     let scale: u32 = ipa_bench::arg("scale", 1);
     let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
+    ipa_bench::reject_unasked_args();
 
     let cfg = DriverConfig::default()
         .with_seed(seed)

@@ -14,14 +14,18 @@
 //! | `nm_sweep`        | ablation — N×M scheme sweep                     |
 //! | `nop_sweep`       | ablation — NOP (reprogram budget) sensitivity   |
 //!
-//! All binaries accept `--secs=<f64>` / `--tx=<n>` / `--scale=<n>` /
-//! `--seed=<n>` where meaningful, print fixed-width tables to stdout, and
-//! are deterministic for a given seed. A `--flag=value` whose value does
-//! not parse is a usage error (exit status 2), never a silent default.
+//! Each binary's module docs list its flags (most take `--seed=<n>` and
+//! one size knob: `--secs=<f64>`, `--tx=<n>` or `--rounds=<n>`); every
+//! binary prints fixed-width tables to stdout and is deterministic for a
+//! given seed. A binary accepts exactly the flags it asks for: an unknown
+//! flag name, a stray value token (the `300` in `--tx 300`) and a
+//! `--flag=value` whose value does not parse are usage errors (exit
+//! status 2), never a silent default.
 
 pub mod sweep_csv;
 
 use std::fmt::Display;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
@@ -37,6 +41,39 @@ pub fn traditional_mlc() -> StackSpec {
 /// (pSLC or odd-MLC).
 pub fn ipa_2x4(mode: FlashMode) -> StackSpec {
     StackSpec::paper(WriteStrategy::IpaNative, mode)
+}
+
+/// The argv spellings a flag was asked for with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ask {
+    /// [`arg`]: `--name=value` only.
+    Value,
+    /// [`str_arg`]: `--name=value` or `--name value`.
+    Str,
+    /// [`flag`]: `--name` or `--name=value`.
+    Switch,
+}
+
+/// Every flag the binary has asked argv for so far, with how.
+static ASKED: Mutex<Vec<(String, Ask)>> = Mutex::new(Vec::new());
+
+fn asked() -> MutexGuard<'static, Vec<(String, Ask)>> {
+    ASKED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn ask(name: &str, how: Ask) {
+    asked().push((name.to_string(), how));
+}
+
+fn argv() -> Vec<String> {
+    std::env::args().collect()
+}
+
+/// Print a usage error and exit with status 2.
+fn usage_error(program: &str, error: &str) -> ! {
+    eprintln!("error: {error}");
+    eprintln!("usage: {program} [--<flag>=<value>]... (the binary's module docs list its flags)");
+    std::process::exit(2)
 }
 
 /// Parse `--name=value` out of `args`; `default` when the flag is absent.
@@ -60,15 +97,9 @@ pub fn parse_arg<T: std::str::FromStr>(
 /// [`parse_arg`] over the process's argv. An unparsable value prints the
 /// error and a usage pointer, and exits with status 2.
 pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    parse_arg(&args, name, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        eprintln!(
-            "usage: {} [--<flag>=<value>]... (the binary's module docs list its flags)",
-            args[0]
-        );
-        std::process::exit(2)
-    })
+    ask(name, Ask::Value);
+    let args = argv();
+    parse_arg(&args, name, default).unwrap_or_else(|e| usage_error(&args[0], &e))
 }
 
 /// Parse an optional string flag from argv, accepting both `--name=value`
@@ -77,9 +108,10 @@ pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
 /// count as a value — `--csv --cap=2` must not write a file named
 /// `--cap=2`).
 pub fn str_arg(name: &str) -> Option<String> {
+    ask(name, Ask::Str);
     let eq_prefix = format!("--{name}=");
     let bare = format!("--{name}");
-    let args: Vec<String> = std::env::args().collect();
+    let args = argv();
     for (i, a) in args.iter().enumerate() {
         if let Some(v) = a.strip_prefix(&eq_prefix) {
             return Some(v.to_string());
@@ -94,9 +126,52 @@ pub fn str_arg(name: &str) -> Option<String> {
 /// Is a `--name` flag present in argv, in either its bare (`--name`) or
 /// valued (`--name=value`) spelling?
 pub fn flag(name: &str) -> bool {
+    ask(name, Ask::Switch);
     let eq_prefix = format!("--{name}=");
     let bare = format!("--{name}");
     std::env::args().any(|a| a == bare || a.starts_with(&eq_prefix))
+}
+
+/// Check argv (`args[0]` is the program) against the flags `asked` for:
+/// every `--name` must have been asked for, in a spelling its [`Ask`]
+/// allows, and the only non-flag token is the value after a bare
+/// [`Ask::Str`] flag. Names the first token that breaks the rule.
+fn check_args(args: &[String], asked: &[(String, Ask)]) -> Result<(), String> {
+    let mut tokens = args.iter().skip(1).peekable();
+    while let Some(token) = tokens.next() {
+        let Some(body) = token.strip_prefix("--") else {
+            return Err(format!(
+                "stray value {token:?} (spell a flag's value --name=value)"
+            ));
+        };
+        let (name, bare) = body
+            .split_once('=')
+            .map_or((body, true), |(n, _)| (n, false));
+        if !asked.iter().any(|(n, _)| n == name) {
+            return Err(format!("unknown flag --{name}"));
+        }
+        let asked_as = |how| asked.contains(&(name.to_string(), how));
+        if bare {
+            if asked_as(Ask::Str) {
+                tokens.next_if(|t| !t.starts_with("--"));
+            } else if !asked_as(Ask::Switch) {
+                return Err(format!("--{name} takes a value: --{name}=<value>"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The end of a binary's parse block: argv may hold nothing but the
+/// flags asked for through [`arg`], [`str_arg`] and [`flag`] so far, in
+/// the spellings those accept. Anything else — an unknown name, a stray
+/// value token, a bare `--name` of an [`arg`] flag — prints the
+/// offending token and a usage pointer, and exits with status 2.
+pub fn reject_unasked_args() {
+    let args = argv();
+    if let Err(e) = check_args(&args, &asked()) {
+        usage_error(&args[0], &e)
+    }
 }
 
 /// Relative change in percent, paper-style (negative = reduction).
@@ -163,6 +238,48 @@ mod tests {
         assert_eq!(grouped(3_779_926), "3 779 926");
         assert_eq!(grouped(123), "123");
         assert_eq!(grouped(1_000), "1 000");
+    }
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        std::iter::once("bin")
+            .chain(tokens.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    fn asked() -> Vec<(String, Ask)> {
+        [("tx", Ask::Value), ("csv", Ask::Str), ("qos", Ask::Switch)]
+            .map(|(n, h)| (n.to_string(), h))
+            .to_vec()
+    }
+
+    #[test]
+    fn only_the_asked_flags_pass() {
+        let ok = |t: &[&str]| check_args(&argv(t), &asked());
+        assert_eq!(ok(&[]), Ok(()));
+        assert_eq!(ok(&["--tx=300", "--qos", "--csv=a.csv"]), Ok(()), "known");
+        assert_eq!(ok(&["--qos=1"]), Ok(()), "a switch's valued spelling");
+        let err = ok(&["--tx=3", "--no-such-flag=1", "--bogus"]).unwrap_err();
+        assert!(err.contains("--no-such-flag"), "unknown: {err}");
+        let err = ok(&["--qos", "300"]).unwrap_err();
+        assert!(err.contains("\"300\""), "stray value: {err}");
+        let err = ok(&["--tx", "300"]).unwrap_err();
+        assert!(
+            err.contains("--tx=<value>"),
+            "a value flag's bare spelling: {err}"
+        );
+    }
+
+    #[test]
+    fn a_string_flag_takes_the_next_token_as_its_value() {
+        let ok = |t: &[&str]| check_args(&argv(t), &asked());
+        assert_eq!(ok(&["--csv", "sweep.csv", "--tx=3"]), Ok(()));
+        assert_eq!(
+            ok(&["--csv", "--qos"]),
+            Ok(()),
+            "no value: the flag is absent"
+        );
+        assert!(ok(&["--csv", "a.csv", "b.csv"]).is_err(), "one value only");
     }
 
     #[test]

@@ -388,13 +388,10 @@ impl FlashController {
         for ch in &self.channels {
             max_chan_busy = max_chan_busy.max(lock(ch).busy_ns);
         }
-        let elapsed = horizon as u128;
-        let util_ppm = |busy_ns: u64| {
-            (busy_ns as u128 * 1_000_000)
-                .checked_div(elapsed)
-                .map_or(0, |ppm| (ppm as u64).min(1_000_000))
-        };
-        if elapsed > 0 {
+        // No clamp: a die or bus busy for longer than the horizon would be
+        // a timing-model bug (`tests/heat_placement.rs` pins busy ≤ elapsed).
+        if horizon > 0 {
+            let util_ppm = |busy_ns: u64| (busy_ns as u128 * 1_000_000 / horizon as u128) as u64;
             s.die_util_ppm_max = util_ppm(max_die_busy);
             s.chan_util_ppm_max = util_ppm(max_chan_busy);
         }
@@ -552,7 +549,7 @@ impl FlashController {
             return 0.0;
         }
         let busy = lock(&self.dies[die as usize]).busy_ns;
-        (busy as f64 / elapsed as f64).min(1.0)
+        busy as f64 / elapsed as f64
     }
 
     /// Fraction of elapsed simulated time channel `ch`'s bus spent
@@ -563,7 +560,7 @@ impl FlashController {
             return 0.0;
         }
         let busy = lock(&self.channels[ch as usize]).busy_ns;
-        (busy as f64 / elapsed as f64).min(1.0)
+        busy as f64 / elapsed as f64
     }
 
     /// Posted commands still in flight on a die at current host time.

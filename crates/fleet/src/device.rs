@@ -69,11 +69,6 @@ impl TenantDevice {
                     .map(|l| self.map(l))
                     .collect::<Result<_>>()?,
             ),
-            IoRequest::HighPriorityReadV(lbas) => IoRequest::HighPriorityReadV(
-                lbas.into_iter()
-                    .map(|l| self.map(l))
-                    .collect::<Result<_>>()?,
-            ),
             IoRequest::WriteV(pages) => IoRequest::WriteV(
                 pages
                     .into_iter()
@@ -86,8 +81,6 @@ impl TenantDevice {
                     .map(|(l, off, delta)| Ok((self.map(l)?, off, delta)))
                     .collect::<Result<_>>()?,
             ),
-            IoRequest::Trim(lba) => IoRequest::Trim(self.map(lba)?),
-            IoRequest::Flush => IoRequest::Flush,
         })
     }
 }

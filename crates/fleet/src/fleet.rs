@@ -9,6 +9,9 @@ use ipa_storage::{EngineConfig, RecoveryReport, Result, StorageEngine, TableSpec
 
 use crate::device::{SharedDevice, TenantDevice};
 
+/// Page size of a fleet's shared device and of every tenant's WAL, bytes.
+pub(crate) const PAGE_SIZE: usize = 2048;
+
 /// Shared-device and per-tenant knobs for a [`Fleet`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -18,8 +21,6 @@ pub struct FleetConfig {
     pub dies_per_channel: u32,
     /// Planes per die.
     pub planes: u32,
-    /// Page size of the shared device (and every tenant's WAL).
-    pub page_size: usize,
     /// NCQ queue cap on the shared controller (`None` = unbounded).
     pub queue_cap: Option<usize>,
     /// Latency-QoS scheduling on the shared controller.
@@ -41,7 +42,6 @@ impl Default for FleetConfig {
             channels: 4,
             dies_per_channel: 2,
             planes: 1,
-            page_size: 2048,
             queue_cap: None,
             qos: false,
             seed: 0xF1EE7,
@@ -102,7 +102,7 @@ impl FleetBuilder {
             .max(12)
             .next_multiple_of(cfg.planes);
         let chip = DeviceConfig::new(
-            Geometry::new(blocks_per_die, ppb, cfg.page_size, 64).with_planes(cfg.planes),
+            Geometry::new(blocks_per_die, ppb, PAGE_SIZE, 64).with_planes(cfg.planes),
             FlashMode::Slc,
         )
         .with_disturb(DisturbRates::none())
@@ -157,7 +157,7 @@ impl FleetBuilder {
             engine_cfg.wal_pages = cfg.wal_pages;
             let view = TenantDevice::new(Arc::clone(&shared), base, budget);
             let engine =
-                StorageEngine::build_with_device(cfg.page_size, engine_cfg, &tables, |_, _| {
+                StorageEngine::build_with_device(PAGE_SIZE, engine_cfg, &tables, |_, _| {
                     Box::new(view)
                 })?;
             tenants.push(TenantHandle {

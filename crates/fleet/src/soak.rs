@@ -12,9 +12,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ipa_controller::ControllerStats;
-use ipa_workloads::{engine_metrics, fairness_spread, LatencyPercentiles, MetricsSnapshot};
+use ipa_workloads::{
+    engine_metrics, fairness_spread, LatencyPercentiles, MetricsSnapshot, CPU_NS_PER_TX,
+};
 
-use crate::fleet::{Fleet, FleetConfig};
+use crate::fleet::{Fleet, FleetConfig, PAGE_SIZE};
 use crate::workload::{TenantMix, TenantWorkload};
 
 /// Soak-run shape. The defaults are the root-suite scale: 16 tenants,
@@ -32,8 +34,6 @@ pub struct SoakConfig {
     pub kills_per_round: usize,
     /// Checkpoint every tenant each N rounds (log-space recycling).
     pub checkpoint_every_rounds: usize,
-    /// Host CPU time a tenant spends between its transactions.
-    pub cpu_ns_per_tx: u64,
     pub seed: u64,
 }
 
@@ -47,7 +47,6 @@ impl Default for SoakConfig {
             steps_per_round: 6,
             kills_per_round: 3,
             checkpoint_every_rounds: 2,
-            cpu_ns_per_tx: 30_000,
             seed: 0x50AC,
         }
     }
@@ -112,12 +111,7 @@ pub fn run_soak(cfg: &SoakConfig) -> ipa_storage::Result<SoakReport> {
         let label = format!("t{i:02}-{}", mix.name());
         builder = builder.tenant(
             label.clone(),
-            TenantWorkload::tables(
-                mix,
-                cfg.rows_per_tenant,
-                expected_steps,
-                cfg.fleet.page_size,
-            ),
+            TenantWorkload::tables(mix, cfg.rows_per_tenant, expected_steps, PAGE_SIZE),
         );
         workloads.push(TenantWorkload::new(
             mix,
@@ -154,7 +148,7 @@ pub fn run_soak(cfg: &SoakConfig) -> ipa_storage::Result<SoakReport> {
             workloads[i].step(t.engine_mut())?;
             let done = t.engine().pool().device().submission_clock_ns();
             samples[i].push(done.saturating_sub(clocks[i]));
-            clocks[i] = done + cfg.cpu_ns_per_tx;
+            clocks[i] = done + CPU_NS_PER_TX;
             remaining[i] -= 1;
             left -= 1;
         }

@@ -909,12 +909,6 @@ impl<C: Nand> Ftl<C> {
         Ok(())
     }
 
-    /// Is a write parked in the plane-pairing window?
-    #[inline]
-    pub fn has_staged(&self) -> bool {
-        self.staged.is_some()
-    }
-
     /// Flush the pairing window: issue the parked single-plane program,
     /// if any. Called internally whenever something must observe the
     /// staged page on flash; public so barrier-style consumers (a device
@@ -942,8 +936,10 @@ impl<C: Nand> Ftl<C> {
         self.check_lba(lba)?;
         self.drain_staged_for(lba)?;
         let ppa = self.l2p[lba as usize].ok_or(FtlError::UnmappedLba(lba))?;
+        // Copy-back, like GC's migration read: firmware traffic keeps
+        // the die busy but never stalls the host interface.
         self.chip
-            .read_page_into(ppa, &mut self.page_scratch, &mut self.oob_scratch)?;
+            .copyback_read_into(ppa, &mut self.page_scratch, &mut self.oob_scratch)?;
         let codec = self.codec_for(lba);
         match codec.verify(&mut self.page_scratch, &self.oob_scratch) {
             Ok(o) => self.stats.ecc_corrected_bits += o.corrected_bits,
@@ -1198,10 +1194,7 @@ impl<C: Nand> IoQueue for Ftl<C> {
         let mut data = Vec::new();
         let mut rejected = Vec::new();
         match &req {
-            // No scheduler behind a single chip: the priority lane is
-            // plain FIFO here, but the request stays accepted so hosts
-            // can program against one queue contract.
-            IoRequest::ReadV(lbas) | IoRequest::HighPriorityReadV(lbas) => {
+            IoRequest::ReadV(lbas) => {
                 for &lba in lbas {
                     let mut buf = vec![0u8; self.page_size()];
                     BlockDevice::read(self, lba, &mut buf)?;
@@ -1225,8 +1218,6 @@ impl<C: Nand> IoQueue for Ftl<C> {
                 }
                 self.stats.vectored_deltas += u64::from(members.len() > 1);
             }
-            IoRequest::Trim(lba) => self.trim(*lba)?,
-            IoRequest::Flush => self.drain_staged()?,
         }
         Ok(IoToken::immediate(IoCompletion {
             data,
@@ -1872,8 +1863,7 @@ mod tests {
             "immediate completion: done is the chip clock"
         );
 
-        let t = ftl.submit(IoRequest::Trim(1)).unwrap();
-        ftl.forget(t);
+        ftl.trim(1).unwrap();
         let mut buf = vec![0u8; 2048];
         assert!(matches!(
             ftl.read(1, &mut buf),

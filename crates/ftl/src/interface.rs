@@ -103,14 +103,6 @@ pub enum IoRequest {
     /// request order. Posted: the submission clock does not wait for the
     /// data — [`IoQueue::poll_checked`] is the wait.
     ReadV(Vec<Lba>),
-    /// [`IoRequest::ReadV`] on the latency-priority lane: on a
-    /// QoS-scheduled device the members may be dispatched *ahead of*
-    /// posted program/erase work already queued on their dies (suspending
-    /// in-flight erases within the chip's resume budget). Host point
-    /// reads travel this lane; bulk read-ahead stays on `ReadV` so
-    /// streaming cannot starve posted writes. Devices without a QoS
-    /// scheduler treat it exactly as `ReadV`.
-    HighPriorityReadV(Vec<Lba>),
     /// Write whole pages (posted, like the sync `write`).
     WriteV(Vec<(Lba, Vec<u8>)>),
     /// Native IPA delta appends (`write_delta`) as a queued command, one
@@ -121,12 +113,6 @@ pub enum IoRequest {
     /// verdict) does *not* fail the request: its index is reported in
     /// [`IoCompletion::rejected`] and the host falls back per member.
     WriteDeltaV(Vec<(Lba, usize, Vec<u8>)>),
-    /// Drop the mapping for an LBA.
-    Trim(Lba),
-    /// Settle acknowledged-but-unprogrammed device state (plane-pairing
-    /// windows) without merging clocks — a write barrier, not a time
-    /// barrier.
-    Flush,
 }
 
 /// What a finished [`IoRequest`] reports. Carries *both* clocks of the
@@ -167,7 +153,7 @@ impl VectoredCounters {
     /// than one member (a one-element vector is the classic command).
     pub fn count_request(&self, req: &IoRequest) {
         let counter = match req {
-            IoRequest::ReadV(v) | IoRequest::HighPriorityReadV(v) if v.len() > 1 => &self.reads,
+            IoRequest::ReadV(v) if v.len() > 1 => &self.reads,
             IoRequest::WriteV(v) if v.len() > 1 => &self.writes,
             IoRequest::WriteDeltaV(v) if v.len() > 1 => &self.deltas,
             _ => return,
@@ -197,11 +183,11 @@ impl VectoredCounters {
 ///   returns the token that owns its completion. Posted semantics: the
 ///   submission clock does not advance to the request's completion (it
 ///   may advance for queue-admission effects such as NCQ back-pressure,
-///   exactly like the sync write path). How a member is scheduled
-///   (posted, priority lane) is a context set on the die it lands on for
-///   that member only, and `done_ns` is the max over the request's *own*
-///   members — a concurrent submitter's reads neither run in this
-///   request's lane nor extend its completion.
+///   exactly like the sync write path). Every member posts: the lane is
+///   a context set on the die it lands on for that member only, and
+///   `done_ns` is the max over the request's *own* members — a
+///   concurrent submitter's reads neither run in this request's lane nor
+///   extend its completion.
 /// * `poll_checked` consumes the token and *waits* for its completion:
 ///   the submission clock advances to at least `done_ns` and the
 ///   completion (with any read data) is returned. The token is moved, so
@@ -243,7 +229,7 @@ impl VectoredCounters {
 /// use ipa_ftl::{Ftl, FtlConfig, IoQueue, IoRequest};
 /// let chip = ipa_flash::FlashChip::new(ipa_flash::DeviceConfig::small());
 /// let mut dev = Ftl::new(chip, FtlConfig::traditional());
-/// let token = dev.submit(IoRequest::Flush).unwrap();
+/// let token = dev.submit(IoRequest::ReadV(vec![0])).unwrap();
 /// dev.poll_checked(token).unwrap();
 /// dev.poll_checked(token).unwrap(); // error[E0382]: use of moved value: `token`
 /// ```
@@ -254,7 +240,7 @@ impl VectoredCounters {
 /// use ipa_ftl::{Ftl, FtlConfig, IoQueue, IoRequest};
 /// let chip = ipa_flash::FlashChip::new(ipa_flash::DeviceConfig::small());
 /// let mut dev = Ftl::new(chip, FtlConfig::traditional());
-/// let token = dev.submit(IoRequest::Flush).unwrap();
+/// let token = dev.submit(IoRequest::ReadV(vec![0])).unwrap();
 /// dev.forget(token);
 /// dev.poll_checked(token).unwrap(); // error[E0382]: use of moved value: `token`
 /// ```
@@ -262,17 +248,17 @@ impl VectoredCounters {
 /// ## Reorder contract (QoS devices)
 ///
 /// Completion order is **not** submission order. Within one die a
-/// QoS-scheduled device may complete a later-submitted priority read
+/// QoS-scheduled device may complete a later point read
+/// ([`BlockDevice::read`], which travels the latency-priority lane)
 /// before earlier-submitted posted programs/erases (erase-suspend,
 /// reorder windows). Three guarantees survive reordering:
 ///
 /// * **Read-your-writes per LBA**: a read submitted after a write to the
 ///   same LBA always returns that write's data — device state mutates in
 ///   submission order; only completion *times* reorder.
-/// * **`sync` is the only total barrier**: it waits for every prior
+/// * **`sync` is the only barrier**: it waits for every prior
 ///   submission — promoted, suspended, or pushed out — and merges their
-///   completion times into the returned device clock. `Flush` remains a
-///   write barrier (plane-pairing windows), not an ordering fence.
+///   completion times into the returned device clock.
 /// * **Bounded deferral**: posted work jumped by priority reads is pushed
 ///   out by exactly the reads' occupancy, and one erase can be suspended
 ///   at most its chip's `erase_resume_limit` times — no starvation.
@@ -416,7 +402,7 @@ mod tests {
         s.count_request(&IoRequest::ReadV(vec![1, 2]));
         s.count_request(&IoRequest::ReadV(vec![1]));
         s.count_request(&IoRequest::WriteV(vec![(1, vec![]), (2, vec![])]));
-        s.count_request(&IoRequest::Trim(3));
+        s.count_request(&IoRequest::WriteDeltaV(vec![(3, 0, vec![])]));
         let folded = s.fold_into(DeviceStats {
             vectored_reads: 1,
             ..Default::default()

@@ -429,13 +429,12 @@ impl NativeFlashDevice for ShardedFtl {
 impl ShardedFtl {
     /// Blocking point read through `&self` — the threaded driver's entry.
     /// Rides the priority lane: under a QoS-scheduled controller it may
-    /// jump posted bulk work on its die; without QoS the lane degenerates
-    /// to exactly the plain vectored-read path.
+    /// jump posted bulk work on its die (the queued `ReadV` never does);
+    /// without QoS the lane degenerates to a posted read. Either way the
+    /// caller waits until the page is ready, like a one-member `ReadV`
+    /// polled at once.
     ///
-    /// The page lands in `buf` — no completion is built. Timing and
-    /// counters are exactly those of submitting
-    /// `HighPriorityReadV(vec![lba])` and polling it at once (pinned by
-    /// `read_shared_equals_one_member_submit_and_poll`). The `&mut`
+    /// The page lands in `buf` — no completion is built. The `&mut`
     /// [`BlockDevice::read`] is the same read without the shard lock
     /// (pinned by `the_mut_face_equals_the_shared_face`).
     pub fn read_shared(&self, lba: Lba, buf: &mut [u8]) -> Result<()> {
@@ -475,22 +474,21 @@ impl ShardedFtl {
         lock(&self.shards[die as usize]).trim(sub)
     }
 
-    /// One member of a vectored read, routed to its die and posted in
-    /// `lane`: the read issues from the vector's submission instant
-    /// without advancing the host clock. The page lands in `buf` (the
-    /// shard checks its length); returns the instant it is ready. The
-    /// shard lock spans the lane change, so no other submitter's command
-    /// on this die can run in it.
+    /// One read routed to its die and posted in `lane`: the read issues at
+    /// the current host instant without advancing the host clock. The
+    /// page lands in `buf` (the shard checks its length); returns the
+    /// instant it is ready. The shard lock spans the lane change, so no
+    /// other submitter's command on this die can run in it.
     fn read_member_into(&self, lba: Lba, lane: Lane, buf: &mut [u8]) -> Result<u64> {
         let (die, sub) = self.locate(lba)?;
         read_on(&mut lock(&self.shards[die as usize]), sub, lane, buf)
     }
 
-    /// [`ShardedFtl::read_member_into`] for a completion that owns its
-    /// members' pages.
-    fn read_member(&self, lba: Lba, lane: Lane) -> Result<(Vec<u8>, u64)> {
+    /// One member of a vectored read, in the posted lane, for a
+    /// completion that owns its members' pages.
+    fn read_member(&self, lba: Lba) -> Result<(Vec<u8>, u64)> {
         let mut buf = vec![0u8; self.page_size()];
-        let ready = self.read_member_into(lba, lane, &mut buf)?;
+        let ready = self.read_member_into(lba, Lane::Posted, &mut buf)?;
         Ok((buf, ready))
     }
 
@@ -512,13 +510,9 @@ impl ShardedFtl {
         let mut data = Vec::new();
         let mut rejected = Vec::new();
         match &req {
-            IoRequest::ReadV(lbas) | IoRequest::HighPriorityReadV(lbas) => {
-                let lane = match req {
-                    IoRequest::HighPriorityReadV(_) => Lane::PostedPriority,
-                    _ => Lane::Posted,
-                };
+            IoRequest::ReadV(lbas) => {
                 for &lba in lbas {
-                    match self.read_member(lba, lane) {
+                    match self.read_member(lba) {
                         Ok((buf, ready)) => {
                             data.push(buf);
                             done = done.max(ready);
@@ -554,27 +548,6 @@ impl ShardedFtl {
                         Err(FtlError::InPlaceRejected { .. }) => rejected.push(i),
                         Err(e) => return Err(e),
                     }
-                }
-            }
-            IoRequest::Trim(lba) => {
-                let (die, sub) = self.locate(*lba)?;
-                lock(&self.shards[die as usize]).trim(sub)?;
-            }
-            IoRequest::Flush => {
-                // A write barrier, not a time barrier: only dies whose
-                // pairing window actually drained contribute to the
-                // completion — other streams' unrelated posted work must
-                // not be pulled into this client's wait.
-                let mut drained = Vec::new();
-                for (die, s) in self.shards.iter().enumerate() {
-                    let mut s = lock(s);
-                    if s.has_staged() {
-                        s.drain_staged()?;
-                        drained.push(die as u32);
-                    }
-                }
-                for die in drained {
-                    done = done.max(self.die_horizon(die));
                 }
             }
         }
@@ -993,6 +966,29 @@ mod tests {
         s.check_invariants();
     }
 
+    /// A swap is firmware traffic: run, like the heat shifter runs it,
+    /// with every die handle in the internal context, its read-outs keep
+    /// the dies busy but leave the host's clock where it was.
+    #[test]
+    fn a_swap_never_stalls_the_host_clock() {
+        let mut s = sharded(2, 2, StripePolicy::RoundRobin);
+        s.write(1, &vec![0xAA; 2048]).unwrap();
+        s.write(6, &vec![0xBB; 2048]).unwrap();
+        for die in 0..s.dies() {
+            s.shard_mut(die)
+                .chip_mut()
+                .set_context(CmdContext::INTERNAL);
+        }
+        let (before, reads) = (s.ctrl.host_ns(), s.ctrl.stats().reads);
+        assert!(s.swap_stripe(1, 6).unwrap());
+        assert_eq!(s.ctrl.stats().reads, reads + 2, "both images were read out");
+        assert_eq!(
+            s.ctrl.host_ns(),
+            before,
+            "a migration read moved the host clock"
+        );
+    }
+
     #[test]
     fn stripe_batch_write_round_trips_without_host_counters() {
         let mut s = sharded(2, 1, StripePolicy::RoundRobin);
@@ -1073,78 +1069,6 @@ mod tests {
             out
         };
         assert_eq!(serial, threaded, "logical state must be thread-invariant");
-    }
-
-    /// `read_shared` builds no completion, so it repeats by hand what
-    /// `submit_io` + `poll_io_checked` do for a one-member priority
-    /// vector. Twin QoS stripes, one driven each way, must agree on the
-    /// bytes, the host clock and every controller counter after every
-    /// step — reads racing posted programs, an uncorrectable member and
-    /// an unmapped one included.
-    #[test]
-    fn read_shared_equals_one_member_submit_and_poll() {
-        let twin = || {
-            ShardedFtl::new(
-                ControllerConfig::new(2, 2, chip_cfg()).with_qos(),
-                FtlConfig::traditional(),
-                StripePolicy::RoundRobin,
-            )
-        };
-        let (direct, queued) = (twin(), twin());
-        let image = |lba: Lba, gen: u64| {
-            let mut page = vec![0xFFu8; 2048];
-            page[64..].fill((lba * 31 + gen) as u8);
-            page
-        };
-        let check = |step: &str| assert_twins(&direct, &queued, step);
-        let read_both = |lba: Lba, step: &str| {
-            let mut buf = vec![0xEEu8; 2048];
-            let a = direct.read_shared(lba, &mut buf);
-            let b = queued
-                .submit_io(IoRequest::HighPriorityReadV(vec![lba]))
-                .and_then(|token| queued.poll_io_checked(token))
-                .map(|mut c| c.data.remove(0));
-            match (&a, &b) {
-                (Ok(()), Ok(page)) => assert_eq!(&buf, page, "{step}"),
-                _ => assert_eq!(a.as_ref().err(), b.as_ref().err(), "{step}"),
-            }
-            check(step);
-            a
-        };
-
-        for lba in 0..24u64 {
-            for s in [&direct, &queued] {
-                s.write_shared(lba, &image(lba, 0)).unwrap();
-            }
-        }
-        // Reads land while the programs around them are still in flight.
-        for step in 0..200u64 {
-            let (w, r) = ((step * 7) % 24, (step * 5 + 3) % 24);
-            for s in [&direct, &queued] {
-                s.write_shared(w, &image(w, step)).unwrap();
-            }
-            read_both(r, &format!("step {step}")).unwrap();
-        }
-        assert!(direct.ctrl.stats().reads_promoted > 0, "QoS was exercised");
-
-        // Two 1 -> 0 flips in one ECC chunk of LBA 5's page, on both twins.
-        let sub = direct.locate(5).unwrap().1;
-        let mut current = vec![0u8; 2048];
-        direct.read_shared(5, &mut current).unwrap();
-        queued.read_shared(5, &mut current).unwrap();
-        corrupt(&direct, 5, &current);
-        corrupt(&queued, 5, &current);
-        check("after the corruption");
-        assert_eq!(
-            read_both(5, "uncorrectable"),
-            Err(FtlError::Uncorrectable { lba: sub })
-        );
-        assert_eq!(direct.ctrl.stats().posted_reads_outstanding, 0);
-        assert!(matches!(
-            read_both(30, "unmapped"),
-            Err(FtlError::UnmappedLba(_))
-        ));
-        read_both(6, "a clean read after the failures").unwrap();
     }
 
     /// Bytes, host clock and every counter of two stripes must agree.

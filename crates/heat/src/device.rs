@@ -284,7 +284,7 @@ impl NativeFlashDevice for HeatDevice {
 impl IoQueue for HeatDevice {
     fn submit(&mut self, req: IoRequest) -> Result<IoToken> {
         match req {
-            IoRequest::ReadV(ref lbas) | IoRequest::HighPriorityReadV(ref lbas) => {
+            IoRequest::ReadV(ref lbas) => {
                 let tier = &self.inner.shifter().tier;
                 if !lbas.iter().any(|&l| tier.contains(l)) {
                     return self.inner.submit(req);
@@ -346,11 +346,6 @@ impl IoQueue for HeatDevice {
                 }
                 Ok(self.own_token(Vec::new(), rejected, t0))
             }
-            IoRequest::Trim(lba) => {
-                self.inner.shifter_mut().tier.remove(lba)?;
-                self.inner.submit(IoRequest::Trim(lba))
-            }
-            IoRequest::Flush => self.inner.submit(IoRequest::Flush),
         }
     }
 

@@ -164,33 +164,24 @@ pub const QUEUED_SPAN: u64 = 40;
 #[derive(Debug, Clone)]
 pub enum QueuedOp {
     /// `n` consecutive full-page writes starting at `start`.
-    WriteRun {
-        start: u64,
-        n: usize,
-        fill: u8,
-    },
+    WriteRun { start: u64, n: usize, fill: u8 },
     /// `n` consecutive reads starting at `start` (mapped members only).
-    ReadRun {
-        start: u64,
-        n: usize,
-    },
-    /// A priority point read (the buffer-pool miss path) on a mapped LBA.
+    ReadRun { start: u64, n: usize },
+    /// A priority point read (the buffer-pool miss path) on a mapped LBA,
+    /// issued through [`BlockDevice::read`].
     PriorityRead(u64),
     /// One delta-record append (native strategy only).
-    Delta {
-        lba: u64,
-        fill: u8,
-    },
+    Delta { lba: u64, fill: u8 },
+    /// Drop an LBA's mapping, issued through [`BlockDevice::trim`].
     Trim(u64),
-    Flush,
 }
 
 impl QueuedOp {
-    /// Weighted draw (writes > reads = priority reads = deltas > trims =
-    /// flushes); priority reads are common enough that a QoS device keeps
-    /// finding queued programs to jump.
+    /// Weighted draw (writes > reads = priority reads = deltas > trims);
+    /// priority reads are common enough that a QoS device keeps finding
+    /// queued programs to jump.
     pub fn random(rng: &mut StdRng) -> QueuedOp {
-        match rng.gen_range(0..12u32) {
+        match rng.gen_range(0..11u32) {
             0..=3 => QueuedOp::WriteRun {
                 start: rng.gen_range(0..QUEUED_SPAN),
                 n: rng.gen_range(1..6),
@@ -205,8 +196,7 @@ impl QueuedOp {
                 lba: rng.gen_range(0..QUEUED_SPAN),
                 fill: rng.gen(),
             },
-            10 => QueuedOp::Trim(rng.gen_range(0..QUEUED_SPAN)),
-            _ => QueuedOp::Flush,
+            _ => QueuedOp::Trim(rng.gen_range(0..QUEUED_SPAN)),
         }
     }
 
@@ -261,9 +251,12 @@ fn queued_page(strategy: WriteStrategy, fill: u8, version: u64) -> Vec<u8> {
 }
 
 /// Turn `ops` into host requests — one per op that has anything to do
-/// under `strategy` and the model so far — hand each to `issue`, and
-/// return every page `issue` read back, in order; ends with a `sync`.
-/// The walls differ only in `issue`: how a request reaches the device.
+/// under `strategy` and the model so far — and return every page read
+/// back, in order; ends with a `sync`. Runs, reads and deltas become
+/// vectored requests handed to `issue`; point reads and trims go through
+/// [`BlockDevice::read`] and [`BlockDevice::trim`], their one entry
+/// point, in stream order. The walls differ only in `issue`: how a
+/// vectored request reaches the device.
 pub fn run_ops(
     dev: &mut ShardedFtl,
     strategy: WriteStrategy,
@@ -295,10 +288,13 @@ pub fn run_ops(
                 }
                 IoRequest::ReadV(lbas)
             }
-            // What the sync `read` path submits: a priority read on a
-            // QoS device, a plain front-of-queue read on a FIFO one.
+            // A priority read on a QoS device, a plain front-of-queue
+            // read on a FIFO one.
             QueuedOp::PriorityRead(lba) if model.mapped.contains(&(lba % span)) => {
-                IoRequest::HighPriorityReadV(vec![lba % span])
+                let mut page = vec![0u8; dev.page_size()];
+                dev.read(lba % span, &mut page).unwrap();
+                reads.push(page);
+                continue;
             }
             QueuedOp::PriorityRead(_) => continue,
             QueuedOp::Delta { lba, fill } => {
@@ -315,9 +311,9 @@ pub fn run_ops(
             }
             QueuedOp::Trim(lba) => {
                 model.mapped.remove(&(lba % span));
-                IoRequest::Trim(lba % span)
+                dev.trim(lba % span).unwrap();
+                continue;
             }
-            QueuedOp::Flush => IoRequest::Flush,
         };
         reads.extend(issue(dev, req));
     }

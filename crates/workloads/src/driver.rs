@@ -23,8 +23,12 @@ use ipa_trace::{LatencyHistogram, MetricsSnapshot, RingRecorder, TraceEvent};
 use crate::metrics::engine_metrics;
 use crate::spec::{build, Benchmark, WorkloadKind};
 
+/// Host CPU time modeled per transaction, nanoseconds: the gap a client
+/// stream spends between its transactions.
+pub const CPU_NS_PER_TX: u64 = 30_000;
+
 /// Simulated per-transaction latency distribution (device time only; add
-/// `cpu_ns_per_tx` for end-to-end figures).
+/// [`CPU_NS_PER_TX`] for end-to-end figures).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyPercentiles {
     /// Samples the distribution was computed from.
@@ -243,8 +247,6 @@ pub struct DriverConfig {
     pub warmup: u64,
     /// Workload RNG seed (same seed ⇒ identical run).
     pub seed: u64,
-    /// CPU time modeled per transaction, nanoseconds.
-    pub cpu_ns_per_tx: u64,
     /// Buffer-pool frames; `None` uses the paper-like default of a buffer
     /// far smaller than the working set (evictions dominate).
     pub buffer_frames: Option<usize>,
@@ -290,7 +292,6 @@ impl Default for DriverConfig {
             transactions: 10_000,
             warmup: 1_000,
             seed: 0x7C_B5EED,
-            cpu_ns_per_tx: 30_000,
             buffer_frames: None,
             simulated_duration_ns: None,
             streams: 1,
@@ -565,7 +566,7 @@ impl Driver {
                 match cfg.simulated_duration_ns {
                     Some(limit) => {
                         let device_ns = engine.elapsed_ns() - before.elapsed_ns;
-                        if device_ns + committed * cfg.cpu_ns_per_tx >= limit {
+                        if device_ns + committed * CPU_NS_PER_TX >= limit {
                             break;
                         }
                     }
@@ -619,7 +620,7 @@ impl Driver {
                 let dt = device_done - clocks[s];
                 // CPU advances the stream's clock (it gates when this
                 // client can submit again) but is not device latency.
-                clocks[s] = device_done + cfg.cpu_ns_per_tx;
+                clocks[s] = device_done + CPU_NS_PER_TX;
                 samples.push(dt);
                 stream_samples[s].push(dt);
                 committed += 1;
@@ -665,7 +666,7 @@ impl Driver {
 
         let device_ns = after.elapsed_ns - before.elapsed_ns;
         let elapsed_ns = if streams == 1 {
-            device_ns + committed * cfg.cpu_ns_per_tx
+            device_ns + committed * CPU_NS_PER_TX
         } else {
             // Client CPU time is already inside the stream clocks and runs
             // concurrently across streams; the run takes as long as the
@@ -931,6 +932,10 @@ impl StackSpec {
     }
 }
 
+/// Page size of the device a [`Driver::run_threaded`] churn run builds,
+/// bytes.
+const THREADED_PAGE_SIZE: usize = 2048;
+
 /// Parameters of a [`Driver::run_threaded`] churn run.
 ///
 /// The workload is defined by `streams`, not by `threads`: a fixed set of
@@ -959,10 +964,6 @@ pub struct ThreadedConfig {
     pub topology: Topology,
     /// Latency-QoS scheduling on the shared controller.
     pub qos: bool,
-    /// NCQ cap on the shared controller.
-    pub queue_cap: Option<usize>,
-    /// Device page size, bytes.
-    pub page_size: usize,
 }
 
 impl Default for ThreadedConfig {
@@ -975,8 +976,6 @@ impl Default for ThreadedConfig {
             seed: 0x7C_B5EED,
             topology: Topology::new(4, 2, StripePolicy::RoundRobin),
             qos: false,
-            queue_cap: None,
-            page_size: 2048,
         }
     }
 }
@@ -1052,12 +1051,12 @@ impl Driver {
             .max(12)
             .next_multiple_of(topo.planes);
         let chip = DeviceConfig::new(
-            Geometry::new(blocks_per_die, ppb, cfg.page_size, 64).with_planes(topo.planes),
+            Geometry::new(blocks_per_die, ppb, THREADED_PAGE_SIZE, 64).with_planes(topo.planes),
             FlashMode::Slc,
         )
         .with_disturb(DisturbRates::none())
         .with_seed(cfg.seed);
-        let controller = topo.controller(chip, cfg.queue_cap, cfg.qos);
+        let controller = topo.controller(chip, None, cfg.qos);
         let dev = std::sync::Arc::new(ShardedFtl::new(
             controller,
             FtlConfig::traditional(),
@@ -1079,7 +1078,7 @@ impl Driver {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ (s).wrapping_mul(0xA24B_AED4_963E_E407));
             // The fill last written to each slot of the stream's window.
             let mut model: Vec<Option<u8>> = vec![None; cfg.window as usize];
-            let mut buf = vec![0u8; cfg.page_size];
+            let mut buf = vec![0u8; THREADED_PAGE_SIZE];
             for i in 0..cfg.ops_per_stream {
                 let slot = rng.gen_range(0..cfg.window);
                 let lba = lba_of(s, slot);
@@ -1096,7 +1095,10 @@ impl Driver {
                 } else {
                     let fill = ((s * 131 + slot * 31 + i) % 251) as u8;
                     let token = dev
-                        .submit_io(IoRequest::WriteV(vec![(lba, vec![fill; cfg.page_size])]))
+                        .submit_io(IoRequest::WriteV(vec![(
+                            lba,
+                            vec![fill; THREADED_PAGE_SIZE],
+                        )]))
                         .expect("write submits");
                     dev.poll_io_checked(token).expect("fresh token completes");
                     model[slot as usize] = Some(fill);
@@ -1127,7 +1129,7 @@ impl Driver {
             digest ^= byte as u64;
             digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        let mut buf = vec![0u8; cfg.page_size];
+        let mut buf = vec![0u8; THREADED_PAGE_SIZE];
         for s in 0..cfg.streams as u64 {
             for slot in 0..cfg.window {
                 let lba = lba_of(s, slot);

@@ -18,7 +18,7 @@ pub mod util;
 
 pub use driver::{
     fairness_spread, Driver, DriverConfig, LatencyPercentiles, MaintMode, RunResult, ScanResult,
-    StackSpec, StreamLatency, ThreadedConfig, ThreadedRunResult, Topology,
+    StackSpec, StreamLatency, ThreadedConfig, ThreadedRunResult, Topology, CPU_NS_PER_TX,
 };
 pub use ipa_controller::ControllerStats;
 pub use ipa_heat::{DefaultPolicy as HeatPolicy, HeatDevice, HeatStats};

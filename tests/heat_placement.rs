@@ -18,7 +18,7 @@
 
 use ipa_core::NmScheme;
 use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
-use ipa_ftl::{BlockDevice, FtlConfig, ShardedFtl, StripePolicy, WriteStrategy};
+use ipa_ftl::{BlockDevice, FtlConfig, IoQueue, ShardedFtl, StripePolicy, WriteStrategy};
 use ipa_heat::{DefaultPolicy, HeatDevice};
 use ipa_maint::{MaintConfig, MaintainedFtl};
 use ipa_storage::Rid;
@@ -328,4 +328,77 @@ fn committed_state_survives_a_crash_mid_migration() {
     }
     assert_ne!(e.get(t, rids[0]).unwrap()[40], 0xEE, "uncommitted redone");
     e.device_as::<HeatDevice>().unwrap().check_invariants();
+}
+
+/// The controller's utilisation identity: no die array and no channel bus
+/// is ever busy for longer than the simulated time that has elapsed.
+/// Nothing clamps the utilisation gauges, so this wall is what stands
+/// between a timing-model bug and a plausible-looking `die_util_ppm_max`.
+/// Driven on the stack with the most timing paths live at once: a QoS
+/// 2-plane stripe under background GC (erases posted, then suspended by
+/// promoted reads) behind the heat device, its tier off and two hot LBAs
+/// wearing their dies so that wear shifting migrates.
+#[test]
+fn no_die_or_channel_is_busy_for_longer_than_elapsed() {
+    let chip = DeviceConfig::new(
+        Geometry::new(16, 8, PAGE, 64).with_planes(2),
+        FlashMode::PSlc,
+    )
+    .with_disturb(DisturbRates::none());
+    let stripe = ShardedFtl::new(
+        ControllerConfig::new(2, 2, chip).with_qos(),
+        FtlConfig::traditional().with_background_gc(),
+        StripePolicy::RoundRobin,
+    );
+    let policy = wall_policy().with_hot_threshold(u32::MAX);
+    let mut heat = HeatDevice::new(
+        MaintainedFtl::new(stripe, MaintConfig::default()),
+        Box::new(policy),
+    );
+    let ctrl = heat.controller().expect("striped").clone();
+    let check = |step: u64| {
+        for die in 0..ctrl.dies() {
+            let f = ctrl.die_busy_fraction(die);
+            assert!(f <= 1.0, "step {step}: die {die} busy {f} of elapsed");
+        }
+        for ch in 0..ctrl.config().channels {
+            let f = ctrl.channel_busy_fraction(ch);
+            assert!(f <= 1.0, "step {step}: channel {ch} busy {f} of elapsed");
+        }
+        let s = ctrl.stats();
+        assert!(s.die_util_ppm_max <= 1_000_000, "step {step}: {s:?}");
+        assert!(s.chan_util_ppm_max <= 1_000_000, "step {step}: {s:?}");
+    };
+    let mut buf = vec![0u8; PAGE];
+    heat.write(2, &vec![0xC0; PAGE]).unwrap();
+    for i in 0..6_000u64 {
+        // LBAs 0 and 1 take 7 writes in 8; the rest spread over the span.
+        let lba = if i % 8 < 7 { i % 2 } else { (i * 37) % SPAN };
+        heat.write(lba, &vec![(i % 251) as u8; PAGE]).unwrap();
+        if i % 4 == 0 {
+            heat.read(lba, &mut buf).unwrap();
+        }
+        // Promoted reads do not wait out the program queues, so only
+        // barriers leave the dies idle for maintenance: each read after
+        // one is followed by a poll that finds every die idle, so GC
+        // catches up and then wear shifting gets its turn.
+        if i % 32 == 31 {
+            for _ in 0..8 {
+                IoQueue::sync(&mut heat);
+                heat.read(2, &mut buf).unwrap();
+            }
+        }
+        if i % 250 == 0 {
+            check(i);
+        }
+    }
+    check(6_000);
+
+    // The identity is only worth as much as the paths that ran.
+    let c = ctrl.stats();
+    let h = heat.heat_stats();
+    assert!(c.erase_suspends > 0, "no erase was suspended: {c:?}");
+    assert!(c.reads_promoted > 0, "no read was promoted: {c:?}");
+    assert!(h.range_migrations > 0, "no migration ran: {h}");
+    heat.check_invariants();
 }

@@ -3,10 +3,11 @@
 //!
 //! The same seeded operation stream (`ipa_testkit::QueuedOp`), driven
 //! through `IoQueue` by `ipa_testkit::run_queued` (vectored
-//! `ReadV`/`WriteV`/`WriteDeltaV`/`Trim`/`Flush` submissions, completions
-//! polled out of order with respect to device time) and through the
-//! classic one-page-at-a-time `BlockDevice` loop on an identical twin
-//! device, must produce byte-identical reads, an identical final logical
+//! `ReadV`/`WriteV`/`WriteDeltaV` submissions, completions polled out of
+//! order with respect to device time; point reads and trims through
+//! their one entry point, `BlockDevice::read`/`trim`, on both sides) and
+//! through the classic one-page-at-a-time `BlockDevice` loop on an
+//! identical twin device, must produce byte-identical reads, an identical final logical
 //! state, and identical host-level counters — for dies {1, 2, 4} ×
 //! planes {1, 2} × all three write strategies. *Time* is exactly what
 //! the queued path is allowed to change; *state* never.
@@ -32,7 +33,7 @@ fn issue_sync(dev: &mut ShardedFtl, req: IoRequest) -> Vec<Vec<u8>> {
                 dev.write(lba, &img).unwrap();
             }
         }
-        IoRequest::ReadV(lbas) | IoRequest::HighPriorityReadV(lbas) => {
+        IoRequest::ReadV(lbas) => {
             for lba in lbas {
                 let mut buf = vec![0u8; 2048];
                 dev.read(lba, &mut buf).unwrap();
@@ -42,12 +43,6 @@ fn issue_sync(dev: &mut ShardedFtl, req: IoRequest) -> Vec<Vec<u8>> {
         IoRequest::WriteDeltaV(members) => {
             for (lba, offset, delta) in members {
                 dev.write_delta(lba, offset, &delta).unwrap();
-            }
-        }
-        IoRequest::Trim(lba) => dev.trim(lba).unwrap(),
-        IoRequest::Flush => {
-            for die in 0..dev.dies() {
-                dev.shard(die).drain_staged().unwrap();
             }
         }
     }
