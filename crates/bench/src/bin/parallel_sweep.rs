@@ -383,13 +383,13 @@ fn heat_sweep(a: &SweepArgs) -> Section {
 /// Bar (the bookkeeping half): every kill recovered, log space recycled,
 /// and the cross-tenant p99.9 spread bounded.
 fn fleet_soak(a: &SweepArgs) -> Section {
-    let mut soak = SoakConfig::default();
-    (soak.tenants, soak.rounds) = a.fleet.expect("section runs only with --fleet");
-    soak.fleet.queue_cap = Some(4);
-    soak.fleet.qos = true;
-    soak.fleet.seed = a.seed;
-    soak.seed = a.seed;
-    let (channels, dies) = (soak.fleet.channels, soak.fleet.dies_per_channel);
+    let (tenants, rounds) = a.fleet.expect("section runs only with --fleet");
+    let soak = SoakConfig {
+        tenants,
+        rounds,
+        seed: a.seed,
+    };
+    let (channels, dies) = ipa_fleet::TOPOLOGY;
     let report = ipa_fleet::run_soak(&soak).expect("fleet soak");
     let p999_max = report.per_tenant.iter().map(|p| p.p999_ns).max();
     let spread = report.p999_spread();
@@ -399,7 +399,7 @@ fn fleet_soak(a: &SweepArgs) -> Section {
     let topo = Topology::new(channels, dies, StripePolicy::RoundRobin);
     let row = Row::new("fleet", &topo, "mixed")
         .set("gc_mode", "inline+qos")
-        .set("queue_cap", 4)
+        .set("queue_cap", ipa_fleet::QUEUE_CAP)
         .num("tps", report.tps())
         .set("p999_ns", p999_max.unwrap_or(0))
         .num("mean_wait_ns", c.mean_wait_ns())

@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin repro_all [--secs=8] [--seed=N]`
 
-use ipa_core::NmScheme;
+use ipa_bench::experiments;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
 use ipa_workloads::{Driver, DriverConfig, StackSpec, WorkloadKind};
@@ -52,7 +52,7 @@ fn main() {
     });
     let mig_rel = pslc.migrations_per_host_write() / base.migrations_per_host_write().max(1e-12);
     verdicts.push(Verdict {
-        name: "E1 GC migrations per host write drop (paper -83%)",
+        name: "E1 GC migrations per host write drop (paper -75%)",
         pass: mig_rel < 0.75,
         detail: format!("{:+.0}%", (mig_rel - 1.0) * 100.0),
     });
@@ -93,26 +93,8 @@ fn main() {
 
     // --- E5: IPA vs IPL ----------------------------------------------------
     eprintln!("[3/4] IPA vs IPL trace replay (TATP)...");
-    let mut bench = ipa_workloads::build(WorkloadKind::Tatp, 1, 8192);
-    let mut engine = StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
-        .build(bench.as_mut(), 8192, &DriverConfig::default())
-        .expect("engine");
-    engine.pool_mut().enable_tracing();
-    let run_cfg = DriverConfig::default()
-        .with_transactions(3_000)
-        .with_seed(seed);
-    Driver::run(bench.as_mut(), &mut engine, &run_cfg).expect("trace run");
-    let trace = engine.pool_mut().take_trace();
-    let device = || {
-        ipa_flash::DeviceConfig::new(
-            ipa_flash::Geometry::new(256, 128, 8192, 128),
-            FlashMode::PSlc,
-        )
-        .with_disturb(ipa_flash::DisturbRates::none())
-    };
-    let (ipl, _) =
-        ipa_ipl::replay_ipl(&trace, device(), ipa_ipl::IplConfig::default()).expect("IPL replay");
-    let (ipa, _) = ipa_ipl::replay_ipa(&trace, device(), NmScheme::new(2, 4)).expect("IPA replay");
+    let e5 = experiments::ipa_vs_ipl(WorkloadKind::Tatp, 3_000, seed);
+    let (ipl, ipa) = (&e5.ipl, &e5.ipa);
     verdicts.push(Verdict {
         name: "E5 IPA fewer flash writes than IPL (paper 23-62%)",
         pass: (ipa.flash_writes as f64) < ipl.flash_writes as f64 * 0.77,
@@ -134,56 +116,11 @@ fn main() {
 
     // --- E7: interference ---------------------------------------------------
     eprintln!("[4/4] Interference safety matrix...");
-    // (reuse the bench binary's core; a condensed inline version)
-    let probe = |mode: FlashMode, unsafe_ipa: bool| -> (u64, u64) {
-        use ipa_core::DeltaRecord;
-        use ipa_ftl::{BlockDevice, Ftl, FtlConfig, NativeFlashDevice};
-        let layout = ipa_storage::standard_layout(8192, NmScheme::new(8, 8));
-        let dc = ipa_flash::DeviceConfig::new(ipa_flash::Geometry::new(64, 64, 8192, 256), mode)
-            .with_nop(16)
-            .with_seed(seed);
-        let mut cfg = FtlConfig::ipa_native(layout);
-        if unsafe_ipa {
-            cfg = cfg.with_unsafe_ipa();
-        }
-        let mut ftl = Ftl::new(ipa_flash::FlashChip::new(dc), cfg);
-        let blank = vec![0xFFu8; 8192];
-        for lba in 0..48u64 {
-            ftl.write(lba, &blank).unwrap();
-        }
-        let meta = vec![0u8; layout.meta_len()];
-        let mut buf = vec![0u8; 8192];
-        let mut uncorrectable = 0u64;
-        for round in 0..64u16 {
-            for lba in 0..48u64 {
-                let slot = round % 8;
-                if slot == 0 && round > 0 {
-                    ftl.write(lba, &blank).unwrap();
-                }
-                let rec = DeltaRecord::new(vec![], meta.clone(), layout.scheme);
-                let _ = ftl.write_delta(lba, layout.record_offset(slot), &rec.encode(&layout));
-            }
-            if round % 8 == 7 {
-                for lba in 0..48u64 {
-                    match ftl.read(lba, &mut buf) {
-                        Ok(()) => {}
-                        Err(ipa_ftl::FtlError::Uncorrectable { .. }) => {
-                            uncorrectable += 1;
-                            ftl.write(lba, &blank).unwrap();
-                        }
-                        Err(e) => panic!("{e}"),
-                    }
-                }
-            }
-        }
-        (
-            BlockDevice::flash_stats(&ftl).disturb_bits_injected,
-            uncorrectable,
-        )
-    };
-    let (_, uc_pslc) = probe(FlashMode::PSlc, false);
-    let (_, uc_odd) = probe(FlashMode::OddMlc, false);
-    let (flips_mlc, uc_mlc) = probe(FlashMode::MlcFull, true);
+    let e7 = |mode, forced| experiments::interference(mode, forced, 48);
+    let uc_pslc = e7(FlashMode::PSlc, false).uncorrectable;
+    let uc_odd = e7(FlashMode::OddMlc, false).uncorrectable;
+    let mlc = e7(FlashMode::MlcFull, true);
+    let (flips_mlc, uc_mlc) = (mlc.disturb_bits, mlc.uncorrectable);
     verdicts.push(Verdict {
         name: "E7 pSLC and odd-MLC lose no data; forced full-MLC does",
         pass: uc_pslc == 0 && uc_odd == 0 && uc_mlc > 0,

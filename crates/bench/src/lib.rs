@@ -22,6 +22,7 @@
 //! `--flag=value` whose value does not parse are usage errors (exit
 //! status 2), never a silent default.
 
+pub mod experiments;
 pub mod sweep_csv;
 
 use std::fmt::Display;

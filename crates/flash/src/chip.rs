@@ -410,14 +410,18 @@ impl FlashChip {
 
     /// Expose victims of a program operation to disturb noise: first the
     /// pages sharing the aggressor's wordline, then both neighbouring
-    /// wordlines, lower first — the order fixes the RNG draw order.
+    /// wordlines, lower first — the order fixes the RNG draw order. A
+    /// victim past the block's last page does not exist (a 3-page TLC
+    /// wordline overhangs a block whose size is not a multiple of 3).
     fn apply_interference(&mut self, aggressor: Ppa, is_reprogram: bool) {
         let mode = self.config.mode;
+        let ppb = self.config.geometry.pages_per_block;
         for partner in mode.wordline_partners(aggressor.page).into_iter().flatten() {
-            self.disturb_victim(aggressor, partner, Coupling::SameWordline, is_reprogram);
+            if partner < ppb {
+                self.disturb_victim(aggressor, partner, Coupling::SameWordline, is_reprogram);
+            }
         }
         let wl = mode.wordline_of(aggressor.page);
-        let ppb = self.config.geometry.pages_per_block;
         let ppw = mode.pages_per_wordline();
         for neighbour_wl in [wl.checked_sub(1), Some(wl + 1)].into_iter().flatten() {
             for k in 0..ppw {
@@ -1210,5 +1214,19 @@ mod tests {
             chip.stats().disturb_bits_injected > 0,
             "hostile config must corrupt the wordline partner"
         );
+    }
+
+    #[test]
+    fn tlc_last_wordline_of_a_64_page_block_stays_in_bounds() {
+        // 64 pages make 21 full 3-page wordlines plus page 63, whose
+        // wordline partners 64 and 65 lie past the block.
+        let mut chip = FlashChip::new(
+            DeviceConfig::new(Geometry::new(4, 64, 2048, 64), FlashMode::Tlc3d).with_seed(9),
+        );
+        let (data, oob) = page_of(&chip, 0x5A);
+        for page in 0..64 {
+            chip.program_page(Ppa::new(0, page), &data, &oob).unwrap();
+        }
+        assert_eq!(chip.stats().page_programs, 64);
     }
 }

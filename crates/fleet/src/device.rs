@@ -8,7 +8,13 @@
 //! shared space, and it *enforces the partition*: any command addressing
 //! an LBA at or past the tenant's capacity is rejected with
 //! [`FtlError::LbaOutOfRange`] before it can touch a neighbour's data.
+//!
+//! The fleet runs on one host thread, so the windows alias the stripe
+//! through an `Rc<RefCell<_>>` and every command takes the stripe's
+//! lock-free `&mut` face for the length of that one call.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use ipa_controller::FlashController;
@@ -19,33 +25,25 @@ use ipa_ftl::{
     NativeFlashDevice, Result, ShardedFtl,
 };
 
-/// The shared multi-channel device a fleet's tenant views sit over.
-///
-/// `Arc<ShardedFtl>` (no cell): the stripe is internally locked per die,
-/// so tenant views on different host threads submit concurrently and
-/// only serialize where the simulated hardware would — on a die or a
-/// channel.
-pub type SharedDevice = Arc<ShardedFtl>;
-
 /// One tenant's window onto the shared device.
 pub struct TenantDevice {
-    shared: SharedDevice,
+    device: Rc<RefCell<ShardedFtl>>,
+    /// The stripe's controller, held directly: [`BlockDevice::controller`]
+    /// lends an `&Arc` that no `RefCell` borrow could outlive.
+    ctrl: Arc<FlashController>,
     base: Lba,
     pages: u64,
 }
 
 impl TenantDevice {
-    pub fn new(shared: SharedDevice, base: Lba, pages: u64) -> Self {
+    pub fn new(device: Rc<RefCell<ShardedFtl>>, base: Lba, pages: u64) -> Self {
+        let ctrl = Arc::clone(device.borrow().controller());
         TenantDevice {
-            shared,
+            device,
+            ctrl,
             base,
             pages,
         }
-    }
-
-    /// First shared-space LBA of this tenant's window.
-    pub fn base(&self) -> Lba {
-        self.base
     }
 
     /// Translate a tenant-relative LBA, enforcing the partition.
@@ -87,7 +85,7 @@ impl TenantDevice {
 
 impl BlockDevice for TenantDevice {
     fn page_size(&self) -> usize {
-        self.shared.page_size()
+        self.ctrl.config().chip.geometry.page_size
     }
 
     fn capacity_pages(&self) -> u64 {
@@ -96,60 +94,60 @@ impl BlockDevice for TenantDevice {
 
     fn read(&mut self, lba: Lba, buf: &mut [u8]) -> Result<()> {
         let lba = self.map(lba)?;
-        self.shared.read_shared(lba, buf)
+        self.device.borrow_mut().read(lba, buf)
     }
 
     fn write(&mut self, lba: Lba, data: &[u8]) -> Result<()> {
         let lba = self.map(lba)?;
-        self.shared.write_shared(lba, data)
+        self.device.borrow_mut().write(lba, data)
     }
 
     fn trim(&mut self, lba: Lba) -> Result<()> {
         let lba = self.map(lba)?;
-        self.shared.trim_shared(lba)
+        self.device.borrow_mut().trim(lba)
     }
 
     fn is_mapped(&self, lba: Lba) -> bool {
-        lba < self.pages && self.shared.is_mapped(self.base + lba)
+        lba < self.pages && self.device.borrow().is_mapped(self.base + lba)
     }
 
     fn layout_for(&self, lba: Lba) -> Option<PageLayout> {
         if lba >= self.pages {
             return None;
         }
-        self.shared.layout_for(self.base + lba)
+        self.device.borrow().layout_for(self.base + lba)
     }
 
     fn device_stats(&self) -> DeviceStats {
-        self.shared.device_stats()
+        self.device.borrow().device_stats()
     }
 
     fn flash_stats(&self) -> FlashStats {
-        self.shared.flash_stats()
+        self.ctrl.flash_stats()
     }
 
     fn elapsed_ns(&self) -> u64 {
-        self.shared.elapsed_ns()
+        self.ctrl.elapsed_ns()
     }
 
     fn max_erase_count(&self) -> u32 {
-        self.shared.max_erase_count()
+        self.ctrl.max_erase_count()
     }
 
     fn raw_blocks(&self) -> u32 {
-        self.shared.raw_blocks()
+        self.device.borrow().raw_blocks()
     }
 
     fn controller(&self) -> Option<&Arc<FlashController>> {
-        Some(self.shared.controller())
+        Some(&self.ctrl)
     }
 
     fn set_submission_clock_ns(&mut self, ns: u64) {
-        self.shared.controller().set_host_ns(ns);
+        self.ctrl.set_host_ns(ns);
     }
 
     fn submission_clock_ns(&self) -> u64 {
-        self.shared.submission_clock_ns()
+        self.ctrl.host_ns()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -160,26 +158,28 @@ impl BlockDevice for TenantDevice {
 impl IoQueue for TenantDevice {
     fn submit(&mut self, req: IoRequest) -> Result<IoToken> {
         let req = self.translate(req)?;
-        self.shared.submit_io(req)
+        self.device.borrow_mut().submit(req)
     }
 
     fn poll_checked(&mut self, token: IoToken) -> Result<IoCompletion> {
-        self.shared.poll_io_checked(token)
+        self.device.borrow_mut().poll_checked(token)
     }
 
     fn sync(&mut self) -> u64 {
-        ShardedFtl::sync(&self.shared)
+        IoQueue::sync(&mut *self.device.borrow_mut())
     }
 
     fn forget(&mut self, token: IoToken) {
-        self.shared.forget_io(token);
+        self.device.borrow_mut().forget(token);
     }
 }
 
 impl NativeFlashDevice for TenantDevice {
     fn write_delta(&mut self, lba: Lba, offset: usize, delta_bytes: &[u8]) -> Result<()> {
         let lba = self.map(lba)?;
-        self.shared.write_delta_shared(lba, offset, delta_bytes)
+        self.device
+            .borrow_mut()
+            .write_delta(lba, offset, delta_bytes)
     }
 }
 
@@ -190,22 +190,22 @@ mod tests {
     use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
     use ipa_ftl::{FtlConfig, StripePolicy};
 
-    fn shared() -> SharedDevice {
+    fn stripe() -> ShardedFtl {
         let chip = DeviceConfig::new(Geometry::new(16, 8, 2048, 64), FlashMode::Slc)
             .with_disturb(DisturbRates::none())
             .with_seed(3);
-        Arc::new(ShardedFtl::new(
-            ControllerConfig::new(2, 2, chip),
+        ShardedFtl::new(
+            ControllerConfig::new(2, 2, chip).with_qos(),
             FtlConfig::traditional(),
             StripePolicy::RoundRobin,
-        ))
+        )
     }
 
     #[test]
     fn windows_translate_and_isolate() {
-        let dev = shared();
-        let mut a = TenantDevice::new(Arc::clone(&dev), 0, 8);
-        let mut b = TenantDevice::new(Arc::clone(&dev), 8, 8);
+        let dev = Rc::new(RefCell::new(stripe()));
+        let mut a = TenantDevice::new(Rc::clone(&dev), 0, 8);
+        let mut b = TenantDevice::new(Rc::clone(&dev), 8, 8);
         assert_eq!(a.capacity_pages(), 8);
         let ones = vec![1u8; 2048];
         let twos = vec![2u8; 2048];
@@ -216,7 +216,7 @@ mod tests {
         assert_eq!(buf, ones, "tenant A sees its own page");
         b.read(0, &mut buf).unwrap();
         assert_eq!(buf, twos, "same tenant-relative LBA, different page");
-        assert!(dev.is_mapped(0) && dev.is_mapped(8));
+        assert!(dev.borrow().is_mapped(0) && dev.borrow().is_mapped(8));
 
         // The partition is enforced on every surface, including vectored
         // members: LBA 8 is tenant B's page, so A must never reach it.
@@ -241,5 +241,56 @@ mod tests {
         let t = a.submit(IoRequest::ReadV(vec![0])).unwrap();
         let c = a.poll_checked(t).expect("in-window read completes");
         assert_eq!(c.data, vec![ones]);
+    }
+
+    /// A window at base 0 is pure translation: driven through the same
+    /// writes, reads, queued reads, trims and final sync as a bare twin
+    /// stripe, it leaves the same bytes, counters and clocks after every
+    /// step — unmapped members and trims included.
+    #[test]
+    fn a_window_equals_the_bare_stripe() {
+        let mut bare = stripe();
+        let pages = bare.capacity_pages();
+        let mut win = TenantDevice::new(Rc::new(RefCell::new(stripe())), 0, pages);
+        let same = |win: &TenantDevice, bare: &ShardedFtl, step: &str| {
+            assert_eq!(win.device_stats(), bare.device_stats(), "{step}");
+            assert_eq!(win.ctrl.stats(), bare.controller().stats(), "{step}");
+            let clocks = |d: &dyn BlockDevice| (d.submission_clock_ns(), d.elapsed_ns());
+            assert_eq!(clocks(win), clocks(bare), "{step}");
+        };
+        for step in 0..160u64 {
+            let (w, r) = ((step * 5) % 40, (step * 3) % 40);
+            let data = vec![(w * 7 + step) as u8; 2048];
+            assert_eq!(win.write(w, &data), bare.write(w, &data), "step {step}");
+            same(&win, &bare, &format!("step {step} write"));
+
+            let (mut a, mut b) = (vec![0u8; 2048], vec![0u8; 2048]);
+            assert_eq!(win.read(r, &mut a), bare.read(r, &mut b), "step {step}");
+            assert_eq!(a, b, "step {step} read bytes");
+            same(&win, &bare, &format!("step {step} read"));
+
+            if step % 4 == 0 {
+                let lbas = vec![r, (r + 1) % 40, (r + 2) % 40];
+                let twins = (
+                    win.submit(IoRequest::ReadV(lbas.clone())),
+                    bare.submit(IoRequest::ReadV(lbas)),
+                );
+                match twins {
+                    (Ok(ta), Ok(tb)) => assert_eq!(
+                        win.poll_checked(ta).unwrap(),
+                        bare.poll_checked(tb).unwrap(),
+                        "step {step} ReadV"
+                    ),
+                    (ta, tb) => assert_eq!(ta.err(), tb.err(), "step {step} ReadV"),
+                }
+                same(&win, &bare, &format!("step {step} ReadV"));
+            }
+            if step % 9 == 8 {
+                assert_eq!(win.trim(r), bare.trim(r), "step {step} trim");
+                same(&win, &bare, &format!("step {step} trim"));
+            }
+        }
+        assert_eq!(IoQueue::sync(&mut win), IoQueue::sync(&mut bare));
+        same(&win, &bare, "sync");
     }
 }

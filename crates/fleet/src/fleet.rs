@@ -1,68 +1,48 @@
-//! The fleet: one shared device, N tenant engines, RAII lifecycle.
+//! The fleet: one owned device, N tenant engines, RAII lifecycle.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ipa_controller::{ControllerConfig, ControllerStats};
 use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
 use ipa_ftl::{BlockDevice, DeviceStats, FtlConfig, Region, RegionTable, ShardedFtl, StripePolicy};
 use ipa_storage::{EngineConfig, RecoveryReport, Result, StorageEngine, TableSpec};
 
-use crate::device::{SharedDevice, TenantDevice};
+use crate::device::TenantDevice;
 
 /// Page size of a fleet's shared device and of every tenant's WAL, bytes.
 pub(crate) const PAGE_SIZE: usize = 2048;
 
-/// Shared-device and per-tenant knobs for a [`Fleet`].
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Controller channels of the shared device.
-    pub channels: u32,
-    /// Dies per channel.
-    pub dies_per_channel: u32,
-    /// Planes per die.
-    pub planes: u32,
-    /// NCQ queue cap on the shared controller (`None` = unbounded).
-    pub queue_cap: Option<usize>,
-    /// Latency-QoS scheduling on the shared controller.
-    pub qos: bool,
-    /// Device RNG seed.
-    pub seed: u64,
-    /// Buffer-pool frames per tenant engine.
-    pub buffer_frames: usize,
-    /// Per-tenant WAL capacity in log pages. Checkpoints recycle sealed
-    /// stripes, so this bounds steady-state log space, not run length.
-    pub wal_pages: u64,
-    /// Per-tenant WAL stripe topology (`channels × dies`).
-    pub wal_stripe: (u32, u32),
-}
+/// The shared device's controller topology, `(channels, dies per
+/// channel)`, one plane per die.
+pub const TOPOLOGY: (u32, u32) = (4, 2);
 
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            channels: 4,
-            dies_per_channel: 2,
-            planes: 1,
-            queue_cap: None,
-            qos: false,
-            seed: 0xF1EE7,
-            buffer_frames: 24,
-            wal_pages: 192,
-            wal_stripe: (2, 1),
-        }
-    }
-}
+/// NCQ queue cap on the shared controller, which also schedules with
+/// latency QoS.
+pub const QUEUE_CAP: usize = 4;
 
-/// Builder for a [`Fleet`]: configure the shared device, register the
-/// tenants, then [`FleetBuilder::build`].
+/// Buffer-pool frames per tenant engine.
+const BUFFER_FRAMES: usize = 24;
+
+/// Per-tenant WAL capacity in log pages. Checkpoints recycle sealed
+/// stripes, so this bounds steady-state log space, not run length.
+pub const WAL_PAGES: u64 = 192;
+
+/// Per-tenant WAL stripe topology (`channels × dies`).
+const WAL_STRIPE: (u32, u32) = (2, 1);
+
+/// Builder for a [`Fleet`]: register the tenants, then
+/// [`FleetBuilder::build`].
 pub struct FleetBuilder {
-    config: FleetConfig,
+    seed: u64,
     tenants: Vec<(String, Vec<TableSpec>)>,
 }
 
 impl FleetBuilder {
-    pub fn new(config: FleetConfig) -> Self {
+    /// A fleet whose shared device draws from `seed`.
+    pub fn new(seed: u64) -> Self {
         FleetBuilder {
-            config,
+            seed,
             tenants: Vec::new(),
         }
     }
@@ -76,7 +56,6 @@ impl FleetBuilder {
 
     /// Partition the shared device and start every tenant's engine.
     pub fn build(self) -> Result<Fleet> {
-        let cfg = &self.config;
         assert!(
             !self.tenants.is_empty(),
             "a fleet needs at least one tenant"
@@ -96,24 +75,19 @@ impl FleetBuilder {
         // Size the shared device for the whole fleet with the driver's
         // ~40 % headroom, split across the dies.
         let ppb = 32u32;
-        let dies = (cfg.channels * cfg.dies_per_channel) as u64;
+        let (channels, dies_per_channel) = TOPOLOGY;
+        let dies = (channels * dies_per_channel) as u64;
         let usable_ppb = FlashMode::Slc.usable_pages_per_block(ppb) as u64;
-        let blocks_per_die = (((total * 14 / 10).div_ceil(usable_ppb * dies)) as u32 + 8)
-            .max(12)
-            .next_multiple_of(cfg.planes);
+        let blocks_per_die = (((total * 14 / 10).div_ceil(usable_ppb * dies)) as u32 + 8).max(12);
         let chip = DeviceConfig::new(
-            Geometry::new(blocks_per_die, ppb, PAGE_SIZE, 64).with_planes(cfg.planes),
+            Geometry::new(blocks_per_die, ppb, PAGE_SIZE, 64),
             FlashMode::Slc,
         )
         .with_disturb(DisturbRates::none())
-        .with_seed(cfg.seed);
-        let mut controller = ControllerConfig::new(cfg.channels, cfg.dies_per_channel, chip);
-        if let Some(cap) = cfg.queue_cap {
-            controller = controller.with_queue_cap(cap);
-        }
-        if cfg.qos {
-            controller = controller.with_qos();
-        }
+        .with_seed(self.seed);
+        let controller = ControllerConfig::new(channels, dies_per_channel, chip)
+            .with_queue_cap(QUEUE_CAP)
+            .with_qos();
 
         // One shared region table naming every tenant's tables at their
         // shared-space LBAs — the device-level view of the partition.
@@ -132,12 +106,12 @@ impl FleetBuilder {
             base += budget;
         }
 
-        let shared: SharedDevice = Arc::new(ShardedFtl::with_regions(
+        let shared = ShardedFtl::with_regions(
             controller,
             FtlConfig::traditional(),
             StripePolicy::RoundRobin,
             regions,
-        ));
+        );
         // Long soaks must not grow memory linearly: read latencies go to
         // the fixed-memory histogram, not the exact per-read `Vec`.
         shared.controller().set_bounded_read_latencies(true);
@@ -146,27 +120,24 @@ impl FleetBuilder {
             "fleet needs {total} pages but the shared device exports {}",
             shared.capacity_pages()
         );
+        let shared = Rc::new(RefCell::new(shared));
 
         let mut tenants = Vec::with_capacity(self.tenants.len());
         let mut base = 0u64;
-        for (id, ((name, tables), budget)) in self.tenants.into_iter().zip(budgets).enumerate() {
+        for ((name, tables), budget) in self.tenants.into_iter().zip(budgets) {
             let mut engine_cfg = EngineConfig::default()
-                .with_buffer_frames(cfg.buffer_frames)
+                .with_buffer_frames(BUFFER_FRAMES)
                 .with_group_commit(1)
-                .with_striped_wal(cfg.wal_stripe.0, cfg.wal_stripe.1);
-            engine_cfg.wal_pages = cfg.wal_pages;
-            let view = TenantDevice::new(Arc::clone(&shared), base, budget);
+                .with_striped_wal(WAL_STRIPE.0, WAL_STRIPE.1);
+            engine_cfg.wal_pages = WAL_PAGES;
+            let view = TenantDevice::new(Rc::clone(&shared), base, budget);
             let engine =
                 StorageEngine::build_with_device(PAGE_SIZE, engine_cfg, &tables, |_, _| {
                     Box::new(view)
                 })?;
             tenants.push(TenantHandle {
-                id,
                 name,
                 engine,
-                shared: Arc::clone(&shared),
-                base,
-                pages: budget,
                 kills: 0,
                 recoveries: 0,
                 running: true,
@@ -174,28 +145,21 @@ impl FleetBuilder {
             base += budget;
         }
 
-        Ok(Fleet {
-            shared,
-            tenants,
-            config: self.config,
-        })
+        Ok(Fleet { shared, tenants })
     }
 }
 
-/// A running multi-tenant fleet over one shared device.
+/// A running multi-tenant fleet over one shared device. The fleet runs on
+/// one host thread and owns the device; its tenants' windows alias it.
 pub struct Fleet {
-    shared: SharedDevice,
+    shared: Rc<RefCell<ShardedFtl>>,
     tenants: Vec<TenantHandle>,
-    config: FleetConfig,
 }
 
 impl Fleet {
-    pub fn builder(config: FleetConfig) -> FleetBuilder {
-        FleetBuilder::new(config)
-    }
-
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
+    /// A fleet whose shared device draws from `seed`.
+    pub fn builder(seed: u64) -> FleetBuilder {
+        FleetBuilder::new(seed)
     }
 
     pub fn len(&self) -> usize {
@@ -204,10 +168,6 @@ impl Fleet {
 
     pub fn is_empty(&self) -> bool {
         self.tenants.is_empty()
-    }
-
-    pub fn tenants(&self) -> &[TenantHandle] {
-        &self.tenants
     }
 
     pub fn tenants_mut(&mut self) -> &mut [TenantHandle] {
@@ -226,17 +186,17 @@ impl Fleet {
 
     /// Current submission clock of the shared device, nanoseconds.
     pub fn clock_ns(&self) -> u64 {
-        self.shared.submission_clock_ns()
+        self.shared.borrow().submission_clock_ns()
     }
 
     /// Counters of the shared data device (all tenants merged).
     pub fn shared_stats(&self) -> DeviceStats {
-        self.shared.device_stats()
+        self.shared.borrow().device_stats()
     }
 
     /// Scheduler counters of the shared controller.
     pub fn controller_stats(&self) -> Option<ControllerStats> {
-        Some(self.shared.controller().stats())
+        Some(self.shared.borrow().controller().stats())
     }
 
     /// Sealed WAL pages recycled by checkpoints, summed over the fleet's
@@ -268,22 +228,14 @@ impl Fleet {
 /// crash/recover lifecycle and RAII teardown (dropping the handle trims
 /// the tenant's window off the shared device).
 pub struct TenantHandle {
-    id: usize,
     name: String,
     engine: StorageEngine,
-    shared: SharedDevice,
-    base: u64,
-    pages: u64,
     kills: u64,
     recoveries: u64,
     running: bool,
 }
 
 impl TenantHandle {
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -343,9 +295,10 @@ impl Drop for TenantHandle {
         // RAII teardown: return the window to the shared device so a
         // departed tenant's pages become reclaimable free space instead
         // of immortal live data squatting in every future GC pass.
-        for lba in self.base..self.base + self.pages {
-            if self.shared.is_mapped(lba) {
-                let _ = self.shared.trim_shared(lba);
+        let window = self.engine.pool_mut().device_mut();
+        for lba in 0..window.capacity_pages() {
+            if window.is_mapped(lba) {
+                let _ = window.trim(lba);
             }
         }
     }
@@ -356,7 +309,7 @@ mod tests {
     use super::*;
 
     fn two_tenant_fleet() -> Fleet {
-        Fleet::builder(FleetConfig::default())
+        Fleet::builder(0xF1EE7)
             .tenant("a", vec![TableSpec::heap("rows", 48, 24)])
             .tenant("b", vec![TableSpec::heap("rows", 48, 24)])
             .build()
@@ -420,21 +373,23 @@ mod tests {
         // only; the exact per-read Vec must not grow. The Vec comes back
         // as an oracle by flipping the shared controller's mode.
         let run = |exact: bool| {
-            let mut fleet = Fleet::builder(FleetConfig::default())
+            let mut fleet = Fleet::builder(0xF1EE7)
                 .tenant("a", vec![TableSpec::heap("rows", 48, 24)])
                 .build()
                 .expect("fleet builds");
             if exact {
-                fleet.shared.controller().set_bounded_read_latencies(false);
+                let shared = fleet.shared.borrow();
+                shared.controller().set_bounded_read_latencies(false);
             }
             insert_row(fleet.tenant_mut(0), 0x3C);
             fleet.tenant_mut(0).engine_mut().flush_all().unwrap();
-            let mapped = (0..24).find(|&l| fleet.shared.is_mapped(l)).unwrap();
-            let mut buf = vec![0u8; fleet.shared.page_size()];
+            let mut shared = fleet.shared.borrow_mut();
+            let mapped = (0..24).find(|&l| shared.is_mapped(l)).unwrap();
+            let mut buf = vec![0u8; shared.page_size()];
             for _ in 0..8 {
-                fleet.shared.read_shared(mapped, &mut buf).unwrap();
+                shared.read(mapped, &mut buf).unwrap();
             }
-            let ctrl = fleet.shared.controller();
+            let ctrl = shared.controller();
             (
                 ctrl.read_latency_count(),
                 ctrl.read_latency_histogram().count(),
@@ -452,7 +407,9 @@ mod tests {
         let mut fleet = two_tenant_fleet();
         insert_row(fleet.tenant_mut(0), 0x11);
         fleet.tenant_mut(0).engine_mut().flush_all().unwrap();
-        let mapped_before: Vec<u64> = (0..48).filter(|&l| fleet.shared.is_mapped(l)).collect();
+        let mapped_before: Vec<u64> = (0..48)
+            .filter(|&l| fleet.shared.borrow().is_mapped(l))
+            .collect();
         assert!(
             mapped_before.iter().any(|&l| l < 24),
             "tenant a flushed pages inside its window"
@@ -460,7 +417,7 @@ mod tests {
         let evicted = fleet.evict(0);
         drop(evicted);
         assert!(
-            (0..24).all(|l| !fleet.shared.is_mapped(l)),
+            (0..24).all(|l| !fleet.shared.borrow().is_mapped(l)),
             "RAII drop trims the departed tenant's window"
         );
     }

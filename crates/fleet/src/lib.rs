@@ -8,11 +8,13 @@
 //! - [`TenantDevice`] — a per-tenant sub-device *view* (an LBA window)
 //!   over one shared [`ipa_ftl::ShardedFtl`], enforcing the partition on
 //!   every command surface.
-//! - [`Fleet`] / [`FleetBuilder`] — partition a multi-channel device into
-//!   N tenants, each a full [`ipa_storage::StorageEngine`] with its own
-//!   striped WAL; [`TenantHandle`] gives each tenant a kill →
-//!   recover-via-WAL-replay lifecycle and returns its window to the
-//!   shared device on drop.
+//! - [`Fleet`] / [`FleetBuilder`] — partition one fixed-shape device
+//!   ([`TOPOLOGY`], NCQ cap [`QUEUE_CAP`] with latency QoS) into N
+//!   tenants, each a full [`ipa_storage::StorageEngine`] with its own
+//!   striped WAL of [`WAL_PAGES`] pages; [`TenantHandle`] gives each
+//!   tenant a kill → recover-via-WAL-replay lifecycle and returns its
+//!   window to the shared device on drop. The fleet runs on one host
+//!   thread and owns the device.
 //! - [`TenantWorkload`] — seeded, model-tracked TPC-B-style and
 //!   TATP-style streams whose [`TenantWorkload::verify`] is the
 //!   per-tenant logical-state invariant.
@@ -26,7 +28,7 @@ mod fleet;
 mod soak;
 mod workload;
 
-pub use device::{SharedDevice, TenantDevice};
-pub use fleet::{Fleet, FleetBuilder, FleetConfig, TenantHandle};
+pub use device::TenantDevice;
+pub use fleet::{Fleet, FleetBuilder, TenantHandle, QUEUE_CAP, TOPOLOGY, WAL_PAGES};
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use workload::{TenantMix, TenantWorkload};

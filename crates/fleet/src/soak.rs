@@ -16,40 +16,31 @@ use ipa_workloads::{
     engine_metrics, fairness_spread, LatencyPercentiles, MetricsSnapshot, CPU_NS_PER_TX,
 };
 
-use crate::fleet::{Fleet, FleetConfig, PAGE_SIZE};
+use crate::fleet::{Fleet, PAGE_SIZE};
 use crate::workload::{TenantMix, TenantWorkload};
 
-/// Soak-run shape. The defaults are the root-suite scale: 16 tenants,
-/// ≥ 50 kill/recover cycles, checkpoints every other round.
+/// Base rows per tenant (accounts / subscribers).
+const ROWS_PER_TENANT: u64 = 48;
+
+/// Transactions per tenant per round.
+const STEPS_PER_ROUND: usize = 6;
+
+/// Random kill → recover → verify cycles per round.
+const KILLS_PER_ROUND: usize = 3;
+
+/// Checkpoint every tenant each this many rounds (log-space recycling).
+const CHECKPOINT_EVERY_ROUNDS: usize = 2;
+
+/// Soak-run shape: how many tenants, for how many rounds, from which
+/// seed. Each round runs 6 transactions per tenant and 3 kill/recover
+/// cycles, and every other round checkpoints; 16 tenants × 18 rounds is
+/// the root-suite scale (54 cycles).
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
-    pub fleet: FleetConfig,
     pub tenants: usize,
-    /// Base rows per tenant (accounts / subscribers).
-    pub rows_per_tenant: u64,
     pub rounds: usize,
-    /// Transactions per tenant per round.
-    pub steps_per_round: usize,
-    /// Random kill → recover → verify cycles per round.
-    pub kills_per_round: usize,
-    /// Checkpoint every tenant each N rounds (log-space recycling).
-    pub checkpoint_every_rounds: usize,
+    /// Seeds the shared device, every tenant's stream and the chaos.
     pub seed: u64,
-}
-
-impl Default for SoakConfig {
-    fn default() -> Self {
-        SoakConfig {
-            fleet: FleetConfig::default(),
-            tenants: 16,
-            rows_per_tenant: 48,
-            rounds: 18,
-            steps_per_round: 6,
-            kills_per_round: 3,
-            checkpoint_every_rounds: 2,
-            seed: 0x50AC,
-        }
-    }
 }
 
 /// What a soak run did and measured.
@@ -97,10 +88,10 @@ impl SoakReport {
 /// Run the soak. Panics (with the tenant's label) if any tenant's
 /// post-recovery state disagrees with its model — that is the point.
 pub fn run_soak(cfg: &SoakConfig) -> ipa_storage::Result<SoakReport> {
-    assert!(cfg.tenants >= 1 && cfg.steps_per_round >= 1);
-    let expected_steps = (cfg.rounds * cfg.steps_per_round) as u64;
+    assert!(cfg.tenants >= 1);
+    let expected_steps = (cfg.rounds * STEPS_PER_ROUND) as u64;
 
-    let mut builder = Fleet::builder(cfg.fleet.clone());
+    let mut builder = Fleet::builder(cfg.seed);
     let mut workloads: Vec<TenantWorkload> = Vec::with_capacity(cfg.tenants);
     for i in 0..cfg.tenants {
         let mix = if i % 2 == 0 {
@@ -111,7 +102,7 @@ pub fn run_soak(cfg: &SoakConfig) -> ipa_storage::Result<SoakReport> {
         let label = format!("t{i:02}-{}", mix.name());
         builder = builder.tenant(
             label.clone(),
-            TenantWorkload::tables(mix, cfg.rows_per_tenant, expected_steps, PAGE_SIZE),
+            TenantWorkload::tables(mix, ROWS_PER_TENANT, expected_steps, PAGE_SIZE),
         );
         workloads.push(TenantWorkload::new(
             mix,
@@ -121,7 +112,7 @@ pub fn run_soak(cfg: &SoakConfig) -> ipa_storage::Result<SoakReport> {
     }
     let mut fleet = builder.build()?;
     for (i, w) in workloads.iter_mut().enumerate() {
-        w.load(fleet.tenant_mut(i).engine_mut(), cfg.rows_per_tenant)?;
+        w.load(fleet.tenant_mut(i).engine_mut(), ROWS_PER_TENANT)?;
     }
 
     let start_ns = fleet.clock_ns();
@@ -133,8 +124,8 @@ pub fn run_soak(cfg: &SoakConfig) -> ipa_storage::Result<SoakReport> {
 
     for round in 0..cfg.rounds {
         // Earliest-clock-first across every tenant's quota this round.
-        let mut remaining = vec![cfg.steps_per_round; cfg.tenants];
-        let mut left = cfg.tenants * cfg.steps_per_round;
+        let mut remaining = vec![STEPS_PER_ROUND; cfg.tenants];
+        let mut left = cfg.tenants * STEPS_PER_ROUND;
         while left > 0 {
             let i = (0..cfg.tenants)
                 .filter(|&i| remaining[i] > 0)
@@ -155,7 +146,7 @@ pub fn run_soak(cfg: &SoakConfig) -> ipa_storage::Result<SoakReport> {
 
         // Chaos: kill a few tenants at this (seeded-arbitrary) point,
         // recover them through WAL replay, and hold every invariant.
-        for _ in 0..cfg.kills_per_round {
+        for _ in 0..KILLS_PER_ROUND {
             let v = chaos.gen_range(0..cfg.tenants);
             let t = fleet.tenant_mut(v);
             t.kill();
@@ -169,7 +160,7 @@ pub fn run_soak(cfg: &SoakConfig) -> ipa_storage::Result<SoakReport> {
 
         // Recycle dead log space so the WAL footprint stays bounded no
         // matter how long the soak runs.
-        if (round + 1) % cfg.checkpoint_every_rounds.max(1) == 0 {
+        if (round + 1) % CHECKPOINT_EVERY_ROUNDS == 0 {
             for i in 0..cfg.tenants {
                 fleet.tenant_mut(i).checkpoint()?;
             }
@@ -217,13 +208,11 @@ mod tests {
         let cfg = SoakConfig {
             tenants: 4,
             rounds: 6,
-            steps_per_round: 5,
-            kills_per_round: 2,
-            ..Default::default()
+            seed: 0x50AC,
         };
         let report = run_soak(&cfg).expect("soak runs");
         assert_eq!(report.tenants, 4);
-        assert_eq!(report.kills, 12);
+        assert_eq!(report.kills, 6 * KILLS_PER_ROUND as u64);
         assert_eq!(report.recoveries, report.kills);
         assert!(report.steps > 0 && report.elapsed_ns > 0);
         assert!(
@@ -259,9 +248,7 @@ mod tests {
         let cfg = SoakConfig {
             tenants: 2,
             rounds: 3,
-            steps_per_round: 4,
-            kills_per_round: 1,
-            ..Default::default()
+            seed: 0x50AC,
         };
         let a = run_soak(&cfg).unwrap();
         let b = run_soak(&cfg).unwrap();

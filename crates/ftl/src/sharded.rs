@@ -27,20 +27,20 @@
 //! The stripe is `Send + Sync`: the controller is shared by `Arc`, each
 //! shard sits behind its own mutex (die-local traffic from different
 //! threads contends only when it lands on the same die), and the queued
-//! face keeps no state (a completion travels in its [`IoToken`]). Every
-//! operation is available through `&self` (`read_shared`/`submit_io`/
-//! `poll_io_checked`/`sync`/...), and those `&self` twins lock the shard
-//! they touch, so the threaded driver and `TenantDevice` share a plain
-//! `Arc<ShardedFtl>`.
+//! face keeps no state (a completion travels in its [`IoToken`]). The
+//! threaded driver shares one stripe between host threads through the
+//! `&self` face: [`ShardedFtl::read_shared`], [`ShardedFtl::submit_io`],
+//! [`ShardedFtl::poll_io_checked`], [`ShardedFtl::sync`] and the locking
+//! [`ShardedFtl::shard`], each of which locks the shard it touches.
 //!
-//! The `&mut` face takes no shard lock: [`BlockDevice::read`] /
-//! [`BlockDevice::write`] / [`BlockDevice::trim`],
+//! Every other command takes the `&mut` face, which takes no shard lock:
+//! [`BlockDevice::read`] / [`BlockDevice::write`] / [`BlockDevice::trim`],
 //! [`NativeFlashDevice::write_delta`], [`ShardedFtl::swap_stripe`],
 //! [`ShardedFtl::write_batch_cached`] and the maintenance scheduler's poll
 //! reach their shard through [`ShardedFtl::shard_mut`] — exclusive
 //! ownership already rules out a second submitter. The point read's logic
 //! is shared by both faces, which differ only in how they reach the shard.
-//! The queued [`IoQueue`] impl still forwards to the `&self` twins.
+//! The queued [`IoQueue`] impl forwards to the `&self` queued face.
 //! [`BlockDevice::layout_for`] takes no lock on either face: regions never
 //! change after construction, and [`ShardedFtl::swap_stripe`] only swaps
 //! slots of equal layout, so the host-level region table answers it.
@@ -110,7 +110,7 @@ pub struct ShardedFtl {
     vectored: VectoredCounters,
 }
 
-// Shared across host threads by the fleet and the threaded driver.
+// Shared across host threads by the threaded driver.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardedFtl>();
@@ -462,18 +462,6 @@ impl ShardedFtl {
         }
     }
 
-    /// Page write through `&self`.
-    pub fn write_shared(&self, lba: Lba, data: &[u8]) -> Result<()> {
-        let (die, sub) = self.locate(lba)?;
-        lock(&self.shards[die as usize]).write(sub, data)
-    }
-
-    /// Trim through `&self`.
-    pub fn trim_shared(&self, lba: Lba) -> Result<()> {
-        let (die, sub) = self.locate(lba)?;
-        lock(&self.shards[die as usize]).trim(sub)
-    }
-
     /// One read routed to its die and posted in `lane`: the read issues at
     /// the current host instant without advancing the host clock. The
     /// page lands in `buf` (the shard checks its length); returns the
@@ -571,21 +559,6 @@ impl ShardedFtl {
             .note_posted_reads_polled(completion.data.len() as u64);
         Ok(completion)
     }
-
-    /// Native delta append through `&self` (see
-    /// [`NativeFlashDevice::write_delta`]).
-    pub fn write_delta_shared(&self, lba: Lba, offset: usize, delta_bytes: &[u8]) -> Result<()> {
-        let (die, sub) = self.locate(lba)?;
-        lock(&self.shards[die as usize]).write_delta(sub, offset, delta_bytes)
-    }
-
-    /// Forget through `&self` (see [`IoQueue::forget`]).
-    pub fn forget_io(&self, token: IoToken) {
-        // Retire the abandoned reads from the controller's posted-read
-        // horizon, so `sync` never accounts for data nobody wants.
-        self.ctrl
-            .retire_forgotten_reads(token.into_completion().data.len() as u64);
-    }
 }
 
 /// Read sub-LBA `sub` of `shard` into `buf` in `lane`, restoring the die's
@@ -611,7 +584,10 @@ impl IoQueue for ShardedFtl {
     }
 
     fn forget(&mut self, token: IoToken) {
-        self.forget_io(token)
+        // Retire the abandoned reads from the controller's posted-read
+        // horizon, so `sync` never accounts for data nobody wants.
+        self.ctrl
+            .retire_forgotten_reads(token.into_completion().data.len() as u64);
     }
 }
 
@@ -1025,9 +1001,9 @@ mod tests {
 
     #[test]
     fn threaded_disjoint_windows_match_the_serial_run() {
-        // Tentpole wall at the stripe level: N threads writing and
-        // reading disjoint LBA windows through one Arc<ShardedFtl> end
-        // with exactly the bytes the serial walk produces.
+        // N threads writing disjoint LBA windows through one
+        // Arc<ShardedFtl>'s queued face (the threaded driver's own path)
+        // end with exactly the bytes the serial walk produces.
         use std::sync::Arc;
         use std::thread;
         let serial = {
@@ -1053,7 +1029,8 @@ mod tests {
                     scope.spawn(move || {
                         for lba in (t * 16)..(t * 16 + 16) {
                             let data = vec![(lba % 251) as u8; 2048];
-                            s.write_shared(lba, &data).unwrap();
+                            let token = s.submit_io(IoRequest::WriteV(vec![(lba, data)]));
+                            s.poll_io_checked(token.unwrap()).unwrap();
                         }
                     });
                 }
@@ -1095,11 +1072,11 @@ mod tests {
             .unwrap();
     }
 
-    /// The `&mut` face reaches its shard without a lock, the `&self` twins
-    /// lock it; nothing else may differ. Twin QoS stripes in IPA-native
-    /// mode, one driven through `read` / `write` / `write_delta`, the
-    /// other through `read_shared` / `write_shared` / `write_delta_shared`,
-    /// interleaved, agree after every step — unmapped, out-of-range and
+    /// The `&mut` point read reaches its shard without a lock,
+    /// `read_shared` locks it; nothing else may differ. Twin QoS stripes in
+    /// IPA-native mode take the same `write` / `write_delta` stream, one
+    /// reads through `read`, the other through `read_shared`, interleaved,
+    /// and they agree after every step — unmapped, out-of-range and
     /// uncorrectable reads included.
     #[test]
     fn the_mut_face_equals_the_shared_face() {
@@ -1115,7 +1092,7 @@ mod tests {
                 StripePolicy::RoundRobin,
             )
         };
-        let (mut owned, shared) = (twin(), twin());
+        let (mut owned, mut shared) = (twin(), twin());
         let image = |lba: Lba, gen: u64| {
             let mut img = vec![0xFFu8; page];
             img[64..].fill((lba * 31 + gen) as u8);
@@ -1124,33 +1101,33 @@ mod tests {
         };
         let delta = DeltaRecord::new(vec![(40, 0x0F)], vec![2; layout.meta_len()], layout.scheme)
             .encode(&layout);
-        let read_both = |owned: &mut ShardedFtl, lba: Lba, step: &str| {
+        let read_both = |owned: &mut ShardedFtl, shared: &ShardedFtl, lba: Lba, step: &str| {
             let (mut a, mut b) = (vec![0xEEu8; page], vec![0xEEu8; page]);
             let ra = owned.read(lba, &mut a);
             let rb = shared.read_shared(lba, &mut b);
             assert_eq!(ra, rb, "{step}");
             assert_eq!(a, b, "{step}");
-            assert_twins(owned, &shared, step);
+            assert_twins(owned, shared, step);
             ra
         };
 
         for lba in 0..24u64 {
-            owned.write(lba, &image(lba, 0)).unwrap();
-            shared.write_shared(lba, &image(lba, 0)).unwrap();
+            for s in [&mut owned, &mut shared] {
+                s.write(lba, &image(lba, 0)).unwrap();
+            }
         }
         assert_twins(&owned, &shared, "load");
         // Reads land while programs and appends around them are in flight.
         for step in 0..200u64 {
             let (w, r) = ((step * 7) % 24, (step * 5 + 3) % 24);
-            owned.write(w, &image(w, step)).unwrap();
-            shared.write_shared(w, &image(w, step)).unwrap();
-            if w % 2 == 0 {
-                let at = layout.record_offset(0);
-                owned.write_delta(w, at, &delta).unwrap();
-                shared.write_delta_shared(w, at, &delta).unwrap();
+            for s in [&mut owned, &mut shared] {
+                s.write(w, &image(w, step)).unwrap();
+                if w % 2 == 0 {
+                    s.write_delta(w, layout.record_offset(0), &delta).unwrap();
+                }
             }
             assert_twins(&owned, &shared, &format!("step {step} writes"));
-            read_both(&mut owned, r, &format!("step {step} read")).unwrap();
+            read_both(&mut owned, &shared, r, &format!("step {step} read")).unwrap();
         }
         let d = owned.device_stats();
         assert!(d.host_write_deltas > 0 && d.gc_erases > 0, "{d:?}");
@@ -1164,20 +1141,20 @@ mod tests {
         assert_twins(&owned, &shared, "after the corruption");
         let sub = owned.locate(5).unwrap().1;
         assert_eq!(
-            read_both(&mut owned, 5, "uncorrectable"),
+            read_both(&mut owned, &shared, 5, "uncorrectable"),
             Err(FtlError::Uncorrectable { lba: sub })
         );
         assert_eq!(owned.ctrl.stats().posted_reads_outstanding, 0);
         assert!(matches!(
-            read_both(&mut owned, 30, "unmapped"),
+            read_both(&mut owned, &shared, 30, "unmapped"),
             Err(FtlError::UnmappedLba(_))
         ));
         let cap = owned.capacity_pages();
         assert!(matches!(
-            read_both(&mut owned, cap, "out of range"),
+            read_both(&mut owned, &shared, cap, "out of range"),
             Err(FtlError::LbaOutOfRange { .. })
         ));
-        read_both(&mut owned, 6, "a clean read after the failures").unwrap();
+        read_both(&mut owned, &shared, 6, "a clean read after the failures").unwrap();
     }
 
     /// `layout_for` answers from the host-level region table without a

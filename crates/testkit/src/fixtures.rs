@@ -8,7 +8,6 @@
 use ipa_controller::ControllerConfig;
 use ipa_core::{NmScheme, PageLayout};
 use ipa_flash::{DeviceConfig, DisturbRates, FlashChip, FlashMode, Geometry};
-use ipa_fleet::SoakConfig;
 use ipa_ftl::{Ftl, FtlConfig, ShardedFtl, StripePolicy, WriteStrategy};
 use ipa_heat::{build_stack, DefaultPolicy};
 use ipa_storage::{BufferPool, EngineConfig, StorageEngine, TableSpec};
@@ -309,21 +308,6 @@ fn striped_ftl_config(strategy: WriteStrategy) -> FtlConfig {
         WriteStrategy::IpaConventional => FtlConfig::ipa_conventional(device_layout()),
         WriteStrategy::IpaNative => FtlConfig::ipa_native(device_layout()),
     }
-}
-
-/// The canonical crash/recovery soak shape: `tenants` tenants sharing a
-/// 4-channel × 2-die device under an NCQ cap with latency-QoS scheduling
-/// on, 54 seeded kill/recover cycles (18 rounds × 3 kills), checkpoints
-/// every other round. The root `fleet_soak` suite and the bench
-/// `--fleet` smoke both run exactly this, at different tenant counts.
-pub fn fleet_soak_config(tenants: usize, seed: u64) -> SoakConfig {
-    let mut cfg = SoakConfig::default();
-    cfg.fleet.queue_cap = Some(4);
-    cfg.fleet.qos = true;
-    cfg.fleet.seed = seed;
-    cfg.tenants = tenants;
-    cfg.seed = seed;
-    cfg
 }
 
 #[cfg(test)]

@@ -25,9 +25,9 @@ pub mod ops;
 pub use check::{assert_strategies_agree, quick_run};
 pub use fixtures::{
     aggressive_heat_policy, all_strategies, compact_heap_engine, device_layout, engine,
-    fleet_soak_config, heap_engine, heat_heap_engine, ipa_strategies, maintained_heap_engine,
-    quiet_device, quiet_slc, sharded_heap_engine, sharded_plane_engine, small_chip, small_pool,
-    striped_device, striped_qos_device, traditional_ftl,
+    heap_engine, heat_heap_engine, ipa_strategies, maintained_heap_engine, quiet_device, quiet_slc,
+    sharded_heap_engine, sharded_plane_engine, small_chip, small_pool, striped_device,
+    striped_qos_device, traditional_ftl,
 };
 pub use ops::{
     assert_same_final_state, run_ops, run_queued, synthetic_trace, ModelHarness, QueuedOp,

@@ -8,22 +8,24 @@
 //! equation), checkpoints must keep recycling sealed WAL stripes, and no
 //! tenant's p99.9 may run away from the fleet's.
 
-use ipa_fleet::{run_soak, Fleet, FleetConfig, SoakConfig, TenantMix, TenantWorkload};
+use ipa_fleet::{run_soak, Fleet, SoakConfig, SoakReport, TenantMix, TenantWorkload};
 use ipa_storage::TableSpec;
-use ipa_testkit::fleet_soak_config;
 
-fn soaked(tenants: usize, seed: u64) -> (SoakConfig, ipa_fleet::SoakReport) {
-    let cfg = fleet_soak_config(tenants, seed);
-    let report = run_soak(&cfg).expect("soak completes");
-    (cfg, report)
+/// The root-suite soak: 18 rounds × 3 kills = 54 kill/recover cycles.
+fn soaked(tenants: usize, seed: u64) -> SoakReport {
+    let cfg = SoakConfig {
+        tenants,
+        rounds: 18,
+        seed,
+    };
+    run_soak(&cfg).expect("soak completes")
 }
 
 #[test]
 fn sixteen_tenant_soak_survives_fifty_plus_kill_recover_cycles() {
-    let (cfg, report) = soaked(16, 0x000F_1EE7_50AC);
+    let report = soaked(16, 0x000F_1EE7_50AC);
     assert_eq!(report.tenants, 16);
-    assert_eq!(cfg.fleet.channels, 4);
-    assert_eq!(cfg.fleet.dies_per_channel, 2);
+    assert_eq!(ipa_fleet::TOPOLOGY, (4, 2));
 
     // ≥ 50 seeded kill/recover cycles, every one of them recovered and
     // verified inside run_soak (it panics on any divergence).
@@ -45,7 +47,7 @@ fn sixteen_tenant_soak_survives_fifty_plus_kill_recover_cycles() {
 
 #[test]
 fn soak_checkpoints_reclaim_wal_log_space() {
-    let (cfg, report) = soaked(16, 0x000F_1EE7_50AC);
+    let report = soaked(16, 0x000F_1EE7_50AC);
     assert!(
         report.wal_stripes_reclaimed > 0,
         "checkpoints must recycle sealed WAL stripes"
@@ -54,7 +56,7 @@ fn soak_checkpoints_reclaim_wal_log_space() {
     // far more WAL pages than any tenant's log capacity, so without
     // recycling the soak could not have completed at all.
     assert!(
-        report.wal_stripes_reclaimed > cfg.fleet.wal_pages / 4,
+        report.wal_stripes_reclaimed > ipa_fleet::WAL_PAGES / 4,
         "a long soak recycles a meaningful share of the log ({} pages reclaimed)",
         report.wal_stripes_reclaimed
     );
@@ -62,7 +64,7 @@ fn soak_checkpoints_reclaim_wal_log_space() {
 
 #[test]
 fn soak_holds_per_tenant_tail_fairness_under_queue_caps() {
-    let (_, report) = soaked(16, 0x000F_1EE7_50AC);
+    let report = soaked(16, 0x000F_1EE7_50AC);
     assert_eq!(report.per_tenant.len(), 16);
     for (i, p) in report.per_tenant.iter().enumerate() {
         assert!(p.count > 0 && p.p999_ns > 0, "tenant {i} measured latency");
@@ -84,8 +86,8 @@ fn soak_holds_per_tenant_tail_fairness_under_queue_caps() {
 
 #[test]
 fn soak_is_deterministic_for_a_seed() {
-    let (_, a) = soaked(16, 7);
-    let (_, b) = soaked(16, 7);
+    let a = soaked(16, 7);
+    let b = soaked(16, 7);
     assert_eq!(a.steps, b.steps);
     assert_eq!(a.kills, b.kills);
     assert_eq!(a.records_replayed, b.records_replayed);
@@ -98,7 +100,7 @@ fn soak_is_deterministic_for_a_seed() {
 
 #[test]
 fn evicted_tenant_frees_its_share_while_neighbours_keep_running() {
-    let mut fleet = Fleet::builder(FleetConfig::default())
+    let mut fleet = Fleet::builder(0xF1EE7)
         .tenant(
             "keeper",
             TenantWorkload::tables(TenantMix::TpcB, 32, 64, 2048),

@@ -115,13 +115,13 @@ fn one_threads_posted_vector_never_leaks_into_anothers_blocking_read() {
     const VECTOR: u64 = 4;
     let chip = DeviceConfig::new(Geometry::new(16, 8, 2048, 64), FlashMode::Slc)
         .with_disturb(DisturbRates::none());
-    let dev = ShardedFtl::new(
+    let mut dev = ShardedFtl::new(
         ControllerConfig::new(2, 2, chip),
         FtlConfig::traditional(),
         StripePolicy::RoundRobin,
     );
     for lba in 0..DIES * VECTOR {
-        dev.write_shared(lba, &vec![lba as u8; 2048]).unwrap();
+        dev.write(lba, &vec![lba as u8; 2048]).unwrap();
     }
     dev.sync();
     let rec = Arc::new(Mutex::new(RingRecorder::new(1 << 16)));
