@@ -56,11 +56,30 @@
 //! * locator bit 12 = `top(D[63])`, and `parity = parity(all)` — a shift
 //!   moves bits, it does not change how many are set.
 //!
-//! The fold's halves are contiguous, so the compiler vectorises them on
-//! the baseline target: ~130 word XORs and 13 parity folds per chunk
-//! whatever the data's density, one read of the chunk. The per-bit
-//! definition survives as the test oracle `encode_chunk_ref`; a change to
-//! the kernel is shown equal to it before it is shown fast.
+//! ~130 word XORs and 13 parities per chunk whatever the data's density,
+//! one read of the chunk.
+//!
+//! # Two kernels, one dispatch point
+//!
+//! The fold is written twice, and only the fold; both kernels end in the
+//! same `fold_last_levels`.
+//!
+//! * `encode_full` is the portable kernel. Built for baseline x86-64
+//!   (SSE2, no POPCNT), its fold runs two words wide and each parity is a
+//!   SWAR popcount.
+//! * `avx2::encode_full` exists only on `x86_64` and is compiled with
+//!   `#[target_feature(enable = "avx2,popcnt")]`: it folds four words per
+//!   256-bit XOR and takes each parity from one `POPCNT`.
+//!
+//! [`encode_chunk`] picks the kernel at run time, for full chunks and
+//! zero-padded short ones alike: the vector one when
+//! `is_x86_feature_detected!` reports AVX2 and POPCNT, the portable one
+//! otherwise. [`check_chunk`], the region helpers and every OOB codeword
+//! above them go through it; nothing is chosen at build time. Both
+//! kernels give the same codeword, bit for bit. The per-bit definition
+//! survives as the test oracle `encode_chunk_ref`, and every oracle test
+//! runs each kernel the host can run, not only the selected one. A change
+//! to a kernel is shown equal to it before it is shown fast.
 
 use serde::{Deserialize, Serialize};
 
@@ -82,11 +101,13 @@ pub struct Codeword {
 impl Codeword {
     /// Serialize to the on-flash OOB representation.
     ///
-    /// An all-`0xFF` slot means "not yet written" on flash, so codewords are
-    /// stored bit-inverted: the encoding of real data never equals `0xFF^4`
-    /// padding... it *can*, so byte 3 is a marker (`0x00` = present). The
-    /// marker byte also satisfies the 1→0 programming rule: erased `0xFF`
-    /// slots can always be overwritten with any codeword.
+    /// An all-`0xFF` slot means "not yet written" on flash. The locator and
+    /// parity are stored bit-inverted, and byte 3 is a marker, `0x00` when
+    /// the codeword is present: inverted bytes 0–2 alone would read all
+    /// `0xFF` for a chunk whose locator and parity are both zero (all-zero
+    /// data), so the marker is what tells a written slot from an erased
+    /// one. Programming only clears bits, so any codeword can be written
+    /// into an erased slot.
     pub fn to_bytes(self) -> [u8; CODEWORD_BYTES] {
         [
             !(self.locator as u8),
@@ -143,20 +164,39 @@ fn parity64(x: u64) -> u16 {
 /// Panics if `data` is longer than a chunk — callers split pages into
 /// chunks with [`encode_region`].
 pub fn encode_chunk(data: &[u8]) -> Codeword {
+    encode_padded(data, encode_selected)
+}
+
+/// Run `kernel` on `data` zero-padded to a full chunk.
+#[inline(always)]
+fn encode_padded(data: &[u8], kernel: impl Fn(&[u8; CHUNK]) -> Codeword) -> Codeword {
     assert!(data.len() <= CHUNK, "chunk too large: {}", data.len());
     match <&[u8; CHUNK]>::try_from(data) {
-        Ok(full) => encode_full(full),
+        Ok(full) => kernel(full),
         Err(_) => {
             // Zero padding adds no set bits, so the codeword is unchanged.
             let mut padded = [0u8; CHUNK];
             padded[..data.len()].copy_from_slice(data);
-            encode_full(&padded)
+            kernel(&padded)
         }
     }
 }
 
-/// The bit-sliced kernel (module docs): branch-free, density-independent,
-/// one pass over the chunk.
+/// The one dispatch point: the vector kernel where the CPU can run it,
+/// the portable one otherwise.
+#[inline]
+fn encode_selected(data: &[u8; CHUNK]) -> Codeword {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::detected() {
+        // SAFETY: `detected` has just confirmed that this CPU has AVX2 and
+        // POPCNT, the features `avx2::encode_full` is compiled for.
+        return unsafe { avx2::encode_full(data) };
+    }
+    encode_full(data)
+}
+
+/// The portable bit-sliced kernel (module docs): branch-free,
+/// density-independent, one pass over the chunk.
 fn encode_full(data: &[u8; CHUNK]) -> Codeword {
     let mut d = [0u64; WORDS];
     for (d, bytes) in d.iter_mut().zip(data.chunks_exact(8)) {
@@ -164,13 +204,13 @@ fn encode_full(data: &[u8; CHUNK]) -> Codeword {
     }
     // Bit `pos = 4095` is the lone `q = 4096`.
     let mut locator = ((d[WORDS - 1] >> 63) as u16) << 12;
-    // Fold by halves, six levels: entering level `m` (`n = 2^m`), slot `i`
-    // of the first `2n` holds the XOR of the words `W ≡ i (mod 2n)`, so the
-    // upper half is exactly the words with index bit `m` set; after the
+    // Fold by halves, levels 5 … 2: entering level `m` (`n = 2^m`), slot
+    // `i` of the first `2n` holds the XOR of the words `W ≡ i (mod 2n)`, so
+    // the upper half is exactly the words with index bit `m` set; after the
     // fold, slot `n − 1` is `E_m`, the XOR of the words below a multiple
     // of `n`.
     let mut n = WORDS;
-    for m in (0..6).rev() {
+    for m in (2..6).rev() {
         n /= 2;
         let (lo, hi) = d[..2 * n].split_at_mut(n);
         let mut hi_m = 0u64;
@@ -180,7 +220,18 @@ fn encode_full(data: &[u8; CHUNK]) -> Codeword {
         }
         locator |= (parity64(hi_m) ^ (lo[n - 1] >> 63) as u16) << (6 + m);
     }
-    let all = d[0];
+    fold_last_levels(locator, [d[0], d[1], d[2], d[3]])
+}
+
+/// Levels 1 and 0 of the fold and the in-word locator bits, shared by
+/// both kernels: `s` is the four slots entering level 1, `locator` holds
+/// the bits the wider levels set.
+#[inline(always)]
+fn fold_last_levels(mut locator: u16, s: [u64; 4]) -> Codeword {
+    let (s0, s1) = (s[0] ^ s[2], s[1] ^ s[3]);
+    locator |= (parity64(s[2] ^ s[3]) ^ (s1 >> 63) as u16) << 7;
+    let all = s0 ^ s1;
+    locator |= (parity64(s1) ^ (all >> 63) as u16) << 6;
     for (k, mask) in BIT_MASKS.iter().enumerate() {
         locator |= parity64((all << 1) & mask) << k;
     }
@@ -190,10 +241,92 @@ fn encode_full(data: &[u8; CHUNK]) -> Codeword {
     }
 }
 
+/// The AVX2 + POPCNT kernel: the portable fold, four words wide.
+///
+/// The chunk is 16 vectors `V[j] = D[4j..4j + 4]`. Levels 5 … 2 fold whole
+/// vectors; `hi_m` is reduced to one word by XOR-ing its lanes together,
+/// which keeps its parity, and `E_m` is lane 3 of the vector that holds
+/// slot `n − 1`. Levels 1 and 0 are `fold_last_levels` on the lanes of
+/// `V[0]`.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{fold_last_levels, parity64, Codeword, CHUNK};
+    use std::arch::x86_64::{
+        __m256i, _mm256_castsi256_si128, _mm256_extract_epi64, _mm256_extracti128_si256,
+        _mm256_loadu_si256, _mm256_setzero_si256, _mm256_xor_si256, _mm_cvtsi128_si64,
+        _mm_extract_epi64, _mm_xor_si128,
+    };
+
+    /// 256-bit vectors per chunk.
+    const VECTORS: usize = CHUNK / 32;
+
+    /// Whether this CPU can run [`encode_full`].
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must have AVX2 and POPCNT, as [`detected`] reports.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) unsafe fn encode_full(data: &[u8; CHUNK]) -> Codeword {
+        let base = data.as_ptr().cast::<__m256i>();
+        // SAFETY: `data` is `VECTORS` × 32 readable bytes, and `loadu`
+        // takes any alignment.
+        let mut v: [__m256i; VECTORS] =
+            std::array::from_fn(|j| unsafe { _mm256_loadu_si256(base.add(j)) });
+        let mut locator = top_of_lane3(v[VECTORS - 1]) << 12;
+        let mut n = VECTORS;
+        for m in (2..6).rev() {
+            n /= 2;
+            let mut hi_m = _mm256_setzero_si256();
+            for i in 0..n {
+                hi_m = _mm256_xor_si256(hi_m, v[n + i]);
+                v[i] = _mm256_xor_si256(v[i], v[n + i]);
+            }
+            locator |= (parity64(lanes_xor(hi_m)) ^ top_of_lane3(v[n - 1])) << (6 + m);
+        }
+        let s = v[0];
+        let lanes = [
+            _mm256_extract_epi64::<0>(s),
+            _mm256_extract_epi64::<1>(s),
+            _mm256_extract_epi64::<2>(s),
+            _mm256_extract_epi64::<3>(s),
+        ];
+        fold_last_levels(locator, lanes.map(|w| w as u64))
+    }
+
+    /// The XOR of a vector's four lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lanes_xor(v: __m256i) -> u64 {
+        let x = _mm_xor_si128(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        (_mm_cvtsi128_si64(x) ^ _mm_extract_epi64::<1>(x)) as u64
+    }
+
+    /// Bit 63 of lane 3: the top bit of the highest word.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn top_of_lane3(v: __m256i) -> u16 {
+        (_mm256_extract_epi64::<3>(v) as u64 >> 63) as u16
+    }
+}
+
 /// Check one chunk against its codeword, correcting a single-bit error in
 /// place if possible.
 pub fn check_chunk(data: &mut [u8], expected: Codeword) -> EccOutcome {
-    let actual = encode_chunk(data);
+    check_with(data, expected, encode_chunk)
+}
+
+/// [`check_chunk`] over a given encoder, so each kernel's correction can
+/// be tested.
+#[inline(always)]
+fn check_with(
+    data: &mut [u8],
+    expected: Codeword,
+    encode: impl Fn(&[u8]) -> Codeword,
+) -> EccOutcome {
+    let actual = encode(data);
     if actual == expected {
         return EccOutcome::Clean;
     }
@@ -209,7 +342,7 @@ pub fn check_chunk(data: &mut [u8], expected: Codeword) -> EccOutcome {
         data[byte] ^= 1 << bit;
         // Verify the correction actually reconciles the codeword (a 3-bit
         // error can masquerade as a single-bit one at a bogus position).
-        if encode_chunk(data) == expected {
+        if encode(data) == expected {
             EccOutcome::Corrected { bit: pos }
         } else {
             data[byte] ^= 1 << bit; // undo
@@ -281,30 +414,73 @@ mod tests {
         }
     }
 
+    type Kernel = fn(&[u8; CHUNK]) -> Codeword;
+
+    /// Every kernel this host can run, by name, with the one
+    /// [`encode_chunk`] selects last: the oracle tests pin each of them,
+    /// not only that one.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> = vec![("portable", encode_full)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2::detected() {
+            all.push(("avx2+popcnt", avx2_kernel));
+        }
+        all
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_kernel(data: &[u8; CHUNK]) -> Codeword {
+        assert!(avx2::detected(), "AVX2 kernel listed on a CPU without it");
+        // SAFETY: the assert above confirmed AVX2 and POPCNT.
+        unsafe { avx2::encode_full(data) }
+    }
+
+    /// `kernel` behind [`encode_chunk`]'s zero padding.
+    fn encode_by(kernel: Kernel, data: &[u8]) -> Codeword {
+        encode_padded(data, kernel)
+    }
+
+    #[test]
+    fn reports_the_selected_kernel() {
+        let all = kernels();
+        let (name, selected) = *all.last().expect("the portable kernel is always listed");
+        println!("ecc kernel: {name}");
+        let data: Vec<u8> = (0..CHUNK).map(|i| (i * 131 % 251) as u8).collect();
+        assert_eq!(encode_chunk(&data), encode_by(selected, &data));
+    }
+
     #[test]
     fn kernel_equals_reference_on_every_single_set_bit() {
         // One set bit at `pos` must encode to exactly `pos + 1` — all 4 096
         // positions, so every mask, every fold level and the carry are hit.
-        let mut data = [0u8; CHUNK];
-        for pos in 0..CHUNK * 8 {
-            data[pos / 8] = 1 << (pos % 8);
-            let cw = encode_chunk(&data);
-            assert_eq!(cw, encode_chunk_ref(&data), "bit {pos}");
-            assert_eq!((cw.locator, cw.parity), (pos as u16 + 1, 1), "bit {pos}");
-            data[pos / 8] = 0;
+        for (name, kernel) in kernels() {
+            let mut data = [0u8; CHUNK];
+            for pos in 0..CHUNK * 8 {
+                data[pos / 8] = 1 << (pos % 8);
+                let cw = kernel(&data);
+                assert_eq!(cw, encode_chunk_ref(&data), "{name}: bit {pos}");
+                assert_eq!(
+                    (cw.locator, cw.parity),
+                    (pos as u16 + 1, 1),
+                    "{name}: bit {pos}"
+                );
+                data[pos / 8] = 0;
+            }
         }
     }
 
     #[test]
     fn kernel_equals_reference_on_fills_and_edge_lengths() {
-        for fill in [0x00u8, 0xFF, 0x80, 0x01] {
-            for len in [0usize, 1, 7, 8, 9, 45, 511, 512] {
-                let data = vec![fill; len];
-                assert_eq!(
-                    encode_chunk(&data),
-                    encode_chunk_ref(&data),
-                    "fill {fill:#04x}, len {len}"
-                );
+        for (name, kernel) in kernels() {
+            for fill in [0x00u8, 0xFF, 0x80, 0x01] {
+                for len in [0usize, 1, 7, 8, 9, 45, 511, 512] {
+                    let data = vec![fill; len];
+                    assert_eq!(
+                        encode_by(kernel, &data),
+                        encode_chunk_ref(&data),
+                        "{name}: fill {fill:#04x}, len {len}"
+                    );
+                }
             }
         }
     }
@@ -315,18 +491,20 @@ mod tests {
     #[test]
     fn run_boundary_top_bits() {
         let top = |data: &mut [u8; CHUNK], w: usize| data[8 * w + 7] ^= 0x80;
-        for a in 0..WORDS {
-            let mut data = [0u8; CHUNK];
-            top(&mut data, a);
-            assert_eq!(encode_chunk(&data), encode_chunk_ref(&data), "word {a}");
-            for b in a + 1..WORDS {
-                top(&mut data, b);
-                assert_eq!(
-                    encode_chunk(&data),
-                    encode_chunk_ref(&data),
-                    "words {a} and {b}"
-                );
-                top(&mut data, b);
+        for (name, kernel) in kernels() {
+            for a in 0..WORDS {
+                let mut data = [0u8; CHUNK];
+                top(&mut data, a);
+                assert_eq!(kernel(&data), encode_chunk_ref(&data), "{name}: word {a}");
+                for b in a + 1..WORDS {
+                    top(&mut data, b);
+                    assert_eq!(
+                        kernel(&data),
+                        encode_chunk_ref(&data),
+                        "{name}: words {a} and {b}"
+                    );
+                    top(&mut data, b);
+                }
             }
         }
     }
@@ -335,22 +513,32 @@ mod tests {
     /// through [`encode_chunk`]'s zero padding.
     #[test]
     fn short_chunks_through_padding() {
-        for len in [1usize, 4, 13, 24, 45, 46, 64, 100, 255] {
-            for fill in [0xFFu8, 0x80, 0x7F] {
-                let data = vec![fill; len];
+        for (name, kernel) in kernels() {
+            for len in [1usize, 4, 13, 24, 45, 46, 64, 100, 255] {
+                for fill in [0xFFu8, 0x80, 0x7F] {
+                    let data = vec![fill; len];
+                    assert_eq!(
+                        encode_by(kernel, &data),
+                        encode_chunk_ref(&data),
+                        "{name}: fill {fill:#04x}, len {len}"
+                    );
+                }
+                let data: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8 | 0x80).collect();
                 assert_eq!(
-                    encode_chunk(&data),
+                    encode_by(kernel, &data),
                     encode_chunk_ref(&data),
-                    "fill {fill:#04x}, len {len}"
+                    "{name}: len {len}"
+                );
+                // The last byte's top bit is the record's highest position.
+                let mut one = vec![0u8; len];
+                one[len - 1] = 0x80;
+                let cw = encode_by(kernel, &one);
+                assert_eq!(
+                    (cw.locator, cw.parity),
+                    (len as u16 * 8, 1),
+                    "{name}: len {len}"
                 );
             }
-            let data: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8 | 0x80).collect();
-            assert_eq!(encode_chunk(&data), encode_chunk_ref(&data), "len {len}");
-            // The last byte's top bit is the record's highest position.
-            let mut one = vec![0u8; len];
-            one[len - 1] = 0x80;
-            let cw = encode_chunk(&one);
-            assert_eq!((cw.locator, cw.parity), (len as u16 * 8, 1), "len {len}");
         }
     }
 
@@ -363,15 +551,19 @@ mod tests {
 
     #[test]
     fn corrects_single_bit_flip() {
-        let mut data: Vec<u8> = (0..CHUNK).map(|i| (i * 7) as u8).collect();
-        let cw = encode_chunk(&data);
-        let original = data.clone();
-        data[123] ^= 0x10;
-        match check_chunk(&mut data, cw) {
-            EccOutcome::Corrected { bit } => assert_eq!(bit, 123 * 8 + 4),
-            other => panic!("expected correction, got {other:?}"),
+        for (name, kernel) in kernels() {
+            let original: Vec<u8> = (0..CHUNK).map(|i| (i * 7) as u8).collect();
+            let cw = encode_by(kernel, &original);
+            let mut data = original.clone();
+            data[123] ^= 0x10;
+            let outcome = check_with(&mut data, cw, |d| encode_by(kernel, d));
+            assert_eq!(
+                outcome,
+                EccOutcome::Corrected { bit: 123 * 8 + 4 },
+                "{name}"
+            );
+            assert_eq!(data, original, "{name}");
         }
-        assert_eq!(data, original);
     }
 
     #[test]
@@ -440,7 +632,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Bit-sliced kernel ≡ per-bit reference, byte-identical
+        /// Each bit-sliced kernel ≡ per-bit reference, byte-identical
         /// codewords, on random, sparse (≤ 4 set bits) and dense (`0xFF`
         /// with ≤ 4 cleared bits) chunks — each at every length `0..=512`.
         #[test]
@@ -454,9 +646,12 @@ mod tests {
                 sparse[bit / 8] |= 1 << (bit % 8);
                 dense[bit / 8] &= !(1 << (bit % 8));
             }
-            for len in 0..=CHUNK {
-                for data in [&random, &sparse, &dense] {
-                    prop_assert_eq!(encode_chunk(&data[..len]), encode_chunk_ref(&data[..len]));
+            for (_, kernel) in kernels() {
+                for len in 0..=CHUNK {
+                    for data in [&random, &sparse, &dense] {
+                        let data = &data[..len];
+                        prop_assert_eq!(encode_by(kernel, data), encode_chunk_ref(data));
+                    }
                 }
             }
         }

@@ -173,10 +173,14 @@ pub fn create(pool: &mut BufferPool, table: &mut TableInfo, lsn: u64) -> Result<
     Ok(())
 }
 
-/// Descend to the leaf that owns `key`, returning the path of internal
-/// pages (root first) and the leaf page id.
-fn descend(pool: &mut BufferPool, root: PageId, key: u64) -> Result<(Vec<PageId>, PageId)> {
-    let mut path = Vec::new();
+/// Descend to the leaf that owns `key`, handing each internal page on the
+/// path to `visit` (root first); returns the leaf page id.
+fn descend(
+    pool: &mut BufferPool,
+    root: PageId,
+    key: u64,
+    mut visit: impl FnMut(PageId),
+) -> Result<PageId> {
     let mut pid = root;
     loop {
         let child = pool.with_page(pid, |page| {
@@ -184,9 +188,9 @@ fn descend(pool: &mut BufferPool, root: PageId, key: u64) -> Result<(Vec<PageId>
             (!node.is_leaf()).then(|| node.child_for(key))
         })?;
         let Some(child) = child else {
-            return Ok((path, pid));
+            return Ok(pid);
         };
-        path.push(pid);
+        visit(pid);
         pid = child;
     }
 }
@@ -196,7 +200,7 @@ pub fn lookup(pool: &mut BufferPool, table: &TableInfo, key: u64) -> Result<Opti
     let Some(root) = table.root else {
         return Ok(None);
     };
-    let (_, leaf) = descend(pool, root, key)?;
+    let leaf = descend(pool, root, key, |_| {})?;
     pool.with_page(leaf, |page| {
         let node = NodeRef::new(page);
         let (pos, found) = node.find(key);
@@ -228,7 +232,8 @@ pub fn insert(
     lsn: u64,
 ) -> Result<()> {
     let root = table.root.expect("index not created");
-    let (mut path, mut pid) = descend(pool, root, key)?;
+    let mut path = Vec::new();
+    let mut pid = descend(pool, root, key, |pid| path.push(pid))?;
     let mut entry = [&key.to_le_bytes()[..], &rid.to_bytes()].concat();
     // Store `entry` at a level; a split carries `(separator, right page)`
     // one level up the path, an empty path grows a root.
@@ -297,7 +302,7 @@ pub fn delete(pool: &mut BufferPool, table: &TableInfo, key: u64, lsn: u64) -> R
     let Some(root) = table.root else {
         return Ok(false);
     };
-    let (_, leaf) = descend(pool, root, key)?;
+    let leaf = descend(pool, root, key, |_| {})?;
     let (pos, found) = pool.with_page(leaf, |page| NodeRef::new(page).find(key))?;
     if found {
         pool.with_page_mut(leaf, None, |pm| {
@@ -320,7 +325,7 @@ pub fn range(
     let Some(root) = table.root else {
         return Ok(());
     };
-    let (_, mut leaf) = descend(pool, root, lo)?;
+    let mut leaf = descend(pool, root, lo, |_| {})?;
     while leaf != NIL {
         leaf = pool.with_page(leaf, |page| {
             let node = NodeRef::new(page);

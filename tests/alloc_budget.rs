@@ -156,7 +156,7 @@ fn allocations_per_transaction_stay_within_budget() {
             name: "TPC-B chip [2x4] pSLC",
             load: tpcb(ipa, 32),
             parent: (19.88, 32_717.0),
-            ceiling: (15.4, 6_600.0),
+            ceiling: (14.4, 6_600.0),
         },
         Row {
             name: "TPC-B chip [0x0] MLC",
@@ -165,20 +165,20 @@ fn allocations_per_transaction_stay_within_budget() {
                 32,
             ),
             parent: (13.97, 36_428.0),
-            ceiling: (8.9, 10_800.0),
+            ceiling: (7.9, 10_800.0),
         },
         Row {
             // Direction 6's bar: bytes at most half the parent's.
             name: "TPC-B 4ch x 2d bg-GC + QoS",
             load: tpcb(four_by_two, 32),
             parent: (27.18, 46_179.0),
-            ceiling: (15.4, 6_600.0),
+            ceiling: (14.4, 6_600.0),
         },
         Row {
             name: "TPC-B engine only (4096 frames)",
             load: tpcb(ipa, 4096),
             parent: (5.56, 2_338.0),
-            ceiling: (6.0, 2_550.0),
+            ceiling: (4.9, 2_530.0),
         },
         Row {
             name: "TATP 4ch x 2d (8192 frames)",
@@ -189,7 +189,7 @@ fn allocations_per_transaction_stay_within_budget() {
                 frames: 8192,
             },
             parent: (1.48, 265.0),
-            ceiling: (1.6, 290.0),
+            ceiling: (0.95, 270.0),
         },
         Row {
             name: "TPC-C chip [2x4] pSLC",
