@@ -11,16 +11,19 @@
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin fig1_write_amp [--tx=6000] [--seed=N]`
 
-use ipa_flash::FlashMode;
+use std::process::ExitCode;
+
+use ipa_bench::experiments::{net_writes, RunError};
+use ipa_bench::{flags, Args};
 use ipa_ftl::WriteStrategy;
-use ipa_workloads::{build, Driver, DriverConfig, StackSpec, WorkloadKind};
+use ipa_workloads::WorkloadKind;
 
-fn main() {
-    let tx: u64 = ipa_bench::arg("tx", 6_000);
-    let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
-    ipa_bench::reject_unasked_args();
-    let page_size = 8 * 1024;
+fn main() -> ExitCode {
+    let a = Args::from_env(flags::FIG1_WRITE_AMP);
+    ipa_bench::exit_status(render(a.value("tx"), a.value("seed")).map(|()| true))
+}
 
+fn render(tx: u64, seed: u64) -> Result<(), RunError> {
     println!();
     println!("Figure 1: DBMS write amplification (net modified bytes per evicted dirty page)");
     ipa_bench::rule(118);
@@ -42,31 +45,11 @@ fn main() {
     ipa_bench::rule(118);
 
     for kind in WorkloadKind::all() {
-        // Traditional run with measurement: the Figure 1 histogram.
-        let mut bench = build(kind, 1, page_size);
-        let mut engine = StackSpec::paper(WriteStrategy::Traditional, FlashMode::PSlc)
-            .build(bench.as_mut(), page_size, &DriverConfig::default())
-            .expect("engine");
-        engine.pool_mut().enable_net_write_measurement();
-        let cfg = DriverConfig::default()
-            .with_transactions(tx)
-            .with_seed(seed);
-        let trad = Driver::run(bench.as_mut(), &mut engine, &cfg).expect("run");
-        let h = engine.pool().stats().net_bytes;
-
-        // Write amplification: device payload bytes per net modified byte.
-        let wa_trad = trad.device.bytes_host_written as f64 / h.total_bytes.max(1) as f64;
-
-        // IPA-native run: only the deltas cross the bus.
-        let mut bench2 = build(kind, 1, page_size);
-        let mut engine2 = StackSpec::paper(WriteStrategy::IpaNative, FlashMode::PSlc)
-            .build(bench2.as_mut(), page_size, &DriverConfig::default())
-            .expect("engine");
-        engine2.pool_mut().enable_net_write_measurement();
-        let ipa = Driver::run(bench2.as_mut(), &mut engine2, &cfg).expect("run");
-        let h2 = engine2.pool().stats().net_bytes;
-        let wa_ipa = ipa.device.bytes_host_written as f64 / h2.total_bytes.max(1) as f64;
-
+        // Traditional run: the Figure 1 histogram. IPA-native run: only
+        // the deltas cross the bus.
+        let trad = net_writes(kind, WriteStrategy::Traditional, tx, seed)?;
+        let ipa = net_writes(kind, WriteStrategy::IpaNative, tx, seed)?;
+        let h = trad.hist;
         println!(
             "{:<12}{:>9}{:>9}{:>9}{:>9}{:>9}{:>9}  {:>10}{:>11.1}{:>12.1}{:>14.1}{:>14.1}",
             kind.name(),
@@ -79,11 +62,12 @@ fn main() {
             h.count,
             h.fraction_under_100b() * 100.0,
             h.mean_bytes(),
-            wa_trad,
-            wa_ipa,
+            trad.write_amp,
+            ipa.write_amp,
         );
     }
     ipa_bench::rule(118);
     println!("paper: >70% of evicted dirty 8KB pages carry <100 net bytes; traditional WA ≈ 80x;");
     println!("       write_delta transfers only the delta records (Figure 1, lower half).");
+    Ok(())
 }

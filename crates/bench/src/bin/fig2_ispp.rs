@@ -13,14 +13,18 @@
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin fig2_ispp`
 
-use ipa_flash::ispp::{simulate_wordline_program, slc_byte_to_levels};
-use ipa_flash::{
-    CellType, DeviceConfig, DisturbRates, FlashChip, FlashMode, Geometry, IsppParams, Ppa,
-    ProgramKind,
-};
+use std::process::ExitCode;
 
-fn main() {
-    ipa_bench::reject_unasked_args();
+use ipa_bench::experiments::fig2_ispp;
+use ipa_bench::{flags, Args};
+use ipa_flash::{CellType, IsppParams, ProgramKind};
+
+fn main() -> ExitCode {
+    Args::from_env(flags::NONE);
+    ipa_bench::exit_status(fig2_ispp().map(|e3| render(&e3)).map(|()| true))
+}
+
+fn render(e3: &ipa_bench::experiments::Fig2) {
     println!();
     println!("Figure 2: ISPP staircases and in-place append legality");
     ipa_bench::rule(72);
@@ -57,56 +61,29 @@ fn main() {
     // --- cell-level append legality -------------------------------------
     println!();
     println!("wordline of 8 SLC cells, programmed with byte 0xF0 (cells 0-3 charged):");
-    let slc = IsppParams::slc();
-    let initial = slc_byte_to_levels(0x0F); // bits 7..4 = 0 → cells 0..3 programmed
-    println!("  levels after initial program: {initial:?}");
-
-    let append = slc_byte_to_levels(0x0D); // additionally program one erased cell
-    let trace = simulate_wordline_program(&slc, &initial, &append).expect("legal append");
+    println!("  levels after initial program: {:?}", e3.initial);
     println!(
         "  append 0x0F → 0x0D (one more cell): LEGAL, {} pulses, {} cell(s) programmed",
-        trace.pulses, trace.cells_programmed
+        e3.append.pulses, e3.append.cells_programmed
     );
-
-    let illegal = slc_byte_to_levels(0x2F); // requires discharging a cell
-    match simulate_wordline_program(&slc, &initial, &illegal) {
-        Err(e) => println!("  overwrite 0x0F → 0x2F: REJECTED ({e})"),
-        Ok(_) => unreachable!("charge decrease must be rejected"),
-    }
+    println!(
+        "  overwrite 0x0F → 0x2F: REJECTED ({})",
+        e3.overwrite_rejected
+    );
 
     // --- chip-level demonstration ---------------------------------------
     println!();
     println!("chip-level (byte rule), 2 KB page:");
-    let mut chip = FlashChip::new(
-        DeviceConfig::new(Geometry::tiny(), FlashMode::Slc).with_disturb(DisturbRates::none()),
-    );
-    let ppa = Ppa::new(0, 0);
-    let mut page = vec![0xFF; 2048];
-    page[..1024].fill(0x5A);
-    let oob = vec![0xFF; 64];
-    chip.program_page(ppa, &page, &oob).unwrap();
     println!("  programmed 1 KB of data, 1 KB left erased");
-
-    let mut appended = page.clone();
-    appended[1024..1124].fill(0x33);
-    chip.reprogram_page(ppa, &appended, &oob).unwrap();
     println!(
         "  appended 100 B in place without erase: OK (program_count = {})",
-        chip.program_count(ppa).unwrap()
+        e3.program_count
     );
-
-    let mut conflicting = appended.clone();
-    conflicting[0] = 0xFF; // 0x5A → 0xFF needs 0→1 transitions
-    match chip.reprogram_page(ppa, &conflicting, &oob) {
-        Err(e) => println!("  overwriting existing data: REJECTED ({e})"),
-        Ok(()) => unreachable!(),
-    }
-
-    chip.erase_block(0).unwrap();
     println!(
-        "  after erase_block: page erased = {}",
-        chip.is_erased(ppa).unwrap()
+        "  overwriting existing data: REJECTED ({})",
+        e3.reprogram_rejected
     );
+    println!("  after erase_block: page erased = {}", e3.erased);
     ipa_bench::rule(72);
     println!("paper: ISPP only adds charge; appends into unprogrammed cells need no erase.");
 }

@@ -7,12 +7,20 @@
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin fig3_layout`
 
-use ipa_core::{apply_and_collect, scan_records, ChangeTracker, NmScheme};
+use std::process::ExitCode;
+
+use ipa_bench::experiments::{fig3_layout, Fig3};
+use ipa_bench::{flags, Args};
+use ipa_core::NmScheme;
 use ipa_ftl::OobCodec;
 use ipa_storage::standard_layout;
 
-fn main() {
-    ipa_bench::reject_unasked_args();
+fn main() -> ExitCode {
+    Args::from_env(flags::NONE);
+    ipa_bench::exit_status(fig3_layout().map(|e6| render(&e6)).map(|()| true))
+}
+
+fn render(e6: &Fig3) {
     let page_size = 8 * 1024;
     println!();
     println!("Figure 3: IPA page layout — delta-record area sizing, 8 KB page");
@@ -58,57 +66,21 @@ fn main() {
     // --- page lifecycle round trip --------------------------------------
     println!();
     println!("page lifecycle round trip ([2x4]):");
-    let mut page = vec![0u8; page_size];
-    for (i, b) in page.iter_mut().enumerate() {
-        *b = (i % 251) as u8;
-    }
-    layout.wipe_delta_area(&mut page);
-    let flash_image = page.clone(); // as written out-of-place
-
-    // Buffered updates: 3 body bytes + header LSN.
-    let mut tracker = ChangeTracker::new(layout, Vec::new());
-    let mut buffered = page.clone();
-    for (off, val) in [(100usize, 0xAAu8), (101, 0xBB), (5000, 0xCC)] {
-        tracker.record_write(off, buffered[off], val);
-        buffered[off] = val;
-    }
-    tracker.record_write(4, buffered[4], 0x99);
-    buffered[4] = 0x99;
     println!(
         "  tracked: {} body bytes + metadata, verdict {:?}",
-        tracker.changed_body_bytes(),
-        tracker.verdict()
+        e6.tracked_body_bytes, e6.verdict
     );
-
-    let records = tracker.build_new_records(&buffered);
     println!(
         "  built {} delta record(s), {} pairs in record 0",
-        records.len(),
-        records[0].pairs.len()
+        e6.records, e6.pairs_in_first
     );
-
-    // Append onto the flash image (what write_delta does device-side).
-    let mut on_flash = flash_image.clone();
-    ipa_core::write_record_into(&mut on_flash, &layout, 0, &records[0]);
-    let legal = on_flash
-        .iter()
-        .zip(&flash_image)
-        .all(|(&n2, &o)| n2 & !o == 0);
-    println!("  append is a legal 1→0 overwrite of the stored page: {legal}");
-
-    // Fetch-time reconstruction.
-    let mut fetched = on_flash.clone();
-    let recs = apply_and_collect(&mut fetched, &layout);
+    println!(
+        "  append is a legal 1→0 overwrite of the stored page: {}",
+        e6.legal
+    );
     println!(
         "  reconstruction applied {} record(s); body matches buffer: {}; LSN byte: {}",
-        recs.len(),
-        fetched[layout.body_range()] == buffered[layout.body_range()],
-        fetched[4] == 0x99,
-    );
-    assert_eq!(
-        scan_records(&fetched, &layout).len(),
-        0,
-        "area wiped after apply"
+        e6.applied, e6.body_matches, e6.lsn_matches,
     );
 
     // --- OOB layout ------------------------------------------------------

@@ -8,12 +8,18 @@
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin interference [--rounds=300]`
 
-use ipa_bench::experiments::interference;
+use std::process::ExitCode;
+
+use ipa_bench::experiments::{interference, RunError};
+use ipa_bench::{flags, Args};
 use ipa_flash::FlashMode;
 
-fn main() {
-    let rounds: u32 = ipa_bench::arg("rounds", 300);
-    ipa_bench::reject_unasked_args();
+fn main() -> ExitCode {
+    let a = Args::from_env(flags::INTERFERENCE);
+    ipa_bench::exit_status(render(a.value("rounds")).map(|()| true))
+}
+
+fn render(rounds: u32) -> Result<(), RunError> {
     println!();
     println!("Program interference under IPA appends ({rounds} rounds x 64 pages)");
     ipa_bench::rule(104);
@@ -28,7 +34,7 @@ fn main() {
         (FlashMode::Tlc3d, false),
         (FlashMode::MlcFull, true),
     ] {
-        let o = interference(mode, forced, rounds);
+        let o = interference(mode, forced, rounds)?;
         println!(
             "{:<20}{:>12}{:>12}{:>16}{:>16}{:>16}",
             o.label, o.appends, o.rejected, o.disturb_bits, o.corrected_bits, o.uncorrectable
@@ -38,4 +44,5 @@ fn main() {
     println!("paper (§3): pSLC is as disturb-tolerant as SLC; odd-MLC confines appends to LSB");
     println!("pages; re-programming MSB-coupled pages (full MLC) causes program interference —");
     println!("exactly the uncorrectable-error column above.");
+    Ok(())
 }

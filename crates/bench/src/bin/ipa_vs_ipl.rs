@@ -12,14 +12,18 @@
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin ipa_vs_ipl [--tx=6000] [--seed=N]`
 
-use ipa_bench::experiments::ipa_vs_ipl;
+use std::process::ExitCode;
+
+use ipa_bench::experiments::{ipa_vs_ipl, RunError};
+use ipa_bench::{flags, Args};
 use ipa_workloads::WorkloadKind;
 
-fn main() {
-    let tx: u64 = ipa_bench::arg("tx", 6_000);
-    let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
-    ipa_bench::reject_unasked_args();
+fn main() -> ExitCode {
+    let a = Args::from_env(flags::IPA_VS_IPL);
+    ipa_bench::exit_status(render(a.value("tx"), a.value("seed")).map(|()| true))
+}
 
+fn render(tx: u64, seed: u64) -> Result<(), RunError> {
     println!();
     println!("IPA vs In-Page Logging — trace replay on identical flash");
     ipa_bench::rule(116);
@@ -41,7 +45,7 @@ fn main() {
 
     for kind in [WorkloadKind::TpcB, WorkloadKind::TpcC, WorkloadKind::Tatp] {
         eprintln!("recording {} trace...", kind.name());
-        let e5 = ipa_vs_ipl(kind, tx, seed);
+        let e5 = ipa_vs_ipl(kind, tx, seed)?;
         let (ipl, ipa) = (&e5.ipl, &e5.ipa);
         let d = |a: u64, b: u64| ipa_bench::fmt_pct(ipa_bench::pct(a as f64, b as f64));
         println!(
@@ -66,4 +70,5 @@ fn main() {
     ipa_bench::rule(116);
     println!("paper: IPA does 23–62% fewer writes, 29–74% fewer erases, and adds no read");
     println!("overhead, while IPL reads data + log pages on every fetch.");
+    Ok(())
 }

@@ -8,19 +8,20 @@
 //!
 //! Usage: `cargo run --release -p ipa-bench --bin nm_sweep [--secs=6] [--seed=N]`
 
-use ipa_core::NmScheme;
-use ipa_flash::FlashMode;
-use ipa_ftl::WriteStrategy;
-use ipa_storage::standard_layout;
-use ipa_workloads::{Driver, DriverConfig, StackSpec, WorkloadKind};
+use std::process::ExitCode;
 
-fn main() {
-    let secs: f64 = ipa_bench::arg("secs", 6.0);
-    let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
-    ipa_bench::reject_unasked_args();
-    let cfg = DriverConfig::default()
-        .with_seed(seed)
-        .for_simulated_secs(secs);
+use ipa_bench::experiments::{nm_scheme, RunError};
+use ipa_bench::{flags, Args};
+use ipa_core::NmScheme;
+use ipa_storage::standard_layout;
+use ipa_workloads::WorkloadKind;
+
+fn main() -> ExitCode {
+    let a = Args::from_env(flags::NM_SWEEP);
+    ipa_bench::exit_status(render(a.value("secs"), a.value("seed")).map(|()| true))
+}
+
+fn render(secs: f64, seed: u64) -> Result<(), RunError> {
     let schemes = [
         NmScheme::disabled(),
         NmScheme::new(1, 4),
@@ -52,13 +53,7 @@ fn main() {
         ipa_bench::rule(108);
         let mut base_tps = None;
         for scheme in schemes {
-            let strategy = if scheme.is_disabled() {
-                WriteStrategy::Traditional
-            } else {
-                WriteStrategy::IpaNative
-            };
-            let spec = StackSpec::chip(strategy, scheme, FlashMode::PSlc);
-            let r = Driver::run_spec(kind, 1, &spec, &cfg).expect("run");
+            let r = nm_scheme(kind, scheme, secs, seed)?;
             let area = if scheme.is_disabled() {
                 0
             } else {
@@ -81,4 +76,5 @@ fn main() {
     }
     println!("expected shape: gains rise quickly with small schemes, then flatten while the");
     println!("space overhead keeps growing — the paper's [2x4] sits at the knee for TPC-B.");
+    Ok(())
 }

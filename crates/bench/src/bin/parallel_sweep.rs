@@ -28,7 +28,11 @@
 //! bar: 4-channel × 2-die must deliver ≥ 2× the 1 × 1 throughput on the
 //! mixed sweep.
 
+use std::process::ExitCode;
+
+use ipa_bench::experiments::{self, RunError};
 use ipa_bench::sweep_csv::Row;
+use ipa_bench::{flags, Args, Verdict};
 use ipa_flash::FlashMode;
 use ipa_fleet::SoakConfig;
 use ipa_ftl::{StripePolicy, WriteStrategy};
@@ -45,8 +49,8 @@ struct Section {
     title: &'static str,
     show: &'static str,
     rows: Vec<Row>,
-    /// Acceptance bars: whether each held, and what it measured.
-    bars: Vec<(bool, String)>,
+    /// Acceptance bars.
+    bars: Vec<Verdict>,
 }
 
 impl Section {
@@ -63,8 +67,8 @@ impl Section {
             });
             println!("{}", padded.collect::<String>());
         }
-        for (pass, what) in &self.bars {
-            println!("  -> {what}: {}", if *pass { "PASS" } else { "FAIL" });
+        for bar in &self.bars {
+            println!("  -> {}: {}", bar.what, bar.mark());
         }
         ipa_bench::rule(118);
     }
@@ -92,31 +96,31 @@ struct SweepArgs {
 }
 
 impl SweepArgs {
-    fn from_env() -> SweepArgs {
-        use ipa_bench::{arg, flag, str_arg};
-        let valued = |name: &str, default: u32| if flag(name) { arg(name, default) } else { 0 };
-        let tx = arg("tx", 1_200);
-        let fleet = (arg("fleet-tenants", 8), arg("fleet-rounds", 10));
+    /// The sweep's flags, as [`flags::PARALLEL_SWEEP`] declares them; an
+    /// absent section switch reads 0 or `None`.
+    fn from_args(a: &Args) -> SweepArgs {
+        let tx = a.value("tx");
+        let fleet = (a.value("fleet-tenants"), a.value("fleet-rounds"));
         SweepArgs {
             tx,
-            streams: arg("streams", 8),
-            seed: arg("seed", 0x7C_B5EED),
-            scale: arg("scale", 1),
+            streams: a.value("streams"),
+            seed: a.value("seed"),
+            scale: a.value("scale"),
             // The maintenance sweep needs enough churn to trip GC (onset
             // is around 8k transactions at the default sizing); default
             // to a much longer window than the topology sweep.
-            maint_tx: arg("maint-tx", tx * 16),
-            cap: arg("cap", 1),
-            planes: arg("planes", 1),
-            readahead: valued("readahead", 8) as usize,
-            wal_stripe: valued("wal-stripe", 4),
-            wal_group: arg("wal-group", 1),
-            qos: flag("qos"),
-            heat: flag("heat").then(|| arg("heat", 0.99)),
-            fleet: flag("fleet").then_some(fleet),
-            threads: valued("threads", 4),
-            trace: str_arg("trace"),
-            metrics: str_arg("metrics"),
+            maint_tx: a.given("maint-tx").unwrap_or(tx * 16),
+            cap: a.value("cap"),
+            planes: a.value("planes"),
+            readahead: a.given::<u32>("readahead").unwrap_or(0) as usize,
+            wal_stripe: a.given("wal-stripe").unwrap_or(0),
+            wal_group: a.value("wal-group"),
+            qos: a.is_set("qos"),
+            heat: a.given("heat"),
+            fleet: a.is_set("fleet").then_some(fleet),
+            threads: a.given("threads").unwrap_or(0),
+            trace: a.string("trace"),
+            metrics: a.string("metrics"),
         }
     }
 
@@ -151,24 +155,17 @@ fn run_matrix(
     specs: &[StackSpec],
     cfgs: &[DriverConfig],
     metric: fn(&RunResult) -> f64,
-) -> Vec<Row> {
+) -> Result<Vec<Row>, RunError> {
     let mut rows = Vec::new();
     for &kind in kinds {
         let mut base = None;
         for (spec, cfg) in specs.iter().flat_map(|s| cfgs.iter().map(move |c| (s, c))) {
-            let r = Driver::run_spec(kind, a.scale, spec, cfg).expect("sweep run");
+            let r = experiments::run(section, kind, a.scale, spec, cfg)?;
             let speedup = metric(&r) / *base.get_or_insert(metric(&r));
             rows.push(Row::run(section, spec, kind, &r).num("speedup", speedup));
         }
     }
-    rows
-}
-
-/// A bar of the form "`what` must reach `floor`×".
-fn at_least(value: f64, floor: f64, what: &str) -> (bool, String) {
-    let cmp = if value >= floor { ">=" } else { "<" };
-    let text = format!("{what} {value:.2}x {cmp} {floor:.1}x");
-    (value >= floor, text)
+    Ok(rows)
 }
 
 /// The same mixed OLTP workloads, K interleaved client streams, on wider
@@ -176,7 +173,7 @@ fn at_least(value: f64, floor: f64, what: &str) -> (bool, String) {
 /// 1 × 1 baseline, tail latencies (p99 / p99.9 — where queueing lives)
 /// and the scheduler's own counters. Bar: 4ch × 2d round-robin ≥ 2× the
 /// baseline across the mixed sweep (geometric mean).
-fn topology_sweep(a: &SweepArgs) -> Section {
+fn topology_sweep(a: &SweepArgs) -> Result<Section, RunError> {
     let topologies = [
         Topology::single(),
         Topology::new(2, 1, StripePolicy::RoundRobin),
@@ -186,24 +183,24 @@ fn topology_sweep(a: &SweepArgs) -> Section {
         Topology::new(4, 2, StripePolicy::Hash),
     ];
     let specs = topologies.map(|t| stack(WriteStrategy::IpaNative, t, MaintMode::inline()));
-    let rows = run_matrix(a, "topology", &WORKLOADS, &specs, &[a.cfg(a.tx)], |r| r.tps);
+    let rows = run_matrix(a, "topology", &WORKLOADS, &specs, &[a.cfg(a.tx)], |r| r.tps)?;
     let wide = wide().to_string();
     let on_wide = rows.iter().filter(|r| r.get("topology") == wide);
     let gmean = (on_wide.map(|r| r.value("speedup").ln()).sum::<f64>() / 2.0).exp();
-    Section {
+    Ok(Section {
         title: "parallel sweep — IPA-native 2×4 pSLC, mixed workloads on widening topologies",
         show: "topology workload tps speedup p50_ns p99_ns p999_ns mean_wait_ns depth_max \
                in_place_fraction",
         rows,
-        bars: vec![at_least(gmean, 2.0, "4ch×2d mixed-sweep speedup")],
-    }
+        bars: vec![Verdict::at_least(gmean, 2.0, "4ch×2d mixed-sweep speedup")],
+    })
 }
 
 /// GC-heavy traditional writes on the widest topology: queue cap ×
 /// background-vs-inline GC against the uncapped inline baseline (first
 /// row of each workload) — the foreground-stall experiment of the
 /// `ipa-maint` crate.
-fn maintenance_sweep(a: &SweepArgs) -> Section {
+fn maintenance_sweep(a: &SweepArgs) -> Result<Section, RunError> {
     let modes = [
         MaintMode::inline(),
         MaintMode::capped(a.cap),
@@ -212,13 +209,13 @@ fn maintenance_sweep(a: &SweepArgs) -> Section {
     ];
     let specs = modes.map(|maint| stack(WriteStrategy::Traditional, wide(), maint));
     let cfg = a.cfg(a.maint_tx);
-    Section {
+    Ok(Section {
         title: "maintenance sweep — traditional writes on 4ch×2d: queue cap × inline/background GC",
         show: "gc_mode queue_cap workload tps speedup p99_ns p999_ns gc_erases bg_gc_erases \
                ncq_stall_ns wear_spread",
-        rows: run_matrix(a, "maintenance", &WORKLOADS, &specs, &[cfg], |r| r.tps),
+        rows: run_matrix(a, "maintenance", &WORKLOADS, &specs, &[cfg], |r| r.tps)?,
         bars: Vec::new(),
-    }
+    })
 }
 
 /// The write-heavy traditional path at fixed channels × dies, planes
@@ -226,7 +223,7 @@ fn maintenance_sweep(a: &SweepArgs) -> Section {
 /// over the single-plane row) must climb as the per-die allocator pairs
 /// writes into multi-plane commands — the multi-plane command
 /// subsystem's 2×-per-die bandwidth claim.
-fn plane_sweep(a: &SweepArgs) -> Section {
+fn plane_sweep(a: &SweepArgs) -> Result<Section, RunError> {
     let planes = (0..).map(|k| 1u32 << k).take_while(|p| *p <= a.planes);
     let spec = |p| {
         let topo = Topology::new(2, 2, StripePolicy::RoundRobin).with_planes(p);
@@ -234,12 +231,12 @@ fn plane_sweep(a: &SweepArgs) -> Section {
     };
     let (specs, cfg): (Vec<StackSpec>, _) = (planes.map(spec).collect(), a.cfg(a.tx));
     let pps = RunResult::programs_per_sec;
-    Section {
+    Ok(Section {
         title: "plane sweep — traditional writes on 2ch×2d, planes per die swept",
         show: "topology workload tps programs_per_sec speedup p999_ns multi_plane_pairs",
-        rows: run_matrix(a, "planes", &WORKLOADS, &specs, &[cfg], pps),
+        rows: run_matrix(a, "planes", &WORKLOADS, &specs, &[cfg], pps)?,
         bars: Vec::new(),
-    }
+    })
 }
 
 /// Cold full-table scans on the widest topology, with and without the
@@ -247,7 +244,7 @@ fn plane_sweep(a: &SweepArgs) -> Section {
 /// it on). Round-robin striping puts LBA k+1 on the next channel, so the
 /// posted prefetch vectors keep every channel busy — the all-channels
 /// scan win of the queued I/O API. Bar: ≥ 1.5×.
-fn scan_sweep(a: &SweepArgs) -> Section {
+fn scan_sweep(a: &SweepArgs) -> Result<Section, RunError> {
     let spec = stack(WriteStrategy::Traditional, wide(), MaintMode::inline());
     let (mut rows, mut bars) = (Vec::new(), Vec::new());
     for kind in WORKLOADS {
@@ -255,11 +252,14 @@ fn scan_sweep(a: &SweepArgs) -> Section {
             let cfg = DriverConfig::default()
                 .with_seed(a.seed)
                 .with_readahead(window);
+            let what = format!("scan: {} read-ahead {window}", kind.name());
             let mut bench = build(kind, a.scale, 8 * 1024);
-            let mut engine = spec.build(bench.as_mut(), 8 * 1024, &cfg).expect("engine");
-            Driver::sequential_scan(bench.as_mut(), &mut engine, 2, &cfg).expect("scan run")
+            let built = spec.build(bench.as_mut(), 8 * 1024, &cfg);
+            let mut engine = built.map_err(RunError::at(&what))?;
+            Driver::sequential_scan(bench.as_mut(), &mut engine, 2, &cfg)
+                .map_err(RunError::at(&what))
         };
-        let (off, on) = (scan(0), scan(a.readahead));
+        let (off, on) = (scan(0)?, scan(a.readahead)?);
         let speedup = off.elapsed_ns as f64 / on.elapsed_ns as f64;
         let row = Row::new("scan", &wide(), kind.name())
             .num("tps", on.pages_per_sec())
@@ -267,14 +267,14 @@ fn scan_sweep(a: &SweepArgs) -> Section {
             .set("vectored_reads", on.vectored_reads)
             .set("readahead_hits", on.readahead_hits);
         rows.push(row);
-        bars.push(at_least(speedup, 1.5, "sequential-scan speedup"));
+        bars.push(Verdict::at_least(speedup, 1.5, "sequential-scan speedup"));
     }
-    Section {
+    Ok(Section {
         title: "sequential-scan sweep — cold full-table scan on 4ch×2d, read-ahead off vs on",
         show: "workload tps speedup readahead_hits vectored_reads",
         rows,
         bars,
-    }
+    })
 }
 
 /// A WAL-bound config (`--wal-group`, default 1: every commit waits on
@@ -282,22 +282,22 @@ fn scan_sweep(a: &SweepArgs) -> Section {
 /// device (first row of each workload) vs the log striped over its own
 /// C-channel controller, group-commit flushes going out as one vectored
 /// write across its channels. Bar: striping must lift throughput.
-fn wal_sweep(a: &SweepArgs) -> Section {
+fn wal_sweep(a: &SweepArgs) -> Result<Section, RunError> {
     let spec = stack(WriteStrategy::IpaNative, wide(), MaintMode::inline());
     let cfg = a.cfg(a.tx).with_group_commit(a.wal_group);
     let striped = cfg.clone().with_wal_stripe(a.wal_stripe, 1);
-    let rows = run_matrix(a, "wal", &WORKLOADS, &[spec], &[cfg, striped], |r| r.tps);
+    let rows = run_matrix(a, "wal", &WORKLOADS, &[spec], &[cfg, striped], |r| r.tps)?;
     let lifts = rows.chunks(2).map(|pair| {
         let (lift, name) = (pair[1].value("speedup"), pair[1].get("workload"));
         let what = format!("striped WAL lifts WAL-bound {name} throughput {lift:.2}x");
-        (lift > 1.0, what)
+        Verdict::new(lift > 1.0, what)
     });
-    Section {
+    Ok(Section {
         title: "WAL sweep — IPA-native on 4ch×2d, single-chip log vs striped log",
         show: "workload tps speedup p99_ns wal_stripe_writes",
         bars: lifts.collect(),
         rows,
-    }
+    })
 }
 
 /// The foreground-read-tail experiment: GC-heavy traditional writes with
@@ -307,24 +307,24 @@ fn wal_sweep(a: &SweepArgs) -> Section {
 /// *device read* latency — the tail the reorder windows exist to cut.
 /// The wall test (`tests/tail_latency_slo.rs`) enforces the ≥ 25% cut at
 /// full scale; the smoke-sized bar only insists QoS never makes it worse.
-fn qos_sweep(a: &SweepArgs) -> Section {
+fn qos_sweep(a: &SweepArgs) -> Result<Section, RunError> {
     let fifo = MaintMode::background(None);
     let specs = [fifo, fifo.with_qos()].map(|m| stack(WriteStrategy::Traditional, wide(), m));
     let cfg = a.cfg(a.maint_tx);
-    let rows = run_matrix(a, "qos", &WORKLOADS, &specs, &[cfg], |r| r.tps);
+    let rows = run_matrix(a, "qos", &WORKLOADS, &specs, &[cfg], |r| r.tps)?;
     let tails = rows.chunks(2).map(|pair| {
         let ratio = pair[1].value("p999_read_ns") / pair[0].value("p999_read_ns").max(1.0);
         let name = pair[1].get("workload");
         let what = format!("QoS p99.9 read tail {ratio:.2}x of FIFO on {name}");
-        (ratio <= 1.0, what)
+        Verdict::new(ratio <= 1.0, what)
     });
-    Section {
+    Ok(Section {
         title: "latency-QoS sweep — traditional writes on 4ch×2d, background GC, FIFO vs QoS",
         show: "gc_mode workload tps p999_read_ns p99_ns reads_promoted erase_suspends \
                bg_gc_erases",
         bars: tails.collect(),
         rows,
-    }
+    })
 }
 
 /// The wear-shifting experiment: TPC-B account draws uniform vs Zipf(θ),
@@ -334,7 +334,7 @@ fn qos_sweep(a: &SweepArgs) -> Section {
 /// interesting cell is zipf/tiered. Bar: the tier must soak up the hot
 /// head and place it back, and the per-die erase spread must end no
 /// wider than twice the fixed stripe's under the same skew.
-fn heat_sweep(a: &SweepArgs) -> Section {
+fn heat_sweep(a: &SweepArgs) -> Result<Section, RunError> {
     let theta = a.heat.expect("section runs only with --heat");
     let heat_policy = HeatPolicy::default()
         .with_hot_threshold(2)
@@ -354,7 +354,7 @@ fn heat_sweep(a: &SweepArgs) -> Section {
             labels.push(format!("heat-{dist}-{placement}"));
         }
     }
-    let rows = run_matrix(a, "heat", &[WorkloadKind::TpcB], &[spec], &cfgs, |_| 1.0);
+    let rows = run_matrix(a, "heat", &[WorkloadKind::TpcB], &[spec], &cfgs, |_| 1.0)?;
     let relabel = |(row, label): (Row, String)| row.set("section", label);
     let rows: Vec<Row> = rows.into_iter().zip(labels).map(relabel).collect();
     let (fixed, tiered) = (&rows[2], &rows[3]);
@@ -366,12 +366,12 @@ fn heat_sweep(a: &SweepArgs) -> Section {
          zipf spread {spread} (tiered) vs {fixed_spread} (fixed)"
     );
     let pass = hits > 0.0 && destaged + moved > 0.0 && spread <= fixed_spread.max(1.0) * 2.0;
-    Section {
+    Ok(Section {
         title: "heat sweep — TPC-B on 4ch×2d, uniform vs Zipf draws, fixed stripe vs hot tier",
         show: "section tps p99_ns wear_spread hot_hits migrations destages",
         rows,
-        bars: vec![(pass, what)],
-    }
+        bars: vec![Verdict::new(pass, what)],
+    })
 }
 
 /// The multi-tenant crash/recovery soak at smoke scale: N tenants
@@ -382,7 +382,7 @@ fn heat_sweep(a: &SweepArgs) -> Section {
 /// model, so this section completing at all is the correctness half.
 /// Bar (the bookkeeping half): every kill recovered, log space recycled,
 /// and the cross-tenant p99.9 spread bounded.
-fn fleet_soak(a: &SweepArgs) -> Section {
+fn fleet_soak(a: &SweepArgs) -> Result<Section, RunError> {
     let (tenants, rounds) = a.fleet.expect("section runs only with --fleet");
     let soak = SoakConfig {
         tenants,
@@ -390,7 +390,7 @@ fn fleet_soak(a: &SweepArgs) -> Section {
         seed: a.seed,
     };
     let (channels, dies) = ipa_fleet::TOPOLOGY;
-    let report = ipa_fleet::run_soak(&soak).expect("fleet soak");
+    let report = ipa_fleet::run_soak(&soak).map_err(RunError::at("fleet soak"))?;
     let p999_max = report.per_tenant.iter().map(|p| p.p999_ns).max();
     let spread = report.p999_spread();
     let (kills, recoveries) = (report.kills, report.recoveries);
@@ -421,12 +421,12 @@ fn fleet_soak(a: &SweepArgs) -> Section {
          {reclaimed} WAL pages reclaimed, spread {spread:.2}x",
         report.records_replayed
     );
-    Section {
+    Ok(Section {
         title: "fleet soak — tenants on one shared 4ch×2d device, NCQ cap 4 + QoS, kill/recover",
         show: "tenants tps kills recoveries wal_stripes_reclaimed p999_ns",
         rows: vec![row],
-        bars: vec![(pass, what)],
-    }
+        bars: vec![Verdict::new(pass, what)],
+    })
 }
 
 /// Real host parallelism over the per-die-locked device core: the
@@ -436,7 +436,7 @@ fn fleet_soak(a: &SweepArgs) -> Section {
 /// host-op counters are fixed and every row is also a parity bar against
 /// the single-threaded reference; what scales is host wall-clock
 /// simulated-ops/sec (`speedup`; `tps` is simulated ops/s).
-fn threads_sweep(a: &SweepArgs) -> Section {
+fn threads_sweep(a: &SweepArgs) -> Result<Section, RunError> {
     let counts = (0..).map(|k| 1u32 << k).take_while(|t| *t <= a.threads);
     let run = |threads| {
         Driver::run_threaded(&ThreadedConfig {
@@ -464,7 +464,7 @@ fn threads_sweep(a: &SweepArgs) -> Section {
     let parity = |r: &ThreadedRunResult| {
         let (t, digest) = (r.threads, r.logical_digest);
         let what = format!("threads={t} logical digest {digest:016x} equals single-threaded");
-        (digest == runs[0].logical_digest, what)
+        Verdict::new(digest == runs[0].logical_digest, what)
     };
     let mut bars: Vec<_> = runs.iter().map(parity).collect();
     // The scaling bar only applies when the sweep actually reaches a
@@ -476,14 +476,18 @@ fn threads_sweep(a: &SweepArgs) -> Section {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     if a.threads >= 4 && cores >= 4 {
         let top = speedup(runs.last().expect("at least the 1-thread run"));
-        bars.push(at_least(top, 1.5, "top thread count's wall speedup"));
+        bars.push(Verdict::at_least(
+            top,
+            1.5,
+            "top thread count's wall speedup",
+        ));
     }
-    Section {
+    Ok(Section {
         title: "threads sweep — 8 die-affine churn streams over shared 4ch×2d, OS threads swept",
         show: "threads tps wall_ops_per_sec speedup",
         rows: runs.iter().map(row).collect(),
         bars,
-    }
+    })
 }
 
 /// One traced run of the QoS configuration (traditional writes,
@@ -494,19 +498,19 @@ fn threads_sweep(a: &SweepArgs) -> Section {
 /// metrics tree to JSON (`--metrics=<path>`). Bars: the trace must parse
 /// and cover every die, suspend/resume instants must pair, and the
 /// metrics document must round-trip identically.
-fn trace_capture(a: &SweepArgs) -> Section {
+fn trace_capture(a: &SweepArgs) -> Result<Section, RunError> {
     let maint = MaintMode::background(None).with_qos();
     let spec = stack(WriteStrategy::Traditional, wide(), maint);
     let cfg = a.cfg(a.maint_tx).with_trace(1 << 20);
-    let r = Driver::run_spec(WorkloadKind::TpcB, a.scale, &spec, &cfg).expect("traced run");
+    let r = experiments::run("trace", WorkloadKind::TpcB, a.scale, &spec, &cfg)?;
     let count = |phase: TracePhase| r.trace.iter().filter(|e| e.phase == phase).count();
     let (suspended, resumed) = (count(TracePhase::Suspended), count(TracePhase::Resumed));
     let promoted = count(TracePhase::Promoted);
     let mut bars = Vec::new();
     if let Some(path) = &a.trace {
         let doc = chrome_trace_json(&r.trace, "parallel_sweep QoS trace");
-        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        let dies_seen = chrome_trace_dies(&doc).expect("trace JSON must parse");
+        std::fs::write(path, &doc).map_err(RunError::at(format!("writing {path}")))?;
+        let dies_seen = chrome_trace_dies(&doc).map_err(RunError::at("parsing the trace"))?;
         let dies = wide().dies() as u64;
         let covered = (0..dies).filter(|d| dies_seen.contains(d)).count() as u64;
         let what = format!(
@@ -516,26 +520,26 @@ fn trace_capture(a: &SweepArgs) -> Section {
             r.trace_dropped
         );
         let pass = covered == dies && suspended == resumed && promoted > 0;
-        bars.push((pass, what));
+        bars.push(Verdict::new(pass, what));
     }
     if let Some(path) = &a.metrics {
         let doc = r.metrics.to_json_string();
-        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        let back = MetricsSnapshot::from_json_str(&doc).expect("metrics JSON must parse");
+        std::fs::write(path, &doc).map_err(RunError::at(format!("writing {path}")))?;
+        let back = MetricsSnapshot::from_json_str(&doc).map_err(RunError::at("parsing metrics"))?;
         let sections = back.sections.len();
         let what = format!("metrics round-trip: {sections} sections to {path}");
         let pass = back == r.metrics && back.get("controller.commands").is_some();
-        bars.push((pass, what));
+        bars.push(Verdict::new(pass, what));
     }
-    Section {
+    Ok(Section {
         title: "trace capture — traditional writes on 4ch×2d, background GC + QoS",
         show: "",
         rows: Vec::new(),
         bars,
-    }
+    })
 }
 
-type SectionFn = fn(&SweepArgs) -> Section;
+type SectionFn = fn(&SweepArgs) -> Result<Section, RunError>;
 
 /// Every section with the condition that switches it on, in output order.
 fn sections(a: &SweepArgs) -> Vec<SectionFn> {
@@ -555,28 +559,32 @@ fn sections(a: &SweepArgs) -> Vec<SectionFn> {
     enabled.collect()
 }
 
-fn main() {
-    let args = SweepArgs::from_env();
-    let csv_path = ipa_bench::str_arg("csv");
-    ipa_bench::reject_unasked_args();
+fn main() -> ExitCode {
+    let a = Args::from_env(flags::PARALLEL_SWEEP);
+    let args = SweepArgs::from_args(&a);
+    ipa_bench::exit_status(run(&args, a.string("csv")))
+}
+
+/// Print every enabled section and write the CSV; whether every bar held.
+fn run(args: &SweepArgs, csv_path: Option<String>) -> Result<bool, RunError> {
     println!("{args:?}");
     ipa_bench::rule(118);
     let mut csv = Row::header() + "\n";
     let mut pass = true;
-    for run in sections(&args) {
-        let section = run(&args);
+    for run in sections(args) {
+        let section = run(args)?;
         section.print();
-        pass &= section.bars.iter().all(|(held, _)| *held);
+        pass &= section.bars.iter().all(|bar| bar.pass);
         for row in &section.rows {
             csv.push_str(&row.line());
             csv.push('\n');
         }
     }
     if let Some(path) = csv_path {
-        std::fs::write(&path, csv).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(&path, csv).map_err(RunError::at(format!("writing {path}")))?;
         println!("csv written to {path}");
     }
-    std::process::exit(if pass { 0 } else { 1 });
+    Ok(pass)
 }
 
 #[cfg(test)]
@@ -587,29 +595,20 @@ mod tests {
     fn every_section_emits_rows_shaped_like_the_header() {
         // Every section switched on, at the smallest sizes that still
         // produce rows.
-        let args = SweepArgs {
-            tx: 40,
-            streams: 2,
-            seed: 7,
-            scale: 1,
-            maint_tx: 60,
-            cap: 1,
-            planes: 2,
-            readahead: 4,
-            wal_stripe: 2,
-            wal_group: 1,
-            qos: true,
-            heat: Some(0.99),
-            fleet: Some((2, 1)),
-            threads: 2,
-            trace: None,
-            metrics: None,
-        };
+        let argv = "parallel_sweep --tx=40 --streams=2 --seed=7 --maint-tx=60 --planes=2 \
+                    --readahead=4 --wal-stripe=2 --qos --heat --fleet --fleet-tenants=2 \
+                    --fleet-rounds=1 --threads=2";
+        let argv = argv.split_whitespace().map(String::from).collect();
+        let args = SweepArgs::from_args(&Args::new(argv, flags::PARALLEL_SWEEP).unwrap());
+        assert_eq!(
+            (args.heat, args.fleet, args.maint_tx),
+            (Some(0.99), Some((2, 1)), 60)
+        );
         let columns = Row::header().split(',').count();
         assert_eq!(columns, 42);
         let mut by_section = std::collections::BTreeMap::new();
         for run in sections(&args) {
-            let section = run(&args);
+            let section = run(&args).unwrap();
             section.print();
             for row in section.rows {
                 let line = row.line();

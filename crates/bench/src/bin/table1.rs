@@ -9,34 +9,23 @@
 //! Usage: `cargo run --release -p ipa-bench --bin table1 [--secs=20]
 //! [--scale=1] [--seed=N]`
 
-use ipa_bench::{fmt_pct, grouped, pct, row, rule};
-use ipa_flash::FlashMode;
-use ipa_workloads::{Driver, DriverConfig, RunResult, WorkloadKind};
+use std::process::ExitCode;
 
-fn main() {
-    let secs: f64 = ipa_bench::arg("secs", 20.0);
-    let scale: u32 = ipa_bench::arg("scale", 1);
-    let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
-    ipa_bench::reject_unasked_args();
+use ipa_bench::experiments::{self, Table1};
+use ipa_bench::{flags, fmt_pct, grouped, pct, row, rule, Args};
+use ipa_workloads::RunResult;
 
-    let cfg = DriverConfig::default()
-        .with_seed(seed)
-        .for_simulated_secs(secs);
-
-    eprintln!("running [0x0] traditional baseline (MLC, full capacity)...");
-    let tpcb = |spec| Driver::run_spec(WorkloadKind::TpcB, scale, &spec, &cfg);
-    let base = tpcb(ipa_bench::traditional_mlc()).expect("baseline run");
-
-    eprintln!("running [2x4] IPA, pSLC mode...");
-    let pslc = tpcb(ipa_bench::ipa_2x4(FlashMode::PSlc)).expect("pSLC run");
-
-    eprintln!("running [2x4] IPA, odd-MLC mode...");
-    let odd = tpcb(ipa_bench::ipa_2x4(FlashMode::OddMlc)).expect("odd-MLC run");
-
-    print_table(secs, &base, &pslc, &odd);
+fn main() -> ExitCode {
+    let a = Args::from_env(flags::TABLE1);
+    let secs = a.value("secs");
+    let e1 = experiments::table1(a.value("scale"), secs, a.value("seed"));
+    ipa_bench::exit_status(e1.map(|t| print_table(secs, &t)).map(|()| true))
 }
 
-fn print_table(secs: f64, base: &RunResult, pslc: &RunResult, odd: &RunResult) {
+type Cell<'a> = &'a dyn Fn(&RunResult) -> String;
+
+fn print_table(secs: f64, t: &Table1) {
+    let (base, pslc, odd) = (&t.base, &t.pslc, &t.odd);
     let w = 34 + 5 * 16;
     println!();
     println!(
@@ -44,29 +33,21 @@ fn print_table(secs: f64, base: &RunResult, pslc: &RunResult, odd: &RunResult) {
          (pSLC, odd-MLC)"
     );
     rule(w);
-    row(
-        "",
-        &[
-            "0x0".into(),
-            "2x4 pSLC".into(),
-            "rel [%]".into(),
-            "2x4 odd-MLC".into(),
-            "rel [%]".into(),
-        ],
-    );
+    let heads = ["0x0", "2x4 pSLC", "rel [%]", "2x4 odd-MLC", "rel [%]"];
+    row("", &heads.map(String::from));
     rule(w);
 
+    // A row's cells: each stack's value, each IPA one followed by `rel`.
+    let cells =
+        |value: Cell, rel: Cell| [value(base), value(pslc), rel(pslc), value(odd), rel(odd)];
+    let blank = |_: &RunResult| String::new();
     let abs_rel = |label: &str, f: &dyn Fn(&RunResult) -> u64| {
-        row(
-            label,
-            &[
-                grouped(f(base)),
-                grouped(f(pslc)),
-                fmt_pct(pct(f(pslc) as f64, f(base) as f64)),
-                grouped(f(odd)),
-                fmt_pct(pct(f(odd) as f64, f(base) as f64)),
-            ],
-        );
+        let rel = |r: &RunResult| fmt_pct(pct(f(r) as f64, f(base) as f64));
+        row(label, &cells(&|r| grouped(f(r)), &rel));
+    };
+    let ratio_row = |label: &str, f: &dyn Fn(&RunResult) -> f64| {
+        let rel = |r: &RunResult| fmt_pct(pct(f(r), f(base)));
+        row(label, &cells(&|r| format!("{:.4}", f(r)), &rel));
     };
 
     abs_rel("Host Reads", &|r| r.device.host_reads);
@@ -84,63 +65,25 @@ fn print_table(secs: f64, base: &RunResult, pslc: &RunResult, odd: &RunResult) {
             r.device.in_place_appends as f64 / total as f64 * 100.0
         )
     };
-    row(
-        "Out-of-Place vs In-Place [%]",
-        &[split(base), split(pslc), "".into(), split(odd), "".into()],
-    );
+    row("Out-of-Place vs In-Place [%]", &cells(&split, &blank));
 
     abs_rel("GC Page Migrations", &|r| r.device.gc_page_migrations);
     abs_rel("GC Erases", &|r| r.device.gc_erases);
-
-    let ratio_row = |label: &str, f: &dyn Fn(&RunResult) -> f64| {
-        row(
-            label,
-            &[
-                format!("{:.4}", f(base)),
-                format!("{:.4}", f(pslc)),
-                fmt_pct(pct(f(pslc), f(base))),
-                format!("{:.4}", f(odd)),
-                fmt_pct(pct(f(odd), f(base))),
-            ],
-        );
-    };
-    ratio_row("Page Migrations per Host Write", &|r| {
-        r.migrations_per_host_write()
-    });
-    ratio_row("GC Erases per Host Write", &|r| r.erases_per_host_write());
-
-    row(
-        "Tx latency p50 / p99 [us]",
-        &[
-            format!(
-                "{}/{}",
-                base.latency.p50_ns / 1000,
-                base.latency.p99_ns / 1000
-            ),
-            format!(
-                "{}/{}",
-                pslc.latency.p50_ns / 1000,
-                pslc.latency.p99_ns / 1000
-            ),
-            "".into(),
-            format!(
-                "{}/{}",
-                odd.latency.p50_ns / 1000,
-                odd.latency.p99_ns / 1000
-            ),
-            "".into(),
-        ],
+    ratio_row(
+        "Page Migrations per Host Write",
+        &RunResult::migrations_per_host_write,
     );
-    row(
-        "Transactional Throughput [tps]",
-        &[
-            format!("{:.0}", base.tps),
-            format!("{:.0}", pslc.tps),
-            fmt_pct(pct(pslc.tps, base.tps)),
-            format!("{:.0}", odd.tps),
-            fmt_pct(pct(odd.tps, base.tps)),
-        ],
+    ratio_row(
+        "GC Erases per Host Write",
+        &RunResult::erases_per_host_write,
     );
+
+    let latency =
+        |r: &RunResult| format!("{}/{}", r.latency.p50_ns / 1000, r.latency.p99_ns / 1000);
+    row("Tx latency p50 / p99 [us]", &cells(&latency, &blank));
+    let tps = |r: &RunResult| format!("{:.0}", r.tps);
+    let tps_rel = |r: &RunResult| fmt_pct(pct(r.tps, base.tps));
+    row("Transactional Throughput [tps]", &cells(&tps, &tps_rel));
     rule(w);
     println!(
         "committed tx: 0x0={}, pSLC={}, odd-MLC={}",

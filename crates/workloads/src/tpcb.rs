@@ -202,8 +202,8 @@ impl Benchmark for TpcB {
         engine.update_field(tx, branches, brid, BALANCE_OFF, &bytes)?;
 
         // History append (region capacity permitting; a full history is a
-        // benchmark-duration artifact, not an error — drop the insert and
-        // keep measuring updates, as a circular history file would).
+        // benchmark-duration artifact, not an error — from then on no row
+        // is appended, so the transaction mix changes: updates only).
         if !self.history_full {
             let mut h = vec![0u8; HISTORY_LEN];
             put_u64(&mut h, 0, aid);

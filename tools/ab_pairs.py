@@ -22,16 +22,15 @@ end-to-end metric of `BENCHMARK.json`:
 mismatch, a failed end-of-run check or a larger share of failed operations.
 
 `--probes N` runs the probe ladder instead (`ipa-perf-ledger --probes`, the
-two binaries alternating N times) and prints one row per rung: both medians,
-their ratio, and a flag on any rung whose median rose by more than 10 %. The
-rungs are per-layer readings, not gated metrics: the exit status stays 0.
-
-`--layers N` alternates N `--trace 1` runs of each workload instead and prints
-one row per per-layer metric of `BENCHMARK.json` (the `*_share_est` columns
-and `workloads.churn_t1_wall_us_per_op` included): both medians, their ratio,
-and a flag on any metric more than 10 % worse in its `better` direction. Rows
-whose medians are both 0 (a layer the workload's stack does not have) are
-left out. Also ungated: the exit status stays 0.
+two binaries alternating N times) and prints one row per rung; `--layers N`
+alternates N `--trace 1` runs of each workload and prints one row per
+per-layer metric of `BENCHMARK.json` (the `*_share_est` columns and
+`workloads.churn_t1_wall_us_per_op` included), leaving out rows whose medians
+are both 0 (a layer the workload's stack does not have). Each row shows both
+sides as `median [q1, q3]` and their ratio, and is flagged only when the
+change's median lies outside the parent's [q1, q3] *and* is more than 10 %
+worse (a rung: higher). These are per-layer readings, not gated metrics: the
+exit status stays 0.
 """
 
 import argparse
@@ -97,6 +96,16 @@ def verdict(parent, change, lower_is_better, bound):
     return ratio, won, "unchanged"
 
 
+def spread_row(parent, change, lower_is_better):
+    """`median [q1, q3]` of both sides, their ratio, and the flag."""
+    (pq1, p, pq3), (_, c, _) = quartiles(parent), quartiles(change)
+    cells = ("{1} [{0}, {2}]".format(*map(fmt, quartiles(xs))) for xs in (parent, change))
+    ratio = f"{c / p:.3f}" if p else "n/a"
+    worse = (c - p if lower_is_better else p - c) > 0.1 * abs(p)  # p may be negative
+    flag = "> 10 % worse, outside parent [q1, q3]" if worse and not pq1 <= c <= pq3 else ""
+    return f"{' | '.join(cells)} | {ratio} | {flag}"
+
+
 def probe_ladder(trees, rounds):
     """Alternate `--probes` runs; one Markdown row per rung."""
     samples = {side: {} for side in trees}
@@ -112,22 +121,19 @@ def probe_ladder(trees, rounds):
                 samples[side].setdefault(name, []).append(float(ns))
         print(f"  probes: round {i + 1}/{rounds}", file=sys.stderr)
     print(f"probe ladder, {rounds} alternating runs a side, ns per call\n")
-    print("| rung | parent median | change median | change / parent | |")
+    print("| rung | parent median [q1, q3] | change median [q1, q3] | change / parent | |")
     print("|---|---|---|---|---|")
     for name, parent in samples["parent"].items():
         change = samples["change"].get(name)
-        if not change:
-            continue
-        p, c = statistics.median(parent), statistics.median(change)
-        ratio = f"{c / p:.3f}" if p else "n/a"
-        flag = "> 10 % higher" if c > 1.1 * p else ""
-        print(f"| {name} | {fmt(p)} | {fmt(c)} | {ratio} | {flag} |")
+        if change:
+            print(f"| {name} | {spread_row(parent, change, True)} |")
 
 
 def layer_table(trees, rounds, seed, seconds, workloads, per_layer):
     """Alternate `--trace 1` runs; one Markdown row per workload x per-layer metric."""
     print(f"per-layer metrics, seed {seed}, {seconds} s, {rounds} alternating runs a side\n")
-    print("| workload | metric | parent median | change median | change / parent | |")
+    print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
+          "| change / parent | |")
     print("|---|---|---|---|---|---|")
     for w in workloads:
         samples = {side: [] for side in trees}
@@ -138,13 +144,11 @@ def layer_table(trees, rounds, seed, seconds, workloads, per_layer):
             print(f"  {w}: round {i + 1}/{rounds}", file=sys.stderr)
         for m in per_layer:
             name = m["name"]
-            p, c = (statistics.median(run[name] for run in samples[side]) for side in trees)
-            if p == 0 and c == 0:
+            parent, change = ([run[name] for run in samples[side]] for side in trees)
+            if statistics.median(parent) == 0 and statistics.median(change) == 0:
                 continue
-            ratio = f"{c / p:.3f}" if p else "n/a"
-            worse = c > 1.1 * p if m["better"] == "lower" else c < 0.9 * p
-            flag = "> 10 % worse" if worse else ""
-            print(f"| {w} | {name} | {fmt(p)} | {fmt(c)} | {ratio} | {flag} |", flush=True)
+            row = spread_row(parent, change, m["better"] == "lower")
+            print(f"| {w} | {name} | {row} |", flush=True)
 
 
 def main():
