@@ -225,9 +225,6 @@ struct ChannelState {
 /// cheap; the per-die heavy lifting (chip mutation, queue walks) never
 /// holds it.
 struct Central {
-    /// Posted-read members surfaced to the queue whose completions the
-    /// host has neither polled nor forgotten yet.
-    outstanding_posted_reads: u64,
     /// Device-side latency (`done - submit`) of every host read, in issue
     /// order — the tail-latency SLO wall samples p99.9 from here. Empty
     /// when `bounded_read_lat` routes samples to the histogram instead.
@@ -312,7 +309,6 @@ impl FlashController {
             channels,
             host: HostClock(AtomicU64::new(0)),
             central: Mutex::new(Central {
-                outstanding_posted_reads: 0,
                 read_lat: Vec::new(),
                 read_hist: LatencyHistogram::new(),
                 bounded_read_lat: false,
@@ -361,12 +357,7 @@ impl FlashController {
     /// safe to call concurrently with command submission — the snapshot
     /// is then approximate across dies, exact within each.
     pub fn stats(&self) -> ControllerStats {
-        let mut s = {
-            let c = lock(&self.central);
-            let mut s = c.stats.clone();
-            s.posted_reads_outstanding = c.outstanding_posted_reads;
-            s
-        };
+        let mut s = lock(&self.central).stats.clone();
         s.min_die_erases = u64::MAX;
         s.max_die_erases = 0;
         s.die_erases = Vec::with_capacity(self.dies.len());
@@ -444,27 +435,6 @@ impl FlashController {
         lock(&self.dies[die as usize])
             .clock
             .busy_ns_after(self.host_ns())
-    }
-
-    /// A posted-read completion was consumed by the host's `poll`: its
-    /// members leave the outstanding completion horizon. A completion
-    /// without reads (every polled write) takes no lock.
-    pub fn note_posted_reads_polled(&self, members: u64) {
-        if members == 0 {
-            return;
-        }
-        let mut c = lock(&self.central);
-        c.outstanding_posted_reads = c.outstanding_posted_reads.saturating_sub(members);
-    }
-
-    /// A posted-read completion was abandoned via `forget`: retire its
-    /// members from the outstanding completion horizon without polling,
-    /// so the gauge cannot drift and later waits don't account for data
-    /// nobody wants.
-    pub fn retire_forgotten_reads(&self, members: u64) {
-        let mut c = lock(&self.central);
-        c.stats.forgotten_reads += members;
-        c.outstanding_posted_reads = c.outstanding_posted_reads.saturating_sub(members);
     }
 
     /// Device-side latency (`done − submit`) of every host read so far,
@@ -847,7 +817,6 @@ impl FlashController {
                 // The data is in flight: the submitter waits for `done`
                 // when it polls, not here.
                 c.stats.posted_reads += 1;
-                c.outstanding_posted_reads += 1;
             }
         }
         c.stats.commands += 1;
@@ -1788,29 +1757,6 @@ mod tests {
     }
 
     #[test]
-    fn forgotten_reads_retire_from_the_horizon() {
-        let ctrl = FlashController::shared(cfg(2, 1));
-        let mut handles = FlashController::handles(&ctrl);
-        let (data, oob) = page(&handles[0], 0xA5);
-        for h in handles.iter_mut() {
-            h.program_page(Ppa::new(0, 0), &data, &oob).unwrap();
-        }
-        ctrl.sync();
-        for h in handles.iter_mut() {
-            h.set_context(CmdContext::host(Lane::Posted));
-            h.read_page(Ppa::new(0, 0)).unwrap();
-        }
-        assert_eq!(ctrl.stats().posted_reads_outstanding, 2);
-
-        ctrl.note_posted_reads_polled(1);
-        ctrl.retire_forgotten_reads(1);
-        let s = ctrl.stats();
-        assert_eq!(s.posted_reads_outstanding, 0, "gauge must not drift");
-        assert_eq!(s.forgotten_reads, 1);
-        assert_eq!(s.posted_reads, 2, "issue counter unchanged");
-    }
-
-    #[test]
     fn read_latencies_record_host_reads_only() {
         let ctrl = FlashController::shared(cfg(1, 1).with_qos());
         let mut h = FlashController::handles(&ctrl).remove(0);
@@ -2081,7 +2027,6 @@ mod tests {
         assert_eq!(ctrl.read_latency_count(), 2, "both are host-read samples");
         let s = ctrl.stats();
         assert_eq!(s.posted_reads, 1, "only die 0's read was posted");
-        assert_eq!(s.posted_reads_outstanding, 1);
         assert_eq!(
             handles[0].last_read_done_ns(),
             posted_done,

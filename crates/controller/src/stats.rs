@@ -52,15 +52,6 @@ pub struct ControllerStats {
     /// cut through an in-flight erase pulse.
     #[serde(default)]
     pub erase_suspends: u64,
-    /// Posted-read completions the host abandoned via `forget` — retired
-    /// from the completion horizon without ever being polled.
-    #[serde(default)]
-    pub forgotten_reads: u64,
-    /// Posted reads surfaced to the queue whose completions have been
-    /// neither polled nor forgotten yet (a gauge, not a counter; nonzero
-    /// only while completions are in flight).
-    #[serde(default)]
-    pub posted_reads_outstanding: u64,
     /// Utilization of the busiest die in parts-per-million of elapsed
     /// simulated time (gauge, computed at snapshot time).
     #[serde(default)]
@@ -92,8 +83,8 @@ impl ControllerStats {
     /// multi-tenant harness needs to charge scheduler activity (queue
     /// waits, NCQ stalls, promotions) to the tenant that ran between two
     /// snapshots. Gauges and whole-device extrema (`max_queue_depth`,
-    /// `max_die_erases`/`min_die_erases`, `posted_reads_outstanding`)
-    /// keep their current values: they describe device state, not flow.
+    /// `max_die_erases`/`min_die_erases`, the utilizations) keep their
+    /// current values: they describe device state, not flow.
     pub fn delta_since(&self, prev: &ControllerStats) -> ControllerStats {
         ControllerStats {
             commands: self.commands - prev.commands,
@@ -121,8 +112,6 @@ impl ControllerStats {
                 .collect(),
             reads_promoted: self.reads_promoted - prev.reads_promoted,
             erase_suspends: self.erase_suspends - prev.erase_suspends,
-            forgotten_reads: self.forgotten_reads - prev.forgotten_reads,
-            posted_reads_outstanding: self.posted_reads_outstanding,
             die_util_ppm_max: self.die_util_ppm_max,
             chan_util_ppm_max: self.chan_util_ppm_max,
         }
@@ -224,13 +213,12 @@ mod tests {
     #[test]
     fn delta_carries_shrinking_gauges_without_underflow() {
         // Regression: gauges can legally *decrease* across a window
-        // (outstanding completions drained, utilization fell). A delta
+        // (utilization fell as the device went quiet). A delta
         // that subtracted them would underflow-saturate into nonsense;
         // the window must simply report the newer point-in-time values.
         let prev = ControllerStats {
             commands: 50,
             posted_reads: 20,
-            posted_reads_outstanding: 8,
             max_queue_depth: 6,
             die_util_ppm_max: 900_000,
             chan_util_ppm_max: 450_000,
@@ -239,7 +227,6 @@ mod tests {
         let now = ControllerStats {
             commands: 80,
             posted_reads: 30,
-            posted_reads_outstanding: 1, // shrank: 7 completions consumed
             max_queue_depth: 6,
             die_util_ppm_max: 300_000, // device went quiet
             chan_util_ppm_max: 100_000,
@@ -247,11 +234,11 @@ mod tests {
         };
         let d = now.delta_since(&prev);
         assert_eq!(d.posted_reads, 10, "counters still subtract");
+        assert_eq!(d.max_queue_depth, 6);
         assert_eq!(
-            d.posted_reads_outstanding, 1,
-            "shrinking gauge carries the newer value, not 1 - 8"
+            d.die_util_ppm_max, 300_000,
+            "shrinking gauge carries the newer value, not 300k - 900k"
         );
-        assert_eq!(d.die_util_ppm_max, 300_000);
         assert_eq!(d.chan_util_ppm_max, 100_000);
         assert!((d.die_util_max() - 0.3).abs() < 1e-9);
         assert!((d.chan_util_max() - 0.1).abs() < 1e-9);

@@ -168,10 +168,6 @@ impl IoQueue for TenantDevice {
     fn sync(&mut self) -> u64 {
         IoQueue::sync(&mut *self.device.borrow_mut())
     }
-
-    fn forget(&mut self, token: IoToken) {
-        self.device.borrow_mut().forget(token);
-    }
 }
 
 impl NativeFlashDevice for TenantDevice {

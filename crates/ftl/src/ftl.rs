@@ -1235,9 +1235,6 @@ impl<C: Nand> IoQueue for Ftl<C> {
         self.drain_staged().expect("draining a staged program");
         self.chip.elapsed_ns()
     }
-
-    /// No scheduler counted the request's reads: nothing to retire.
-    fn forget(&mut self, _token: IoToken) {}
 }
 
 #[cfg(test)]

@@ -15,10 +15,10 @@
 //! the same devices: the host posts an [`IoRequest`] — possibly vectored
 //! across many LBAs — receives an [`IoToken`] that *owns* the request's
 //! completion, and later either moves the token into `poll_checked`
-//! (waiting for the completion) or `sync`s the whole queue; the device
-//! keeps no per-request state. The synchronous `read`/`write` calls drive
-//! the same per-die machinery, so the two interfaces always agree on
-//! device state.
+//! (waiting for the completion), drops it (abandoning the completion),
+//! or `sync`s the whole queue; the device keeps no per-request state.
+//! The synchronous `read`/`write` calls drive the same per-die
+//! machinery, so the two interfaces always agree on device state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,11 +53,11 @@ impl WriteStrategy {
     }
 }
 
-/// The owner of a submitted [`IoRequest`]'s completion, redeemed by
-/// moving it into [`IoQueue::poll_checked`] or [`IoQueue::forget`].
-/// Deliberately neither `Clone` nor `Copy`: a second poll, or a poll
-/// after `forget`, is a use of a moved value and does not compile.
-#[must_use = "a token owns its completion: poll it or forget it"]
+/// The owner of a submitted [`IoRequest`]'s completion: poll it with
+/// [`IoQueue::poll_checked`], or drop it to abandon it. Deliberately
+/// neither `Clone` nor `Copy`: a second poll is a use of a moved value
+/// and does not compile.
+#[must_use = "a token owns its completion: poll it, or drop it to abandon it"]
 #[derive(Debug)]
 pub struct IoToken {
     completion: IoCompletion,
@@ -89,7 +89,7 @@ impl IoToken {
         self.posted
     }
 
-    /// Take the completion out — what a device's poll/forget ends with.
+    /// Take the completion out — what a device's poll ends with.
     pub fn into_completion(self) -> IoCompletion {
         self.completion
     }
@@ -191,22 +191,19 @@ impl VectoredCounters {
 /// * `poll_checked` consumes the token and *waits* for its completion:
 ///   the submission clock advances to at least `done_ns` and the
 ///   completion (with any read data) is returned. The token is moved, so
-///   a double poll or a poll after `forget` does not compile (see below).
+///   a double poll does not compile (see below).
 ///   There is no "not ready yet" and no "lost completion": a poll fails
 ///   only with a device/maintenance error of a layer working at poll time.
 /// * `sync` is the barrier: every prior submission's completion time is
 ///   folded into the device's merged clock, which is returned. Tokens
 ///   the host still holds stay pollable.
-/// * `forget` consumes a token without waiting (an unused read-ahead).
-///   The device retires it from its completion horizon: an abandoned
-///   completion is accounted exactly like a polled one in the
-///   scheduler's posted-read bookkeeping, so `sync` never waits on behalf
-///   of data nobody wants and the posted-read gauges cannot drift.
-///   Merely dropping a token skips that accounting — hence `#[must_use]`.
+/// * Dropping a token abandons its completion (an unused read-ahead).
+///   The device has nothing to retire: the request's state effects
+///   stand, and its time is already in the device's clock either way.
 ///
 /// What the type cannot catch: a token carries no device identity, so
 /// redeeming it at a device other than its issuer is an unreported host
-/// bug — the completion comes back, the wrong clock and gauges move.
+/// bug — the completion comes back, the wrong clock moves.
 ///
 /// ```
 /// use ipa_ftl::{BlockDevice, Ftl, FtlConfig, IoQueue, IoRequest};
@@ -231,17 +228,6 @@ impl VectoredCounters {
 /// let mut dev = Ftl::new(chip, FtlConfig::traditional());
 /// let token = dev.submit(IoRequest::ReadV(vec![0])).unwrap();
 /// dev.poll_checked(token).unwrap();
-/// dev.poll_checked(token).unwrap(); // error[E0382]: use of moved value: `token`
-/// ```
-///
-/// So is polling after `forget` (a completion-losing device cannot be written):
-///
-/// ```compile_fail,E0382
-/// use ipa_ftl::{Ftl, FtlConfig, IoQueue, IoRequest};
-/// let chip = ipa_flash::FlashChip::new(ipa_flash::DeviceConfig::small());
-/// let mut dev = Ftl::new(chip, FtlConfig::traditional());
-/// let token = dev.submit(IoRequest::ReadV(vec![0])).unwrap();
-/// dev.forget(token);
 /// dev.poll_checked(token).unwrap(); // error[E0382]: use of moved value: `token`
 /// ```
 ///
@@ -280,10 +266,6 @@ pub trait IoQueue {
     /// Barrier over all prior submissions; returns the merged device
     /// time in nanoseconds.
     fn sync(&mut self) -> u64;
-
-    /// Abandon a token without waiting on its completion, retiring it
-    /// from the device's posted-read bookkeeping.
-    fn forget(&mut self, token: IoToken);
 }
 
 /// A block device with a queued face — the bound host components (the

@@ -27,7 +27,9 @@
 //! The stripe is `Send + Sync`: the controller is shared by `Arc`, each
 //! shard sits behind its own mutex (die-local traffic from different
 //! threads contends only when it lands on the same die), and the queued
-//! face keeps no state (a completion travels in its [`IoToken`]). The
+//! face keeps no state: a completion travels in its [`IoToken`], and
+//! dropping the token abandons it. Waiting for a completion takes no
+//! lock — it only advances the controller's atomic host clock. The
 //! threaded driver shares one stripe between host threads through the
 //! `&self` face: [`ShardedFtl::read_shared`], [`ShardedFtl::submit_io`],
 //! [`ShardedFtl::poll_io_checked`], [`ShardedFtl::sync`] and the locking
@@ -445,21 +447,10 @@ impl ShardedFtl {
 
     /// The completion half of a point read submitted at `submitted`, as a
     /// one-member poll would do it: the wait ends at `max(submitted,
-    /// ready)`, and one posted read leaves the outstanding gauge — on an
-    /// error, only if the die served it before ECC failed.
+    /// ready)`.
     fn finish_point_read(&self, submitted: u64, ready: Result<u64>) -> Result<()> {
-        match ready {
-            Ok(ready) => {
-                self.ctrl.advance_host_ns(submitted.max(ready));
-                self.ctrl.note_posted_reads_polled(1);
-                Ok(())
-            }
-            Err(e) => {
-                let served = matches!(e, FtlError::Uncorrectable { .. });
-                self.ctrl.note_posted_reads_polled(u64::from(served));
-                Err(e)
-            }
-        }
+        self.ctrl.advance_host_ns(submitted.max(ready?));
+        Ok(())
     }
 
     /// One read routed to its die and posted in `lane`: the read issues at
@@ -500,22 +491,9 @@ impl ShardedFtl {
         match &req {
             IoRequest::ReadV(lbas) => {
                 for &lba in lbas {
-                    match self.read_member(lba) {
-                        Ok((buf, ready)) => {
-                            data.push(buf);
-                            done = done.max(ready);
-                        }
-                        Err(e) => {
-                            // No completion will ever surface the earlier
-                            // members (their state effects stand): retire
-                            // them from the outstanding gauge — with the
-                            // failing one if its die served it before ECC.
-                            let served = matches!(e, FtlError::Uncorrectable { .. });
-                            self.ctrl
-                                .note_posted_reads_polled(data.len() as u64 + u64::from(served));
-                            return Err(e);
-                        }
-                    }
+                    let (buf, ready) = self.read_member(lba)?;
+                    data.push(buf);
+                    done = done.max(ready);
                 }
             }
             IoRequest::WriteV(pages) => {
@@ -555,8 +533,6 @@ impl ShardedFtl {
         // clock — a completion already in the past costs nothing. The
         // monotone advance makes the wait safe under concurrent pollers.
         self.ctrl.advance_host_ns(completion.done_ns);
-        self.ctrl
-            .note_posted_reads_polled(completion.data.len() as u64);
         Ok(completion)
     }
 }
@@ -581,13 +557,6 @@ impl IoQueue for ShardedFtl {
 
     fn sync(&mut self) -> u64 {
         ShardedFtl::sync(self)
-    }
-
-    fn forget(&mut self, token: IoToken) {
-        // Retire the abandoned reads from the controller's posted-read
-        // horizon, so `sync` never accounts for data nobody wants.
-        self.ctrl
-            .retire_forgotten_reads(token.into_completion().data.len() as u64);
     }
 }
 
@@ -1144,7 +1113,6 @@ mod tests {
             read_both(&mut owned, &shared, 5, "uncorrectable"),
             Err(FtlError::Uncorrectable { lba: sub })
         );
-        assert_eq!(owned.ctrl.stats().posted_reads_outstanding, 0);
         assert!(matches!(
             read_both(&mut owned, &shared, 30, "unmapped"),
             Err(FtlError::UnmappedLba(_))

@@ -361,10 +361,4 @@ impl IoQueue for HeatDevice {
         let merged = self.inner.sync();
         merged.max(self.inner.shifter().tier.elapsed_ns())
     }
-
-    fn forget(&mut self, token: IoToken) {
-        if token.is_posted() {
-            self.inner.forget(token);
-        }
-    }
 }

@@ -196,10 +196,6 @@ impl<S: WearShifter> IoQueue for MaintainedFtl<S> {
         self.poll_maint_deferred();
         merged
     }
-
-    fn forget(&mut self, token: IoToken) {
-        self.inner.forget(token);
-    }
 }
 
 #[cfg(test)]

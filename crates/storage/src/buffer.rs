@@ -458,19 +458,12 @@ impl BufferPool {
         Ok(self.ready_prefetch.remove(&pid))
     }
 
-    /// Forget any in-flight or ready prefetch of `pid` (and, for a
-    /// pending vector, its whole group — correctness over thrift on this
-    /// cold path).
+    /// Drop any in-flight or ready prefetch of `pid` (and, for a pending
+    /// vector, its whole group — correctness over thrift on this cold
+    /// path; dropping the token abandons the completion).
     fn drop_prefetch(&mut self, pid: PageId) {
         self.ready_prefetch.remove(&pid);
-        if let Some(at) = self
-            .pending_prefetch
-            .iter()
-            .position(|g| g.members.contains(&pid))
-        {
-            let group = self.pending_prefetch.remove(at);
-            self.device.forget(group.token);
-        }
+        self.pending_prefetch.retain(|g| !g.members.contains(&pid));
     }
 
     /// On a sequential miss (`pid` directly follows the previous miss),
@@ -518,8 +511,7 @@ impl BufferPool {
                 .sum::<usize>()
                 > budget
         {
-            let group = self.pending_prefetch.remove(0);
-            self.device.forget(group.token);
+            self.pending_prefetch.remove(0);
         }
         // Evict only the overflow from the ready set — its images are
         // already paid for in device time, so dropping all of them would
@@ -538,9 +530,7 @@ impl BufferPool {
 
     /// Abandon the whole read-ahead pipeline (cache drops, crashes).
     fn clear_prefetch(&mut self) {
-        for group in self.pending_prefetch.drain(..) {
-            self.device.forget(group.token);
-        }
+        self.pending_prefetch.clear();
         self.ready_prefetch.clear();
         self.last_miss = None;
     }
@@ -1192,6 +1182,33 @@ mod tests {
             for _ in 0..3 {
                 assert_eq!(drive(), (stats, device));
             }
+        }
+
+        /// Re-creating a page while a read-ahead vector covering it is in
+        /// flight abandons the vector: the stale image never surfaces, and
+        /// its other pages come back intact from the device.
+        #[test]
+        fn a_page_created_under_a_pending_prefetch_never_reads_it() {
+            let mut p = striped_pool(32, 4);
+            p.with_page(0, |_| ()).unwrap();
+            p.with_page(1, |_| ()).unwrap();
+            assert_eq!(p.pending_prefetch[0].members, vec![2, 3, 4, 5]);
+            p.new_page(3).unwrap();
+            p.with_page_mut(3, None, |pm| pm.write(0, &[0xC3; 2048]))
+                .unwrap();
+            p.flush_all().unwrap();
+            assert!(p.pending_prefetch.is_empty() && p.ready_prefetch.is_empty());
+            // Cycle the whole pool through non-sequential misses.
+            for i in 0..16u64 {
+                p.with_page(16 + (i * 5) % 16, |_| ()).unwrap();
+            }
+            p.with_page(3, |b| assert!(b.iter().all(|&x| x == 0xC3)))
+                .unwrap();
+            for pid in [2u64, 4, 5] {
+                p.with_page(pid, |b| assert!(b.iter().all(|&x| x == pid as u8)))
+                    .unwrap();
+            }
+            assert_eq!(p.stats().readahead_hits, 0, "the vector served nothing");
         }
 
         #[test]

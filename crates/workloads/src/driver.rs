@@ -17,7 +17,7 @@ use ipa_ftl::{
 };
 use ipa_heat::{DefaultPolicy, HeatDevice, HeatStats};
 use ipa_maint::{MaintStats, MaintainedFtl};
-use ipa_storage::{EngineConfig, NetBytesHistogram, PoolStats, Result, StorageEngine, TableKind};
+use ipa_storage::{EngineConfig, PoolStats, Result, StorageEngine, TableKind};
 use ipa_trace::{LatencyHistogram, MetricsSnapshot, RingRecorder, TraceEvent};
 
 use crate::metrics::engine_metrics;
@@ -373,9 +373,6 @@ impl DriverConfig {
 /// Everything a bench table needs about one run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    pub benchmark: String,
-    pub strategy: WriteStrategy,
-    pub scheme: NmScheme,
     pub transactions: u64,
     /// Simulated wall time of the measured window, nanoseconds.
     pub elapsed_ns: u64,
@@ -391,8 +388,6 @@ pub struct RunResult {
     pub flash: FlashStats,
     /// Buffer-pool counters (whole run).
     pub pool: PoolStats,
-    /// Net modified bytes per dirty eviction (whole run, if measured).
-    pub net_bytes: NetBytesHistogram,
     /// Peak block wear at the end of the run.
     pub max_erase_count: u32,
     /// Raw erase blocks of the device (for per-silicon wear comparisons).
@@ -416,9 +411,6 @@ pub struct RunResult {
     /// Heat-placement counters, when the run mounted the device behind a
     /// [`HeatDevice`] ([`DriverConfig::with_heat`]).
     pub heat: Option<HeatStats>,
-    /// Host-read latency histogram over the measured window (always
-    /// populated on controller devices).
-    pub read_latency_hist: LatencyHistogram,
     /// Command lifecycle events retained by the measured window's ring
     /// recorder; empty unless [`DriverConfig::trace_capacity`] was set.
     pub trace: Vec<TraceEvent>,
@@ -540,13 +532,8 @@ impl Driver {
         let before = engine.stats();
         let ctrl = Self::controller_of(engine);
         // Read-latency samples accumulated before the measured window
-        // (load + warm-up) are excluded by remembering the cursor; the
-        // histogram is windowed the same way via a snapshot + delta.
+        // (load + warm-up) are excluded by remembering the cursor.
         let read_lat_cursor = ctrl.as_ref().map(|c| c.read_latency_count()).unwrap_or(0);
-        let hist_before = ctrl
-            .as_ref()
-            .map(|c| c.read_latency_histogram())
-            .unwrap_or_default();
         let recorder = cfg.trace_capacity.and_then(|cap| {
             ctrl.as_ref().map(|c| {
                 let rec = std::sync::Arc::new(std::sync::Mutex::new(RingRecorder::new(cap)));
@@ -644,12 +631,6 @@ impl Driver {
             }
             None => (Vec::new(), 0),
         };
-        let read_latency_hist = ctrl
-            .as_ref()
-            .map(|c| c.read_latency_histogram())
-            .unwrap_or_default()
-            .delta_since(&hist_before);
-
         let per_stream = if streams > 1 {
             stream_samples
                 .into_iter()
@@ -677,9 +658,6 @@ impl Driver {
         let tps = committed as f64 / (elapsed_ns as f64 / 1e9);
 
         Ok(RunResult {
-            benchmark: bench.name().to_string(),
-            strategy: engine.config().strategy,
-            scheme: engine.config().scheme,
             transactions: committed,
             elapsed_ns,
             tps,
@@ -690,7 +668,6 @@ impl Driver {
                 .map(|(now, then)| now.delta_since(&then)),
             flash: after.flash.delta_since(&before.flash),
             pool: after.pool,
-            net_bytes: after.pool.net_bytes,
             max_erase_count: after.max_erase_count,
             raw_blocks: engine.pool().device().raw_blocks(),
             latency: LatencyPercentiles::from_samples(samples),
@@ -704,7 +681,6 @@ impl Driver {
             controller: engine.pool().device().controller_stats(),
             maint: Self::maint_stats_of(engine),
             heat: engine.device_as::<HeatDevice>().map(HeatDevice::heat_stats),
-            read_latency_hist,
             trace,
             trace_dropped,
             metrics: engine_metrics(engine),

@@ -111,9 +111,7 @@ pub fn engine_metrics(engine: &StorageEngine) -> MetricsSnapshot {
             .counter("backpressure_wait_ns", c.backpressure_wait_ns)
             .counter("reads_promoted", c.reads_promoted)
             .counter("erase_suspends", c.erase_suspends)
-            .counter("forgotten_reads", c.forgotten_reads)
             .gauge("max_queue_depth", c.max_queue_depth as u64)
-            .gauge("posted_reads_outstanding", c.posted_reads_outstanding)
             .gauge("max_die_erases", c.max_die_erases)
             .gauge("min_die_erases", c.min_die_erases)
             .gauge("wear_spread", c.wear_spread())

@@ -174,31 +174,40 @@ fn erase_suspends_are_bounded() {
     dev.check_invariants();
 }
 
-/// `forget` retires the token from the controller's posted-read
-/// completion horizon (the PR's fixed follow-up): a forgotten vectored
-/// read must not leave the outstanding gauge pinned, and is counted.
+/// Dropping a posted `ReadV` token is the whole abandon protocol: after
+/// `sync`, a QoS stripe that dropped one equals, in every counter and
+/// clock, its twin that polled it — abandonment never moves timing.
 #[test]
-fn forget_retires_posted_reads_from_horizon() {
-    let mut dev = striped_qos_device(WriteStrategy::Traditional, 0xF063E7, 4, 1);
-    for lba in 0..16u64 {
-        dev.write(lba, &vec![lba as u8; 2048]).unwrap();
-    }
-    IoQueue::sync(&mut dev);
-
-    let keep = dev.submit(IoRequest::ReadV((0..8).collect())).unwrap();
-    let drop = dev.submit(IoRequest::ReadV((8..16).collect())).unwrap();
-    IoQueue::forget(&mut dev, drop);
-    let c = dev.poll_checked(keep).unwrap();
-    assert_eq!(c.data.len(), 8);
-
-    let stats = dev.controller().stats();
+fn a_dropped_read_token_equals_a_polled_one_after_sync() {
+    let run = |poll_both: bool| {
+        let mut dev = striped_qos_device(WriteStrategy::Traditional, 0xF063E7, 4, 1);
+        for lba in 0..16u64 {
+            dev.write(lba, &vec![lba as u8; 2048]).unwrap();
+        }
+        IoQueue::sync(&mut dev);
+        let keep = dev.submit(IoRequest::ReadV((0..8).collect())).unwrap();
+        let other = dev.submit(IoRequest::ReadV((8..16).collect())).unwrap();
+        if poll_both {
+            assert_eq!(dev.poll_checked(other).unwrap().data.len(), 8);
+        }
+        assert_eq!(dev.poll_checked(keep).unwrap().data.len(), 8);
+        IoQueue::sync(&mut dev);
+        let seen = (
+            dev.controller().stats(),
+            dev.device_stats(),
+            dev.flash_stats(),
+            dev.elapsed_ns(),
+            dev.submission_clock_ns(),
+        );
+        (seen, dev)
+    };
+    let (dropped, mut dev) = run(false);
     assert_eq!(
-        stats.posted_reads_outstanding, 0,
-        "forgotten reads left the completion horizon pinned"
+        dropped,
+        run(true).0,
+        "abandoning a completion moved the device"
     );
-    assert_eq!(stats.forgotten_reads, 8, "dropped vector has 8 members");
-    // The device remains fully usable: the barrier and fresh reads work.
-    IoQueue::sync(&mut dev);
+    // The device remains fully usable: fresh reads of the dropped pages work.
     let mut buf = vec![0u8; 2048];
     dev.read(8, &mut buf).unwrap();
     assert!(buf.iter().all(|&b| b == 8));

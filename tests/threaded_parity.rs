@@ -155,7 +155,6 @@ fn one_threads_posted_vector_never_leaks_into_anothers_blocking_read() {
         2 * ROUNDS * VECTOR,
         "ReadV members only"
     );
-    assert_eq!(stats.posted_reads_outstanding, 0);
     assert_eq!(stats.reads, 2 * ROUNDS * VECTOR + 2 * ROUNDS);
     let rec = rec.lock().unwrap();
     assert_eq!(rec.dropped(), 0);
